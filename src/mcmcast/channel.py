@@ -193,12 +193,14 @@ def _validate_table(rows, origin: str) -> None:
 
 
 class ChannelModel:
-    """Samples per-sub-frame rate matrices for a fixed scenario.
+    """Samples per-sub-frame SNR and rate matrices for a fixed scenario.
 
     Distances are precomputed once; shadowing is drawn per drop via
-    draw_shadowing and held fixed while sample_subframe is called per
-    sub-frame.  All randomness comes from generators the caller passes
-    in, so a fixed seed fixes the entire rate sequence.
+    draw_shadowing and held fixed while snr_subframe (or sample_subframe,
+    its rates) is called per sub-frame.  min_snr_db turns a required rate
+    into the SNR threshold that decides decodability exactly like the rate
+    table.  All randomness comes from generators the caller passes in, so
+    a fixed seed fixes the entire sequence.
     """
 
     def __init__(self, params: ChannelParams, scenario, num_prbs: int, table=None):
@@ -229,15 +231,30 @@ class ChannelModel:
         """(C, N, M) SNR draw for one sub-frame."""
         p = self.params
         base = p.per_prb_tx_dbm - self._pl_db - shadow_db - p.noise_floor_dbm
-        if p.fast_fading:
-            power = rng.exponential(1.0, size=(self.num_cells, self.num_prbs, self.num_users))
-            fade_db = 10.0 * np.log10(np.maximum(power, 1e-12))
-        else:
-            fade_db = 0.0
-        return base[:, None, :] + fade_db
+        if not p.fast_fading:
+            return np.repeat(base[:, None, :], self.num_prbs, axis=1)
+        # base + 10 * log10(max(power, 1e-12)), evaluated in place: the
+        # same IEEE operations without three array-sized temporaries
+        snr_db = rng.exponential(1.0, size=(self.num_cells, self.num_prbs, self.num_users))
+        np.maximum(snr_db, 1e-12, out=snr_db)
+        np.log10(snr_db, out=snr_db)
+        snr_db *= 10.0
+        snr_db += base[:, None, :]
+        return snr_db
 
     def sample_subframe(self, shadow_db: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """(C, N, M) decodable rates in bits per PRB per sub-frame."""
-        snr_db = self.snr_subframe(shadow_db, rng)
-        idx = np.searchsorted(self._thresholds, snr_db, side="right")
-        return np.where(idx > 0, self._rates[np.maximum(idx - 1, 0)], 0.0)
+        return rate_from_snr(self.snr_subframe(shadow_db, rng), self.table)
+
+    def min_snr_db(self, required: float) -> float:
+        """Lowest SNR whose decodable rate meets `required`.
+
+        Rates step up strictly, so rate_from_snr(s, self.table) >= required
+        holds exactly when s >= min_snr_db(required): the threshold of the
+        first step whose rate reaches `required`.  -inf when required <= 0
+        (outage still meets it), +inf when it is above the top step.
+        """
+        if required <= 0:
+            return -math.inf
+        i = int(np.searchsorted(self._rates, required, side="left"))
+        return float(self._thresholds[i]) if i < len(self._rates) else math.inf

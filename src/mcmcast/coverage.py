@@ -22,15 +22,17 @@ provides:
 plus the reduction pair (reduce_mcp / map_solution) between plain
 maximum coverage and the partitioned problem.
 
-All solvers are pure functions of immutable instances and break argmax
-ties toward the lowest (cell, prb) index, so outputs are deterministic.
+An instance is one boolean array cover[c, j, k] of shape (C, N, M): True
+when user k decodes cell c on PRB j.  The set view U[c][j] is derived
+from it on demand.  All solvers are pure functions of instances and
+break argmax ties toward the lowest (cell, prb) index, so outputs are
+deterministic.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,6 +61,11 @@ __all__ = [
 
 EXACT_DEFAULT_CAP = 10_000_000
 
+# Upper bound on the uint64 words one block of the exhaustive search holds
+# (2 MiB); the search enumerates its allocations in blocks of at most this
+# size so that even the full cap never materializes at once.
+_EXACT_BLOCK_WORDS = 1 << 18
+
 # Greedy-to-optimal ratio the oracle suite checks for: 1 - 1/e.  This is
 # the classic cardinality-constrained greedy figure; under the
 # one-PRB-per-cell constraint it holds empirically on random workloads
@@ -70,31 +77,81 @@ class CapExceededError(RuntimeError):
     """Exhaustive search would enumerate more allocations than allowed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageInstance:
     """One sub-frame's coverage structure.
 
-    sets[c][j] is the frozenset of user ids (0..num_users-1) decodable if
-    cell c streams on PRB j.  Empty sets are legal; the shape is always
-    num_cells x num_prbs.
+    cover[c, j, k] is True when user k decodes cell c streaming on PRB j;
+    the shape is (num_cells, num_prbs, num_users).  The instance holds a
+    read-only view of the array it is given.
     """
 
-    num_users: int
-    num_cells: int
-    num_prbs: int
-    sets: tuple[tuple[frozenset[int], ...], ...]
+    cover: np.ndarray
 
     def __post_init__(self):
-        if self.num_users < 0 or self.num_cells < 1 or self.num_prbs < 1:
+        cover = np.asarray(self.cover)
+        if cover.dtype != bool or cover.ndim != 3:
+            raise ValueError(
+                f"cover must be a boolean (C, N, M) array, got {cover.dtype} "
+                f"with shape {cover.shape}"
+            )
+        if cover.shape[0] < 1 or cover.shape[1] < 1:
+            raise ValueError("need num_cells >= 1 and num_prbs >= 1")
+        view = cover.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "cover", view)
+
+    @classmethod
+    def from_sets(
+        cls,
+        num_users: int,
+        num_cells: int,
+        num_prbs: int,
+        sets: Sequence[Sequence[Sequence[int]]],
+    ) -> CoverageInstance:
+        """Build from sets[c][j], the user ids decodable on (cell c, PRB j)."""
+        if num_users < 0 or num_cells < 1 or num_prbs < 1:
             raise ValueError("need num_users >= 0, num_cells >= 1, num_prbs >= 1")
-        if len(self.sets) != self.num_cells:
-            raise ValueError(f"expected {self.num_cells} cell rows, got {len(self.sets)}")
-        for c, row in enumerate(self.sets):
-            if len(row) != self.num_prbs:
-                raise ValueError(f"cell {c}: expected {self.num_prbs} PRB sets, got {len(row)}")
+        if len(sets) != num_cells:
+            raise ValueError(f"expected {num_cells} cell rows, got {len(sets)}")
+        cover = np.zeros((num_cells, num_prbs, num_users), dtype=bool)
+        for c, row in enumerate(sets):
+            if len(row) != num_prbs:
+                raise ValueError(f"cell {c}: expected {num_prbs} PRB sets, got {len(row)}")
             for j, users in enumerate(row):
-                if users and (min(users) < 0 or max(users) >= self.num_users):
+                ids = np.fromiter(users, dtype=int, count=len(users))
+                if ids.size and (ids.min() < 0 or ids.max() >= num_users):
                     raise ValueError(f"U[{c}][{j}] contains out-of-range user ids")
+                cover[c, j, ids] = True
+        return cls(cover)
+
+    @property
+    def num_cells(self) -> int:
+        return self.cover.shape[0]
+
+    @property
+    def num_prbs(self) -> int:
+        return self.cover.shape[1]
+
+    @property
+    def num_users(self) -> int:
+        return self.cover.shape[2]
+
+    @property
+    def sets(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        """sets[c][j]: frozenset of the user ids in U[c][j]."""
+        return tuple(
+            tuple(frozenset(np.flatnonzero(users).tolist()) for users in row)
+            for row in self.cover
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoverageInstance):
+            return NotImplemented
+        return (self.cover.shape == other.cover.shape
+                and bool(np.array_equal(self.cover, other.cover)))
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -104,14 +161,20 @@ class Allocation:
     chosen: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageResult:
+    """An allocation and its (M,) boolean mask of served users."""
+
     allocation: Allocation
-    served: frozenset[int]
+    served_mask: np.ndarray
+
+    @property
+    def served(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.served_mask).tolist())
 
     @property
     def served_count(self) -> int:
-        return len(self.served)
+        return int(np.count_nonzero(self.served_mask))
 
 
 @dataclass(frozen=True)
@@ -136,23 +199,18 @@ def build_instance(rates, required_rate, connectivity) -> CoverageInstance:
     rates: array of shape (C, N, M) with the maximum decodable rate per
     (cell, prb, user).  connectivity: per-user eligible-cell sets, either
     a length-M sequence of cell-id collections or a boolean (M, C) mask.
-    User k lands in U[c][j] iff cell c is in k's connectivity set and
+    User k is covered by (c, j) iff cell c is in k's connectivity set and
     rates[c, j, k] >= required_rate (service at the boundary counts).
     """
     rates = np.asarray(rates)
     if rates.ndim != 3:
         raise ValueError(f"rates must have shape (C, N, M), got {rates.shape}")
-    num_cells, num_prbs, num_users = rates.shape
+    num_cells, _, num_users = rates.shape
     if required_rate < 0:
         raise ValueError("required_rate must be >= 0")
 
     elig = _eligibility_mask(connectivity, num_users, num_cells)
-    ok = (rates >= required_rate) & elig.T[:, None, :]  # (C, N, M)
-    sets = tuple(
-        tuple(frozenset(np.flatnonzero(ok[c, j]).tolist()) for j in range(num_prbs))
-        for c in range(num_cells)
-    )
-    return CoverageInstance(num_users, num_cells, num_prbs, sets)
+    return CoverageInstance((rates >= required_rate) & elig.T[:, None, :])
 
 
 def _eligibility_mask(connectivity, num_users: int, num_cells: int) -> np.ndarray:
@@ -178,15 +236,20 @@ def _eligibility_mask(connectivity, num_users: int, num_cells: int) -> np.ndarra
 
 
 def evaluate(inst: CoverageInstance, allocation: Allocation) -> CoverageResult:
-    """Served set of an allocation, computed directly from the union."""
+    """Served users of an allocation, computed directly from the union."""
     if len(allocation.chosen) != inst.num_cells:
         raise ValueError("allocation does not assign exactly one PRB per cell")
-    served: set[int] = set()
     for c, j in enumerate(allocation.chosen):
         if not 0 <= j < inst.num_prbs:
             raise ValueError(f"cell {c} chose PRB {j} out of range")
-        served |= inst.sets[c][j]
-    return CoverageResult(allocation, frozenset(served))
+    return _result(inst, allocation.chosen)
+
+
+def _result(inst: CoverageInstance, chosen) -> CoverageResult:
+    """evaluate() for a solver's choice, which is in range by construction."""
+    allocation = Allocation(tuple(map(int, chosen)))
+    served = inst.cover[np.arange(inst.num_cells), allocation.chosen].any(axis=0)
+    return CoverageResult(allocation, served)
 
 
 def solve_cga(inst: CoverageInstance) -> CoverageResult:
@@ -203,24 +266,26 @@ def solve_cga(inst: CoverageInstance) -> CoverageResult:
 def solve_cga_trace(inst: CoverageInstance) -> tuple[CoverageResult, tuple[int, ...]]:
     """Like solve_cga, also returning the cumulative covered count after
     each iteration (used to check the greedy's per-step guarantees)."""
-    covered: set[int] = set()
-    chosen: dict[int, int] = {}
-    remaining = list(range(inst.num_cells))
+    cover = inst.cover
+    num_cells, num_prbs, num_users = cover.shape
+    # gain[c, j] = (cover[c, j] & ~covered).sum() as one matrix-vector
+    # product; float32 sums of 0/1 terms are exact below 2**24 users.
+    rows = cover.reshape(num_cells * num_prbs, num_users).astype(np.float32)
+    uncovered = np.ones(num_users, dtype=np.float32)
+    retired = np.zeros(num_cells, dtype=bool)
+    chosen = [0] * num_cells
     history = []
-    for _ in range(inst.num_cells):
-        best_gain = -1
-        best_c = best_j = -1
-        for c in remaining:
-            for j in range(inst.num_prbs):
-                gain = len(inst.sets[c][j] - covered)
-                if gain > best_gain:
-                    best_gain, best_c, best_j = gain, c, j
-        chosen[best_c] = best_j
-        covered |= inst.sets[best_c][best_j]
-        remaining.remove(best_c)
-        history.append(len(covered))
-    allocation = Allocation(tuple(chosen[c] for c in range(inst.num_cells)))
-    return CoverageResult(allocation, frozenset(covered)), tuple(history)
+    covered = 0
+    for _ in range(num_cells):
+        gain = (rows @ uncovered).reshape(num_cells, num_prbs)
+        gain[retired] = -1.0  # every live gain is >= 0, so retired cells never win
+        c, j = divmod(int(gain.argmax()), num_prbs)
+        chosen[c] = j
+        covered += int(gain[c, j])
+        uncovered[cover[c, j]] = 0.0
+        retired[c] = True
+        history.append(covered)
+    return _result(inst, chosen), tuple(history)
 
 
 def solve_dga(
@@ -241,15 +306,12 @@ def solve_dga(
     if count == "primary" and primary_cell is None:
         raise ValueError("count='primary' requires primary_cell")
 
-    chosen = []
-    for c in range(inst.num_cells):
-        if count == "connected":
-            scores = [len(inst.sets[c][j]) for j in range(inst.num_prbs)]
-        else:
-            own = {k for k in range(inst.num_users) if primary_cell[k] == c}
-            scores = [len(inst.sets[c][j] & own) for j in range(inst.num_prbs)]
-        chosen.append(int(np.argmax(scores)))  # argmax keeps the lowest index on ties
-    return evaluate(inst, Allocation(tuple(chosen)))
+    cover = inst.cover
+    if count == "primary":
+        own = np.arange(inst.num_cells)[:, None] == np.asarray(primary_cell)[None, :]
+        cover = cover & own[:, None, :]
+    # argmax keeps the lowest PRB index on ties
+    return _result(inst, cover.sum(axis=-1).argmax(axis=-1))
 
 
 def solve_sc(inst: CoverageInstance) -> CoverageResult:
@@ -261,14 +323,8 @@ def solve_sc(inst: CoverageInstance) -> CoverageResult:
 def solve_mbsfn(inst: CoverageInstance) -> CoverageResult:
     """Single-frequency baseline: all cells transmit on the one PRB index
     whose system-wide union covers the most users."""
-    best_j, best_cov = 0, -1
-    for j in range(inst.num_prbs):
-        union: set[int] = set()
-        for c in range(inst.num_cells):
-            union |= inst.sets[c][j]
-        if len(union) > best_cov:
-            best_j, best_cov = j, len(union)
-    return evaluate(inst, Allocation((best_j,) * inst.num_cells))
+    best_j = int(inst.cover.any(axis=0).sum(axis=-1).argmax())
+    return _result(inst, (best_j,) * inst.num_cells)
 
 
 def solve_exact(inst: CoverageInstance, cap: int = EXACT_DEFAULT_CAP) -> CoverageResult:
@@ -277,45 +333,60 @@ def solve_exact(inst: CoverageInstance, cap: int = EXACT_DEFAULT_CAP) -> Coverag
     Refuses instances above `cap` candidate allocations.  The first
     maximizer in lexicographic allocation order wins, which is the
     lowest-(cell, prb) tie-break.
+
+    The allocations are enumerated in itertools.product order as ORs of
+    bit-packed rows: the unions over the trailing cells form one block,
+    which is ORed with each union over the leading cells in turn.  The
+    split keeps a block within _EXACT_BLOCK_WORDS words.
     """
-    candidates = inst.num_prbs ** inst.num_cells
+    num_cells, num_prbs = inst.num_cells, inst.num_prbs
+    candidates = num_prbs ** num_cells
     if candidates > cap:
         raise CapExceededError(
-            f"{inst.num_prbs}^{inst.num_cells} = {candidates} allocations exceeds cap {cap}"
+            f"{num_prbs}^{num_cells} = {candidates} allocations exceeds cap {cap}"
         )
-    masks = [
-        [_to_mask(inst.sets[c][j]) for j in range(inst.num_prbs)]
-        for c in range(inst.num_cells)
-    ]
-    best_count = -1
-    best_choice: tuple[int, ...] = ()
-    for choice in itertools.product(range(inst.num_prbs), repeat=inst.num_cells):
-        union = 0
-        for c, j in enumerate(choice):
-            union |= masks[c][j]
-        count = union.bit_count()
-        if count > best_count:
-            best_count, best_choice = count, choice
-    return evaluate(inst, Allocation(best_choice))
+    words = _packed(inst.cover)
+    width = max(words.shape[-1], 1)
+    tail_cells = 1
+    while (tail_cells < num_cells
+           and num_prbs ** (tail_cells + 1) * width <= _EXACT_BLOCK_WORDS):
+        tail_cells += 1
+    head, tail = words[: num_cells - tail_cells], _unions(words[num_cells - tail_cells:])
+
+    best_count, best_index = -1, 0
+    for h, prefix in enumerate(_unions(head)):
+        counts = np.bitwise_count(tail | prefix).sum(axis=-1, dtype=np.int64)
+        i = int(counts.argmax())
+        if counts[i] > best_count:
+            best_count, best_index = int(counts[i]), h * len(tail) + i
+    return _result(inst, np.unravel_index(best_index, (num_prbs,) * num_cells))
 
 
-def _to_mask(users: frozenset[int]) -> int:
-    mask = 0
-    for u in users:
-        mask |= 1 << u
-    return mask
+def _unions(words: np.ndarray) -> np.ndarray:
+    """(K, N, W) rows -> (N^K, W) unions of one row per cell, in
+    itertools.product order (the last cell varies fastest)."""
+    width = words.shape[-1]
+    out = np.zeros((1, width), dtype=np.uint64)
+    for rows in words:
+        out = (out[:, None, :] | rows[None, :, :]).reshape(len(out) * len(rows), width)
+    return out
+
+
+def _packed(cover: np.ndarray) -> np.ndarray:
+    """(C, N, M) bool -> (C, N, W) uint64 words holding the user bits;
+    popcounts of ORs of these rows are union sizes."""
+    num_users = cover.shape[-1]
+    words = -(-num_users // 64)
+    raw = np.zeros(cover.shape[:-1] + (8 * words,), dtype=np.uint8)
+    raw[..., : -(-num_users // 8)] = np.packbits(cover, axis=-1)
+    return raw.view(np.uint64)
 
 
 def reduce_mcp(mcp: McpInstance) -> CoverageInstance:
     """Embed a plain maximum-coverage instance: k cells, one PRB per input
     set, and every cell sees the identical sub-collection."""
-    row = tuple(mcp.sets)
-    return CoverageInstance(
-        num_users=mcp.universe_size,
-        num_cells=mcp.k,
-        num_prbs=len(mcp.sets),
-        sets=tuple(row for _ in range(mcp.k)),
-    )
+    row = CoverageInstance.from_sets(mcp.universe_size, 1, len(mcp.sets), (mcp.sets,))
+    return CoverageInstance(np.repeat(row.cover, mcp.k, axis=0))
 
 
 def map_solution(allocation: Allocation) -> list[int]:
@@ -335,12 +406,7 @@ def random_instance(
     c = int(rng.integers(1, max_cells + 1))
     n = int(rng.integers(1, max_prbs + 1))
     density = rng.uniform(0.1, 0.9)
-    member = rng.random((c, n, m)) < density
-    sets = tuple(
-        tuple(frozenset(np.flatnonzero(member[ci, ji]).tolist()) for ji in range(n))
-        for ci in range(c)
-    )
-    return CoverageInstance(m, c, n, sets)
+    return CoverageInstance(rng.random((c, n, m)) < density)
 
 
 def instance_to_text(inst: CoverageInstance) -> str:
@@ -349,7 +415,7 @@ def instance_to_text(inst: CoverageInstance) -> str:
     lines = [f"{inst.num_users} {inst.num_cells} {inst.num_prbs}"]
     for c in range(inst.num_cells):
         for j in range(inst.num_prbs):
-            users = " ".join(str(u) for u in sorted(inst.sets[c][j]))
+            users = " ".join(str(u) for u in np.flatnonzero(inst.cover[c, j]))
             lines.append(f"{c} {j} : {users}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -363,7 +429,7 @@ def instance_from_text(text: str) -> CoverageInstance:
         m, c, n = (int(tok) for tok in lines[0].split())
     except ValueError as exc:
         raise ValueError(f"bad header line {lines[0]!r}") from exc
-    table: dict[tuple[int, int], frozenset[int]] = {}
+    sets = [[frozenset()] * n for _ in range(c)]
     for ln in lines[1:]:
         head, _, tail = ln.partition(":")
         try:
@@ -373,8 +439,5 @@ def instance_from_text(text: str) -> CoverageInstance:
             raise ValueError(f"bad set line {ln!r}") from exc
         if not (0 <= ci < c and 0 <= ji < n):
             raise ValueError(f"set line {ln!r} out of range for C={c}, N={n}")
-        table[ci, ji] = users
-    sets = tuple(
-        tuple(table.get((ci, ji), frozenset()) for ji in range(n)) for ci in range(c)
-    )
-    return CoverageInstance(m, c, n, sets)
+        sets[ci][ji] = users
+    return CoverageInstance.from_sets(m, c, n, sets)

@@ -1,10 +1,12 @@
 """Sub-frame simulation loop and experiment drivers.
 
 Each drop places UEs afresh and draws its own shadowing; within a drop
-the loop per sub-frame is: sample per-PRB rates → build the coverage
-instance → run the allocation policy → record who was served.  When
-several policies are compared they see the *same* rate draws (common
-random numbers), so observed differences are policy-only.
+the loop per sub-frame is: draw per-PRB SNRs → threshold them at the SNR
+the required rate needs → one coverage instance per connectivity mode in
+use → run each allocation policy → record who was served.  When several
+policies are compared they see the *same* draws and share the instance of
+their mode (common random numbers), so observed differences are
+policy-only.
 """
 
 from __future__ import annotations
@@ -21,15 +23,15 @@ from .channel import ChannelModel, ChannelParams
 from .coverage import (
     EXACT_DEFAULT_CAP,
     CapExceededError,
+    CoverageInstance,
     CoverageResult,
-    build_instance,
     solve_cga,
     solve_dga,
     solve_exact,
     solve_mbsfn,
     solve_sc,
 )
-from .topology import MC, SC, build_hex7, connectivity_mode
+from .topology import MC, NUM_CELLS, SC, build_hex7, eligibility
 from .traffic import (
     TraceSchedule,
     parse_trace,
@@ -83,9 +85,10 @@ def _validate(config: SimConfig, policies: tuple[str, ...]) -> None:
     for policy in policies:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
-    if "exact" in policies and config.num_prbs ** 7 > config.exact_cap:
+    if "exact" in policies and config.num_prbs ** NUM_CELLS > config.exact_cap:
         raise CapExceededError(
-            f"exact search space {config.num_prbs}^7 exceeds cap {config.exact_cap}"
+            f"exact search space {config.num_prbs}^{NUM_CELLS} exceeds cap "
+            f"{config.exact_cap}"
         )
 
 
@@ -185,31 +188,32 @@ def compare_policies(
     counts = {p: np.zeros((config.num_drops, horizon), dtype=int) for p in policies}
     log_rows: list[tuple[int, int, str, int, str]] = []
 
+    modes = {p: SC if p == "sc" else MC for p in policies}
+
     for d, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         scenario = build_hex7(
             config.radius_m, config.ues_per_cell, config.edge_threshold, rng
         )
-        scen_sc = connectivity_mode(scenario, SC)
         model = ChannelModel(config.channel, scenario, config.num_prbs)
         shadow = model.draw_shadowing(rng)
+        # (C, 1, M) per mode, built once per drop
+        eligible = {m: eligibility(scenario, m)[:, None, :] for m in set(modes.values())}
         for t in range(horizon):
-            rates = model.sample_subframe(shadow, rng)
+            decodable = model.snr_subframe(shadow, rng) >= model.min_snr_db(required[t])
+            instances = {m: CoverageInstance(decodable & e) for m, e in eligible.items()}
             for policy in policies:
-                conn = (scen_sc if policy == "sc" else scenario).connectivity
-                inst = build_instance(rates, required[t], conn)
-                result = _solve(policy, inst, config, scenario)
-                counts[policy][d, t] = result.served_count
+                result = _solve(policy, instances[modes[policy]], config, scenario)
+                served = counts[policy][d, t] = result.served_count
                 ids = ""
                 if config.log_served_ids:
-                    ids = ";".join(str(u) for u in sorted(result.served))
-                log_rows.append((d, t, policy, result.served_count, ids))
+                    ids = ";".join(map(str, np.flatnonzero(result.served_mask)))
+                log_rows.append((d, t, policy, served, ids))
 
-    num_users = 7 * config.ues_per_cell
     metrics = {
         p: Metrics(
             policy=p, served_counts=_frozen(counts[p]),
-            num_users=num_users, num_cells=7,
+            num_users=scenario.num_users, num_cells=scenario.num_cells,
         )
         for p in policies
     }

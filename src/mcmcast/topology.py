@@ -1,10 +1,11 @@
-"""Seven-cell hexagonal layout, uniform UE drops, and connectivity sets.
+"""Seven-cell hexagonal layout, uniform UE drops, and connectivity.
 
 A UE's primary cell is the nearest eNB.  UEs farther than
 edge_threshold * radius from their primary are "edge" UEs; under
 multi-connectivity those may receive from every eNB in the system, all
 others only from their primary.  Single-connectivity mode collapses
-everyone to the primary.
+everyone to the primary.  Connectivity is derived from the mode, the
+primary cells and the edge flags as a (C, M) eligibility mask.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["NetworkScenario", "build_hex7", "connectivity_mode",
-           "scenario_to_text", "scenario_from_text"]
+__all__ = ["NetworkScenario", "NUM_CELLS", "build_hex7", "connectivity_mode",
+           "eligibility", "scenario_to_text", "scenario_from_text"]
 
 MC = "mc"
 SC = "sc"
+
+NUM_CELLS = 7  # the hexagonal layout: one center cell and a ring of six
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,6 @@ class NetworkScenario:
     ue_pos: np.ndarray             # (M, 2) meters
     primary_cell: np.ndarray       # (M,) int
     edge_ue: np.ndarray            # (M,) bool
-    connectivity: tuple[frozenset[int], ...]
     mode: str = MC
 
     @property
@@ -38,6 +40,12 @@ class NetworkScenario:
     @property
     def num_users(self) -> int:
         return len(self.ue_pos)
+
+    @property
+    def connectivity(self) -> tuple[frozenset[int], ...]:
+        """Per-user frozenset of the cells that may serve it in this mode."""
+        mask = eligibility(self, self.mode)
+        return tuple(frozenset(np.flatnonzero(cells).tolist()) for cells in mask.T)
 
 
 def build_hex7(
@@ -55,7 +63,7 @@ def build_hex7(
     rng = rng if rng is not None else np.random.default_rng(0)
 
     isd = np.sqrt(3.0) * radius_m
-    angles = np.deg2rad(np.arange(6) * 60.0)
+    angles = np.deg2rad(np.arange(NUM_CELLS - 1) * 60.0)
     cell_pos = np.vstack([
         np.zeros((1, 2)),
         np.column_stack([isd * np.cos(angles), isd * np.sin(angles)]),
@@ -75,32 +83,36 @@ def build_hex7(
     d_primary = dist[primary, np.arange(len(ue_pos))] if len(ue_pos) else np.zeros(0)
     edge = d_primary > edge_threshold * radius_m
 
-    scenario = NetworkScenario(
+    return NetworkScenario(
         radius_m=radius_m,
         edge_threshold=edge_threshold,
         cell_pos=_frozen(cell_pos),
         ue_pos=_frozen(ue_pos),
         primary_cell=_frozen(primary.astype(int)),
         edge_ue=_frozen(edge),
-        connectivity=(),
         mode=MC,
     )
-    return connectivity_mode(scenario, MC)
 
 
 def connectivity_mode(scenario: NetworkScenario, mode: str) -> NetworkScenario:
-    """Rebuild connectivity sets for "mc" or "sc"; idempotent either way."""
+    """The same scenario in "mc" or "sc" mode; idempotent either way."""
+    return replace(scenario, mode=_checked_mode(mode))
+
+
+def eligibility(scenario: NetworkScenario, mode: str) -> np.ndarray:
+    """(C, M) bool mask for `mode`: own cell, plus every cell for edge
+    users under multi-connectivity."""
+    own = np.arange(scenario.num_cells)[:, None] == scenario.primary_cell[None, :]
+    if _checked_mode(mode) == MC:
+        return own | scenario.edge_ue[None, :]
+    return own
+
+
+def _checked_mode(mode: str) -> str:
     mode = mode.lower()
     if mode not in (MC, SC):
         raise ValueError(f"mode must be 'mc' or 'sc', got {mode!r}")
-    all_cells = frozenset(range(scenario.num_cells))
-    conn = []
-    for k in range(scenario.num_users):
-        if mode == MC and scenario.edge_ue[k]:
-            conn.append(all_cells)
-        else:
-            conn.append(frozenset({int(scenario.primary_cell[k])}))
-    return replace(scenario, connectivity=tuple(conn), mode=mode)
+    return mode
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -119,9 +131,9 @@ def scenario_to_text(scenario: NetworkScenario) -> str:
     ]
     for c, (x, y) in enumerate(scenario.cell_pos):
         lines.append(f"cell {c} {float(x)!r} {float(y)!r}")
-    for k in range(scenario.num_users):
+    for k, cells in enumerate(scenario.connectivity):
         x, y = scenario.ue_pos[k]
-        conn = " ".join(str(c) for c in sorted(scenario.connectivity[k]))
+        conn = " ".join(str(c) for c in sorted(cells))
         lines.append(
             f"ue {k} {float(x)!r} {float(y)!r} {int(scenario.primary_cell[k])} "
             f"{int(scenario.edge_ue[k])} : {conn}"
@@ -162,13 +174,16 @@ def scenario_from_text(text: str) -> NetworkScenario:
             raise ValueError(f"unknown scenario line {line!r}")
     if radius is None or edge_threshold is None or not cells:
         raise ValueError("scenario text missing radius, edge_threshold, or cells")
-    return NetworkScenario(
+    scenario = NetworkScenario(
         radius_m=radius,
         edge_threshold=edge_threshold,
         cell_pos=_frozen(np.array(cells)),
         ue_pos=_frozen(np.array(ues) if ues else np.zeros((0, 2))),
         primary_cell=_frozen(np.array(primaries, dtype=int)),
         edge_ue=_frozen(np.array(edges, dtype=bool)),
-        connectivity=tuple(conns),
-        mode=mode,
+        mode=_checked_mode(mode),
     )
+    if scenario.connectivity != tuple(conns):
+        raise ValueError("scenario text: ue connectivity does not follow from "
+                         "its mode, primary cell and edge flag")
+    return scenario

@@ -18,6 +18,7 @@ from mcmcast.channel import (
     save_rate_table,
     snr,
 )
+from mcmcast.coverage import build_instance
 from mcmcast.topology import build_hex7
 
 PARAMS = ChannelParams()
@@ -146,6 +147,16 @@ class TestChannelModel:
         snr_db = model.snr_subframe(np.zeros((7, 28)), rng)
         assert np.allclose(snr_db, snr_db[:, :1, :])
 
+    def test_no_fading_keeps_every_prb(self):
+        model, scenario = small_model(fast_fading=False)
+        rng = np.random.default_rng(2)
+        shadow = np.zeros((7, 28))
+        assert model.snr_subframe(shadow, rng).shape == (7, 3, 28)
+        rates = model.sample_subframe(shadow, rng)
+        assert rates.shape == (7, 3, 28)
+        inst = build_instance(rates, 100.0, scenario.connectivity)
+        assert inst.num_prbs == 3
+
     def test_no_fading_snr_matches_link_budget(self):
         model, scenario = small_model(fast_fading=False)
         rng = np.random.default_rng(3)
@@ -190,3 +201,49 @@ class TestChannelModel:
         with pytest.raises(ValueError):
             ChannelModel(ChannelParams(), scenario, num_prbs=2,
                          table=((0.0, 10.0), (1.0, 10.0)))
+
+
+THRESHOLDS = [t for t, _ in DEFAULT_RATE_TABLE]
+RATES = [r for _, r in DEFAULT_RATE_TABLE]
+
+
+def _ulp_neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+class TestMinSnr:
+    """snr >= model.min_snr_db(R) must decide exactly what
+    rate_from_snr(snr) >= R decides, boundaries included."""
+
+    MODEL, _ = small_model()
+    SNRS = st.one_of(
+        st.floats(-60.0, 60.0),
+        st.sampled_from([s for t in THRESHOLDS for s in _ulp_neighbours(t)]),
+    )
+    REQUIRED = st.one_of(
+        st.just(0.0),
+        st.sampled_from([r for rate in RATES for r in _ulp_neighbours(rate)]),
+        st.floats(0.0, 1000.0),
+        st.floats(RATES[-1], 1e6, exclude_min=True),
+    )
+
+    @given(SNRS, REQUIRED)
+    @settings(max_examples=400, deadline=None)
+    def test_threshold_decides_like_the_rate_table(self, snr_db, required):
+        decodable = snr_db >= self.MODEL.min_snr_db(required)
+        assert decodable == (rate_from_snr(snr_db, self.MODEL.table) >= required)
+
+    def test_every_boundary_pair_agrees(self):
+        snrs = np.array([s for t in THRESHOLDS for s in _ulp_neighbours(t)]
+                        + [-np.inf, -60.0, 60.0])
+        rates = rate_from_snr(snrs, self.MODEL.table)
+        for required in [0.0, RATES[-1] + 1.0] + [
+                r for rate in RATES for r in _ulp_neighbours(rate)]:
+            np.testing.assert_array_equal(
+                snrs >= self.MODEL.min_snr_db(required), rates >= required)
+
+    def test_edge_values(self):
+        assert self.MODEL.min_snr_db(0.0) == -math.inf
+        assert self.MODEL.min_snr_db(RATES[0]) == THRESHOLDS[0]
+        assert self.MODEL.min_snr_db(RATES[3] + 0.05) == THRESHOLDS[4]
+        assert self.MODEL.min_snr_db(RATES[-1] + 0.1) == math.inf

@@ -2,12 +2,14 @@
 exhaustive oracle, reduction round-trips, and structural properties."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcmcast import coverage
 from mcmcast.coverage import (
     GREEDY_BOUND,
     Allocation,
@@ -36,7 +38,8 @@ FIXTURE_SETS = (
     (frozenset({0, 1}), frozenset({1, 2, 3})),
     (frozenset(), frozenset({2, 3, 4, 5})),
 )
-FIXTURE = CoverageInstance(num_users=6, num_cells=2, num_prbs=2, sets=FIXTURE_SETS)
+FIXTURE = CoverageInstance.from_sets(num_users=6, num_cells=2, num_prbs=2,
+                                     sets=FIXTURE_SETS)
 
 
 def fixture_rates() -> np.ndarray:
@@ -116,13 +119,25 @@ class TestBuildInstance:
 class TestValidation:
     def test_instance_shape_checked(self):
         with pytest.raises(ValueError):
-            CoverageInstance(num_users=2, num_cells=2, num_prbs=1,
+            CoverageInstance.from_sets(num_users=2, num_cells=2, num_prbs=1,
                              sets=((frozenset(),),))
 
     def test_user_ids_in_range(self):
         with pytest.raises(ValueError):
-            CoverageInstance(num_users=2, num_cells=1, num_prbs=1,
+            CoverageInstance.from_sets(num_users=2, num_cells=1, num_prbs=1,
                              sets=((frozenset({5}),),))
+
+    def test_cover_array_checked(self):
+        with pytest.raises(ValueError):
+            CoverageInstance(np.ones((2, 2), dtype=bool))
+        with pytest.raises(ValueError):
+            CoverageInstance(np.ones((1, 1, 2)))
+        with pytest.raises(ValueError):
+            CoverageInstance(np.ones((0, 1, 2), dtype=bool))
+
+    def test_instance_is_read_only(self):
+        with pytest.raises(ValueError):
+            FIXTURE.cover[0, 0, 0] = False
 
     def test_allocation_length_checked(self):
         with pytest.raises(ValueError):
@@ -163,7 +178,8 @@ class TestGreedyVersusExact:
             (frozenset({0}), frozenset({1})),
             (frozenset({0}), frozenset()),
         )
-        inst = CoverageInstance(num_users=2, num_cells=2, num_prbs=2, sets=sets)
+        inst = CoverageInstance.from_sets(num_users=2, num_cells=2, num_prbs=2,
+                                          sets=sets)
         assert solve_cga(inst).served_count == 1
         assert solve_exact(inst).served_count == 2
 
@@ -190,7 +206,8 @@ class TestGreedyVersusExact:
 
     def test_exact_is_lexicographically_first_maximizer(self):
         sets = ((frozenset({0}), frozenset({0})),)
-        inst = CoverageInstance(num_users=1, num_cells=1, num_prbs=2, sets=sets)
+        inst = CoverageInstance.from_sets(num_users=1, num_cells=1, num_prbs=2,
+                                          sets=sets)
         assert solve_exact(inst).allocation.chosen == (0,)
         assert solve_cga(inst).allocation.chosen == (0,)
 
@@ -228,6 +245,58 @@ class TestDga:
     def test_unknown_count_mode_rejected(self):
         with pytest.raises(ValueError):
             solve_dga(FIXTURE, count="nope")
+
+
+def reference_cga(inst):
+    """Set-based greedy: the first (gain, lowest cell, lowest PRB) wins."""
+    sets, covered = inst.sets, frozenset()
+    chosen, remaining = [0] * inst.num_cells, list(range(inst.num_cells))
+    for _ in range(inst.num_cells):
+        _, c, j = max((len(sets[c][j] - covered), -c, -j)
+                      for c in remaining for j in range(inst.num_prbs))
+        chosen[-c], covered = -j, covered | sets[-c][-j]
+        remaining.remove(-c)
+    return tuple(chosen), covered
+
+
+def reference_exact(inst):
+    """First maximizer in itertools.product order, by set unions."""
+    sets = inst.sets
+    chosen = max(
+        itertools.product(range(inst.num_prbs), repeat=inst.num_cells),
+        key=lambda ch: len(frozenset().union(*(sets[c][j] for c, j in enumerate(ch)))),
+    )
+    return chosen, frozenset().union(*(sets[c][j] for c, j in enumerate(chosen)))
+
+
+class TestArraySolversMatchSetReferences:
+    # Few users and dense or sparse sets make argmax ties the common case.
+    @pytest.mark.parametrize("block_words", [coverage._EXACT_BLOCK_WORDS, 1, 8])
+    def test_cga_and_exact_pick_the_reference_allocation(self, block_words,
+                                                         monkeypatch):
+        # Small blocks split the exhaustive search over many prefixes.
+        monkeypatch.setattr(coverage, "_EXACT_BLOCK_WORDS", block_words)
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            inst = random_instance(rng, max_users=5, max_cells=4, max_prbs=3)
+            for solve, reference in ((solve_cga, reference_cga),
+                                     (solve_exact, reference_exact)):
+                result = solve(inst)
+                assert (result.allocation.chosen, result.served) == reference(inst)
+
+    def test_exact_at_the_cap_stays_in_bounded_blocks(self):
+        # 10^7 allocations; only the very last one serves every user.
+        cover = np.zeros((7, 10, 70), dtype=bool)
+        cover[np.arange(7), 9, np.arange(7)] = True
+        tracemalloc.start()
+        try:
+            result = solve_exact(CoverageInstance(cover))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.allocation.chosen == (9,) * 7
+        assert result.served == frozenset(range(7))
+        assert peak < 32e6  # one 10^7-row block would take >= 80 MB
 
 
 def brute_force_mcp(mcp: McpInstance) -> int:
@@ -298,7 +367,7 @@ def coverage_instances(draw):
               for _ in range(num_prbs))
         for _ in range(num_cells)
     )
-    return CoverageInstance(num_users=num_users, num_cells=num_cells,
+    return CoverageInstance.from_sets(num_users=num_users, num_cells=num_cells,
                             num_prbs=num_prbs, sets=sets)
 
 
@@ -334,7 +403,7 @@ class TestProperties:
         k = user % inst.num_users
         grown = [list(row) for row in inst.sets]
         grown[c][j] = grown[c][j] | {k}
-        bigger = CoverageInstance(
+        bigger = CoverageInstance.from_sets(
             num_users=inst.num_users, num_cells=inst.num_cells,
             num_prbs=inst.num_prbs,
             sets=tuple(tuple(row) for row in grown),

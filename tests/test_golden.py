@@ -1,0 +1,97 @@
+"""Golden SHA-256 digests of small fixed-seed artifacts.
+
+Each run below is pinned byte for byte, so a refactor or speed-up that
+changes any simulated number fails here, where a rerun-equals-rerun check
+would still pass.  Changing the numbers on purpose means re-pinning these
+digests and saying why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from mcmcast.cli import main
+from mcmcast.engine import POLICIES, SimConfig, compare_policies, log_to_csv
+
+SMALL = ["--seed", "5", "--ues", "6", "--subframes", "60", "--drops", "2"]
+
+# name -> (mcmcast run arguments, {artifact: sha256})
+CLI_RUNS = {
+    "fig4": (
+        ["--preset", "fig4_dist_vs_central", *SMALL],
+        {
+            "log_cga.csv": "72a4187206562e759b326f091e2c2af8d9cc2fde26c848687f48c90689b81fa2",
+            "log_dga.csv": "b67eff876e89bc27f63d3c0cc76d57a95e68190e838b57e96dd7e4bdbe8a654c",
+            "summary.json": "a2544106a71320174837bfd66a21d9e3f0ffedec0537fa27f099c4e759f77ab0",
+        },
+    ),
+    "fig4_dga_primary": (
+        ["--preset", "fig4_dist_vs_central", "--dga-count", "primary", *SMALL],
+        {
+            "log_cga.csv": "72a4187206562e759b326f091e2c2af8d9cc2fde26c848687f48c90689b81fa2",
+            "log_dga.csv": "e182a77da3f5e3a941c7b8df1a59945041b77eb404cc2a37235d7a22fd37233a",
+            "summary.json": "63d929bf764be6b3c39abfbf5e85eef026b28e5dbfdef2e536fe06c2db906cfd",
+        },
+    ),
+    "fig7": (
+        ["--preset", "fig7_trace_mc_vs_sc", *SMALL],
+        {
+            "log_cga.csv": "b9549198cc93b1f0f1a7749b436443acd6f6162385c7b2379f7b3e461d8bb11c",
+            "log_sc.csv": "755c7ea5560416b75b669e935707a4ba222ae57254a39a2ae7b89014ababb6e9",
+            "summary.json": "9da416d6c04df9a4ffaa50cb9dd185216fb5c20f4d5fef163f77307b4f87bcc8",
+        },
+    ),
+    "fig8": (
+        ["--preset", "fig8_mbsfn_vs_mc", *SMALL],
+        {
+            "log_cga.csv": "7f8fb985e7bb38a15c970073c71049c3b0a2c2d842681b4dd90c024267ee1af6",
+            "log_mbsfn.csv": "d2831902c36b4b019ea3957b23f0c82efc8309fff094b6fbee87fba021a537c0",
+            "summary.json": "6b14e90d5c0554ce6d1cf33e2f4669be4367f109532f6d5e818d4941511b3ef9",
+        },
+    ),
+    "exact_prbs3": (
+        ["--preset", "custom", "--policy", "exact", "--prbs", "3",
+         "--seed", "5", "--ues", "3", "--subframes", "20", "--drops", "2",
+         "--radius", "1000"],
+        {
+            "log_exact.csv": "04caa865debd9101463b57f39eb7c3277f2e71f565a83ec6476145fea4d3de13",
+            "summary.json": "e53d9b68f75cea05eaf8f4d92c7a8c5ea19f6d7e83e0fbc62d0778a9dec2c1fd",
+        },
+    ),
+    "fig5_sweep": (
+        ["--preset", "fig5_packets_sweep", "--seed", "5", "--ues", "3",
+         "--subframes", "5", "--drops", "1"],
+        {
+            "sweep_users.csv": "fcbae87ac46b45d53dd879aa5d148ffb5a0725abb6e27425cf8aa8c6e2588a5e",
+            "sweep_radius.csv": "89e93bf919452e3d8ba8e05cfc5c7378126045a8ee0cda7bfc9477ae7b39f8fc",
+            "summary.json": "5deaea0012b98ea4f49b976f9726e3ace084db24e9d6740afcccea8ad1b95417",
+        },
+    ),
+}
+
+# Every policy on one run, with served user ids in the log.
+SERVED_IDS_CONFIG = SimConfig(ues_per_cell=3, num_prbs=3, radius_m=1000.0,
+                              horizon=10, num_drops=2, seed=5,
+                              log_served_ids=True)
+SERVED_IDS_DIGEST = (
+    "f3f019ace6041751e14cfc3390ff010540edd2e7229ad8bcfb832e2d3c0ddbd7")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_artifacts_match_golden_digests(name, tmp_path, monkeypatch):
+    # A relative --out keeps the synthesized trace path in summary.json
+    # independent of the temporary directory.
+    monkeypatch.chdir(tmp_path)
+    argv, golden = CLI_RUNS[name]
+    assert main(["run", *argv, "--out", "out"]) == 0
+    got = {f: sha256((tmp_path / "out" / f).read_bytes()) for f in golden}
+    assert got == golden
+
+
+def test_served_ids_log_matches_golden_digest():
+    out = compare_policies(SERVED_IDS_CONFIG, POLICIES)
+    assert sha256(log_to_csv(out).encode()) == SERVED_IDS_DIGEST

@@ -6,6 +6,7 @@ import pytest
 from mcmcast.topology import (
     build_hex7,
     connectivity_mode,
+    eligibility,
     scenario_from_text,
     scenario_to_text,
 )
@@ -103,6 +104,14 @@ class TestConnectivity:
         with pytest.raises(ValueError):
             connectivity_mode(scenario(), "mesh")
 
+    def test_eligibility_masks_per_mode(self):
+        scen = scenario(ues=40, seed=5)
+        own = np.arange(7)[:, None] == scen.primary_cell[None, :]
+        assert np.array_equal(eligibility(scen, "sc"), own)
+        assert np.array_equal(eligibility(scen, "mc"), own | scen.edge_ue)
+        assert eligibility(scen, "mc").sum(axis=0).tolist() == [
+            7 if edge else 1 for edge in scen.edge_ue]
+
     def test_zero_threshold_makes_everyone_edge(self):
         scen = scenario(ues=10, seed=7, edge_threshold=0.0)
         assert scen.edge_ue.all()
@@ -137,3 +146,11 @@ class TestSerialization:
             scenario_from_text("mystery 1 2 3\n")
         with pytest.raises(ValueError):
             scenario_from_text("mode mc\n")
+
+    def test_connectivity_must_follow_from_mode(self):
+        # Edge users listed with their primary cell only contradict "mc".
+        scen = connectivity_mode(scenario(ues=3, seed=4), "sc")
+        assert scen.edge_ue.any()
+        text = scenario_to_text(scen).replace("mode sc", "mode mc")
+        with pytest.raises(ValueError):
+            scenario_from_text(text)
