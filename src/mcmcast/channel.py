@@ -1,4 +1,4 @@
-"""Urban-macro link budget and per-sub-frame decodable-rate sampling.
+"""Urban-macro link budget and per-sub-frame SNR sampling.
 
 Large-scale loss is the standard 128.1 + 37.6*log10(d_km) urban-macro
 model with lognormal shadowing (10 dB sigma, one draw per (cell, UE) per
@@ -119,16 +119,11 @@ def path_loss(distance_km, params: ChannelParams | None = None):
     return float(pl) if np.isscalar(distance_km) else pl
 
 
-def snr(params: ChannelParams, distance_km, shadow_db=0.0, fast_fade_db=0.0):
-    """Per-PRB SNR in dB.  Positive shadow_db deepens the shadow (lowers
-    SNR); fast_fade_db adds directly."""
-    return (
-        params.per_prb_tx_dbm
-        - path_loss(distance_km, params)
-        - shadow_db
-        + fast_fade_db
-        - params.noise_floor_dbm
-    )
+def snr(params: ChannelParams, path_loss_db, shadow_db=0.0):
+    """Per-PRB SNR in dB without fast fading: transmit power minus path
+    loss, shadowing and noise floor.  Positive shadow_db deepens the
+    shadow (lowers SNR).  Accepts scalars or arrays."""
+    return params.per_prb_tx_dbm - path_loss_db - shadow_db - params.noise_floor_dbm
 
 
 def rate_from_snr(snr_db, table: tuple[tuple[float, float], ...] | None = None):
@@ -193,14 +188,14 @@ def _validate_table(rows, origin: str) -> None:
 
 
 class ChannelModel:
-    """Samples per-sub-frame SNR and rate matrices for a fixed scenario.
+    """Samples per-sub-frame SNR matrices for a fixed scenario.
 
-    Distances are precomputed once; shadowing is drawn per drop via
-    draw_shadowing and held fixed while snr_subframe (or sample_subframe,
-    its rates) is called per sub-frame.  min_snr_db turns a required rate
-    into the SNR threshold that decides decodability exactly like the rate
-    table.  All randomness comes from generators the caller passes in, so
-    a fixed seed fixes the entire sequence.
+    Path losses are precomputed once; shadowing is drawn per drop via
+    draw_shadowing and held fixed while snr_subframe is called per
+    sub-frame.  min_snr_db turns a required rate into the SNR threshold
+    that decides decodability exactly like the rate table.  All randomness
+    comes from generators the caller passes in, so a fixed seed fixes the
+    entire sequence.
     """
 
     def __init__(self, params: ChannelParams, scenario, num_prbs: int, table=None):
@@ -228,10 +223,10 @@ class ChannelModel:
         return rng.normal(0.0, self.params.shadowing_sigma_db, size=self._pl_db.shape)
 
     def snr_subframe(self, shadow_db: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """(C, N, M) SNR draw for one sub-frame."""
-        p = self.params
-        base = p.per_prb_tx_dbm - self._pl_db - shadow_db - p.noise_floor_dbm
-        if not p.fast_fading:
+        """(C, N, M) SNR draw for one sub-frame: the link budget plus, with
+        fast fading, 10 * log10 of a unit-mean exponential power per PRB."""
+        base = snr(self.params, self._pl_db, shadow_db)
+        if not self.params.fast_fading:
             return np.repeat(base[:, None, :], self.num_prbs, axis=1)
         # base + 10 * log10(max(power, 1e-12)), evaluated in place: the
         # same IEEE operations without three array-sized temporaries
@@ -241,10 +236,6 @@ class ChannelModel:
         snr_db *= 10.0
         snr_db += base[:, None, :]
         return snr_db
-
-    def sample_subframe(self, shadow_db: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """(C, N, M) decodable rates in bits per PRB per sub-frame."""
-        return rate_from_snr(self.snr_subframe(shadow_db, rng), self.table)
 
     def min_snr_db(self, required: float) -> float:
         """Lowest SNR whose decodable rate meets `required`.

@@ -196,9 +196,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     output = compare_policies(config, policies)
     for policy in policies:
-        rows = [r for r in output.log_rows if r[2] == policy]
-        text = log_to_csv(replace(output, log_rows=tuple(rows)))
-        _write(out / f"log_{policy}.csv", text)
+        _write(out / f"log_{policy}.csv", log_to_csv(output, (policy,)))
     _write(out / "summary.json", summary_to_json(output))
     means = " ".join(
         f"{p}={output.metrics[p].avg_packets_delivered:.2f}" for p in policies

@@ -44,7 +44,6 @@ __all__ = [
     "CapExceededError",
     "EXACT_DEFAULT_CAP",
     "GREEDY_BOUND",
-    "build_instance",
     "evaluate",
     "solve_cga",
     "solve_cga_trace",
@@ -191,48 +190,6 @@ class McpInstance:
         for j, t in enumerate(self.sets):
             if t and (min(t) < 0 or max(t) >= self.universe_size):
                 raise ValueError(f"set {j} contains out-of-range elements")
-
-
-def build_instance(rates, required_rate, connectivity) -> CoverageInstance:
-    """Turn a per-sub-frame rate matrix into a coverage instance.
-
-    rates: array of shape (C, N, M) with the maximum decodable rate per
-    (cell, prb, user).  connectivity: per-user eligible-cell sets, either
-    a length-M sequence of cell-id collections or a boolean (M, C) mask.
-    User k is covered by (c, j) iff cell c is in k's connectivity set and
-    rates[c, j, k] >= required_rate (service at the boundary counts).
-    """
-    rates = np.asarray(rates)
-    if rates.ndim != 3:
-        raise ValueError(f"rates must have shape (C, N, M), got {rates.shape}")
-    num_cells, _, num_users = rates.shape
-    if required_rate < 0:
-        raise ValueError("required_rate must be >= 0")
-
-    elig = _eligibility_mask(connectivity, num_users, num_cells)
-    return CoverageInstance((rates >= required_rate) & elig.T[:, None, :])
-
-
-def _eligibility_mask(connectivity, num_users: int, num_cells: int) -> np.ndarray:
-    """Normalize connectivity input to a boolean (M, C) array."""
-    if isinstance(connectivity, np.ndarray) and connectivity.dtype == bool:
-        if connectivity.shape != (num_users, num_cells):
-            raise ValueError(
-                f"connectivity mask shape {connectivity.shape} does not match "
-                f"(M={num_users}, C={num_cells}) from rates"
-            )
-        return connectivity
-    if len(connectivity) != num_users:
-        raise ValueError(
-            f"connectivity covers {len(connectivity)} users, rates cover {num_users}"
-        )
-    elig = np.zeros((num_users, num_cells), dtype=bool)
-    for k, cells in enumerate(connectivity):
-        for c in cells:
-            if not 0 <= c < num_cells:
-                raise ValueError(f"user {k} lists unknown cell {c}")
-            elig[k, c] = True
-    return elig
 
 
 def evaluate(inst: CoverageInstance, allocation: Allocation) -> CoverageResult:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -41,7 +43,7 @@ from .traffic import (
 
 __all__ = [
     "POLICIES", "SimConfig", "Metrics", "RunOutput",
-    "run", "compare_policies", "sweep",
+    "compare_policies", "sweep",
     "paired_one_sided_pvalue", "log_to_csv", "metrics_from_log",
     "sweep_to_csv", "summary_dict",
 ]
@@ -80,6 +82,14 @@ def _validate(config: SimConfig, policies: tuple[str, ...]) -> None:
         raise ValueError("ues_per_cell must be >= 1")
     if config.num_prbs < 1:
         raise ValueError("num_prbs must be >= 1")
+    if not (math.isfinite(config.radius_m) and config.radius_m > 0):
+        raise ValueError("radius_m must be finite and > 0")
+    if not (math.isfinite(config.edge_threshold) and config.edge_threshold >= 0):
+        raise ValueError("edge_threshold must be finite and >= 0")
+    if not (math.isfinite(config.rate_bits) and config.rate_bits >= 0):
+        raise ValueError("rate_bits must be finite and >= 0")
+    if not (math.isfinite(config.fps) and config.fps > 0):
+        raise ValueError("fps must be finite and > 0")
     if config.dga_count not in ("connected", "primary"):
         raise ValueError(f"unknown dga_count {config.dga_count!r}")
     for policy in policies:
@@ -143,8 +153,9 @@ class Metrics:
 class RunOutput:
     config: SimConfig
     metrics: dict[str, Metrics]
-    # rows: (drop, t, policy, served_count, served_ids or "")
-    log_rows: tuple[tuple[int, int, str, int, str], ...]
+    # policy -> (num_drops, T, M) bool mask of the users served in each
+    # sub-frame; kept only when config.log_served_ids is set
+    served_masks: dict[str, np.ndarray]
 
 
 def _build_schedule(config: SimConfig) -> TraceSchedule:
@@ -182,11 +193,21 @@ def compare_policies(
     _validate(config, policies)
     schedule = _build_schedule(config)
     horizon = config.horizon
-    required = [schedule.rates[t % len(schedule.rates)] for t in range(horizon)]
+    if len(schedule) < horizon:
+        warnings.warn(
+            f"video trace of {len(schedule)} sub-frames is shorter than the "
+            f"horizon of {horizon} sub-frames; it wraps around and is played "
+            f"{math.ceil(horizon / len(schedule))} times",
+            RuntimeWarning, stacklevel=2,
+        )
+    required = [schedule.rates[t % len(schedule)] for t in range(horizon)]
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
     counts = {p: np.zeros((config.num_drops, horizon), dtype=int) for p in policies}
-    log_rows: list[tuple[int, int, str, int, str]] = []
+    served = {}
+    if config.log_served_ids:
+        shape = (config.num_drops, horizon, NUM_CELLS * config.ues_per_cell)
+        served = {p: np.zeros(shape, dtype=bool) for p in policies}
 
     modes = {p: SC if p == "sc" else MC for p in policies}
 
@@ -204,11 +225,9 @@ def compare_policies(
             instances = {m: CoverageInstance(decodable & e) for m, e in eligible.items()}
             for policy in policies:
                 result = _solve(policy, instances[modes[policy]], config, scenario)
-                served = counts[policy][d, t] = result.served_count
-                ids = ""
-                if config.log_served_ids:
-                    ids = ";".join(map(str, np.flatnonzero(result.served_mask)))
-                log_rows.append((d, t, policy, served, ids))
+                counts[policy][d, t] = result.served_count
+                if served:
+                    served[policy][d, t] = result.served_mask
 
     metrics = {
         p: Metrics(
@@ -217,11 +236,8 @@ def compare_policies(
         )
         for p in policies
     }
-    return RunOutput(config=config, metrics=metrics, log_rows=tuple(log_rows))
-
-
-def run(config: SimConfig) -> RunOutput:
-    return compare_policies(config, (config.policy,))
+    served_masks = {p: _frozen(mask) for p, mask in served.items()}
+    return RunOutput(config=config, metrics=metrics, served_masks=served_masks)
 
 
 def sweep(
@@ -264,17 +280,28 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- artifacts
 
-def log_to_csv(output: RunOutput) -> str:
+def log_to_csv(output: RunOutput, policies: tuple[str, ...] | None = None) -> str:
+    """Raw log of `policies` (default: every policy of the run), one row
+    per (drop, t, policy) in that order.  served_ids lists the served
+    users when the run kept its served masks, and is empty otherwise."""
+    policies = tuple(output.metrics) if policies is None else tuple(policies)
+    counts = [output.metrics[p].served_counts.tolist() for p in policies]
+    masks = [output.served_masks.get(p) for p in policies]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["drop", "t", "policy", "served_count", "served_ids"])
-    for row in output.log_rows:
-        writer.writerow(row)
+    for d in range(output.config.num_drops):
+        for t in range(output.config.horizon):
+            for policy, count, mask in zip(policies, counts, masks):
+                ids = ""
+                if mask is not None:
+                    ids = ";".join(map(str, np.flatnonzero(mask[d, t])))
+                writer.writerow((d, t, policy, count[d][t], ids))
     return buf.getvalue()
 
 
 def metrics_from_log(
-    text: str, num_users: int, num_cells: int = 7
+    text: str, num_users: int, num_cells: int = NUM_CELLS
 ) -> dict[str, Metrics]:
     """Rebuild Metrics from a raw log CSV; must match the originals exactly."""
     reader = csv.reader(io.StringIO(text))

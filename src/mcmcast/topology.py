@@ -4,18 +4,17 @@ A UE's primary cell is the nearest eNB.  UEs farther than
 edge_threshold * radius from their primary are "edge" UEs; under
 multi-connectivity those may receive from every eNB in the system, all
 others only from their primary.  Single-connectivity mode collapses
-everyone to the primary.  Connectivity is derived from the mode, the
-primary cells and the edge flags as a (C, M) eligibility mask.
+everyone to the primary.  eligibility() derives a mode's connectivity
+from the primary cells and the edge flags as a (C, M) mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NetworkScenario", "NUM_CELLS", "build_hex7", "connectivity_mode",
-           "eligibility", "scenario_to_text", "scenario_from_text"]
+__all__ = ["NetworkScenario", "NUM_CELLS", "build_hex7", "eligibility"]
 
 MC = "mc"
 SC = "sc"
@@ -31,7 +30,6 @@ class NetworkScenario:
     ue_pos: np.ndarray             # (M, 2) meters
     primary_cell: np.ndarray       # (M,) int
     edge_ue: np.ndarray            # (M,) bool
-    mode: str = MC
 
     @property
     def num_cells(self) -> int:
@@ -40,12 +38,6 @@ class NetworkScenario:
     @property
     def num_users(self) -> int:
         return len(self.ue_pos)
-
-    @property
-    def connectivity(self) -> tuple[frozenset[int], ...]:
-        """Per-user frozenset of the cells that may serve it in this mode."""
-        mask = eligibility(self, self.mode)
-        return tuple(frozenset(np.flatnonzero(cells).tolist()) for cells in mask.T)
 
 
 def build_hex7(
@@ -90,29 +82,19 @@ def build_hex7(
         ue_pos=_frozen(ue_pos),
         primary_cell=_frozen(primary.astype(int)),
         edge_ue=_frozen(edge),
-        mode=MC,
     )
-
-
-def connectivity_mode(scenario: NetworkScenario, mode: str) -> NetworkScenario:
-    """The same scenario in "mc" or "sc" mode; idempotent either way."""
-    return replace(scenario, mode=_checked_mode(mode))
 
 
 def eligibility(scenario: NetworkScenario, mode: str) -> np.ndarray:
     """(C, M) bool mask for `mode`: own cell, plus every cell for edge
     users under multi-connectivity."""
-    own = np.arange(scenario.num_cells)[:, None] == scenario.primary_cell[None, :]
-    if _checked_mode(mode) == MC:
-        return own | scenario.edge_ue[None, :]
-    return own
-
-
-def _checked_mode(mode: str) -> str:
     mode = mode.lower()
     if mode not in (MC, SC):
         raise ValueError(f"mode must be 'mc' or 'sc', got {mode!r}")
-    return mode
+    own = np.arange(scenario.num_cells)[:, None] == scenario.primary_cell[None, :]
+    if mode == MC:
+        return own | scenario.edge_ue[None, :]
+    return own
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -120,70 +102,3 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
-
-def scenario_to_text(scenario: NetworkScenario) -> str:
-    """Dump as plain text (positions in meters) for experiment bundles."""
-    lines = [
-        "# scenario v1",
-        f"mode {scenario.mode}",
-        f"radius_m {scenario.radius_m!r}",
-        f"edge_threshold {scenario.edge_threshold!r}",
-    ]
-    for c, (x, y) in enumerate(scenario.cell_pos):
-        lines.append(f"cell {c} {float(x)!r} {float(y)!r}")
-    for k, cells in enumerate(scenario.connectivity):
-        x, y = scenario.ue_pos[k]
-        conn = " ".join(str(c) for c in sorted(cells))
-        lines.append(
-            f"ue {k} {float(x)!r} {float(y)!r} {int(scenario.primary_cell[k])} "
-            f"{int(scenario.edge_ue[k])} : {conn}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def scenario_from_text(text: str) -> NetworkScenario:
-    mode = MC
-    radius = edge_threshold = None
-    cells: list[tuple[float, float]] = []
-    ues: list[tuple[float, float]] = []
-    primaries: list[int] = []
-    edges: list[bool] = []
-    conns: list[frozenset[int]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, _, rest = line.partition(" ")
-        if kind == "mode":
-            mode = rest.strip()
-        elif kind == "radius_m":
-            radius = float(rest)
-        elif kind == "edge_threshold":
-            edge_threshold = float(rest)
-        elif kind == "cell":
-            _, x, y = rest.split()
-            cells.append((float(x), float(y)))
-        elif kind == "ue":
-            head, _, conn = rest.partition(":")
-            _, x, y, primary, edge = head.split()
-            ues.append((float(x), float(y)))
-            primaries.append(int(primary))
-            edges.append(bool(int(edge)))
-            conns.append(frozenset(int(tok) for tok in conn.split()))
-        else:
-            raise ValueError(f"unknown scenario line {line!r}")
-    if radius is None or edge_threshold is None or not cells:
-        raise ValueError("scenario text missing radius, edge_threshold, or cells")
-    scenario = NetworkScenario(
-        radius_m=radius,
-        edge_threshold=edge_threshold,
-        cell_pos=_frozen(np.array(cells)),
-        ue_pos=_frozen(np.array(ues) if ues else np.zeros((0, 2))),
-        primary_cell=_frozen(np.array(primaries, dtype=int)),
-        edge_ue=_frozen(np.array(edges, dtype=bool)),
-        mode=_checked_mode(mode),
-    )
-    if scenario.connectivity != tuple(conns):
-        raise ValueError("scenario text: ue connectivity does not follow from "
-                         "its mode, primary cell and edge flag")
-    return scenario

@@ -8,16 +8,13 @@ and the frame stream is spread over the sub-frames of each frame period.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "TraceParseError", "TraceSchedule", "parse_trace", "schedule_from_trace",
-    "schedule_constant", "schedule_to_csv", "schedule_from_csv",
-    "write_synthetic_trace",
+    "schedule_constant", "write_synthetic_trace",
 ]
 
 
@@ -31,7 +28,6 @@ class TraceSchedule:
 
     subframe_s: float
     rates: tuple[float, ...]
-    source: str = "constant"
 
     def __len__(self) -> int:
         return len(self.rates)
@@ -72,7 +68,6 @@ def schedule_from_trace(
     fps: float,
     subframe_s: float = 1e-3,
     burst: bool = False,
-    source: str = "trace",
 ) -> TraceSchedule:
     """Spread each frame's bits over the sub-frames of its frame period.
 
@@ -95,7 +90,7 @@ def schedule_from_trace(
             chunk = [share] * n_sub
             chunk[-1] = float(bits) - share * (n_sub - 1)
             rates.extend(chunk)
-    return TraceSchedule(subframe_s=subframe_s, rates=tuple(rates), source=source)
+    return TraceSchedule(subframe_s=subframe_s, rates=tuple(rates))
 
 
 def schedule_constant(
@@ -105,38 +100,7 @@ def schedule_constant(
         raise ValueError("rate_bits must be >= 0")
     if length <= 0:
         raise ValueError("length must be > 0")
-    return TraceSchedule(
-        subframe_s=subframe_s,
-        rates=(float(rate_bits),) * length,
-        source="constant",
-    )
-
-
-def schedule_to_csv(schedule: TraceSchedule) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "R_bits"])
-    for t, r in enumerate(schedule.rates):
-        writer.writerow([t, f"{r:.6f}"])
-    return buf.getvalue()
-
-
-def schedule_from_csv(text: str, subframe_s: float = 1e-3) -> TraceSchedule:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["t", "R_bits"]:
-        raise TraceParseError(f"bad schedule header: {header!r}")
-    rates: list[float] = []
-    for row in reader:
-        if not row:
-            continue
-        t, r = int(row[0]), float(row[1])
-        if t != len(rates):
-            raise TraceParseError(f"non-contiguous sub-frame index {t}")
-        rates.append(r)
-    if not rates:
-        raise TraceParseError("schedule has no rows")
-    return TraceSchedule(subframe_s=subframe_s, rates=tuple(rates), source="csv")
+    return TraceSchedule(subframe_s=subframe_s, rates=(float(rate_bits),) * length)
 
 
 def write_synthetic_trace(

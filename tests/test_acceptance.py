@@ -20,8 +20,8 @@ import pytest
 from mcmcast.channel import ChannelModel, ChannelParams, path_loss
 from mcmcast.coverage import (
     GREEDY_BOUND,
+    CoverageInstance,
     McpInstance,
-    build_instance,
     map_solution,
     random_instance,
     reduce_mcp,
@@ -106,8 +106,10 @@ def test_c3_two_cell_worked_example_bit_exact():
                             (1, 1, {2, 3, 4, 5})]:
             for k in users:
                 rates[c, j, k] = 2.0
-        conn = [{0, 1}, {0}, {0, 1}, {0, 1}, {1}, {1}]
-        inst = build_instance(rates, 2.0, conn)
+        # (C, M): user 1 hears only cell 0, users 4 and 5 only cell 1.
+        eligible = np.array([[True, True, True, True, False, False],
+                             [True, False, True, True, True, True]])
+        inst = CoverageInstance((rates >= 2.0) & eligible[:, None, :])
 
         cga = solve_cga(inst)
         assert cga.allocation.chosen == (0, 1)

@@ -1,4 +1,4 @@
-"""Link-budget constants, the SNR->rate step table, and rate sampling."""
+"""Link-budget constants, the SNR->rate step table, and SNR sampling."""
 
 import math
 
@@ -18,8 +18,8 @@ from mcmcast.channel import (
     save_rate_table,
     snr,
 )
-from mcmcast.coverage import build_instance
-from mcmcast.topology import build_hex7
+from mcmcast.coverage import CoverageInstance
+from mcmcast.topology import build_hex7, eligibility
 
 PARAMS = ChannelParams()
 
@@ -50,12 +50,20 @@ class TestLinkBudget:
         assert PARAMS.noise_floor_dbm == pytest.approx(-116.447, abs=1e-3)
 
     def test_snr_at_one_km_without_fading(self):
-        assert snr(PARAMS, 1.0) == pytest.approx(14.347, abs=1e-3)
+        assert snr(PARAMS, path_loss(1.0)) == pytest.approx(14.347, abs=1e-3)
 
     def test_shadow_lowers_and_fade_raises(self):
-        base = snr(PARAMS, 0.5)
-        assert snr(PARAMS, 0.5, shadow_db=3.0) == pytest.approx(base - 3.0)
-        assert snr(PARAMS, 0.5, fast_fade_db=2.0) == pytest.approx(base + 2.0)
+        base = snr(PARAMS, path_loss(0.5))
+        assert snr(PARAMS, path_loss(0.5), shadow_db=3.0) == pytest.approx(base - 3.0)
+        # Fading adds 10 * log10 of a unit-mean exponential power draw to the
+        # link budget directly: a draw above 1 raises the SNR.
+        fading_on, _ = small_model(fast_fading=True)
+        fading_off, _ = small_model(fast_fading=False)
+        zeros = np.zeros((7, 28))
+        still = fading_off.snr_subframe(zeros, np.random.default_rng(8))
+        faded = fading_on.snr_subframe(zeros, np.random.default_rng(8))
+        power = np.random.default_rng(8).exponential(1.0, size=faded.shape)
+        np.testing.assert_allclose(faded, still + 10.0 * np.log10(power), atol=1e-9)
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
@@ -132,13 +140,13 @@ class TestChannelModel:
         rng = np.random.default_rng(1)
         shadow = model.draw_shadowing(rng)
         assert shadow.shape == (7, scenario.num_users)
-        rates = model.sample_subframe(shadow, rng)
-        assert rates.shape == (7, 3, scenario.num_users)
+        snr_db = model.snr_subframe(shadow, rng)
+        assert snr_db.shape == (7, 3, scenario.num_users)
 
     def test_same_seed_same_rates(self):
         model, _ = small_model()
-        a = model.sample_subframe(np.zeros((7, 28)), np.random.default_rng(5))
-        b = model.sample_subframe(np.zeros((7, 28)), np.random.default_rng(5))
+        a = model.snr_subframe(np.zeros((7, 28)), np.random.default_rng(5))
+        b = model.snr_subframe(np.zeros((7, 28)), np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_no_fading_means_prbs_identical(self):
@@ -152,9 +160,9 @@ class TestChannelModel:
         rng = np.random.default_rng(2)
         shadow = np.zeros((7, 28))
         assert model.snr_subframe(shadow, rng).shape == (7, 3, 28)
-        rates = model.sample_subframe(shadow, rng)
-        assert rates.shape == (7, 3, 28)
-        inst = build_instance(rates, 100.0, scenario.connectivity)
+        decodable = model.snr_subframe(shadow, rng) >= model.min_snr_db(100.0)
+        assert decodable.shape == (7, 3, 28)
+        inst = CoverageInstance(decodable & eligibility(scenario, "mc")[:, None, :])
         assert inst.num_prbs == 3
 
     def test_no_fading_snr_matches_link_budget(self):
@@ -163,7 +171,7 @@ class TestChannelModel:
         snr_db = model.snr_subframe(np.zeros((7, 28)), rng)
         d_km = np.linalg.norm(
             scenario.cell_pos[0] - scenario.ue_pos[0]) / 1000.0
-        expected = snr(ChannelParams(fast_fading=False), d_km)
+        expected = snr(ChannelParams(fast_fading=False), path_loss(d_km))
         assert snr_db[0, 0, 0] == pytest.approx(expected, abs=1e-9)
 
     def test_shadowing_sigma(self):
@@ -192,8 +200,8 @@ class TestChannelModel:
         near, _ = small_model(radius=250.0, seed=9)
         far, _ = small_model(radius=2500.0, seed=9)
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-        r_near = near.sample_subframe(near.draw_shadowing(rng_a), rng_a)
-        r_far = far.sample_subframe(far.draw_shadowing(rng_b), rng_b)
+        r_near = rate_from_snr(near.snr_subframe(near.draw_shadowing(rng_a), rng_a))
+        r_far = rate_from_snr(far.snr_subframe(far.draw_shadowing(rng_b), rng_b))
         assert r_far.mean() < r_near.mean()
 
     def test_custom_table_validated(self):

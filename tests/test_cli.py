@@ -27,6 +27,19 @@ class TestExitCodes:
         assert invoke("run", "--subframes", "0",
                       "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--radius", "nan"), ("--radius", "inf"), ("--radius", "-5"),
+        ("--edge-threshold", "nan"), ("--edge-threshold", "inf"),
+        ("--edge-threshold", "-0.1"),
+        ("--rate", "nan"), ("--rate", "inf"), ("--rate", "-1"),
+        ("--fps", "0"), ("--fps", "nan"), ("--fps", "inf"),
+    ])
+    def test_bad_value_is_2_before_any_drop(self, tmp_path, capsys, flag, value):
+        assert invoke("run", flag, value, "--subframes", "3", "--drops", "1",
+                      "--ues", "1", "--out", str(tmp_path)) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "log_cga.csv").exists()
+
     def test_unknown_preset_is_2(self, tmp_path):
         proc = subprocess.run(
             RUN + ["run", "--preset", "nope", "--out", str(tmp_path)],

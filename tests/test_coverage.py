@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmcast import coverage
+from mcmcast.channel import ChannelModel, ChannelParams
 from mcmcast.coverage import (
     GREEDY_BOUND,
     Allocation,
     CapExceededError,
     CoverageInstance,
     McpInstance,
-    build_instance,
     evaluate,
     instance_from_text,
     instance_to_text,
@@ -30,6 +30,7 @@ from mcmcast.coverage import (
     solve_mbsfn,
     solve_sc,
 )
+from mcmcast.topology import build_hex7
 
 # Two cells, two PRBs, six users.  Cell 0 can reach users {0,1} on PRB 0
 # and {1,2,3} on PRB 1; cell 1 reaches nobody on PRB 0 and {2,3,4,5} on
@@ -51,7 +52,11 @@ def fixture_rates() -> np.ndarray:
     return r
 
 
-FIXTURE_CONN = [{0, 1}, {0}, {0, 1}, {0, 1}, {1}, {1}]
+# (C, M) cells each user may hear.
+FIXTURE_ELIGIBLE = np.array([
+    [True, True, True, True, False, False],
+    [True, False, True, True, True, True],
+])
 
 
 class TestGoldenFixture:
@@ -76,44 +81,42 @@ class TestGoldenFixture:
 
     def test_single_connectivity_variant_serves_five(self):
         # Restrict each user to its nearest cell (0 for users 0-3, 1 for 4-5).
-        conn = [{0}, {0}, {0}, {0}, {1}, {1}]
-        inst = build_instance(fixture_rates(), 2.0, conn)
+        nearest = np.array([0, 0, 0, 0, 1, 1])
+        eligible = np.arange(2)[:, None] == nearest[None, :]
+        inst = CoverageInstance((fixture_rates() >= 2.0) & eligible[:, None, :])
         assert solve_sc(inst).served_count == 5
 
-    def test_build_instance_reproduces_fixture(self):
-        inst = build_instance(fixture_rates(), 2.0, FIXTURE_CONN)
+    def test_thresholded_rates_reproduce_fixture(self):
+        inst = CoverageInstance((fixture_rates() >= 2.0) & FIXTURE_ELIGIBLE[:, None, :])
         assert inst == FIXTURE
 
 
 class TestBuildInstance:
+    """The engine's instance step: an SNR draw thresholded at the SNR the
+    required rate needs, ANDed with a (C, M) eligibility mask."""
+
+    MIN_SNR = ChannelModel(
+        ChannelParams(), build_hex7(500.0, 1, rng=np.random.default_rng(0)), 1,
+    ).min_snr_db
+
+    def instance(self, snr_db, required, eligible):
+        decodable = np.asarray(snr_db) >= self.MIN_SNR(required)
+        return CoverageInstance(decodable & np.asarray(eligible)[:, None, :])
+
     def test_threshold_is_inclusive(self):
-        rates = np.array([[[1.0, 2.0]]])
-        inst = build_instance(rates, 2.0, [{0}, {0}])
+        # 111.6 bits needs the 0.2 dB step; one ULP below it is outage.
+        snr_db = [[[np.nextafter(0.2, -np.inf), 0.2]]]
+        inst = self.instance(snr_db, 111.6, [[True, True]])
         assert inst.sets == ((frozenset({1}),),)
 
     def test_connectivity_mask_filters_users(self):
-        rates = np.full((2, 1, 2), 9.0)
-        inst = build_instance(rates, 1.0, [{0}, {1}])
-        assert inst.sets == ((frozenset({0}),), (frozenset({1}),))
-
-    def test_boolean_mask_accepted(self):
-        rates = np.full((2, 1, 2), 9.0)
-        mask = np.array([[True, False], [False, True]])  # (M, C)
-        inst = build_instance(rates, 1.0, mask)
+        inst = self.instance(np.full((2, 1, 2), 30.0), 400.0,
+                             [[True, False], [False, True]])
         assert inst.sets == ((frozenset({0}),), (frozenset({1}),))
 
     def test_zero_required_rate_serves_all_connected(self):
-        rates = np.zeros((1, 1, 3))
-        inst = build_instance(rates, 0.0, [{0}, {0}, {0}])
+        inst = self.instance(np.full((1, 1, 3), -50.0), 0.0, [[True, True, True]])
         assert inst.sets[0][0] == frozenset({0, 1, 2})
-
-    def test_negative_required_rate_rejected(self):
-        with pytest.raises(ValueError):
-            build_instance(np.zeros((1, 1, 1)), -1.0, [{0}])
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError):
-            build_instance(np.zeros((2, 2)), 1.0, [{0}])
 
 
 class TestValidation:
@@ -230,8 +233,7 @@ class TestDga:
             [[5.0, 0.0], [5.0, 5.0]],
             [[0.0, 5.0], [0.0, 0.0]],
         ])
-        conn = [{0, 1}, {0, 1}]
-        inst = build_instance(rates, 1.0, conn)
+        inst = CoverageInstance(rates >= 1.0)
         primary = np.array([0, 1])
         connected = solve_dga(inst, count="connected")
         primaried = solve_dga(inst, count="primary", primary_cell=primary)

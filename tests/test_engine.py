@@ -1,11 +1,13 @@
 """Simulation loop: determinism, metric bookkeeping, policy orderings on
 shared draws, and the oracle sandwich on small search spaces."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from mcmcast.channel import ChannelModel, ChannelParams
-from mcmcast.coverage import GREEDY_BOUND, build_instance, evaluate, solve_sc
+from mcmcast.coverage import GREEDY_BOUND, CoverageInstance, evaluate, solve_sc
 from mcmcast.engine import (
     Metrics,
     SimConfig,
@@ -13,13 +15,12 @@ from mcmcast.engine import (
     log_to_csv,
     metrics_from_log,
     paired_one_sided_pvalue,
-    run,
     summary_dict,
     summary_to_json,
     sweep,
     sweep_to_csv,
 )
-from mcmcast.topology import build_hex7, connectivity_mode
+from mcmcast.topology import build_hex7, eligibility
 
 FAST = SimConfig(horizon=20, num_drops=2, seed=3, ues_per_cell=4,
                  radius_m=600.0, num_prbs=4)
@@ -29,7 +30,7 @@ class TestRunBasics:
     def test_zero_required_rate_serves_everyone(self):
         cfg = SimConfig(horizon=1, num_drops=1, seed=1, rate_bits=0.0)
         for policy in ("cga", "dga", "sc", "mbsfn"):
-            out = run(SimConfig(**{**cfg.__dict__, "policy": policy}))
+            out = compare_policies(cfg, (policy,))
             m = out.metrics[policy]
             assert m.avg_packets_delivered == 70.0
             assert m.per_ue_service_ratio == 1.0
@@ -38,7 +39,9 @@ class TestRunBasics:
     def test_same_seed_means_identical_logs(self):
         a = compare_policies(FAST, ("cga", "sc"))
         b = compare_policies(FAST, ("cga", "sc"))
-        assert a.log_rows == b.log_rows
+        for policy in ("cga", "sc"):
+            assert np.array_equal(a.metrics[policy].served_counts,
+                                  b.metrics[policy].served_counts)
         assert log_to_csv(a) == log_to_csv(b)
 
     def test_served_counts_bounded_by_population(self):
@@ -55,21 +58,33 @@ class TestRunBasics:
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
-            run(SimConfig(horizon=0))
+            compare_policies(SimConfig(horizon=0), ("cga",))
         with pytest.raises(ValueError):
-            run(SimConfig(num_drops=0))
+            compare_policies(SimConfig(num_drops=0), ("cga",))
         with pytest.raises(ValueError):
-            run(SimConfig(policy="magic"))
+            compare_policies(SimConfig(), ("magic",))
         with pytest.raises(ValueError):
-            run(SimConfig(dga_count="sometimes"))
+            compare_policies(SimConfig(dga_count="sometimes"), ("dga",))
 
     def test_trace_schedule_drives_the_run(self, tmp_path):
         path = tmp_path / "trace.txt"
         path.write_text("0 I 0.0 100\n")  # 800 bits over 33 sub-frames
         cfg = SimConfig(horizon=5, num_drops=1, seed=2, trace_path=str(path),
                         fps=30.0, radius_m=300.0)
-        out = run(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 33 sub-frames cover the horizon
+            out = compare_policies(cfg, ("cga",))
         assert out.metrics["cga"].served_counts.shape == (1, 5)
+
+    def test_short_trace_wraps_with_a_warning(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_text("0 I 0.0 100\n1 P 0.0 100\n")  # 66 sub-frames
+        cfg = SimConfig(horizon=500, num_drops=1, seed=2, trace_path=str(path),
+                        fps=30.0, ues_per_cell=1)
+        with pytest.warns(RuntimeWarning,
+                          match=r"\b66 sub-frames.*\b500 sub-frames.*\b8 times"):
+            out = compare_policies(cfg, ("cga",))
+        assert out.metrics["cga"].served_counts.shape == (1, 500)
 
 
 class TestMetrics:
@@ -98,9 +113,9 @@ class TestMetrics:
     def test_log_contains_served_ids_when_asked(self):
         cfg = SimConfig(horizon=2, num_drops=1, seed=4, ues_per_cell=2,
                         log_served_ids=True, rate_bits=0.0)
-        out = run(cfg)
-        ids = out.log_rows[0][4]
-        assert ids == ";".join(str(k) for k in range(14))
+        out = compare_policies(cfg, ("cga",))
+        first_row = log_to_csv(out).splitlines()[1]
+        assert first_row.split(",")[4] == ";".join(str(k) for k in range(14))
 
 
 class TestPolicyOrderings:
@@ -121,13 +136,14 @@ class TestPolicyOrderings:
         # very same draws: extra connectivity can only widen the served set.
         rng = np.random.default_rng(12)
         scen = build_hex7(900.0, 4, rng=rng)
-        scen_sc = connectivity_mode(scen, "sc")
         model = ChannelModel(ChannelParams(), scen, num_prbs=4)
         shadow = model.draw_shadowing(rng)
+        mc_mask = eligibility(scen, "mc")[:, None, :]
+        sc_mask = eligibility(scen, "sc")[:, None, :]
         for _ in range(25):
-            rates = model.sample_subframe(shadow, rng)
-            mc_inst = build_instance(rates, 400.0, scen.connectivity)
-            sc_inst = build_instance(rates, 400.0, scen_sc.connectivity)
+            decodable = model.snr_subframe(shadow, rng) >= model.min_snr_db(400.0)
+            mc_inst = CoverageInstance(decodable & mc_mask)
+            sc_inst = CoverageInstance(decodable & sc_mask)
             sc_result = solve_sc(sc_inst)
             forced = evaluate(mc_inst, sc_result.allocation)
             assert sc_result.served <= forced.served
@@ -141,7 +157,7 @@ class TestPolicyOrderings:
             out.metrics["cga"], out.metrics["dga"]) < 0.05
 
     def test_equal_metrics_give_pvalue_one(self):
-        out = run(FAST)
+        out = compare_policies(FAST, ("cga",))
         assert paired_one_sided_pvalue(
             out.metrics["cga"], out.metrics["cga"]) == 1.0
 
@@ -152,7 +168,7 @@ class TestSweep:
         assert len(table) == 1
         value, out = table[0]
         assert value == 600.0
-        direct = run(FAST)
+        direct = compare_policies(FAST, ("cga",))
         assert np.array_equal(
             out.metrics["cga"].served_counts,
             direct.metrics["cga"].served_counts)

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from mcmcast.topology import (
-    build_hex7,
-    connectivity_mode,
-    eligibility,
-    scenario_from_text,
-    scenario_to_text,
-)
+from mcmcast.topology import build_hex7, eligibility
 
 RADIUS = 400.0
 
@@ -65,7 +59,7 @@ class TestLayout:
     def test_deterministic_given_seed(self):
         a, b = scenario(seed=11), scenario(seed=11)
         assert np.array_equal(a.ue_pos, b.ue_pos)
-        assert a.connectivity == b.connectivity
+        assert np.array_equal(eligibility(a, "mc"), eligibility(b, "mc"))
 
     def test_positions_are_read_only(self):
         scen = scenario()
@@ -82,27 +76,22 @@ class TestLayout:
 class TestConnectivity:
     def test_edge_ues_connect_everywhere_in_mc(self):
         scen = scenario(ues=40, seed=5)
-        everyone = frozenset(range(7))
+        mask = eligibility(scen, "mc")
         for k in range(scen.num_users):
             if scen.edge_ue[k]:
-                assert scen.connectivity[k] == everyone
+                assert mask[:, k].all()
             else:
-                assert scen.connectivity[k] == {int(scen.primary_cell[k])}
+                assert np.flatnonzero(mask[:, k]).tolist() == [scen.primary_cell[k]]
 
     def test_sc_collapses_to_primary(self):
-        scen = connectivity_mode(scenario(ues=40, seed=5), "sc")
+        scen = scenario(ues=40, seed=5)
+        mask = eligibility(scen, "sc")
         for k in range(scen.num_users):
-            assert scen.connectivity[k] == {int(scen.primary_cell[k])}
-
-    def test_mode_round_trip_is_idempotent(self):
-        scen = scenario(ues=25, seed=6)
-        back = connectivity_mode(connectivity_mode(scen, "sc"), "mc")
-        assert back.connectivity == scen.connectivity
-        assert connectivity_mode(scen, "mc").connectivity == scen.connectivity
+            assert np.flatnonzero(mask[:, k]).tolist() == [scen.primary_cell[k]]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            connectivity_mode(scenario(), "mesh")
+            eligibility(scenario(), "mesh")
 
     def test_eligibility_masks_per_mode(self):
         scen = scenario(ues=40, seed=5)
@@ -115,42 +104,5 @@ class TestConnectivity:
     def test_zero_threshold_makes_everyone_edge(self):
         scen = scenario(ues=10, seed=7, edge_threshold=0.0)
         assert scen.edge_ue.all()
-        everyone = frozenset(range(7))
-        assert all(c == everyone for c in scen.connectivity)
+        assert eligibility(scen, "mc").all()
 
-
-class TestSerialization:
-    def test_text_round_trip(self):
-        scen = scenario(ues=15, seed=9)
-        back = scenario_from_text(scenario_to_text(scen))
-        assert back.radius_m == scen.radius_m
-        assert back.edge_threshold == scen.edge_threshold
-        assert np.array_equal(back.cell_pos, scen.cell_pos)
-        assert np.array_equal(back.ue_pos, scen.ue_pos)
-        assert np.array_equal(back.primary_cell, scen.primary_cell)
-        assert np.array_equal(back.edge_ue, scen.edge_ue)
-        assert back.connectivity == scen.connectivity
-        assert back.mode == scen.mode
-
-    def test_sc_mode_survives_round_trip(self):
-        scen = connectivity_mode(scenario(ues=5, seed=2), "sc")
-        back = scenario_from_text(scenario_to_text(scen))
-        assert back.mode == "sc"
-        assert back.connectivity == scen.connectivity
-
-    def test_comments_ignored_and_errors_raised(self):
-        scen = scenario(ues=2, seed=1)
-        text = "# note\n" + scenario_to_text(scen)
-        assert scenario_from_text(text).num_users == scen.num_users
-        with pytest.raises(ValueError):
-            scenario_from_text("mystery 1 2 3\n")
-        with pytest.raises(ValueError):
-            scenario_from_text("mode mc\n")
-
-    def test_connectivity_must_follow_from_mode(self):
-        # Edge users listed with their primary cell only contradict "mc".
-        scen = connectivity_mode(scenario(ues=3, seed=4), "sc")
-        assert scen.edge_ue.any()
-        text = scenario_to_text(scen).replace("mode sc", "mode mc")
-        with pytest.raises(ValueError):
-            scenario_from_text(text)

@@ -7,9 +7,7 @@ from mcmcast.traffic import (
     TraceParseError,
     parse_trace,
     schedule_constant,
-    schedule_from_csv,
     schedule_from_trace,
-    schedule_to_csv,
     write_synthetic_trace,
 )
 
@@ -107,26 +105,6 @@ class TestConstantSchedule:
             schedule_constant(-1.0, 5)
         with pytest.raises(ValueError):
             schedule_constant(10.0, 0)
-
-
-class TestScheduleCsv:
-    def test_round_trip(self, trace_file):
-        sched = schedule_from_trace(parse_trace(trace_file), fps=30.0)
-        back = schedule_from_csv(schedule_to_csv(sched))
-        assert len(back) == len(sched)
-        assert np.allclose(back.rates, sched.rates, atol=5e-7)
-
-    def test_header_checked(self):
-        with pytest.raises(TraceParseError):
-            schedule_from_csv("a,b\n0,1\n")
-
-    def test_contiguity_checked(self):
-        with pytest.raises(TraceParseError):
-            schedule_from_csv("t,R_bits\n0,1.0\n2,1.0\n")
-
-    def test_empty_rejected(self):
-        with pytest.raises(TraceParseError):
-            schedule_from_csv("t,R_bits\n")
 
 
 class TestSyntheticTrace:
