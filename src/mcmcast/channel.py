@@ -26,22 +26,16 @@ __all__ = [
     "path_loss",
     "snr",
     "rate_from_snr",
-    "default_rate_table",
-    "load_rate_table",
-    "save_rate_table",
+    "min_snr_db",
     "DEFAULT_RATE_TABLE",
-    "RATE_TABLE_VERSION",
 ]
 
 log = logging.getLogger(__name__)
 
-RATE_TABLE_VERSION = 1
-
 # (min_snr_db, bits per PRB per sub-frame) steps.  Thresholds are the
 # usual 15 CQI switching points; rates are truncated Shannon with a 0.6
 # bandwidth-efficiency factor at 180 kHz * 1 ms, rounded to 0.1 bit.
-# Frozen as version 1 so golden outputs stay pinned; regenerate with
-# default_rate_table() only when bumping RATE_TABLE_VERSION.
+# Both columns increase strictly.  Frozen: golden outputs are pinned to it.
 DEFAULT_RATE_TABLE: tuple[tuple[float, float], ...] = (
     (-6.7, 30.2),
     (-4.7, 45.5),
@@ -60,8 +54,8 @@ DEFAULT_RATE_TABLE: tuple[tuple[float, float], ...] = (
     (22.7, 815.2),
 )
 
-_CQI_THRESHOLDS_DB = tuple(t for t, _ in DEFAULT_RATE_TABLE)
-_SHANNON_ALPHA = 0.6
+_THRESHOLDS_DB = np.array([t for t, _ in DEFAULT_RATE_TABLE])
+_RATES = np.array([r for _, r in DEFAULT_RATE_TABLE])
 
 
 @dataclass(frozen=True)
@@ -126,65 +120,26 @@ def snr(params: ChannelParams, path_loss_db, shadow_db=0.0):
     return params.per_prb_tx_dbm - path_loss_db - shadow_db - params.noise_floor_dbm
 
 
-def rate_from_snr(snr_db, table: tuple[tuple[float, float], ...] | None = None):
+def rate_from_snr(snr_db):
     """Decodable rate for an SNR: 0 below the first step, then the highest
     step whose threshold is met, saturating at the top step.  Vectorized."""
-    table = table or DEFAULT_RATE_TABLE
-    thresholds = np.array([t for t, _ in table])
-    rates = np.array([r for _, r in table])
-    idx = np.searchsorted(thresholds, np.asarray(snr_db, dtype=float), side="right")
-    out = np.where(idx > 0, rates[np.maximum(idx - 1, 0)], 0.0)
+    idx = np.searchsorted(_THRESHOLDS_DB, np.asarray(snr_db, dtype=float), side="right")
+    out = np.where(idx > 0, _RATES[np.maximum(idx - 1, 0)], 0.0)
     return float(out) if np.isscalar(snr_db) else out
 
 
-def default_rate_table(
-    prb_bandwidth_hz: float = 180e3,
-    subframe_s: float = 1e-3,
-    margin_db: float = 0.0,
-    alpha: float = _SHANNON_ALPHA,
-) -> tuple[tuple[float, float], ...]:
-    """Regenerate the truncated-Shannon step table for other PRB widths or
-    implementation margins.  Rates rounded to 0.1 bit."""
-    table = []
-    for thr in _CQI_THRESHOLDS_DB:
-        eff = alpha * math.log2(1.0 + 10.0 ** ((thr - margin_db) / 10.0))
-        table.append((thr, round(eff * prb_bandwidth_hz * subframe_s, 1)))
-    return tuple(table)
+def min_snr_db(required):
+    """Lowest SNR whose decodable rate meets `required`.  Vectorized.
 
-
-def load_rate_table(path) -> tuple[tuple[float, float], ...]:
-    """Read a table file: lines of "min_snr_db  bits_per_prb_per_subframe",
-    '#' comments ignored.  Both columns must be strictly increasing."""
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            if len(toks) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two columns, got {line!r}")
-            rows.append((float(toks[0]), float(toks[1])))
-    _validate_table(rows, str(path))
-    return tuple(rows)
-
-
-def save_rate_table(path, table) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# snr-to-rate table v{RATE_TABLE_VERSION}\n")
-        for thr, rate in table:
-            fh.write(f"{thr} {rate}\n")
-
-
-def _validate_table(rows, origin: str) -> None:
-    if not rows:
-        raise ValueError(f"{origin}: empty rate table")
-    for (t0, r0), (t1, r1) in zip(rows, rows[1:]):
-        if t1 <= t0 or r1 <= r0:
-            raise ValueError(
-                f"{origin}: table must be strictly increasing in both columns "
-                f"(violated between {t0},{r0} and {t1},{r1})"
-            )
+    Rates step up strictly, so rate_from_snr(s) >= required holds exactly
+    when s >= min_snr_db(required): the threshold of the first step whose
+    rate reaches `required`.  -inf when required <= 0 (outage still meets
+    it), +inf when it is above the top step.
+    """
+    req = np.asarray(required, dtype=float)
+    idx = np.searchsorted(_RATES, req, side="left")
+    out = np.where(req <= 0, -np.inf, np.append(_THRESHOLDS_DB, np.inf)[idx])
+    return float(out) if np.isscalar(required) else out
 
 
 class ChannelModel:
@@ -192,23 +147,17 @@ class ChannelModel:
 
     Path losses are precomputed once; shadowing is drawn per drop via
     draw_shadowing and held fixed while snr_subframe is called per
-    sub-frame.  min_snr_db turns a required rate into the SNR threshold
-    that decides decodability exactly like the rate table.  All randomness
-    comes from generators the caller passes in, so a fixed seed fixes the
-    entire sequence.
+    sub-frame.  All randomness comes from generators the caller passes in,
+    so a fixed seed fixes the entire sequence.
     """
 
-    def __init__(self, params: ChannelParams, scenario, num_prbs: int, table=None):
+    def __init__(self, params: ChannelParams, scenario, num_prbs: int):
         self.params = params
         self.num_prbs = num_prbs
-        self.table = tuple(table) if table is not None else DEFAULT_RATE_TABLE
-        _validate_table(list(self.table), "rate table")
         # (C, M) distances in km, clamped once up front
         delta = scenario.cell_pos[:, None, :] - scenario.ue_pos[None, :, :]
         d_km = np.linalg.norm(delta, axis=2) / 1000.0
         self._pl_db = path_loss(d_km, params)
-        self._thresholds = np.array([t for t, _ in self.table])
-        self._rates = np.array([r for _, r in self.table])
 
     @property
     def num_cells(self) -> int:
@@ -236,16 +185,3 @@ class ChannelModel:
         snr_db *= 10.0
         snr_db += base[:, None, :]
         return snr_db
-
-    def min_snr_db(self, required: float) -> float:
-        """Lowest SNR whose decodable rate meets `required`.
-
-        Rates step up strictly, so rate_from_snr(s, self.table) >= required
-        holds exactly when s >= min_snr_db(required): the threshold of the
-        first step whose rate reaches `required`.  -inf when required <= 0
-        (outage still meets it), +inf when it is above the top step.
-        """
-        if required <= 0:
-            return -math.inf
-        i = int(np.searchsorted(self._rates, required, side="left"))
-        return float(self._thresholds[i]) if i < len(self._rates) else math.inf

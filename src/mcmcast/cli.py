@@ -148,7 +148,11 @@ def _coerce(key: str, value: str):
     return field, typ(value)
 
 
-def _build_config(args: argparse.Namespace) -> tuple[SimConfig, dict]:
+def _build_config(
+    args: argparse.Namespace,
+) -> tuple[SimConfig, dict, tuple[str, ...]]:
+    """Defaults < preset < config file < flags.  The policies are the
+    preset's own list unless the file or a flag names a policy."""
     preset = PRESETS[args.preset]
     overrides: dict = dict(preset.get("overrides", {}))
     if args.config:
@@ -161,7 +165,10 @@ def _build_config(args: argparse.Namespace) -> tuple[SimConfig, dict]:
         value = getattr(args, key, None)
         if value is not None:
             overrides[field] = value
-    return replace(SimConfig(), **overrides), preset
+    config = replace(SimConfig(), **overrides)
+    if "policy" in overrides:
+        return config, preset, (config.policy,)
+    return config, preset, preset.get("policies", (config.policy,))
 
 
 def _write(path: Path, text: str) -> None:
@@ -170,17 +177,13 @@ def _write(path: Path, text: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config, preset = _build_config(args)
+    config, preset, policies = _build_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if preset.get("synthetic_trace") and config.trace_path is None:
         trace = write_synthetic_trace(str(out / "trace.txt"), seed=config.seed)
         config = replace(config, trace_path=trace)
-
-    policies = preset.get("policies", (config.policy,))
-    if args.policy is not None:
-        policies = (args.policy,)
 
     if preset["kind"] == "sweep":
         users_table = sweep(config, "users_per_cell", list(USER_SWEEP), policies)
@@ -207,6 +210,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    for key in ("instances", "max_users", "max_cells", "max_prbs"):
+        if getattr(args, key) < 1:
+            raise ValueError(f"--{key.replace('_', '-')} must be >= 1")
     rng = np.random.default_rng(args.seed)
     worst = np.inf
     for _ in range(args.instances):

@@ -54,8 +54,6 @@ __all__ = [
     "reduce_mcp",
     "map_solution",
     "random_instance",
-    "instance_to_text",
-    "instance_from_text",
 ]
 
 EXACT_DEFAULT_CAP = 10_000_000
@@ -364,37 +362,3 @@ def random_instance(
     n = int(rng.integers(1, max_prbs + 1))
     density = rng.uniform(0.1, 0.9)
     return CoverageInstance(rng.random((c, n, m)) < density)
-
-
-def instance_to_text(inst: CoverageInstance) -> str:
-    """Line-oriented dump: header "M C N", then one "c j : u1 u2 ..." line
-    per (cell, prb) with users ascending."""
-    lines = [f"{inst.num_users} {inst.num_cells} {inst.num_prbs}"]
-    for c in range(inst.num_cells):
-        for j in range(inst.num_prbs):
-            users = " ".join(str(u) for u in np.flatnonzero(inst.cover[c, j]))
-            lines.append(f"{c} {j} : {users}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def instance_from_text(text: str) -> CoverageInstance:
-    """Parse the instance_to_text format; missing (c, j) lines mean empty sets."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty instance text")
-    try:
-        m, c, n = (int(tok) for tok in lines[0].split())
-    except ValueError as exc:
-        raise ValueError(f"bad header line {lines[0]!r}") from exc
-    sets = [[frozenset()] * n for _ in range(c)]
-    for ln in lines[1:]:
-        head, _, tail = ln.partition(":")
-        try:
-            ci, ji = (int(tok) for tok in head.split())
-            users = frozenset(int(tok) for tok in tail.split())
-        except ValueError as exc:
-            raise ValueError(f"bad set line {ln!r}") from exc
-        if not (0 <= ci < c and 0 <= ji < n):
-            raise ValueError(f"set line {ln!r} out of range for C={c}, N={n}")
-        sets[ci][ji] = users
-    return CoverageInstance.from_sets(m, c, n, sets)

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 from scipy import stats
 
-from .channel import ChannelModel, ChannelParams
+from .channel import ChannelModel, ChannelParams, min_snr_db
 from .coverage import (
     EXACT_DEFAULT_CAP,
     CapExceededError,
@@ -33,7 +33,7 @@ from .coverage import (
     solve_mbsfn,
     solve_sc,
 )
-from .topology import MC, NUM_CELLS, SC, build_hex7, eligibility
+from .topology import MC, NUM_CELLS, SC, _frozen, build_hex7, eligibility
 from .traffic import (
     TraceSchedule,
     parse_trace,
@@ -92,6 +92,10 @@ def _validate(config: SimConfig, policies: tuple[str, ...]) -> None:
         raise ValueError("fps must be finite and > 0")
     if config.dga_count not in ("connected", "primary"):
         raise ValueError(f"unknown dga_count {config.dga_count!r}")
+    if not policies:
+        raise ValueError("need at least one policy")
+    if len(set(policies)) != len(policies):
+        raise ValueError(f"repeated policy in {policies!r}")
     for policy in policies:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
@@ -200,7 +204,8 @@ def compare_policies(
             f"{math.ceil(horizon / len(schedule))} times",
             RuntimeWarning, stacklevel=2,
         )
-    required = [schedule.rates[t % len(schedule)] for t in range(horizon)]
+    # (T,) SNR each sub-frame's demand needs; np.resize repeats a short trace
+    threshold = min_snr_db(np.resize(schedule.rates, horizon))
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
     counts = {p: np.zeros((config.num_drops, horizon), dtype=int) for p in policies}
@@ -221,7 +226,7 @@ def compare_policies(
         # (C, 1, M) per mode, built once per drop
         eligible = {m: eligibility(scenario, m)[:, None, :] for m in set(modes.values())}
         for t in range(horizon):
-            decodable = model.snr_subframe(shadow, rng) >= model.min_snr_db(required[t])
+            decodable = model.snr_subframe(shadow, rng) >= threshold[t]
             instances = {m: CoverageInstance(decodable & e) for m, e in eligible.items()}
             for policy in policies:
                 result = _solve(policy, instances[modes[policy]], config, scenario)
@@ -252,7 +257,7 @@ def sweep(
         raise ValueError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    policies = policies or (config.policy,)
+    policies = (config.policy,) if policies is None else policies
     table = []
     for value in values:
         if axis == "users_per_cell":
@@ -270,12 +275,6 @@ def paired_one_sided_pvalue(a: Metrics, b: Metrics) -> float:
     if np.allclose(x, y):
         return 1.0
     return float(stats.ttest_rel(x, y, alternative="greater").pvalue)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
 
 
 # ---------------------------------------------------------------- artifacts

@@ -31,9 +31,6 @@ PUBLIC = {
     "build_hex7",
     "compare_policies",
     "evaluate",
-    "instance_from_text",
-    "instance_to_text",
-    "load_rate_table",
     "log_to_csv",
     "map_solution",
     "metrics_from_log",
@@ -43,7 +40,6 @@ PUBLIC = {
     "random_instance",
     "rate_from_snr",
     "reduce_mcp",
-    "save_rate_table",
     "schedule_constant",
     "schedule_from_trace",
     "snr",

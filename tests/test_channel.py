@@ -11,11 +11,9 @@ from mcmcast.channel import (
     DEFAULT_RATE_TABLE,
     ChannelModel,
     ChannelParams,
-    default_rate_table,
-    load_rate_table,
+    min_snr_db,
     path_loss,
     rate_from_snr,
-    save_rate_table,
     snr,
 )
 from mcmcast.coverage import CoverageInstance
@@ -97,35 +95,16 @@ class TestRateTable:
             expected = round(0.6 * math.log2(1 + 10 ** (thr / 10)) * 180.0, 1)
             assert rate == expected
 
-    def test_regeneration_matches_frozen_table(self):
-        assert default_rate_table() == DEFAULT_RATE_TABLE
-
-    def test_regeneration_with_margin_shifts_down(self):
-        margin = default_rate_table(margin_db=3.0)
-        for (t0, r0), (t1, r1) in zip(margin, DEFAULT_RATE_TABLE):
-            assert t0 == t1 and r0 < r1
+    def test_steps_strictly_increase(self):
+        # min_snr_db relies on this: the first step whose rate reaches R
+        # is then also the lowest threshold that decodes R.
+        for (t0, r0), (t1, r1) in zip(DEFAULT_RATE_TABLE, DEFAULT_RATE_TABLE[1:]):
+            assert t1 > t0 and r1 > r0
 
     @given(st.floats(-40.0, 60.0), st.floats(0.0, 10.0))
     @settings(max_examples=80, deadline=None)
     def test_rate_is_monotone_in_snr(self, snr_db, bump):
         assert rate_from_snr(snr_db + bump) >= rate_from_snr(snr_db)
-
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "table.txt"
-        save_rate_table(path, DEFAULT_RATE_TABLE)
-        assert load_rate_table(path) == DEFAULT_RATE_TABLE
-
-    def test_load_rejects_non_increasing(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0.0 100\n1.0 90\n")
-        with pytest.raises(ValueError):
-            load_rate_table(path)
-
-    def test_load_rejects_malformed_rows(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0.0 100 extra\n")
-        with pytest.raises(ValueError):
-            load_rate_table(path)
 
 
 def small_model(fast_fading=True, radius=500.0, ues=4, seed=0):
@@ -160,7 +139,7 @@ class TestChannelModel:
         rng = np.random.default_rng(2)
         shadow = np.zeros((7, 28))
         assert model.snr_subframe(shadow, rng).shape == (7, 3, 28)
-        decodable = model.snr_subframe(shadow, rng) >= model.min_snr_db(100.0)
+        decodable = model.snr_subframe(shadow, rng) >= min_snr_db(100.0)
         assert decodable.shape == (7, 3, 28)
         inst = CoverageInstance(decodable & eligibility(scenario, "mc")[:, None, :])
         assert inst.num_prbs == 3
@@ -204,12 +183,6 @@ class TestChannelModel:
         r_far = rate_from_snr(far.snr_subframe(far.draw_shadowing(rng_b), rng_b))
         assert r_far.mean() < r_near.mean()
 
-    def test_custom_table_validated(self):
-        _, scenario = small_model()
-        with pytest.raises(ValueError):
-            ChannelModel(ChannelParams(), scenario, num_prbs=2,
-                         table=((0.0, 10.0), (1.0, 10.0)))
-
 
 THRESHOLDS = [t for t, _ in DEFAULT_RATE_TABLE]
 RATES = [r for _, r in DEFAULT_RATE_TABLE]
@@ -220,10 +193,9 @@ def _ulp_neighbours(x):
 
 
 class TestMinSnr:
-    """snr >= model.min_snr_db(R) must decide exactly what
+    """snr >= min_snr_db(R) must decide exactly what
     rate_from_snr(snr) >= R decides, boundaries included."""
 
-    MODEL, _ = small_model()
     SNRS = st.one_of(
         st.floats(-60.0, 60.0),
         st.sampled_from([s for t in THRESHOLDS for s in _ulp_neighbours(t)]),
@@ -238,20 +210,25 @@ class TestMinSnr:
     @given(SNRS, REQUIRED)
     @settings(max_examples=400, deadline=None)
     def test_threshold_decides_like_the_rate_table(self, snr_db, required):
-        decodable = snr_db >= self.MODEL.min_snr_db(required)
-        assert decodable == (rate_from_snr(snr_db, self.MODEL.table) >= required)
+        decodable = snr_db >= min_snr_db(required)
+        assert decodable == (rate_from_snr(snr_db) >= required)
 
     def test_every_boundary_pair_agrees(self):
         snrs = np.array([s for t in THRESHOLDS for s in _ulp_neighbours(t)]
                         + [-np.inf, -60.0, 60.0])
-        rates = rate_from_snr(snrs, self.MODEL.table)
-        for required in [0.0, RATES[-1] + 1.0] + [
-                r for rate in RATES for r in _ulp_neighbours(rate)]:
-            np.testing.assert_array_equal(
-                snrs >= self.MODEL.min_snr_db(required), rates >= required)
+        rates = rate_from_snr(snrs)
+        required = np.array([0.0, RATES[-1] + 1.0] + [
+            r for rate in RATES for r in _ulp_neighbours(rate)])
+        # One array call gives the same thresholds as the scalar calls.
+        thresholds = min_snr_db(required)
+        assert thresholds.shape == required.shape
+        for req, thr in zip(required, thresholds):
+            scalar = min_snr_db(float(req))
+            assert isinstance(scalar, float) and scalar == thr
+            np.testing.assert_array_equal(snrs >= thr, rates >= req)
 
     def test_edge_values(self):
-        assert self.MODEL.min_snr_db(0.0) == -math.inf
-        assert self.MODEL.min_snr_db(RATES[0]) == THRESHOLDS[0]
-        assert self.MODEL.min_snr_db(RATES[3] + 0.05) == THRESHOLDS[4]
-        assert self.MODEL.min_snr_db(RATES[-1] + 0.1) == math.inf
+        assert min_snr_db(0.0) == -math.inf
+        assert min_snr_db(RATES[0]) == THRESHOLDS[0]
+        assert min_snr_db(RATES[3] + 0.05) == THRESHOLDS[4]
+        assert min_snr_db(RATES[-1] + 0.1) == math.inf

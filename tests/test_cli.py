@@ -61,6 +61,15 @@ class TestExitCodes:
                       "--max-users", "8", "--seed", "1") == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--instances", "--max-users",
+                                      "--max-cells", "--max-prbs"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_oracle_check_sizes_below_one_are_2(self, capsys, flag, value):
+        assert invoke("oracle-check", flag, value) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} must be >= 1" in captured.err
+        assert "PASS" not in captured.out
+
 
 class TestArtifacts:
     def test_compare_preset_writes_per_policy_logs(self, tmp_path):
@@ -117,6 +126,25 @@ class TestConfigPrecedence:
         assert summary["config"]["ues_per_cell"] == 4
         assert summary["config"]["radius_m"] == 650.0
         assert summary["config"]["horizon"] == 6
+
+    def test_file_policy_replaces_the_preset_policies(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        args = ["run", "--preset", "fig4_dist_vs_central", "--config", str(cfg),
+                "--subframes", "3", "--drops", "1", "--ues", "3"]
+        cfg.write_text("policy = sc\n")
+        assert invoke(*args, "--out", str(tmp_path / "file")) == 0
+        summary = json.loads((tmp_path / "file" / "summary.json").read_text())
+        assert summary["config"]["policy"] == "sc"
+        assert set(summary["metrics"]) == {"sc"}
+        assert not (tmp_path / "file" / "log_cga.csv").exists()
+        # A flag still wins over the file.
+        assert invoke(*args, "--policy", "mbsfn",
+                      "--out", str(tmp_path / "flag")) == 0
+        summary = json.loads((tmp_path / "flag" / "summary.json").read_text())
+        assert set(summary["metrics"]) == {"mbsfn"}
+        cfg.write_text("policy = bogus\n")
+        assert invoke(*args, "--out", str(tmp_path / "bogus")) == 2
+        assert not (tmp_path / "bogus" / "summary.json").exists()
 
     def test_dashes_and_underscores_both_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

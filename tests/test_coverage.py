@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmcast import coverage
-from mcmcast.channel import ChannelModel, ChannelParams
+from mcmcast.channel import min_snr_db
 from mcmcast.coverage import (
     GREEDY_BOUND,
     Allocation,
@@ -18,8 +18,6 @@ from mcmcast.coverage import (
     CoverageInstance,
     McpInstance,
     evaluate,
-    instance_from_text,
-    instance_to_text,
     map_solution,
     random_instance,
     reduce_mcp,
@@ -30,7 +28,6 @@ from mcmcast.coverage import (
     solve_mbsfn,
     solve_sc,
 )
-from mcmcast.topology import build_hex7
 
 # Two cells, two PRBs, six users.  Cell 0 can reach users {0,1} on PRB 0
 # and {1,2,3} on PRB 1; cell 1 reaches nobody on PRB 0 and {2,3,4,5} on
@@ -95,12 +92,8 @@ class TestBuildInstance:
     """The engine's instance step: an SNR draw thresholded at the SNR the
     required rate needs, ANDed with a (C, M) eligibility mask."""
 
-    MIN_SNR = ChannelModel(
-        ChannelParams(), build_hex7(500.0, 1, rng=np.random.default_rng(0)), 1,
-    ).min_snr_db
-
     def instance(self, snr_db, required, eligible):
-        decodable = np.asarray(snr_db) >= self.MIN_SNR(required)
+        decodable = np.asarray(snr_db) >= min_snr_db(required)
         return CoverageInstance(decodable & np.asarray(eligible)[:, None, :])
 
     def test_threshold_is_inclusive(self):
@@ -191,14 +184,14 @@ class TestGreedyVersusExact:
         # once greedy has consumed the cells the optimum relies on; this
         # frozen instance ends with one coverable user left but only a
         # zero-gain cell remaining.
-        text = (
-            "11 4 4\n"
-            "0 0 : 1 4 7\n0 1 : 2 4\n0 3 : 0\n"
-            "1 0 : 1 2 3 6\n1 1 : 5 6\n1 2 : 0 6 7 8\n1 3 : 0 2 4 6\n"
-            "2 0 : 2 4 8\n2 1 : 0 6 9\n2 2 : 2\n2 3 : 0 1 3 10\n"
-            "3 0 : 1 7\n3 1 : 0 4 6 7 8 9\n3 2 : 4 9\n3 3 : 4 7\n"
+        sets = (
+            ({1, 4, 7}, {2, 4}, set(), {0}),
+            ({1, 2, 3, 6}, {5, 6}, {0, 6, 7, 8}, {0, 2, 4, 6}),
+            ({2, 4, 8}, {0, 6, 9}, {2}, {0, 1, 3, 10}),
+            ({1, 7}, {0, 4, 6, 7, 8, 9}, {4, 9}, {4, 7}),
         )
-        inst = instance_from_text(text)
+        inst = CoverageInstance.from_sets(num_users=11, num_cells=4, num_prbs=4,
+                                          sets=sets)
         opt = solve_exact(inst).served_count
         _, history = solve_cga_trace(inst)
         m = (0,) + history
@@ -339,25 +332,6 @@ class TestMcpReduction:
         assert map_solution(Allocation(chosen=(2, 0, 2, 1))) == [0, 1, 2]
 
 
-class TestTextFormat:
-    GOLDEN = "6 2 2\n0 0 : 0 1\n0 1 : 1 2 3\n1 0 :\n1 1 : 2 3 4 5\n"
-
-    def test_render(self):
-        assert instance_to_text(FIXTURE) == self.GOLDEN
-
-    def test_parse(self):
-        assert instance_from_text(self.GOLDEN) == FIXTURE
-
-    def test_comments_and_blanks_ignored(self):
-        text = "# header\n\n1 1 1\n0 0 : 0\n"
-        inst = instance_from_text(text)
-        assert inst.sets == ((frozenset({0}),),)
-
-    def test_missing_lines_mean_empty_sets(self):
-        inst = instance_from_text("3 2 2\n0 0 : 1 2\n")
-        assert inst.sets[1] == (frozenset(), frozenset())
-
-
 @st.composite
 def coverage_instances(draw):
     num_users = draw(st.integers(1, 8))
@@ -411,11 +385,6 @@ class TestProperties:
             sets=tuple(tuple(row) for row in grown),
         )
         assert solve_exact(bigger).served_count >= solve_exact(inst).served_count
-
-    @given(coverage_instances())
-    @settings(max_examples=60, deadline=None)
-    def test_text_round_trip(self, inst):
-        assert instance_from_text(instance_to_text(inst)) == inst
 
     @given(coverage_instances())
     @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mcmcast.channel import ChannelModel, ChannelParams
+from mcmcast.channel import ChannelModel, ChannelParams, min_snr_db
 from mcmcast.coverage import GREEDY_BOUND, CoverageInstance, evaluate, solve_sc
 from mcmcast.engine import (
     Metrics,
@@ -65,6 +65,15 @@ class TestRunBasics:
             compare_policies(SimConfig(), ("magic",))
         with pytest.raises(ValueError):
             compare_policies(SimConfig(dga_count="sometimes"), ("dga",))
+
+    @pytest.mark.parametrize("policies", [(), ("cga", "cga"), ("cga", "dga", "cga")])
+    def test_empty_or_repeated_policies_rejected_before_any_drop(
+            self, monkeypatch, policies):
+        def no_drop(*args, **kwargs):
+            raise AssertionError("a drop ran")
+        monkeypatch.setattr("mcmcast.engine.build_hex7", no_drop)
+        with pytest.raises(ValueError, match="policy"):
+            compare_policies(FAST, policies)
 
     def test_trace_schedule_drives_the_run(self, tmp_path):
         path = tmp_path / "trace.txt"
@@ -141,7 +150,7 @@ class TestPolicyOrderings:
         mc_mask = eligibility(scen, "mc")[:, None, :]
         sc_mask = eligibility(scen, "sc")[:, None, :]
         for _ in range(25):
-            decodable = model.snr_subframe(shadow, rng) >= model.min_snr_db(400.0)
+            decodable = model.snr_subframe(shadow, rng) >= min_snr_db(400.0)
             mc_inst = CoverageInstance(decodable & mc_mask)
             sc_inst = CoverageInstance(decodable & sc_mask)
             sc_result = solve_sc(sc_inst)
@@ -183,6 +192,8 @@ class TestSweep:
             sweep(FAST, "prbs", [1, 2])
         with pytest.raises(ValueError):
             sweep(FAST, "radius", [])
+        with pytest.raises(ValueError):
+            sweep(FAST, "radius", [300.0], ())
 
     def test_csv_shape(self):
         table = sweep(FAST, "radius", [500.0, 800.0], policies=("cga", "sc"))
