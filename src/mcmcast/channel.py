@@ -159,14 +159,6 @@ class ChannelModel:
         d_km = np.linalg.norm(delta, axis=2) / 1000.0
         self._pl_db = path_loss(d_km, params)
 
-    @property
-    def num_cells(self) -> int:
-        return self._pl_db.shape[0]
-
-    @property
-    def num_users(self) -> int:
-        return self._pl_db.shape[1]
-
     def draw_shadowing(self, rng: np.random.Generator) -> np.ndarray:
         """One lognormal shadowing realization per (cell, UE), in dB."""
         return rng.normal(0.0, self.params.shadowing_sigma_db, size=self._pl_db.shape)
@@ -179,7 +171,8 @@ class ChannelModel:
             return np.repeat(base[:, None, :], self.num_prbs, axis=1)
         # base + 10 * log10(max(power, 1e-12)), evaluated in place: the
         # same IEEE operations without three array-sized temporaries
-        snr_db = rng.exponential(1.0, size=(self.num_cells, self.num_prbs, self.num_users))
+        num_cells, num_users = self._pl_db.shape
+        snr_db = rng.exponential(1.0, size=(num_cells, self.num_prbs, num_users))
         np.maximum(snr_db, 1e-12, out=snr_db)
         np.log10(snr_db, out=snr_db)
         snr_db *= 10.0

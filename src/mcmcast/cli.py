@@ -24,6 +24,7 @@ from .coverage import (
 from .engine import (
     POLICIES,
     SimConfig,
+    _validate,
     compare_policies,
     log_to_csv,
     summary_to_json,
@@ -178,6 +179,7 @@ def _write(path: Path, text: str) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config, preset, policies = _build_config(args)
+    _validate(config, policies)  # a bad configuration writes nothing
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -38,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "CoverageInstance",
-    "Allocation",
     "CoverageResult",
     "McpInstance",
     "CapExceededError",
@@ -142,27 +141,13 @@ class CoverageInstance:
             for row in self.cover
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoverageInstance):
-            return NotImplemented
-        return (self.cover.shape == other.cover.shape
-                and bool(np.array_equal(self.cover, other.cover)))
-
-    __hash__ = None
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """Chosen PRB index per cell; chosen[c] is the PRB for cell c."""
-
-    chosen: tuple[int, ...]
-
 
 @dataclass(frozen=True, eq=False)
 class CoverageResult:
-    """An allocation and its (M,) boolean mask of served users."""
+    """An allocation and its (M,) boolean mask of served users; chosen[c]
+    is the PRB index cell c transmits on."""
 
-    allocation: Allocation
+    chosen: tuple[int, ...]
     served_mask: np.ndarray
 
     @property
@@ -190,21 +175,21 @@ class McpInstance:
                 raise ValueError(f"set {j} contains out-of-range elements")
 
 
-def evaluate(inst: CoverageInstance, allocation: Allocation) -> CoverageResult:
-    """Served users of an allocation, computed directly from the union."""
-    if len(allocation.chosen) != inst.num_cells:
+def evaluate(inst: CoverageInstance, chosen: Sequence[int]) -> CoverageResult:
+    """Served users when cell c uses PRB chosen[c], computed from the union."""
+    if len(chosen) != inst.num_cells:
         raise ValueError("allocation does not assign exactly one PRB per cell")
-    for c, j in enumerate(allocation.chosen):
+    for c, j in enumerate(chosen):
         if not 0 <= j < inst.num_prbs:
             raise ValueError(f"cell {c} chose PRB {j} out of range")
-    return _result(inst, allocation.chosen)
+    return _result(inst, chosen)
 
 
 def _result(inst: CoverageInstance, chosen) -> CoverageResult:
     """evaluate() for a solver's choice, which is in range by construction."""
-    allocation = Allocation(tuple(map(int, chosen)))
-    served = inst.cover[np.arange(inst.num_cells), allocation.chosen].any(axis=0)
-    return CoverageResult(allocation, served)
+    chosen = tuple(map(int, chosen))
+    served = inst.cover[np.arange(inst.num_cells), chosen].any(axis=0)
+    return CoverageResult(chosen, served)
 
 
 def solve_cga(inst: CoverageInstance) -> CoverageResult:
@@ -243,27 +228,21 @@ def solve_cga_trace(inst: CoverageInstance) -> tuple[CoverageResult, tuple[int, 
     return _result(inst, chosen), tuple(history)
 
 
-def solve_dga(
-    inst: CoverageInstance,
-    count: str = "connected",
-    primary_cell: Sequence[int] | None = None,
-) -> CoverageResult:
+def solve_dga(inst: CoverageInstance, own: np.ndarray | None = None) -> CoverageResult:
     """Distributed allocation: every cell independently picks the PRB whose
     set covers the most of "its" users; service is still credited globally.
 
-    count="connected" scores each cell on all users appearing in its sets
-    (a multi-connected user counts at every cell that can decode it).
-    count="primary" scores a user only at its home cell, which requires
-    the per-user primary_cell map.
+    By default a cell scores every user appearing in its sets (a
+    multi-connected user counts at every cell that can decode it).  With
+    own, a (C, M) bool mask such as topology.eligibility(scenario, "sc"),
+    cell c scores only the users k with own[c, k].
     """
-    if count not in ("connected", "primary"):
-        raise ValueError(f"unknown count mode {count!r}")
-    if count == "primary" and primary_cell is None:
-        raise ValueError("count='primary' requires primary_cell")
-
     cover = inst.cover
-    if count == "primary":
-        own = np.arange(inst.num_cells)[:, None] == np.asarray(primary_cell)[None, :]
+    if own is not None:
+        own = np.asarray(own, dtype=bool)
+        shape = (inst.num_cells, inst.num_users)
+        if own.shape != shape:
+            raise ValueError(f"own must have shape {shape}, got {own.shape}")
         cover = cover & own[:, None, :]
     # argmax keeps the lowest PRB index on ties
     return _result(inst, cover.sum(axis=-1).argmax(axis=-1))
@@ -272,7 +251,7 @@ def solve_dga(
 def solve_sc(inst: CoverageInstance) -> CoverageResult:
     """Single-connectivity baseline: per-cell argmax on an instance whose
     sets were built with each user eligible only at its primary cell."""
-    return solve_dga(inst, count="connected")
+    return solve_dga(inst)
 
 
 def solve_mbsfn(inst: CoverageInstance) -> CoverageResult:
@@ -344,10 +323,10 @@ def reduce_mcp(mcp: McpInstance) -> CoverageInstance:
     return CoverageInstance(np.repeat(row.cover, mcp.k, axis=0))
 
 
-def map_solution(allocation: Allocation) -> list[int]:
+def map_solution(chosen: Sequence[int]) -> list[int]:
     """Map an allocation on a reduced instance back to a maximum-coverage
     solution: the deduplicated PRB indices are the chosen set indices."""
-    return sorted(set(allocation.chosen))
+    return sorted(set(chosen))
 
 
 def random_instance(

@@ -173,13 +173,11 @@ def _build_schedule(config: SimConfig) -> TraceSchedule:
     )
 
 
-def _solve(policy, inst, config, scenario) -> CoverageResult:
+def _solve(policy, inst, config, own) -> CoverageResult:
     if policy == "cga":
         return solve_cga(inst)
     if policy == "dga":
-        return solve_dga(
-            inst, count=config.dga_count, primary_cell=scenario.primary_cell
-        )
+        return solve_dga(inst, own if config.dga_count == "primary" else None)
     if policy == "sc":
         return solve_sc(inst)
     if policy == "mbsfn":
@@ -223,13 +221,14 @@ def compare_policies(
         )
         model = ChannelModel(config.channel, scenario, config.num_prbs)
         shadow = model.draw_shadowing(rng)
+        own = eligibility(scenario, SC)  # whom DGA scores under dga_count "primary"
         # (C, 1, M) per mode, built once per drop
         eligible = {m: eligibility(scenario, m)[:, None, :] for m in set(modes.values())}
         for t in range(horizon):
             decodable = model.snr_subframe(shadow, rng) >= threshold[t]
             instances = {m: CoverageInstance(decodable & e) for m, e in eligible.items()}
             for policy in policies:
-                result = _solve(policy, instances[modes[policy]], config, scenario)
+                result = _solve(policy, instances[modes[policy]], config, own)
                 counts[policy][d, t] = result.served_count
                 if served:
                     served[policy][d, t] = result.served_mask
@@ -302,7 +301,9 @@ def log_to_csv(output: RunOutput, policies: tuple[str, ...] | None = None) -> st
 def metrics_from_log(
     text: str, num_users: int, num_cells: int = NUM_CELLS
 ) -> dict[str, Metrics]:
-    """Rebuild Metrics from a raw log CSV; must match the originals exactly."""
+    """Rebuild Metrics from a raw log CSV; must match the originals exactly.
+    Raises ValueError when a policy's (drop, t) rows repeat or leave gaps,
+    or when the policies' grids differ."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     if header[:4] != ["drop", "t", "policy", "served_count"]:
@@ -312,11 +313,16 @@ def metrics_from_log(
         if not row:
             continue
         d, t, policy, count = int(row[0]), int(row[1]), row[2], int(row[3])
-        cells.setdefault(policy, {})[(d, t)] = count
+        grid = cells.setdefault(policy, {})
+        if (d, t) in grid:
+            raise ValueError(f"repeated log row (drop {d}, t {t}) for {policy!r}")
+        grid[(d, t)] = count
     out = {}
     for policy, grid in cells.items():
         drops = 1 + max(d for d, _ in grid)
         horizon = 1 + max(t for _, t in grid)
+        if len(grid) != drops * horizon or any(d < 0 or t < 0 for d, t in grid):
+            raise ValueError(f"log rows for {policy!r} leave gaps in its grid")
         arr = np.zeros((drops, horizon), dtype=int)
         for (d, t), count in grid.items():
             arr[d, t] = count
@@ -324,6 +330,8 @@ def metrics_from_log(
             policy=policy, served_counts=_frozen(arr),
             num_users=num_users, num_cells=num_cells,
         )
+    if len({m.served_counts.shape for m in out.values()}) > 1:
+        raise ValueError("the policies in the log cover different (drop, t) grids")
     return out
 
 

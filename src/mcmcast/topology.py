@@ -24,8 +24,6 @@ NUM_CELLS = 7  # the hexagonal layout: one center cell and a ring of six
 
 @dataclass(frozen=True)
 class NetworkScenario:
-    radius_m: float
-    edge_threshold: float
     cell_pos: np.ndarray           # (C, 2) meters
     ue_pos: np.ndarray             # (M, 2) meters
     primary_cell: np.ndarray       # (M,) int
@@ -76,12 +74,7 @@ def build_hex7(
     edge = d_primary > edge_threshold * radius_m
 
     return NetworkScenario(
-        radius_m=radius_m,
-        edge_threshold=edge_threshold,
-        cell_pos=_frozen(cell_pos),
-        ue_pos=_frozen(ue_pos),
-        primary_cell=_frozen(primary.astype(int)),
-        edge_ue=_frozen(edge),
+        _frozen(cell_pos), _frozen(ue_pos), _frozen(primary.astype(int)), _frozen(edge)
     )
 
 

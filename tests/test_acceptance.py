@@ -112,11 +112,11 @@ def test_c3_two_cell_worked_example_bit_exact():
         inst = CoverageInstance((rates >= 2.0) & eligible[:, None, :])
 
         cga = solve_cga(inst)
-        assert cga.allocation.chosen == (0, 1)
+        assert cga.chosen == (0, 1)
         assert cga.served == frozenset(range(6))
 
         dga = solve_dga(inst)
-        assert dga.allocation.chosen == (1, 1)
+        assert dga.chosen == (1, 1)
         assert dga.served == frozenset({1, 2, 3, 4, 5})
 
         mbsfn = solve_mbsfn(inst)
@@ -138,7 +138,7 @@ def test_c4_reduction_round_trip_matches_direct_solver():
             )
             mcp = McpInstance(universe_size=universe, k=k, sets=sets)
             result = solve_exact(reduce_mcp(mcp))
-            picked = map_solution(result.allocation)
+            picked = map_solution(result.chosen)
             covered = frozenset().union(
                 frozenset(), *(mcp.sets[i] for i in picked))
 

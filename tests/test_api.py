@@ -6,12 +6,14 @@ layer and silently skips a name it cannot find, so a rename or removal
 here would zero a per-layer metric without failing anything else.
 """
 
+import pytest
+
 import mcmcast
 import mcmcast.cli
 import mcmcast.engine
+from mcmcast import channel, cli, coverage, engine, topology, traffic
 
 PUBLIC = {
-    "Allocation",
     "CapExceededError",
     "ChannelModel",
     "ChannelParams",
@@ -75,7 +77,7 @@ BENCHMARK_NAMES = {
 
 
 def test_all_is_pinned_and_every_name_resolves():
-    assert len(mcmcast.__all__) == len(PUBLIC)
+    assert len(mcmcast.__all__) == len(PUBLIC) == 41
     assert set(mcmcast.__all__) == PUBLIC
     for name in mcmcast.__all__:
         assert getattr(mcmcast, name) is not None, name
@@ -85,3 +87,13 @@ def test_names_the_benchmark_harness_needs_exist():
     for owner, names in BENCHMARK_NAMES.items():
         missing = [name for name in names if not hasattr(owner, name)]
         assert not missing, (owner.__name__, missing)
+
+
+@pytest.mark.parametrize(
+    "module", [channel, coverage, topology, traffic, engine, cli],
+    ids=lambda module: module.__name__,
+)
+def test_every_submodule_all_name_resolves(module):
+    assert len(set(module.__all__)) == len(module.__all__)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, missing

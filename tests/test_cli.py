@@ -40,6 +40,14 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "log_cga.csv").exists()
 
+    def test_bad_config_writes_nothing(self, tmp_path, capsys):
+        # The trace preset would synthesize trace.txt into --out first.
+        out = tmp_path / "o"
+        assert invoke("run", "--preset", "fig7_trace_mc_vs_sc", "--radius",
+                      "nan", "--out", str(out)) == 2
+        assert "radius_m must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_preset_is_2(self, tmp_path):
         proc = subprocess.run(
             RUN + ["run", "--preset", "nope", "--out", str(tmp_path)],

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from mcmcast.channel import ChannelModel, ChannelParams, min_snr_db
-from mcmcast.coverage import GREEDY_BOUND, CoverageInstance, evaluate, solve_sc
+from mcmcast.coverage import (
+    GREEDY_BOUND,
+    CoverageInstance,
+    evaluate,
+    solve_dga,
+    solve_sc,
+)
 from mcmcast.engine import (
     Metrics,
     SimConfig,
@@ -119,6 +125,19 @@ class TestMetrics:
             assert back[policy].avg_packets_delivered == m.avg_packets_delivered
             assert back[policy].avg_unserved_per_cell == m.avg_unserved_per_cell
 
+    @pytest.mark.parametrize("damage", ["missing row", "repeated row",
+                                        "policy cut short"])
+    def test_damaged_log_rejected(self, damage):
+        lines = log_to_csv(compare_policies(FAST, ("cga", "mbsfn"))).splitlines()
+        if damage == "missing row":
+            del lines[7]
+        elif damage == "repeated row":
+            lines.insert(9, lines[7])
+        else:  # the last sub-frame of every drop lost for one policy only
+            lines = [x for x in lines if not x.startswith(("0,19,mbsfn", "1,19,mbsfn"))]
+        with pytest.raises(ValueError, match="log"):
+            metrics_from_log("\n".join(lines) + "\n", num_users=28)
+
     def test_log_contains_served_ids_when_asked(self):
         cfg = SimConfig(horizon=2, num_drops=1, seed=4, ues_per_cell=2,
                         log_served_ids=True, rate_bits=0.0)
@@ -154,8 +173,25 @@ class TestPolicyOrderings:
             mc_inst = CoverageInstance(decodable & mc_mask)
             sc_inst = CoverageInstance(decodable & sc_mask)
             sc_result = solve_sc(sc_inst)
-            forced = evaluate(mc_inst, sc_result.allocation)
+            forced = evaluate(mc_inst, sc_result.chosen)
             assert sc_result.served <= forced.served
+
+    def test_dga_on_own_cells_picks_what_sc_picks(self):
+        # DGA scoring only own-cell users on the MC instance sees exactly the
+        # SC instance's counts, so it picks the same PRBs and, with the extra
+        # connectivity, serves a superset.
+        rng = np.random.default_rng(12)
+        scen = build_hex7(900.0, 4, rng=rng)
+        model = ChannelModel(ChannelParams(), scen, num_prbs=4)
+        shadow = model.draw_shadowing(rng)
+        own = eligibility(scen, "sc")
+        mc_mask = eligibility(scen, "mc")[:, None, :]
+        for _ in range(25):
+            decodable = model.snr_subframe(shadow, rng) >= min_snr_db(400.0)
+            mc_result = solve_dga(CoverageInstance(decodable & mc_mask), own)
+            sc_result = solve_sc(CoverageInstance(decodable & own[:, None, :]))
+            assert mc_result.chosen == sc_result.chosen
+            assert sc_result.served <= mc_result.served
 
     def test_cga_beats_dga_on_shared_draws(self):
         cfg = SimConfig(horizon=150, num_drops=3, seed=11, radius_m=750.0)
