@@ -146,9 +146,9 @@ class ChannelModel:
     """Samples per-sub-frame SNR matrices for a fixed scenario.
 
     Path losses are precomputed once; shadowing is drawn per drop via
-    draw_shadowing and held fixed while snr_subframe is called per
-    sub-frame.  All randomness comes from generators the caller passes in,
-    so a fixed seed fixes the entire sequence.
+    draw_shadowing and held fixed while snr_block draws a block of
+    sub-frames at a time.  All randomness comes from generators the caller
+    passes in, so a fixed seed fixes the entire sequence.
     """
 
     def __init__(self, params: ChannelParams, scenario, num_prbs: int):
@@ -164,17 +164,30 @@ class ChannelModel:
         return rng.normal(0.0, self.params.shadowing_sigma_db, size=self._pl_db.shape)
 
     def snr_subframe(self, shadow_db: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """(C, N, M) SNR draw for one sub-frame: the link budget plus, with
-        fast fading, 10 * log10 of a unit-mean exponential power per PRB."""
-        base = snr(self.params, self._pl_db, shadow_db)
+        """(C, N, M) SNR draw for one sub-frame; the one-sub-frame case of
+        snr_block."""
+        num_cells, num_users = self._pl_db.shape
+        out = np.empty((1, num_cells, self.num_prbs, num_users))
+        return self.snr_block(shadow_db, rng, out)[0]
+
+    def snr_block(
+        self, shadow_db: np.ndarray, rng: np.random.Generator, out: np.ndarray
+    ) -> np.ndarray:
+        """Fill out, a C-contiguous (B, C, N, M) float64 array, with the SNR
+        draws of B consecutive sub-frames and return it: the link budget
+        plus, with fast fading, 10 * log10 of a unit-mean exponential power
+        per PRB.  One standard_exponential call fills the block with the
+        values, in the same order, that B successive per-sub-frame draws
+        would take from rng."""
+        base = snr(self.params, self._pl_db, shadow_db)[:, None, :]
         if not self.params.fast_fading:
-            return np.repeat(base[:, None, :], self.num_prbs, axis=1)
+            out[...] = base
+            return out
         # base + 10 * log10(max(power, 1e-12)), evaluated in place: the
         # same IEEE operations without three array-sized temporaries
-        num_cells, num_users = self._pl_db.shape
-        snr_db = rng.exponential(1.0, size=(num_cells, self.num_prbs, num_users))
-        np.maximum(snr_db, 1e-12, out=snr_db)
-        np.log10(snr_db, out=snr_db)
-        snr_db *= 10.0
-        snr_db += base[:, None, :]
-        return snr_db
+        rng.standard_exponential(out=out)
+        np.maximum(out, 1e-12, out=out)
+        np.log10(out, out=out)
+        out *= 10.0
+        out += base
+        return out

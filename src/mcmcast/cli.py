@@ -31,7 +31,7 @@ from .engine import (
     sweep,
     sweep_to_csv,
 )
-from .traffic import TraceParseError, write_synthetic_trace
+from .traffic import TraceParseError, parse_trace, write_synthetic_trace
 
 __all__ = ["main", "build_parser", "PRESETS"]
 
@@ -50,11 +50,6 @@ PRESETS: dict[str, dict] = {
         "policies": ("cga", "sc"),
         "overrides": {"radius_m": 1000.0, "horizon": 500, "num_drops": 3},
     },
-    "fig6_unserved_sweep": {
-        "kind": "sweep",
-        "policies": ("cga", "sc"),
-        "overrides": {"radius_m": 1000.0, "horizon": 500, "num_drops": 3},
-    },
     "fig7_trace_mc_vs_sc": {
         "kind": "compare",
         "policies": ("cga", "sc"),
@@ -68,6 +63,8 @@ PRESETS: dict[str, dict] = {
     },
     "custom": {"kind": "run", "overrides": {}},
 }
+# Fig. 6 reads the unserved-per-cell column of the same sweeps as Fig. 5.
+PRESETS["fig6_unserved_sweep"] = PRESETS["fig5_packets_sweep"]
 
 # flag/config-file key -> (SimConfig field, parser)
 _FIELDS: dict[str, tuple[str, type]] = {
@@ -179,7 +176,9 @@ def _write(path: Path, text: str) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config, preset, policies = _build_config(args)
-    _validate(config, policies)  # a bad configuration writes nothing
+    _validate(config, policies)  # a bad configuration writes nothing,
+    if config.trace_path is not None:
+        parse_trace(config.trace_path)  # and neither does an unreadable trace
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

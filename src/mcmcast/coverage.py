@@ -24,8 +24,12 @@ maximum coverage and the partitioned problem.
 
 An instance is one boolean array cover[c, j, k] of shape (C, N, M): True
 when user k decodes cell c on PRB j.  The set view U[c][j] is derived
-from it on demand.  All solvers are pure functions of instances and
-break argmax ties toward the lowest (cell, prb) index, so outputs are
+from it on demand.  Each policy is one kernel over a (B, C, N, M) stack
+of B instances (cga_block, dga_block, mbsfn_block, exact_block, with
+served_block for the users a choice serves); the engine runs them on a
+block of sub-frames at a time, and each solve_* is the B = 1 case.  All
+solvers are pure functions of instances and break argmax ties toward the
+lowest (cell, prb) index within each instance, so outputs are
 deterministic.
 """
 
@@ -50,6 +54,11 @@ __all__ = [
     "solve_sc",
     "solve_mbsfn",
     "solve_exact",
+    "served_block",
+    "cga_block",
+    "dga_block",
+    "mbsfn_block",
+    "exact_block",
     "reduce_mcp",
     "map_solution",
     "random_instance",
@@ -182,15 +191,98 @@ def evaluate(inst: CoverageInstance, chosen: Sequence[int]) -> CoverageResult:
     for c, j in enumerate(chosen):
         if not 0 <= j < inst.num_prbs:
             raise ValueError(f"cell {c} chose PRB {j} out of range")
-    return _result(inst, chosen)
+    return _result(inst, np.asarray(chosen, dtype=np.intp)[None])
 
 
-def _result(inst: CoverageInstance, chosen) -> CoverageResult:
-    """evaluate() for a solver's choice, which is in range by construction."""
-    chosen = tuple(map(int, chosen))
-    served = inst.cover[np.arange(inst.num_cells), chosen].any(axis=0)
-    return CoverageResult(chosen, served)
+def _result(inst: CoverageInstance, chosen: np.ndarray) -> CoverageResult:
+    """The CoverageResult of a (1, C) block choice on inst."""
+    served = served_block(inst.cover[None], chosen)[0]
+    return CoverageResult(tuple(chosen[0].tolist()), served)
 
+
+# ------------------------------------------------------------ block kernels
+#
+# Each kernel takes a (B, C, N, M) boolean stack of B instances and returns
+# a (B, C) int array of chosen PRBs, ties going to the lowest (cell, prb)
+# index within every instance.  The solve_* functions are the B = 1 case.
+
+def served_block(covers: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """(B, M) mask of the users served when cell c of instance b transmits
+    on PRB chosen[b, c]."""
+    num_blocks, num_cells = chosen.shape
+    picked = covers[np.arange(num_blocks)[:, None], np.arange(num_cells), chosen]
+    return picked.any(axis=1)
+
+
+def cga_block(covers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centralized greedy on every instance of the stack: C times, commit
+    the (cell, PRB) pair covering the most not-yet-served users, then
+    retire that cell.  Returns the (B, C) choice and the (B, C) order in
+    which the cells were picked.
+
+    Gains are exact popcounts of bit-packed rows; argmax over the flat
+    (cell, prb) index keeps the lowest pair on ties, and a retired cell's
+    gains are pushed below zero, under every live gain.
+    """
+    num_blocks, num_cells, num_prbs, num_users = covers.shape
+    pairs = num_cells * num_prbs
+    # (W, B, C*N), word-major: a gain is the sum of W contiguous slabs
+    rows = np.moveaxis(_packed(covers).reshape(num_blocks, pairs, -1), -1, 0)
+    rows = np.ascontiguousarray(rows)
+    keep = ~rows  # ANDed into the uncovered words when a row is picked
+    uncovered = np.full(rows.shape[:2], ~np.uint64(0))
+    # M + 1 on every PRB of a retired cell, subtracted from its gains
+    penalty = np.zeros((num_blocks, num_cells, num_prbs), dtype=np.int64)
+    picks = np.zeros((num_blocks, num_cells), dtype=np.intp)
+    blocks = np.arange(num_blocks)
+    for step in range(num_cells):
+        gain = np.bitwise_count(rows & uncovered[:, :, None]).sum(axis=0, dtype=np.int64)
+        gain -= penalty.reshape(num_blocks, pairs)
+        pick = gain.argmax(axis=-1)
+        picks[:, step] = pick
+        penalty[blocks, pick // num_prbs] = num_users + 1
+        uncovered &= keep[:, blocks, pick]
+    order, prbs = np.divmod(picks, num_prbs)
+    chosen = np.zeros_like(order)
+    chosen[blocks[:, None], order] = prbs
+    return chosen, order
+
+
+def dga_block(covers: np.ndarray, own: np.ndarray | None = None) -> np.ndarray:
+    """Per-cell argmax of the users each (cell, PRB) covers, optionally
+    counting only the users k with own[c, k] (a (C, M) mask)."""
+    if own is not None:
+        own = np.asarray(own, dtype=bool)
+        shape = (covers.shape[1], covers.shape[3])
+        if own.shape != shape:
+            raise ValueError(f"own must have shape {shape}, got {own.shape}")
+        covers = covers & own[:, None, :]
+    return covers.sum(axis=-1).argmax(axis=-1)
+
+
+def mbsfn_block(covers: np.ndarray) -> np.ndarray:
+    """One common PRB for every cell: the index whose system-wide union
+    covers the most users."""
+    best = covers.any(axis=1).sum(axis=-1).argmax(axis=-1)
+    return np.repeat(best[:, None], covers.shape[1], axis=1)
+
+
+def exact_block(covers: np.ndarray, cap: int = EXACT_DEFAULT_CAP) -> np.ndarray:
+    """The exhaustive oracle on each instance of the stack in turn; see
+    solve_exact."""
+    num_blocks, num_cells, num_prbs, _ = covers.shape
+    candidates = num_prbs ** num_cells
+    if candidates > cap:
+        raise CapExceededError(
+            f"{num_prbs}^{num_cells} = {candidates} allocations exceeds cap {cap}"
+        )
+    chosen = np.zeros((num_blocks, num_cells), dtype=np.intp)
+    for b, words in enumerate(_packed(covers)):
+        chosen[b] = _exact_allocation(words)
+    return chosen
+
+
+# -------------------------------------------------- single-instance solvers
 
 def solve_cga(inst: CoverageInstance) -> CoverageResult:
     """Centralized greedy: repeatedly commit the (cell, PRB) pair covering
@@ -199,33 +291,18 @@ def solve_cga(inst: CoverageInstance) -> CoverageResult:
     Runs exactly num_cells iterations so the allocation is total even when
     the marginal gain drops to zero.  Ties go to the lowest (cell, prb).
     """
-    result, _ = solve_cga_trace(inst)
-    return result
+    chosen, _ = cga_block(inst.cover[None])
+    return _result(inst, chosen)
 
 
 def solve_cga_trace(inst: CoverageInstance) -> tuple[CoverageResult, tuple[int, ...]]:
     """Like solve_cga, also returning the cumulative covered count after
     each iteration (used to check the greedy's per-step guarantees)."""
-    cover = inst.cover
-    num_cells, num_prbs, num_users = cover.shape
-    # gain[c, j] = (cover[c, j] & ~covered).sum() as one matrix-vector
-    # product; float32 sums of 0/1 terms are exact below 2**24 users.
-    rows = cover.reshape(num_cells * num_prbs, num_users).astype(np.float32)
-    uncovered = np.ones(num_users, dtype=np.float32)
-    retired = np.zeros(num_cells, dtype=bool)
-    chosen = [0] * num_cells
-    history = []
-    covered = 0
-    for _ in range(num_cells):
-        gain = (rows @ uncovered).reshape(num_cells, num_prbs)
-        gain[retired] = -1.0  # every live gain is >= 0, so retired cells never win
-        c, j = divmod(int(gain.argmax()), num_prbs)
-        chosen[c] = j
-        covered += int(gain[c, j])
-        uncovered[cover[c, j]] = 0.0
-        retired[c] = True
-        history.append(covered)
-    return _result(inst, chosen), tuple(history)
+    chosen, order = cga_block(inst.cover[None])
+    cells = order[0]
+    picked = inst.cover[cells, chosen[0, cells]]
+    history = np.logical_or.accumulate(picked, axis=0).sum(axis=-1)
+    return _result(inst, chosen), tuple(history.tolist())
 
 
 def solve_dga(inst: CoverageInstance, own: np.ndarray | None = None) -> CoverageResult:
@@ -237,15 +314,7 @@ def solve_dga(inst: CoverageInstance, own: np.ndarray | None = None) -> Coverage
     own, a (C, M) bool mask such as topology.eligibility(scenario, "sc"),
     cell c scores only the users k with own[c, k].
     """
-    cover = inst.cover
-    if own is not None:
-        own = np.asarray(own, dtype=bool)
-        shape = (inst.num_cells, inst.num_users)
-        if own.shape != shape:
-            raise ValueError(f"own must have shape {shape}, got {own.shape}")
-        cover = cover & own[:, None, :]
-    # argmax keeps the lowest PRB index on ties
-    return _result(inst, cover.sum(axis=-1).argmax(axis=-1))
+    return _result(inst, dga_block(inst.cover[None], own))
 
 
 def solve_sc(inst: CoverageInstance) -> CoverageResult:
@@ -257,8 +326,7 @@ def solve_sc(inst: CoverageInstance) -> CoverageResult:
 def solve_mbsfn(inst: CoverageInstance) -> CoverageResult:
     """Single-frequency baseline: all cells transmit on the one PRB index
     whose system-wide union covers the most users."""
-    best_j = int(inst.cover.any(axis=0).sum(axis=-1).argmax())
-    return _result(inst, (best_j,) * inst.num_cells)
+    return _result(inst, mbsfn_block(inst.cover[None]))
 
 
 def solve_exact(inst: CoverageInstance, cap: int = EXACT_DEFAULT_CAP) -> CoverageResult:
@@ -267,19 +335,20 @@ def solve_exact(inst: CoverageInstance, cap: int = EXACT_DEFAULT_CAP) -> Coverag
     Refuses instances above `cap` candidate allocations.  The first
     maximizer in lexicographic allocation order wins, which is the
     lowest-(cell, prb) tie-break.
+    """
+    return _result(inst, exact_block(inst.cover[None], cap))
+
+
+def _exact_allocation(words: np.ndarray) -> tuple[int, ...]:
+    """The first maximizing allocation of one instance, given as its
+    (C, N, W) bit-packed rows.
 
     The allocations are enumerated in itertools.product order as ORs of
     bit-packed rows: the unions over the trailing cells form one block,
     which is ORed with each union over the leading cells in turn.  The
     split keeps a block within _EXACT_BLOCK_WORDS words.
     """
-    num_cells, num_prbs = inst.num_cells, inst.num_prbs
-    candidates = num_prbs ** num_cells
-    if candidates > cap:
-        raise CapExceededError(
-            f"{num_prbs}^{num_cells} = {candidates} allocations exceeds cap {cap}"
-        )
-    words = _packed(inst.cover)
+    num_cells, num_prbs, _ = words.shape
     width = max(words.shape[-1], 1)
     tail_cells = 1
     while (tail_cells < num_cells
@@ -293,7 +362,7 @@ def solve_exact(inst: CoverageInstance, cap: int = EXACT_DEFAULT_CAP) -> Coverag
         i = int(counts.argmax())
         if counts[i] > best_count:
             best_count, best_index = int(counts[i]), h * len(tail) + i
-    return _result(inst, np.unravel_index(best_index, (num_prbs,) * num_cells))
+    return np.unravel_index(best_index, (num_prbs,) * num_cells)
 
 
 def _unions(words: np.ndarray) -> np.ndarray:
@@ -307,13 +376,14 @@ def _unions(words: np.ndarray) -> np.ndarray:
 
 
 def _packed(cover: np.ndarray) -> np.ndarray:
-    """(C, N, M) bool -> (C, N, W) uint64 words holding the user bits;
-    popcounts of ORs of these rows are union sizes."""
+    """(..., M) bool -> (..., W) uint64 words holding the user bits, each
+    row zero-padded to whole words; popcounts of ORs of these rows are
+    union sizes."""
     num_users = cover.shape[-1]
     words = -(-num_users // 64)
-    raw = np.zeros(cover.shape[:-1] + (8 * words,), dtype=np.uint8)
-    raw[..., : -(-num_users // 8)] = np.packbits(cover, axis=-1)
-    return raw.view(np.uint64)
+    padded = np.zeros(cover.shape[:-1] + (64 * words,), dtype=bool)
+    padded[..., :num_users] = cover
+    return np.packbits(padded).view(np.uint64).reshape(cover.shape[:-1] + (words,))
 
 
 def reduce_mcp(mcp: McpInstance) -> CoverageInstance:

@@ -1,12 +1,14 @@
 """Sub-frame simulation loop and experiment drivers.
 
 Each drop places UEs afresh and draws its own shadowing; within a drop
-the loop per sub-frame is: draw per-PRB SNRs → threshold them at the SNR
-the required rate needs → one coverage instance per connectivity mode in
-use → run each allocation policy → record who was served.  When several
-policies are compared they see the *same* draws and share the instance of
-their mode (common random numbers), so observed differences are
-policy-only.
+the loop steps through blocks of sub-frames: draw per-PRB SNRs for the
+block → threshold each sub-frame at the SNR its required rate needs → one
+(B, C, N, M) stack of coverage instances per connectivity mode in use →
+run each allocation policy once on the stack → record who was served.
+The block size only groups the work: the RNG stream and every result are
+those of one sub-frame at a time.  When several policies are compared
+they see the *same* draws and share the instances of their mode (common
+random numbers), so observed differences are policy-only.
 """
 
 from __future__ import annotations
@@ -25,13 +27,11 @@ from .channel import ChannelModel, ChannelParams, min_snr_db
 from .coverage import (
     EXACT_DEFAULT_CAP,
     CapExceededError,
-    CoverageInstance,
-    CoverageResult,
-    solve_cga,
-    solve_dga,
-    solve_exact,
-    solve_mbsfn,
-    solve_sc,
+    cga_block,
+    dga_block,
+    exact_block,
+    mbsfn_block,
+    served_block,
 )
 from .topology import MC, NUM_CELLS, SC, _frozen, build_hex7, eligibility
 from .traffic import (
@@ -49,6 +49,12 @@ __all__ = [
 ]
 
 POLICIES = ("cga", "dga", "sc", "mbsfn", "exact")
+
+# Upper bound on the float64 SNR draws of one block of sub-frames (1 MiB):
+# the loop draws and solves as many whole sub-frames at once as fit.  Larger
+# blocks were no faster and cost peak memory; smaller ones pay per-call
+# overhead more often.
+_BLOCK_WORDS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -173,17 +179,18 @@ def _build_schedule(config: SimConfig) -> TraceSchedule:
     )
 
 
-def _solve(policy, inst, config, own) -> CoverageResult:
+def _chosen(policy, covers, config, own) -> np.ndarray:
+    """(B, C) PRBs `policy` picks on a (B, C, N, M) stack of instances."""
     if policy == "cga":
-        return solve_cga(inst)
+        return cga_block(covers)[0]
     if policy == "dga":
-        return solve_dga(inst, own if config.dga_count == "primary" else None)
+        return dga_block(covers, own if config.dga_count == "primary" else None)
     if policy == "sc":
-        return solve_sc(inst)
+        return dga_block(covers)
     if policy == "mbsfn":
-        return solve_mbsfn(inst)
+        return mbsfn_block(covers)
     if policy == "exact":
-        return solve_exact(inst, cap=config.exact_cap)
+        return exact_block(covers, cap=config.exact_cap)
     raise ValueError(f"unknown policy {policy!r}")
 
 
@@ -206,13 +213,18 @@ def compare_policies(
     threshold = min_snr_db(np.resize(schedule.rates, horizon))
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
+    num_users = NUM_CELLS * config.ues_per_cell
     counts = {p: np.zeros((config.num_drops, horizon), dtype=int) for p in policies}
     served = {}
     if config.log_served_ids:
-        shape = (config.num_drops, horizon, NUM_CELLS * config.ues_per_cell)
+        shape = (config.num_drops, horizon, num_users)
         served = {p: np.zeros(shape, dtype=bool) for p in policies}
 
     modes = {p: SC if p == "sc" else MC for p in policies}
+    # One (block, C, N, M) SNR buffer, reused by every block of every drop
+    frame = (NUM_CELLS, config.num_prbs, num_users)
+    block = max(1, min(horizon, _BLOCK_WORDS // math.prod(frame)))
+    snr_buf = np.empty((block, *frame))
 
     for d, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -222,16 +234,20 @@ def compare_policies(
         model = ChannelModel(config.channel, scenario, config.num_prbs)
         shadow = model.draw_shadowing(rng)
         own = eligibility(scenario, SC)  # whom DGA scores under dga_count "primary"
-        # (C, 1, M) per mode, built once per drop
-        eligible = {m: eligibility(scenario, m)[:, None, :] for m in set(modes.values())}
-        for t in range(horizon):
-            decodable = model.snr_subframe(shadow, rng) >= threshold[t]
-            instances = {m: CoverageInstance(decodable & e) for m, e in eligible.items()}
+        # (1, C, 1, M) per mode, built once per drop
+        eligible = {m: eligibility(scenario, m)[None, :, None, :]
+                    for m in set(modes.values())}
+        for t0 in range(0, horizon, block):
+            t1 = min(t0 + block, horizon)
+            snr_db = model.snr_block(shadow, rng, snr_buf[: t1 - t0])
+            decodable = snr_db >= threshold[t0:t1, None, None, None]
+            covers = {m: decodable & e for m, e in eligible.items()}
             for policy in policies:
-                result = _solve(policy, instances[modes[policy]], config, own)
-                counts[policy][d, t] = result.served_count
+                cover = covers[modes[policy]]
+                mask = served_block(cover, _chosen(policy, cover, config, own))
+                counts[policy][d, t0:t1] = mask.sum(axis=-1)
                 if served:
-                    served[policy][d, t] = result.served_mask
+                    served[policy][d, t0:t1] = mask
 
     metrics = {
         p: Metrics(

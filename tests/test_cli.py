@@ -59,6 +59,12 @@ class TestExitCodes:
         bad.write_text("not a frame line\n")
         assert invoke("run", "--trace", str(bad), "--subframes", "3",
                       "--out", str(tmp_path / "o")) == 3
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_trace_is_2_and_writes_nothing(self, tmp_path):
+        assert invoke("run", "--trace", str(tmp_path / "absent.txt"),
+                      "--subframes", "3", "--out", str(tmp_path / "o")) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_exact_cap_exceeded_is_4(self, tmp_path):
         assert invoke("run", "--policy", "exact", "--prbs", "11",

@@ -16,7 +16,11 @@ from mcmcast.coverage import (
     CapExceededError,
     CoverageInstance,
     McpInstance,
+    cga_block,
+    dga_block,
     evaluate,
+    exact_block,
+    mbsfn_block,
     map_solution,
     random_instance,
     reduce_mcp,
@@ -26,6 +30,7 @@ from mcmcast.coverage import (
     solve_exact,
     solve_mbsfn,
     solve_sc,
+    served_block,
 )
 
 # Two cells, two PRBs, six users.  Cell 0 can reach users {0,1} on PRB 0
@@ -286,6 +291,41 @@ class TestArraySolversMatchSetReferences:
         assert result.chosen == (9,) * 7
         assert result.served == frozenset(range(7))
         assert peak < 32e6  # one 10^7-row block would take >= 80 MB
+
+
+class TestBlockKernels:
+    def test_stacked_kernels_equal_one_solve_per_instance(self):
+        # random_instance stacks, grouped by shape; few users and varied
+        # densities make argmax ties common.
+        rng = np.random.default_rng(31)
+        groups = {}
+        for _ in range(600):
+            inst = random_instance(rng, max_users=5, max_cells=4, max_prbs=3)
+            groups.setdefault(inst.cover.shape, []).append(inst)
+        stacked = 0
+        for insts in groups.values():
+            if len(insts) < 2:
+                continue
+            stacked += len(insts)
+            covers = np.stack([inst.cover for inst in insts])
+            own = rng.random((covers.shape[1], covers.shape[3])) < 0.5
+            cga_chosen, order = cga_block(covers)
+            kernels = {
+                solve_cga: cga_chosen,
+                solve_dga: dga_block(covers),
+                (lambda inst: solve_dga(inst, own)): dga_block(covers, own),
+                solve_mbsfn: mbsfn_block(covers),
+                solve_exact: exact_block(covers),
+            }
+            for solve, chosen in kernels.items():
+                served = served_block(covers, chosen)
+                for b, inst in enumerate(insts):
+                    result = solve(inst)
+                    assert tuple(chosen[b]) == result.chosen
+                    assert np.array_equal(served[b], result.served_mask)
+            for b, inst in enumerate(insts):
+                assert np.array_equal(order[b], cga_block(inst.cover[None])[1][0])
+        assert stacked >= 500
 
 
 def brute_force_mcp(mcp: McpInstance) -> int:

@@ -1,17 +1,24 @@
 """Simulation loop: determinism, metric bookkeeping, policy orderings on
-shared draws, and the oracle sandwich on small search spaces."""
+shared draws, the oracle sandwich on small search spaces, and the block
+loop against a per-sub-frame reference loop."""
 
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mcmcast import engine
 from mcmcast.channel import ChannelModel, ChannelParams, min_snr_db
 from mcmcast.coverage import (
     GREEDY_BOUND,
     CoverageInstance,
     evaluate,
+    solve_cga,
     solve_dga,
+    solve_exact,
+    solve_mbsfn,
     solve_sc,
 )
 from mcmcast.engine import (
@@ -26,7 +33,8 @@ from mcmcast.engine import (
     sweep,
     sweep_to_csv,
 )
-from mcmcast.topology import build_hex7, eligibility
+from mcmcast.topology import NUM_CELLS, build_hex7, eligibility
+from mcmcast.traffic import write_synthetic_trace
 
 FAST = SimConfig(horizon=20, num_drops=2, seed=3, ues_per_cell=4,
                  radius_m=600.0, num_prbs=4)
@@ -251,3 +259,105 @@ class TestSummary:
         a = summary_to_json(compare_policies(FAST, ("cga", "sc")))
         b = summary_to_json(compare_policies(FAST, ("cga", "sc")))
         assert a == b
+
+
+def reference_run(config, policies):
+    """The engine's run one sub-frame at a time: snr_subframe, then the
+    single-instance solvers on a CoverageInstance per connectivity mode.
+    Returns policy -> ((D, T) served counts, (D, T, M) served masks)."""
+    schedule = engine._build_schedule(config)
+    threshold = min_snr_db(np.resize(schedule.rates, config.horizon))
+    shape = (config.num_drops, config.horizon, NUM_CELLS * config.ues_per_cell)
+    masks = {p: np.zeros(shape, dtype=bool) for p in policies}
+    seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
+    for d, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        scen = build_hex7(config.radius_m, config.ues_per_cell,
+                          config.edge_threshold, rng)
+        model = ChannelModel(config.channel, scen, config.num_prbs)
+        shadow = model.draw_shadowing(rng)
+        own = eligibility(scen, "sc")
+        mc_mask = eligibility(scen, "mc")[:, None, :]
+        for t in range(config.horizon):
+            decodable = model.snr_subframe(shadow, rng) >= threshold[t]
+            mc = CoverageInstance(decodable & mc_mask)
+            solvers = {
+                "cga": lambda: solve_cga(mc),
+                "dga": lambda: solve_dga(
+                    mc, own if config.dga_count == "primary" else None),
+                "sc": lambda: solve_sc(CoverageInstance(decodable & own[:, None, :])),
+                "mbsfn": lambda: solve_mbsfn(mc),
+                "exact": lambda: solve_exact(mc, config.exact_cap),
+            }
+            for policy in policies:
+                masks[policy][d, t] = solvers[policy]().served_mask
+    return {p: (m.sum(axis=-1), m) for p, m in masks.items()}
+
+
+def block_size(config):
+    """Sub-frames per block of the engine's SNR buffer for this config."""
+    frame = NUM_CELLS * config.num_prbs * NUM_CELLS * config.ues_per_cell
+    return engine._BLOCK_WORDS // frame
+
+
+FOUR = ("cga", "dga", "sc", "mbsfn")
+
+
+def fast_trace(path):
+    """A trace whose demand steps every 4 sub-frames (250 fps), between
+    rates inside the table, so thresholds change within every block."""
+    sizes = [10 + (37 * i) % 90 for i in range(300)]  # 80..792 bits a frame
+    lines = [f"{i} P {i / 250:.4f} {size}" for i, size in enumerate(sizes)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestBlockLoop:
+    """The block loop against the per-sub-frame reference, at horizons on
+    both sides of one and two block boundaries."""
+
+    CASES = {
+        "all_policies": (dict(num_prbs=2), (*FOUR, "exact")),
+        "four_policies": (dict(), FOUR),
+        "dga_primary": (dict(dga_count="primary"), FOUR),
+        "no_fading": (dict(channel=ChannelParams(fast_fading=False)), FOUR),
+        "trace": (dict(fps=250.0), FOUR),
+    }
+
+    @pytest.mark.parametrize("ues", [10, 20])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_per_subframe_loop(self, case, ues, tmp_path):
+        overrides, policies = self.CASES[case]
+        config = SimConfig(ues_per_cell=ues, radius_m=900.0, num_drops=2,
+                           seed=7, log_served_ids=True, **overrides)
+        if case == "trace":
+            config = replace(config, trace_path=fast_trace(tmp_path / "t.txt"))
+        block = block_size(config)
+        assert block >= 2
+        if case == "trace":
+            rates = engine._build_schedule(config).rates[:block]
+            assert len(set(min_snr_db(np.array(rates)))) > 1
+        for horizon in (1, block - 1, block, block + 1, 2 * block + 1):
+            cfg = replace(config, horizon=horizon)
+            out = compare_policies(cfg, policies)
+            want = reference_run(cfg, policies)
+            for policy in policies:
+                counts, masks = want[policy]
+                got = out.metrics[policy].served_counts
+                assert np.array_equal(got, counts), (horizon, policy)
+                assert np.array_equal(out.served_masks[policy], masks), (
+                    horizon, policy)
+
+    def test_fig7_sized_run_peaks_below_4_mb(self, tmp_path):
+        # M = 280 and three policies on a trace: the SNR buffer is bounded
+        # by _BLOCK_WORDS (1 MiB); a grown budget shows up here.
+        trace = write_synthetic_trace(str(tmp_path / "trace.txt"), seed=1)
+        cfg = SimConfig(ues_per_cell=40, radius_m=1000.0, horizon=100,
+                        num_drops=1, seed=1, trace_path=trace)
+        tracemalloc.start()
+        try:
+            compare_policies(cfg, ("cga", "sc", "mbsfn"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6

@@ -49,6 +49,17 @@ CLI_RUNS = {
             "summary.json": "6b14e90d5c0554ce6d1cf33e2f4669be4367f109532f6d5e818d4941511b3ef9",
         },
     ),
+    # M = 280 users on a video trace: the SNR buffer holds 6 sub-frames
+    # here, so 20 sub-frames per drop cross three block boundaries.
+    "fig7_m280": (
+        ["--preset", "fig7_trace_mc_vs_sc", "--seed", "5", "--ues", "40",
+         "--subframes", "20", "--drops", "2"],
+        {
+            "log_cga.csv": "bc3b0288ed03a4ec3bb9f9cf170e35a3d04db1859b2b0a5515ddd78048812f91",
+            "log_sc.csv": "9d05f30edc3823ef9de72f156bcbd11b2eaa0bfb4d6e61c7175dfd85ae2b0d32",
+            "summary.json": "978a3e27bb52e6aeb0aec59cfeac0c1c79dd6ef3c26a774a39f64290d598fea4",
+        },
+    ),
     "exact_prbs3": (
         ["--preset", "custom", "--policy", "exact", "--prbs", "3",
          "--seed", "5", "--ues", "3", "--subframes", "20", "--drops", "2",
@@ -68,6 +79,11 @@ CLI_RUNS = {
         },
     ),
 }
+# Fig. 6 reads the same sweeps as Fig. 5, so its artifacts are Fig. 5's.
+CLI_RUNS["fig6_sweep"] = (
+    ["--preset", "fig6_unserved_sweep", *CLI_RUNS["fig5_sweep"][0][2:]],
+    CLI_RUNS["fig5_sweep"][1],
+)
 
 # Every policy on one run, with served user ids in the log.
 SERVED_IDS_CONFIG = SimConfig(ues_per_cell=3, num_prbs=3, radius_m=1000.0,
