@@ -21,7 +21,6 @@ import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
 from .channel import ChannelModel, ChannelParams, min_snr_db
 from .coverage import (
@@ -82,6 +81,8 @@ class SimConfig:
 def _validate(config: SimConfig, policies: tuple[str, ...]) -> None:
     if config.horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if config.seed < 0:
+        raise ValueError("seed must be >= 0")
     if config.num_drops < 1:
         raise ValueError("num_drops must be >= 1")
     if config.ues_per_cell < 1:
@@ -142,6 +143,7 @@ class Metrics:
         d = len(self.drop_means)
         if d < 2:
             return 0.0
+        from scipy import stats  # deferred: scipy.stats takes about 1 s to import
         sem = self.drop_means.std(ddof=1) / np.sqrt(d)
         return float(stats.t.ppf(0.975, d - 1) * sem)
 
@@ -289,6 +291,7 @@ def paired_one_sided_pvalue(a: Metrics, b: Metrics) -> float:
     y = b.served_counts.ravel().astype(float)
     if np.allclose(x, y):
         return 1.0
+    from scipy import stats  # deferred: scipy.stats takes about 1 s to import
     return float(stats.ttest_rel(x, y, alternative="greater").pvalue)
 
 

@@ -8,6 +8,7 @@ and the frame stream is spread over the sub-frames of each frame period.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,15 @@ def parse_trace(path: str) -> list[tuple[int, float]]:
                 size_bytes = float(tokens[-1])
             except ValueError as exc:
                 raise TraceParseError(f"{path}:{lineno}: {exc}") from exc
-            if size_bytes < 0:
+            bits = size_bytes * 8
+            if not math.isfinite(bits):
+                raise TraceParseError(
+                    f"{path}:{lineno}: frame size {tokens[-1]!r} is not a "
+                    f"finite number of bits"
+                )
+            if bits < 0:
                 raise TraceParseError(f"{path}:{lineno}: negative frame size")
-            frames.append((index, round(size_bytes * 8)))
+            frames.append((index, round(bits)))
     if not frames:
         raise TraceParseError(f"{path}: no frames found")
     return frames

@@ -6,6 +6,10 @@ layer and silently skips a name it cannot find, so a rename or removal
 here would zero a per-layer metric without failing anything else.
 """
 
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 import mcmcast
@@ -99,3 +103,41 @@ def test_every_submodule_all_name_resolves(module):
     assert len(set(module.__all__)) == len(module.__all__)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, missing
+
+
+# Runs in a fresh interpreter, since this test process has long since
+# imported scipy.  PYTHONPATH comes from conftest.
+LAZY_SCIPY_CHILD = textwrap.dedent("""
+    import math, sys
+    import mcmcast, mcmcast.cli
+    from mcmcast import SimConfig, compare_policies, summary_dict
+
+    def scipy_loaded():
+        return sorted(m for m in sys.modules
+                      if m == "scipy" or m.startswith("scipy."))
+
+    mcmcast.cli.build_parser().parse_args(
+        ["run", "--preset", "fig4_dist_vs_central", "--out", "o"])
+    assert not scipy_loaded(), scipy_loaded()[:3]
+    # A wide radius leaves users unserved, so the statistics are not the
+    # early returns for identical policies.
+    config = SimConfig(ues_per_cell=4, radius_m=800.0, horizon=10,
+                       num_drops=2, seed=3)
+    output = compare_policies(config, ("cga", "mbsfn"))
+    assert not scipy_loaded(), scipy_loaded()[:3]
+
+    summary = summary_dict(output)
+    assert "scipy.stats" in sys.modules
+    for metrics in summary["metrics"].values():
+        assert math.isfinite(metrics["ci95_halfwidth"]), summary
+        assert metrics["ci95_halfwidth"] > 0, summary
+    assert summary["paired_pvalues"], summary
+    for pvalue in summary["paired_pvalues"].values():
+        assert math.isfinite(pvalue) and 0 <= pvalue < 1, summary
+""")
+
+
+def test_scipy_is_loaded_only_for_a_summary_statistic():
+    proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY_CHILD],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

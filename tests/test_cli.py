@@ -33,20 +33,26 @@ class TestExitCodes:
         ("--edge-threshold", "-0.1"),
         ("--rate", "nan"), ("--rate", "inf"), ("--rate", "-1"),
         ("--fps", "0"), ("--fps", "nan"), ("--fps", "inf"),
+        ("--seed", "-1"),
     ])
     def test_bad_value_is_2_before_any_drop(self, tmp_path, capsys, flag, value):
         assert invoke("run", flag, value, "--subframes", "3", "--drops", "1",
                       "--ues", "1", "--out", str(tmp_path)) == 2
-        assert "must be finite" in capsys.readouterr().err
+        message = "seed must be >= 0" if flag == "--seed" else "must be finite"
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "log_cga.csv").exists()
 
     def test_bad_config_writes_nothing(self, tmp_path, capsys):
         # The trace preset would synthesize trace.txt into --out first.
-        out = tmp_path / "o"
-        assert invoke("run", "--preset", "fig7_trace_mc_vs_sc", "--radius",
-                      "nan", "--out", str(out)) == 2
-        assert "radius_m must be finite" in capsys.readouterr().err
-        assert not out.exists()
+        for flag, value, message in [
+            ("--radius", "nan", "radius_m must be finite"),
+            ("--seed", "-1", "seed must be >= 0"),
+        ]:
+            out = tmp_path / flag.lstrip("-")
+            assert invoke("run", "--preset", "fig7_trace_mc_vs_sc", flag, value,
+                          "--out", str(out)) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_preset_is_2(self, tmp_path):
         proc = subprocess.run(
@@ -59,6 +65,16 @@ class TestExitCodes:
         bad.write_text("not a frame line\n")
         assert invoke("run", "--trace", str(bad), "--subframes", "3",
                       "--out", str(tmp_path / "o")) == 3
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("size", ["inf", "nan"])
+    def test_non_finite_trace_size_is_3_and_writes_nothing(self, tmp_path,
+                                                           capsys, size):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"0 I 0.0 {size}\n")
+        assert invoke("run", "--trace", str(bad), "--subframes", "3",
+                      "--out", str(tmp_path / "o")) == 3
+        assert f"{bad}:1:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_trace_is_2_and_writes_nothing(self, tmp_path):

@@ -1,5 +1,7 @@
 """Trace parsing and per-sub-frame bit schedules."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,14 @@ class TestParseTrace:
         path = tmp_path / "t.txt"
         path.write_text("0 I 0.0 -5\n")
         with pytest.raises(TraceParseError):
+            parse_trace(str(path))
+
+    @pytest.mark.parametrize("size", ["inf", "-inf", "nan", "1e308"])
+    def test_non_finite_size_rejected_with_its_line(self, tmp_path, size):
+        # 1e308 bytes is finite but overflows to inf once turned into bits.
+        path = tmp_path / "t.txt"
+        path.write_text(f"0 I 0.0 100\n1 P 0.03 {size}\n")
+        with pytest.raises(TraceParseError, match="^" + re.escape(f"{path}:2: ")):
             parse_trace(str(path))
 
     def test_empty_file_rejected(self, tmp_path):
