@@ -214,6 +214,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     for key in ("instances", "max_users", "max_cells", "max_prbs"):
         if getattr(args, key) < 1:
             raise ValueError(f"--{key.replace('_', '-')} must be >= 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     rng = np.random.default_rng(args.seed)
     worst = np.inf
     for _ in range(args.instances):

@@ -17,7 +17,10 @@ provides:
   * solve_dga   -- uncoordinated per-cell argmax
   * solve_sc    -- per-cell argmax on a single-connectivity instance
   * solve_mbsfn -- one common PRB index for every cell
-  * solve_exact -- exhaustive search over all N^C allocations (oracle)
+  * solve_exact -- exhaustive search over all N^C allocations (oracle),
+                   bit-packed unions of head cells ORed against unions
+                   of tail cells, a group of instances at a time, in
+                   chunks of at most 128 KiB
 
 plus the reduction pair (reduce_mcp / map_solution) between plain
 maximum coverage and the partitioned problem.
@@ -66,10 +69,14 @@ __all__ = [
 
 EXACT_DEFAULT_CAP = 10_000_000
 
-# Upper bound on the uint64 words one block of the exhaustive search holds
-# (2 MiB); the search enumerates its allocations in blocks of at most this
-# size so that even the full cap never materializes at once.
-_EXACT_BLOCK_WORDS = 1 << 18
+# Upper bound on the uint64 words one chunk of the exhaustive search holds
+# (128 KiB).  It sets both how many instances exact_block searches together
+# and how many head unions each chunk ORs against the tail unions, so that
+# even the full cap never materializes at once.  2^16 words searched the
+# 4^7 allocations of 4 sub-frames per chunk and ran the exact_n4 benchmark
+# about 1.5x faster, but its peak RSS, which grows with the chunks the
+# harness completes, then read past the benchmark's bound (CHANGES.md).
+_EXACT_BLOCK_WORDS = 1 << 14
 
 # Greedy-to-optimal ratio the oracle suite checks for: 1 - 1/e.  This is
 # the classic cardinality-constrained greedy figure; under the
@@ -268,18 +275,54 @@ def mbsfn_block(covers: np.ndarray) -> np.ndarray:
 
 
 def exact_block(covers: np.ndarray, cap: int = EXACT_DEFAULT_CAP) -> np.ndarray:
-    """The exhaustive oracle on each instance of the stack in turn; see
-    solve_exact."""
+    """The exhaustive oracle on every instance of the stack; see solve_exact.
+
+    An allocation is the OR of one bit-packed row per cell.  The cells
+    split into leading head cells and trailing tail cells: each allocation
+    is one head union ORed with one tail union, and its index in
+    itertools.product order is head index * N^tail + tail index.  The
+    search takes G instances at a time and ORs r head unions against all
+    tail unions at once, keeping every (G, r, N^tail, W) chunk within
+    _EXACT_BLOCK_WORDS words.  A flat argmax per instance keeps the first
+    maximizer within a chunk, and a later chunk replaces it only when
+    strictly larger, so the first maximizer overall wins.
+    """
     num_blocks, num_cells, num_prbs, _ = covers.shape
     candidates = num_prbs ** num_cells
     if candidates > cap:
         raise CapExceededError(
             f"{num_prbs}^{num_cells} = {candidates} allocations exceeds cap {cap}"
         )
-    chosen = np.zeros((num_blocks, num_cells), dtype=np.intp)
-    for b, words in enumerate(_packed(covers)):
-        chosen[b] = _exact_allocation(words)
-    return chosen
+    words = _packed(covers)
+    width = words.shape[-1]
+    budget = _EXACT_BLOCK_WORDS // max(width, 1)  # rows of W words
+    tail_cells = -(-num_cells // 2)
+    while tail_cells and num_prbs ** tail_cells > budget:
+        tail_cells -= 1
+    head_cells = num_cells - tail_cells
+    heads, tails = num_prbs ** head_cells, num_prbs ** tail_cells
+    group = max(1, budget // (heads * tails))
+    rows = max(1, min(heads, budget // (group * tails)))
+
+    best_index = np.zeros(num_blocks, dtype=np.intp)
+    for b0 in range(0, num_blocks, group):
+        block = words[b0: b0 + group]
+        size = len(block)
+        head = _unions(block[:, :head_cells])
+        tail = _unions(block[:, head_cells:])
+        best_count = np.full(size, -1, dtype=np.int64)
+        index = best_index[b0: b0 + group]
+        for h0 in range(0, heads, rows):
+            # one expression, so that no chunk of ORs outlives its popcount
+            counts = np.bitwise_count(head[:, h0: h0 + rows, None] | tail[:, None])
+            counts = counts[..., 0] if width == 1 else counts.sum(axis=-1, dtype=np.int64)
+            counts = counts.reshape(size, -1)
+            i = counts.argmax(axis=-1)
+            count = counts[np.arange(size), i]
+            better = count > best_count
+            best_count[better] = count[better]
+            index[better] = h0 * tails + i[better]
+    return np.stack(np.unravel_index(best_index, (num_prbs,) * num_cells), axis=-1)
 
 
 # -------------------------------------------------- single-instance solvers
@@ -339,39 +382,15 @@ def solve_exact(inst: CoverageInstance, cap: int = EXACT_DEFAULT_CAP) -> Coverag
     return _result(inst, exact_block(inst.cover[None], cap))
 
 
-def _exact_allocation(words: np.ndarray) -> tuple[int, ...]:
-    """The first maximizing allocation of one instance, given as its
-    (C, N, W) bit-packed rows.
-
-    The allocations are enumerated in itertools.product order as ORs of
-    bit-packed rows: the unions over the trailing cells form one block,
-    which is ORed with each union over the leading cells in turn.  The
-    split keeps a block within _EXACT_BLOCK_WORDS words.
-    """
-    num_cells, num_prbs, _ = words.shape
-    width = max(words.shape[-1], 1)
-    tail_cells = 1
-    while (tail_cells < num_cells
-           and num_prbs ** (tail_cells + 1) * width <= _EXACT_BLOCK_WORDS):
-        tail_cells += 1
-    head, tail = words[: num_cells - tail_cells], _unions(words[num_cells - tail_cells:])
-
-    best_count, best_index = -1, 0
-    for h, prefix in enumerate(_unions(head)):
-        counts = np.bitwise_count(tail | prefix).sum(axis=-1, dtype=np.int64)
-        i = int(counts.argmax())
-        if counts[i] > best_count:
-            best_count, best_index = int(counts[i]), h * len(tail) + i
-    return np.unravel_index(best_index, (num_prbs,) * num_cells)
-
-
 def _unions(words: np.ndarray) -> np.ndarray:
-    """(K, N, W) rows -> (N^K, W) unions of one row per cell, in
+    """(..., K, N, W) rows -> (..., N^K, W) unions of one row per cell, in
     itertools.product order (the last cell varies fastest)."""
-    width = words.shape[-1]
-    out = np.zeros((1, width), dtype=np.uint64)
-    for rows in words:
-        out = (out[:, None, :] | rows[None, :, :]).reshape(len(out) * len(rows), width)
+    *lead, num_cells, num_prbs, width = words.shape
+    out = np.zeros((*lead, 1, width), dtype=np.uint64)
+    for c in range(num_cells):
+        rows = words[..., c, :, :]
+        out = (out[..., :, None, :] | rows[..., None, :, :]).reshape(
+            *lead, out.shape[-2] * num_prbs, width)
     return out
 
 

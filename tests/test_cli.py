@@ -100,6 +100,12 @@ class TestExitCodes:
         assert f"{flag} must be >= 1" in captured.err
         assert "PASS" not in captured.out
 
+    def test_oracle_check_negative_seed_is_2(self, capsys):
+        assert invoke("oracle-check", "--seed", "-1", "--instances", "2") == 2
+        captured = capsys.readouterr()
+        assert "--seed must be >= 0" in captured.err
+        assert "PASS" not in captured.out
+
 
 class TestArtifacts:
     def test_compare_preset_writes_per_policy_logs(self, tmp_path):

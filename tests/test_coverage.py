@@ -1,6 +1,7 @@
 """Solver correctness: golden two-cell fixture, greedy bound vs. the
 exhaustive oracle, reduction round-trips, and structural properties."""
 
+import functools
 import itertools
 import tracemalloc
 
@@ -315,7 +316,6 @@ class TestBlockKernels:
                 solve_dga: dga_block(covers),
                 (lambda inst: solve_dga(inst, own)): dga_block(covers, own),
                 solve_mbsfn: mbsfn_block(covers),
-                solve_exact: exact_block(covers),
             }
             for solve, chosen in kernels.items():
                 served = served_block(covers, chosen)
@@ -326,6 +326,53 @@ class TestBlockKernels:
             for b, inst in enumerate(insts):
                 assert np.array_equal(order[b], cga_block(inst.cover[None])[1][0])
         assert stacked >= 500
+
+
+@functools.cache
+def reference_stacks():
+    """(covers, reference_exact of each row) for stacks of same-shape
+    instances.  Few users and varied densities make argmax ties common;
+    the shapes include C = 1, N = 1 and two-word (65-128 user) rows."""
+    rng = np.random.default_rng(37)
+    groups = {}
+    for _ in range(400):
+        inst = random_instance(rng, max_users=5, max_cells=4, max_prbs=3)
+        groups.setdefault(inst.cover.shape, []).append(inst)
+    for shape in [(3, 3, 65), (2, 4, 128), (1, 3, 100), (3, 1, 70)]:
+        groups[shape] = [CoverageInstance(rng.random(shape) < density)
+                         for density in (0.02, 0.1, 0.5, 0.9, 0.98, 0.5, 0.05)]
+    shapes = groups.keys()
+    assert any(c == 1 for c, _, _ in shapes) and any(n == 1 for _, n, _ in shapes)
+    return [(np.stack([inst.cover for inst in insts]),
+             [reference_exact(inst) for inst in insts])
+            for insts in groups.values()]
+
+
+class TestStackedExact:
+    # 40 words: the (4, 2) stacks search 2 instances at a time with an odd
+    # number of instances, and the (4, 3) and two-word (3, 3) heads span
+    # several chunks.  1 word puts every cell in the head.
+    @pytest.mark.parametrize("block_words", [coverage._EXACT_BLOCK_WORDS, 1, 8, 40])
+    def test_each_row_is_the_reference_allocation(self, block_words, monkeypatch):
+        monkeypatch.setattr(coverage, "_EXACT_BLOCK_WORDS", block_words)
+        for covers, references in reference_stacks():
+            chosen = exact_block(covers)
+            served = served_block(covers, chosen)
+            for b, (ref_chosen, ref_served) in enumerate(references):
+                assert tuple(chosen[b].tolist()) == ref_chosen
+                assert frozenset(np.flatnonzero(served[b]).tolist()) == ref_served
+
+    def test_exact_n4_sized_stack_stays_small(self):
+        # 100 sub-frames of 7 cells, 4 PRBs and 35 users, as the exact_n4
+        # benchmark runs them; its peak RSS is gated.
+        covers = np.random.default_rng(5).random((100, 7, 4, 35)) < 0.3
+        tracemalloc.start()
+        try:
+            exact_block(covers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 def brute_force_mcp(mcp: McpInstance) -> int:

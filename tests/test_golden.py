@@ -60,6 +60,8 @@ CLI_RUNS = {
             "summary.json": "978a3e27bb52e6aeb0aec59cfeac0c1c79dd6ef3c26a774a39f64290d598fea4",
         },
     ),
+    # 3^7 allocations on M = 21 users: the exact oracle searches 7
+    # sub-frames at a time, so 20 sub-frames take groups of 7, 7 and 6.
     "exact_prbs3": (
         ["--preset", "custom", "--policy", "exact", "--prbs", "3",
          "--seed", "5", "--ues", "3", "--subframes", "20", "--drops", "2",
@@ -67,6 +69,16 @@ CLI_RUNS = {
         {
             "log_exact.csv": "04caa865debd9101463b57f39eb7c3277f2e71f565a83ec6476145fea4d3de13",
             "summary.json": "e53d9b68f75cea05eaf8f4d92c7a8c5ea19f6d7e83e0fbc62d0778a9dec2c1fd",
+        },
+    ),
+    # The exact_n4 benchmark's shape: 4^7 allocations on M = 35 users.
+    "exact_prbs4": (
+        ["--preset", "custom", "--policy", "exact", "--prbs", "4",
+         "--seed", "5", "--ues", "5", "--subframes", "30", "--drops", "2",
+         "--radius", "1000"],
+        {
+            "log_exact.csv": "067730e86254afe9af3446bfe83ead2d35e4a8d22fb9adc67cf2341d9782384e",
+            "summary.json": "89693a55e6be46bfa7ca8ab446a663d6c6604a343743d91870afdf0024e83bcb",
         },
     ),
     "fig5_sweep": (
