@@ -1,31 +1,13 @@
-"""Multi-connectivity multicast PRB allocation: solvers, channel model,
-seven-cell scenario builder, trace-driven traffic, and simulation engine."""
+"""Multi-connectivity multicast PRB allocation: allocation kernels, channel
+model, seven-cell scenario builder, trace-driven traffic, and simulation
+engine."""
 
-from .channel import (
-    DEFAULT_RATE_TABLE,
-    ChannelModel,
-    ChannelParams,
-    path_loss,
-    rate_from_snr,
-    snr,
-)
+from .channel import DEFAULT_RATE_TABLE, ChannelModel, ChannelParams, path_loss, snr
 from .coverage import (
     EXACT_DEFAULT_CAP,
     GREEDY_BOUND,
     CapExceededError,
-    CoverageInstance,
-    CoverageResult,
-    McpInstance,
-    evaluate,
-    map_solution,
     random_instance,
-    reduce_mcp,
-    solve_cga,
-    solve_cga_trace,
-    solve_dga,
-    solve_exact,
-    solve_mbsfn,
-    solve_sc,
 )
 from .engine import (
     POLICIES,
@@ -43,7 +25,6 @@ from .engine import (
 from .topology import NetworkScenario, build_hex7
 from .traffic import (
     TraceParseError,
-    TraceSchedule,
     parse_trace,
     schedule_constant,
     schedule_from_trace,
@@ -56,40 +37,26 @@ __all__ = [
     "CapExceededError",
     "ChannelModel",
     "ChannelParams",
-    "CoverageInstance",
-    "CoverageResult",
     "DEFAULT_RATE_TABLE",
     "EXACT_DEFAULT_CAP",
     "GREEDY_BOUND",
-    "McpInstance",
     "Metrics",
     "NetworkScenario",
     "POLICIES",
     "RunOutput",
     "SimConfig",
     "TraceParseError",
-    "TraceSchedule",
     "build_hex7",
     "compare_policies",
-    "evaluate",
     "log_to_csv",
-    "map_solution",
     "metrics_from_log",
     "paired_one_sided_pvalue",
     "parse_trace",
     "path_loss",
     "random_instance",
-    "rate_from_snr",
-    "reduce_mcp",
     "schedule_constant",
     "schedule_from_trace",
     "snr",
-    "solve_cga",
-    "solve_cga_trace",
-    "solve_dga",
-    "solve_exact",
-    "solve_mbsfn",
-    "solve_sc",
     "summary_dict",
     "sweep",
     "sweep_to_csv",

@@ -25,7 +25,6 @@ __all__ = [
     "ChannelModel",
     "path_loss",
     "snr",
-    "rate_from_snr",
     "min_snr_db",
     "DEFAULT_RATE_TABLE",
 ]
@@ -120,21 +119,15 @@ def snr(params: ChannelParams, path_loss_db, shadow_db=0.0):
     return params.per_prb_tx_dbm - path_loss_db - shadow_db - params.noise_floor_dbm
 
 
-def rate_from_snr(snr_db):
-    """Decodable rate for an SNR: 0 below the first step, then the highest
-    step whose threshold is met, saturating at the top step.  Vectorized."""
-    idx = np.searchsorted(_THRESHOLDS_DB, np.asarray(snr_db, dtype=float), side="right")
-    out = np.where(idx > 0, _RATES[np.maximum(idx - 1, 0)], 0.0)
-    return float(out) if np.isscalar(snr_db) else out
-
-
 def min_snr_db(required):
     """Lowest SNR whose decodable rate meets `required`.  Vectorized.
 
-    Rates step up strictly, so rate_from_snr(s) >= required holds exactly
-    when s >= min_snr_db(required): the threshold of the first step whose
-    rate reaches `required`.  -inf when required <= 0 (outage still meets
-    it), +inf when it is above the top step.
+    An SNR decodes the rate of the highest step whose threshold it meets,
+    and 0 below the first step.  Rates step up strictly, so that rate
+    meets `required` exactly when the SNR is at least the threshold of the
+    first step whose rate reaches `required`, which is returned: -inf when
+    required <= 0 (outage still meets it), +inf when it is above the top
+    step.
     """
     req = np.asarray(required, dtype=float)
     idx = np.searchsorted(_RATES, req, side="left")
@@ -163,13 +156,6 @@ class ChannelModel:
         """One lognormal shadowing realization per (cell, UE), in dB."""
         return rng.normal(0.0, self.params.shadowing_sigma_db, size=self._pl_db.shape)
 
-    def snr_subframe(self, shadow_db: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """(C, N, M) SNR draw for one sub-frame; the one-sub-frame case of
-        snr_block."""
-        num_cells, num_users = self._pl_db.shape
-        out = np.empty((1, num_cells, self.num_prbs, num_users))
-        return self.snr_block(shadow_db, rng, out)[0]
-
     def snr_block(
         self, shadow_db: np.ndarray, rng: np.random.Generator, out: np.ndarray
     ) -> np.ndarray:
@@ -183,7 +169,7 @@ class ChannelModel:
         if not self.params.fast_fading:
             out[...] = base
             return out
-        # base + 10 * log10(max(power, 1e-12)), evaluated in place: the
+        # base + 10 * log10(max(power, 1e-12)), computed in place: the
         # same IEEE operations without three array-sized temporaries
         rng.standard_exponential(out=out)
         np.maximum(out, 1e-12, out=out)

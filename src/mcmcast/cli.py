@@ -15,11 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .coverage import (
-    CapExceededError,
+    EXACT_DEFAULT_CAP,
     GREEDY_BOUND,
+    CapExceededError,
+    cga_block,
+    exact_block,
     random_instance,
-    solve_cga,
-    solve_exact,
+    served_block,
 )
 from .engine import (
     POLICIES,
@@ -216,15 +218,23 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             raise ValueError(f"--{key.replace('_', '-')} must be >= 1")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
+    # The largest search space a draw may reach is refused before any draw.
+    # 2^64 is over the cap, so a huge --max-cells needs no huge power.
+    if args.max_prbs > 1 and (args.max_cells >= 64
+                              or args.max_prbs ** args.max_cells > EXACT_DEFAULT_CAP):
+        raise CapExceededError(
+            f"exact search space up to {args.max_prbs}^{args.max_cells} "
+            f"exceeds cap {EXACT_DEFAULT_CAP}"
+        )
     rng = np.random.default_rng(args.seed)
     worst = np.inf
     for _ in range(args.instances):
-        inst = random_instance(
+        cover = random_instance(
             rng, max_users=args.max_users, max_cells=args.max_cells,
             max_prbs=args.max_prbs,
-        )
-        opt = solve_exact(inst).served_count
-        greedy = solve_cga(inst).served_count
+        )[None]
+        opt = int(served_block(cover, exact_block(cover)).sum())
+        greedy = int(served_block(cover, cga_block(cover)).sum())
         if opt:
             worst = min(worst, greedy / opt)
     ok = worst >= GREEDY_BOUND

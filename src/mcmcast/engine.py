@@ -33,12 +33,7 @@ from .coverage import (
     served_block,
 )
 from .topology import MC, NUM_CELLS, SC, _frozen, build_hex7, eligibility
-from .traffic import (
-    TraceSchedule,
-    parse_trace,
-    schedule_constant,
-    schedule_from_trace,
-)
+from .traffic import parse_trace, schedule_constant, schedule_from_trace
 
 __all__ = [
     "POLICIES", "SimConfig", "Metrics", "RunOutput",
@@ -170,7 +165,8 @@ class RunOutput:
     served_masks: dict[str, np.ndarray]
 
 
-def _build_schedule(config: SimConfig) -> TraceSchedule:
+def _build_schedule(config: SimConfig) -> np.ndarray:
+    """(T,) bits each sub-frame of the trace, or of the horizon, demands."""
     if config.trace_path:
         frames = parse_trace(config.trace_path)
         return schedule_from_trace(
@@ -184,7 +180,7 @@ def _build_schedule(config: SimConfig) -> TraceSchedule:
 def _chosen(policy, covers, config, own) -> np.ndarray:
     """(B, C) PRBs `policy` picks on a (B, C, N, M) stack of instances."""
     if policy == "cga":
-        return cga_block(covers)[0]
+        return cga_block(covers)
     if policy == "dga":
         return dga_block(covers, own if config.dga_count == "primary" else None)
     if policy == "sc":
@@ -212,7 +208,7 @@ def compare_policies(
             RuntimeWarning, stacklevel=2,
         )
     # (T,) SNR each sub-frame's demand needs; np.resize repeats a short trace
-    threshold = min_snr_db(np.resize(schedule.rates, horizon))
+    threshold = min_snr_db(np.resize(schedule, horizon))
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
     num_users = NUM_CELLS * config.ues_per_cell

@@ -9,33 +9,17 @@ and the frame stream is spread over the sub-frames of each frame period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "TraceParseError", "TraceSchedule", "parse_trace", "schedule_from_trace",
+    "TraceParseError", "parse_trace", "schedule_from_trace",
     "schedule_constant", "write_synthetic_trace",
 ]
 
 
 class TraceParseError(ValueError):
     """Raised when a trace file cannot be interpreted."""
-
-
-@dataclass(frozen=True)
-class TraceSchedule:
-    """Bits demanded in each sub-frame of the session."""
-
-    subframe_s: float
-    rates: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.rates)
-
-    @property
-    def total_bits(self) -> float:
-        return float(sum(self.rates))
 
 
 def parse_trace(path: str) -> list[tuple[int, float]]:
@@ -75,8 +59,9 @@ def schedule_from_trace(
     fps: float,
     subframe_s: float = 1e-3,
     burst: bool = False,
-) -> TraceSchedule:
-    """Spread each frame's bits over the sub-frames of its frame period.
+) -> np.ndarray:
+    """(T,) bits demanded in each sub-frame: each frame's bits spread over
+    the sub-frames of its frame period.
 
     With ``burst`` the whole frame lands on the first sub-frame of the
     period; otherwise bits are split evenly with the remainder on the
@@ -97,17 +82,20 @@ def schedule_from_trace(
             chunk = [share] * n_sub
             chunk[-1] = float(bits) - share * (n_sub - 1)
             rates.extend(chunk)
-    return TraceSchedule(subframe_s=subframe_s, rates=tuple(rates))
+    return np.array(rates)
 
 
 def schedule_constant(
     rate_bits: float, length: int, subframe_s: float = 1e-3
-) -> TraceSchedule:
+) -> np.ndarray:
+    """(length,) bits demanded in each sub-frame, all equal to rate_bits.
+    subframe_s is accepted for symmetry with schedule_from_trace; a
+    constant demand does not depend on it."""
     if rate_bits < 0:
         raise ValueError("rate_bits must be >= 0")
     if length <= 0:
         raise ValueError("length must be > 0")
-    return TraceSchedule(subframe_s=subframe_s, rates=(float(rate_bits),) * length)
+    return np.full(length, float(rate_bits))
 
 
 def write_synthetic_trace(

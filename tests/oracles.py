@@ -1,0 +1,138 @@
+"""Test-only oracles for the allocation kernels: a set-based view of a
+(C, N, M) coverage instance and its constructor, a kernel's choice on one
+instance and how many it serves, the set-union served users of an
+allocation, the greedy's per-step history, the embedding of plain maximum
+coverage, the SNR->rate step function, and a one-sub-frame SNR draw.
+
+The package works on bare boolean arrays only; these helpers rebuild the
+set form the paper states the problem in, so the tests can check the
+kernels against it.  pytest does not collect this module (its name does
+not start with test_); the tests import it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from mcmcast.channel import _RATES, _THRESHOLDS_DB
+from mcmcast.coverage import served_block
+
+
+def from_sets(
+    num_users: int,
+    num_cells: int,
+    num_prbs: int,
+    sets: Sequence[Sequence[Sequence[int]]],
+) -> np.ndarray:
+    """The (C, N, M) cover array of sets[c][j], the user ids decodable on
+    (cell c, PRB j)."""
+    if num_users < 0 or num_cells < 1 or num_prbs < 1:
+        raise ValueError("need num_users >= 0, num_cells >= 1, num_prbs >= 1")
+    if len(sets) != num_cells:
+        raise ValueError(f"expected {num_cells} cell rows, got {len(sets)}")
+    cover = np.zeros((num_cells, num_prbs, num_users), dtype=bool)
+    for c, row in enumerate(sets):
+        if len(row) != num_prbs:
+            raise ValueError(f"cell {c}: expected {num_prbs} PRB sets, got {len(row)}")
+        for j, users in enumerate(row):
+            ids = np.fromiter(users, dtype=int, count=len(users))
+            if ids.size and (ids.min() < 0 or ids.max() >= num_users):
+                raise ValueError(f"U[{c}][{j}] contains out-of-range user ids")
+            cover[c, j, ids] = True
+    return cover
+
+
+def sets_of(cover: np.ndarray) -> tuple[tuple[frozenset[int], ...], ...]:
+    """sets[c][j]: frozenset of the user ids k with cover[c, j, k]."""
+    return tuple(
+        tuple(frozenset(np.flatnonzero(users).tolist()) for users in row)
+        for row in cover
+    )
+
+
+def chosen_by(kernel, cover: np.ndarray, *args) -> tuple[int, ...]:
+    """The PRBs a block kernel picks on the single instance `cover`, as
+    the stack of that one instance."""
+    return tuple(kernel(cover[None], *args)[0].tolist())
+
+
+def served_count(kernel, cover: np.ndarray, *args) -> int:
+    """How many users the choice of a block kernel serves on the single
+    instance `cover`."""
+    stack = cover[None]
+    return int(served_block(stack, kernel(stack, *args)).sum())
+
+
+def served_set(cover: np.ndarray, chosen: Sequence[int]) -> frozenset[int]:
+    """Users served when cell c transmits on PRB chosen[c]: the union of
+    the chosen sets."""
+    sets = sets_of(cover)
+    return frozenset().union(*(sets[c][j] for c, j in enumerate(chosen)))
+
+
+def cga_history(cover: np.ndarray, chosen: Sequence[int]) -> tuple[int, ...]:
+    """Covered users after each greedy step of the allocation `chosen`
+    that cga_block returned on `cover`.
+
+    Replays the greedy over the C chosen (cell, PRB) pairs alone, ties to
+    the lowest cell.  This is the kernel's own pick order: the pair it
+    picks at each step is one of these, beats or ties every other live
+    pair, and on a tie has the lowest flat (cell, prb) index.
+    """
+    sets = sets_of(cover)
+    remaining = list(range(len(chosen)))
+    covered, history = frozenset(), []
+    for _ in range(len(chosen)):
+        cell = max(remaining, key=lambda c: (len(sets[c][chosen[c]] - covered), -c))
+        covered |= sets[cell][chosen[cell]]
+        remaining.remove(cell)
+        history.append(len(covered))
+    return tuple(history)
+
+
+@dataclass(frozen=True)
+class McpInstance:
+    """Plain maximum coverage: pick at most k of the sets to cover the universe."""
+
+    universe_size: int
+    k: int
+    sets: tuple[frozenset[int], ...]
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        for j, t in enumerate(self.sets):
+            if t and (min(t) < 0 or max(t) >= self.universe_size):
+                raise ValueError(f"set {j} contains out-of-range elements")
+
+
+def reduce_mcp(mcp: McpInstance) -> np.ndarray:
+    """Embed a plain maximum-coverage instance: k cells, one PRB per input
+    set, and every cell sees the identical sub-collection."""
+    row = from_sets(mcp.universe_size, 1, len(mcp.sets), (mcp.sets,))
+    return np.repeat(row, mcp.k, axis=0)
+
+
+def map_solution(chosen: Sequence[int]) -> list[int]:
+    """Map an allocation on a reduced instance back to a maximum-coverage
+    solution: the deduplicated PRB indices are the chosen set indices."""
+    return sorted(set(chosen))
+
+
+def rate_from_snr(snr_db):
+    """Decodable rate for an SNR: 0 below the first step, then the highest
+    step whose threshold is met, saturating at the top step.  Vectorized."""
+    idx = np.searchsorted(_THRESHOLDS_DB, np.asarray(snr_db, dtype=float), side="right")
+    out = np.where(idx > 0, _RATES[np.maximum(idx - 1, 0)], 0.0)
+    return float(out) if np.isscalar(snr_db) else out
+
+
+def snr_subframe(model, shadow_db: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """(C, N, M) SNR draw of one sub-frame: the one-sub-frame case of
+    ChannelModel.snr_block."""
+    num_cells, num_users = shadow_db.shape
+    out = np.empty((1, num_cells, model.num_prbs, num_users))
+    return model.snr_block(shadow_db, rng, out)[0]

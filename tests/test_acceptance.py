@@ -20,20 +20,24 @@ import pytest
 from mcmcast.channel import ChannelModel, ChannelParams, path_loss
 from mcmcast.coverage import (
     GREEDY_BOUND,
-    CoverageInstance,
-    McpInstance,
-    map_solution,
+    cga_block,
+    dga_block,
+    exact_block,
+    mbsfn_block,
     random_instance,
-    reduce_mcp,
-    solve_cga,
-    solve_cga_trace,
-    solve_dga,
-    solve_exact,
-    solve_mbsfn,
 )
 from mcmcast.engine import SimConfig, compare_policies, paired_one_sided_pvalue, sweep
 from mcmcast.topology import build_hex7
 from mcmcast.traffic import write_synthetic_trace
+from oracles import (
+    McpInstance,
+    cga_history,
+    chosen_by,
+    map_solution,
+    reduce_mcp,
+    served_count,
+    served_set,
+)
 
 ORACLE_SEED = 1
 ORACLE_INSTANCES = 200
@@ -52,17 +56,17 @@ def criterion(num, text):
 def oracle_suite():
     rng = np.random.default_rng(ORACLE_SEED)
     for _ in range(ORACLE_INSTANCES):
-        inst = random_instance(rng)
-        opt = solve_exact(inst).served_count
-        _, history = solve_cga_trace(inst)
-        yield inst, opt, (0,) + history
+        cover = random_instance(rng)
+        opt = served_count(exact_block, cover)
+        history = cga_history(cover, chosen_by(cga_block, cover))
+        yield len(cover), opt, (0,) + history
 
 
 def test_c1_greedy_within_coverage_bound_of_exact():
     with criterion(1, "greedy/exact >= 1 - 1/e on 200 random instances"):
         start = time.monotonic()
-        for inst, opt, m in oracle_suite():
-            greedy = m[inst.num_cells]
+        for c, opt, m in oracle_suite():
+            greedy = m[c]
             assert greedy <= opt
             if opt:
                 assert greedy / opt >= GREEDY_BOUND
@@ -78,8 +82,7 @@ def test_c1_greedy_within_coverage_bound_of_exact():
 )
 def test_c2_per_iteration_bounds_strict_form():
     with criterion("2 (strict)", "per-iteration bounds on every instance"):
-        for inst, opt, m in oracle_suite():
-            c = inst.num_cells
+        for c, opt, m in oracle_suite():
             for n in range(c):
                 assert (m[n + 1] - m[n]) * c >= opt - m[n]
                 assert (opt - m[n]) * c ** n <= (c - 1) ** n * opt
@@ -91,8 +94,7 @@ def test_c2_per_iteration_bounds_restricted_form():
         "integer bounds that do hold: first-iteration gain covers OPT/C, "
         "gains never increase, greedy never exceeds OPT",
     ):
-        for inst, opt, m in oracle_suite():
-            c = inst.num_cells
+        for c, opt, m in oracle_suite():
             assert m[1] * c >= opt
             gains = [m[n + 1] - m[n] for n in range(c)]
             assert all(a >= b for a, b in zip(gains, gains[1:]))
@@ -109,18 +111,17 @@ def test_c3_two_cell_worked_example_bit_exact():
         # (C, M): user 1 hears only cell 0, users 4 and 5 only cell 1.
         eligible = np.array([[True, True, True, True, False, False],
                              [True, False, True, True, True, True]])
-        inst = CoverageInstance((rates >= 2.0) & eligible[:, None, :])
+        cover = (rates >= 2.0) & eligible[:, None, :]
 
-        cga = solve_cga(inst)
-        assert cga.chosen == (0, 1)
-        assert cga.served == frozenset(range(6))
+        cga = chosen_by(cga_block, cover)
+        assert cga == (0, 1)
+        assert served_set(cover, cga) == frozenset(range(6))
 
-        dga = solve_dga(inst)
-        assert dga.chosen == (1, 1)
-        assert dga.served == frozenset({1, 2, 3, 4, 5})
+        dga = chosen_by(dga_block, cover)
+        assert dga == (1, 1)
+        assert served_set(cover, dga) == frozenset({1, 2, 3, 4, 5})
 
-        mbsfn = solve_mbsfn(inst)
-        assert mbsfn.served_count == 5
+        assert served_count(mbsfn_block, cover) == 5
 
 
 def test_c4_reduction_round_trip_matches_direct_solver():
@@ -137,8 +138,8 @@ def test_c4_reduction_round_trip_matches_direct_solver():
                 for _ in range(m)
             )
             mcp = McpInstance(universe_size=universe, k=k, sets=sets)
-            result = solve_exact(reduce_mcp(mcp))
-            picked = map_solution(result.chosen)
+            cover = reduce_mcp(mcp)
+            picked = map_solution(chosen_by(exact_block, cover))
             covered = frozenset().union(
                 frozenset(), *(mcp.sets[i] for i in picked))
 
@@ -147,7 +148,7 @@ def test_c4_reduction_round_trip_matches_direct_solver():
                 for combo in itertools.combinations(range(m), size):
                     union = frozenset().union(*(mcp.sets[i] for i in combo))
                     best = max(best, len(union))
-            assert len(covered) == result.served_count == best
+            assert len(covered) == served_count(exact_block, cover) == best
 
 
 def test_c5_coordinated_beats_uncoordinated_at_scale():

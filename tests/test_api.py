@@ -1,5 +1,5 @@
-"""The public surface: the package's __all__ and the names the benchmark
-harness in perfbench/ looks up.
+"""The public surface: the package's __all__, the names deleted from it,
+and the names the benchmark harness in perfbench/ looks up.
 
 The harness wraps names on mcmcast.engine and mcmcast.cli to time each
 layer and silently skips a name it cannot find, so a rename or removal
@@ -21,45 +21,40 @@ PUBLIC = {
     "CapExceededError",
     "ChannelModel",
     "ChannelParams",
-    "CoverageInstance",
-    "CoverageResult",
     "DEFAULT_RATE_TABLE",
     "EXACT_DEFAULT_CAP",
     "GREEDY_BOUND",
-    "McpInstance",
     "Metrics",
     "NetworkScenario",
     "POLICIES",
     "RunOutput",
     "SimConfig",
     "TraceParseError",
-    "TraceSchedule",
     "build_hex7",
     "compare_policies",
-    "evaluate",
     "log_to_csv",
-    "map_solution",
     "metrics_from_log",
     "paired_one_sided_pvalue",
     "parse_trace",
     "path_loss",
     "random_instance",
-    "rate_from_snr",
-    "reduce_mcp",
     "schedule_constant",
     "schedule_from_trace",
     "snr",
-    "solve_cga",
-    "solve_cga_trace",
-    "solve_dga",
-    "solve_exact",
-    "solve_mbsfn",
-    "solve_sc",
     "summary_dict",
     "sweep",
     "sweep_to_csv",
     "write_synthetic_trace",
 }
+
+# The single-instance solver layer and the test-only oracles, which live
+# in tests/oracles.py; the (B, C, N, M) kernels are the allocation API.
+DELETED = (
+    "CoverageInstance", "CoverageResult", "evaluate", "_result",
+    "solve_cga", "solve_cga_trace", "solve_dga", "solve_sc", "solve_mbsfn",
+    "solve_exact", "McpInstance", "reduce_mcp", "map_solution",
+    "rate_from_snr", "snr_subframe", "TraceSchedule",
+)
 
 # What perfbench/ reaches, per owner.  The solver names on mcmcast.engine
 # are the block kernels the engine calls; the tracer's solve_* spans read
@@ -83,10 +78,18 @@ BENCHMARK_NAMES = {
 
 
 def test_all_is_pinned_and_every_name_resolves():
-    assert len(mcmcast.__all__) == len(PUBLIC) == 41
+    assert len(mcmcast.__all__) == len(PUBLIC) == 27
     assert set(mcmcast.__all__) == PUBLIC
     for name in mcmcast.__all__:
         assert getattr(mcmcast, name) is not None, name
+
+
+@pytest.mark.parametrize(
+    "owner", [mcmcast, coverage, channel, channel.ChannelModel, traffic],
+    ids=lambda owner: owner.__name__,
+)
+def test_deleted_names_are_gone(owner):
+    assert [name for name in DELETED if hasattr(owner, name)] == []
 
 
 def test_names_the_benchmark_harness_needs_exist():

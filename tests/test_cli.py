@@ -100,6 +100,22 @@ class TestExitCodes:
         assert f"{flag} must be >= 1" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("seed", ["1", "2", "3", "4", "5"])
+    def test_oracle_check_over_the_exact_cap_is_4_before_any_draw(self, capsys,
+                                                                 seed):
+        # 10^8 allocations at the largest size; whether a draw reaches it
+        # must not decide the exit code.
+        assert invoke("oracle-check", "--max-cells", "8", "--max-prbs", "10",
+                      "--instances", "3", "--seed", seed) == 4
+        captured = capsys.readouterr()
+        assert "exceeds cap" in captured.err
+        assert captured.out == ""
+
+    def test_oracle_check_huge_cell_count_is_4_at_once(self, capsys):
+        assert invoke("oracle-check", "--max-cells", "1000000000",
+                      "--max-prbs", "3") == 4
+        assert capsys.readouterr().out == ""
+
     def test_oracle_check_negative_seed_is_2(self, capsys):
         assert invoke("oracle-check", "--seed", "-1", "--instances", "2") == 2
         captured = capsys.readouterr()

@@ -1,5 +1,6 @@
-"""Solver correctness: golden two-cell fixture, greedy bound vs. the
-exhaustive oracle, reduction round-trips, and structural properties."""
+"""Kernel correctness: golden two-cell fixture, greedy bound vs. the
+exhaustive oracle, reduction round-trips, and structural properties,
+checked against the set-based oracles in tests/oracles.py."""
 
 import functools
 import itertools
@@ -15,23 +16,23 @@ from mcmcast.channel import min_snr_db
 from mcmcast.coverage import (
     GREEDY_BOUND,
     CapExceededError,
-    CoverageInstance,
-    McpInstance,
     cga_block,
     dga_block,
-    evaluate,
     exact_block,
     mbsfn_block,
-    map_solution,
     random_instance,
-    reduce_mcp,
-    solve_cga,
-    solve_cga_trace,
-    solve_dga,
-    solve_exact,
-    solve_mbsfn,
-    solve_sc,
     served_block,
+)
+from oracles import (
+    McpInstance,
+    cga_history,
+    chosen_by,
+    from_sets,
+    map_solution,
+    reduce_mcp,
+    served_count,
+    served_set,
+    sets_of,
 )
 
 # Two cells, two PRBs, six users.  Cell 0 can reach users {0,1} on PRB 0
@@ -41,8 +42,7 @@ FIXTURE_SETS = (
     (frozenset({0, 1}), frozenset({1, 2, 3})),
     (frozenset(), frozenset({2, 3, 4, 5})),
 )
-FIXTURE = CoverageInstance.from_sets(num_users=6, num_cells=2, num_prbs=2,
-                                     sets=FIXTURE_SETS)
+FIXTURE = from_sets(num_users=6, num_cells=2, num_prbs=2, sets=FIXTURE_SETS)
 
 
 def fixture_rates() -> np.ndarray:
@@ -63,34 +63,34 @@ FIXTURE_ELIGIBLE = np.array([
 
 class TestGoldenFixture:
     def test_cga_serves_everyone(self):
-        result = solve_cga(FIXTURE)
-        assert result.chosen == (0, 1)
-        assert result.served == frozenset(range(6))
+        chosen = chosen_by(cga_block, FIXTURE)
+        assert chosen == (0, 1)
+        assert served_set(FIXTURE, chosen) == frozenset(range(6))
 
     def test_dga_strands_the_overlap_user(self):
-        result = solve_dga(FIXTURE)
-        assert result.chosen == (1, 1)
-        assert result.served == frozenset({1, 2, 3, 4, 5})
-        assert 0 not in result.served
+        chosen = chosen_by(dga_block, FIXTURE)
+        assert chosen == (1, 1)
+        served = served_set(FIXTURE, chosen)
+        assert served == frozenset({1, 2, 3, 4, 5})
+        assert 0 not in served
 
     def test_mbsfn_single_common_prb(self):
-        result = solve_mbsfn(FIXTURE)
-        assert result.chosen == (1, 1)
-        assert result.served_count == 5
+        assert chosen_by(mbsfn_block, FIXTURE) == (1, 1)
+        assert served_count(mbsfn_block, FIXTURE) == 5
 
     def test_exact_matches_cga_here(self):
-        assert solve_exact(FIXTURE).served_count == 6
+        assert served_count(exact_block, FIXTURE) == 6
 
     def test_single_connectivity_variant_serves_five(self):
         # Restrict each user to its nearest cell (0 for users 0-3, 1 for 4-5).
         nearest = np.array([0, 0, 0, 0, 1, 1])
         eligible = np.arange(2)[:, None] == nearest[None, :]
-        inst = CoverageInstance((fixture_rates() >= 2.0) & eligible[:, None, :])
-        assert solve_sc(inst).served_count == 5
+        cover = (fixture_rates() >= 2.0) & eligible[:, None, :]
+        assert served_count(dga_block, cover) == 5
 
     def test_thresholded_rates_reproduce_fixture(self):
-        inst = CoverageInstance((fixture_rates() >= 2.0) & FIXTURE_ELIGIBLE[:, None, :])
-        assert np.array_equal(inst.cover, FIXTURE.cover)
+        cover = (fixture_rates() >= 2.0) & FIXTURE_ELIGIBLE[:, None, :]
+        assert np.array_equal(cover, FIXTURE)
 
 
 class TestBuildInstance:
@@ -99,63 +99,43 @@ class TestBuildInstance:
 
     def instance(self, snr_db, required, eligible):
         decodable = np.asarray(snr_db) >= min_snr_db(required)
-        return CoverageInstance(decodable & np.asarray(eligible)[:, None, :])
+        return decodable & np.asarray(eligible)[:, None, :]
 
     def test_threshold_is_inclusive(self):
         # 111.6 bits needs the 0.2 dB step; one ULP below it is outage.
         snr_db = [[[np.nextafter(0.2, -np.inf), 0.2]]]
-        inst = self.instance(snr_db, 111.6, [[True, True]])
-        assert inst.sets == ((frozenset({1}),),)
+        cover = self.instance(snr_db, 111.6, [[True, True]])
+        assert sets_of(cover) == ((frozenset({1}),),)
 
     def test_connectivity_mask_filters_users(self):
-        inst = self.instance(np.full((2, 1, 2), 30.0), 400.0,
-                             [[True, False], [False, True]])
-        assert inst.sets == ((frozenset({0}),), (frozenset({1}),))
+        cover = self.instance(np.full((2, 1, 2), 30.0), 400.0,
+                              [[True, False], [False, True]])
+        assert sets_of(cover) == ((frozenset({0}),), (frozenset({1}),))
 
     def test_zero_required_rate_serves_all_connected(self):
-        inst = self.instance(np.full((1, 1, 3), -50.0), 0.0, [[True, True, True]])
-        assert inst.sets[0][0] == frozenset({0, 1, 2})
+        cover = self.instance(np.full((1, 1, 3), -50.0), 0.0, [[True, True, True]])
+        assert sets_of(cover)[0][0] == frozenset({0, 1, 2})
 
 
 class TestValidation:
+    """The set constructor the oracles build instances with."""
+
     def test_instance_shape_checked(self):
         with pytest.raises(ValueError):
-            CoverageInstance.from_sets(num_users=2, num_cells=2, num_prbs=1,
-                             sets=((frozenset(),),))
+            from_sets(num_users=2, num_cells=2, num_prbs=1, sets=((frozenset(),),))
 
     def test_user_ids_in_range(self):
         with pytest.raises(ValueError):
-            CoverageInstance.from_sets(num_users=2, num_cells=1, num_prbs=1,
-                             sets=((frozenset({5}),),))
-
-    def test_cover_array_checked(self):
-        with pytest.raises(ValueError):
-            CoverageInstance(np.ones((2, 2), dtype=bool))
-        with pytest.raises(ValueError):
-            CoverageInstance(np.ones((1, 1, 2)))
-        with pytest.raises(ValueError):
-            CoverageInstance(np.ones((0, 1, 2), dtype=bool))
-
-    def test_instance_is_read_only(self):
-        with pytest.raises(ValueError):
-            FIXTURE.cover[0, 0, 0] = False
-
-    def test_allocation_length_checked(self):
-        with pytest.raises(ValueError):
-            evaluate(FIXTURE, (0,))
-
-    def test_allocation_prb_range_checked(self):
-        with pytest.raises(ValueError):
-            evaluate(FIXTURE, (0, 7))
+            from_sets(num_users=2, num_cells=1, num_prbs=1, sets=((frozenset({5}),),))
 
 
 class TestGreedyVersusExact:
     def test_bound_holds_on_random_instances(self):
         rng = np.random.default_rng(42)
         for _ in range(30):
-            inst = random_instance(rng)
-            opt = solve_exact(inst).served_count
-            greedy = solve_cga(inst).served_count
+            cover = random_instance(rng)
+            opt = served_count(exact_block, cover)
+            greedy = served_count(cga_block, cover)
             assert greedy <= opt
             if opt:
                 assert greedy / opt >= GREEDY_BOUND
@@ -165,10 +145,10 @@ class TestGreedyVersusExact:
         # at least OPT/C users; checked in integers on every instance.
         rng = np.random.default_rng(7)
         for _ in range(40):
-            inst = random_instance(rng)
-            opt = solve_exact(inst).served_count
-            _, history = solve_cga_trace(inst)
-            assert history[0] * inst.num_cells >= opt
+            cover = random_instance(rng)
+            opt = served_count(exact_block, cover)
+            history = cga_history(cover, chosen_by(cga_block, cover))
+            assert history[0] * len(cover) >= opt
 
     def test_partition_constraint_worst_case_is_one_half(self):
         # A greedy pick can spend a cell the optimum needs for a different
@@ -179,10 +159,9 @@ class TestGreedyVersusExact:
             (frozenset({0}), frozenset({1})),
             (frozenset({0}), frozenset()),
         )
-        inst = CoverageInstance.from_sets(num_users=2, num_cells=2, num_prbs=2,
-                                          sets=sets)
-        assert solve_cga(inst).served_count == 1
-        assert solve_exact(inst).served_count == 2
+        cover = from_sets(num_users=2, num_cells=2, num_prbs=2, sets=sets)
+        assert served_count(cga_block, cover) == 1
+        assert served_count(exact_block, cover) == 2
 
     def test_per_iteration_bound_has_counterexamples(self):
         # The uniform per-iteration bound gain_n * C >= OPT - m_n fails
@@ -195,34 +174,31 @@ class TestGreedyVersusExact:
             ({2, 4, 8}, {0, 6, 9}, {2}, {0, 1, 3, 10}),
             ({1, 7}, {0, 4, 6, 7, 8, 9}, {4, 9}, {4, 7}),
         )
-        inst = CoverageInstance.from_sets(num_users=11, num_cells=4, num_prbs=4,
-                                          sets=sets)
-        opt = solve_exact(inst).served_count
-        _, history = solve_cga_trace(inst)
-        m = (0,) + history
+        cover = from_sets(num_users=11, num_cells=4, num_prbs=4, sets=sets)
+        opt = served_count(exact_block, cover)
+        m = (0,) + cga_history(cover, chosen_by(cga_block, cover))
         assert opt == 11
         assert m == (0, 6, 9, 10, 10)
         # Last iteration: zero gain, yet one optimal user is uncovered.
-        assert (m[4] - m[3]) * inst.num_cells < opt - m[3]
+        assert (m[4] - m[3]) * len(cover) < opt - m[3]
 
     def test_exact_is_lexicographically_first_maximizer(self):
         sets = ((frozenset({0}), frozenset({0})),)
-        inst = CoverageInstance.from_sets(num_users=1, num_cells=1, num_prbs=2,
-                                          sets=sets)
-        assert solve_exact(inst).chosen == (0,)
-        assert solve_cga(inst).chosen == (0,)
+        cover = from_sets(num_users=1, num_cells=1, num_prbs=2, sets=sets)
+        assert chosen_by(exact_block, cover) == (0,)
+        assert chosen_by(cga_block, cover) == (0,)
 
     def test_exact_cap_enforced(self):
         with pytest.raises(CapExceededError):
-            solve_exact(FIXTURE, cap=3)
+            exact_block(FIXTURE[None], cap=3)
 
 
 class TestDga:
     def test_single_cell_dga_equals_cga(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            inst = random_instance(rng, max_cells=1)
-            assert solve_dga(inst).served_count == solve_cga(inst).served_count
+            cover = random_instance(rng, max_cells=1)
+            assert served_count(dga_block, cover) == served_count(cga_block, cover)
 
     def test_primary_count_mode_uses_primary_only(self):
         # Both users connected everywhere, but primaries split 50/50; with
@@ -231,37 +207,47 @@ class TestDga:
             [[5.0, 0.0], [5.0, 5.0]],
             [[0.0, 5.0], [0.0, 0.0]],
         ])
-        inst = CoverageInstance(rates >= 1.0)
+        cover = rates >= 1.0
         own = np.array([[True, False], [False, True]])
-        assert solve_dga(inst).chosen == (1, 0)
-        assert solve_dga(inst, own).chosen == (0, 0)
+        assert chosen_by(dga_block, cover) == (1, 0)
+        assert chosen_by(dga_block, cover, own) == (0, 0)
 
     @pytest.mark.parametrize("shape", [(2,), (6, 2), (2, 5), (1, 2, 6)])
     def test_own_mask_of_wrong_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="own must have shape"):
-            solve_dga(FIXTURE, np.ones(shape, dtype=bool))
+            dga_block(FIXTURE[None], np.ones(shape, dtype=bool))
 
 
-def reference_cga(inst):
+def reference_cga(cover):
     """Set-based greedy: the first (gain, lowest cell, lowest PRB) wins."""
-    sets, covered = inst.sets, frozenset()
-    chosen, remaining = [0] * inst.num_cells, list(range(inst.num_cells))
-    for _ in range(inst.num_cells):
+    sets, covered = sets_of(cover), frozenset()
+    num_cells, num_prbs, _ = cover.shape
+    chosen, remaining = [0] * num_cells, list(range(num_cells))
+    for _ in range(num_cells):
         _, c, j = max((len(sets[c][j] - covered), -c, -j)
-                      for c in remaining for j in range(inst.num_prbs))
+                      for c in remaining for j in range(num_prbs))
         chosen[-c], covered = -j, covered | sets[-c][-j]
         remaining.remove(-c)
     return tuple(chosen), covered
 
 
-def reference_exact(inst):
+def reference_exact(cover):
     """First maximizer in itertools.product order, by set unions."""
-    sets = inst.sets
+    sets = sets_of(cover)
+    num_cells, num_prbs, _ = cover.shape
     chosen = max(
-        itertools.product(range(inst.num_prbs), repeat=inst.num_cells),
+        itertools.product(range(num_prbs), repeat=num_cells),
         key=lambda ch: len(frozenset().union(*(sets[c][j] for c, j in enumerate(ch)))),
     )
     return chosen, frozenset().union(*(sets[c][j] for c, j in enumerate(chosen)))
+
+
+def chosen_and_served(kernel, covers):
+    """Each row's (chosen PRBs, served user ids) under a block kernel."""
+    chosen = kernel(covers)
+    served = served_block(covers, chosen)
+    return [(tuple(ch.tolist()), frozenset(np.flatnonzero(s).tolist()))
+            for ch, s in zip(chosen, served)]
 
 
 class TestArraySolversMatchSetReferences:
@@ -273,11 +259,10 @@ class TestArraySolversMatchSetReferences:
         monkeypatch.setattr(coverage, "_EXACT_BLOCK_WORDS", block_words)
         rng = np.random.default_rng(23)
         for _ in range(300):
-            inst = random_instance(rng, max_users=5, max_cells=4, max_prbs=3)
-            for solve, reference in ((solve_cga, reference_cga),
-                                     (solve_exact, reference_exact)):
-                result = solve(inst)
-                assert (result.chosen, result.served) == reference(inst)
+            cover = random_instance(rng, max_users=5, max_cells=4, max_prbs=3)
+            for kernel, reference in ((cga_block, reference_cga),
+                                      (exact_block, reference_exact)):
+                assert chosen_and_served(kernel, cover[None]) == [reference(cover)]
 
     def test_exact_at_the_cap_stays_in_bounded_blocks(self):
         # 10^7 allocations; only the very last one serves every user.
@@ -285,46 +270,39 @@ class TestArraySolversMatchSetReferences:
         cover[np.arange(7), 9, np.arange(7)] = True
         tracemalloc.start()
         try:
-            result = solve_exact(CoverageInstance(cover))
+            result = chosen_and_served(exact_block, cover[None])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.chosen == (9,) * 7
-        assert result.served == frozenset(range(7))
+        assert result == [((9,) * 7, frozenset(range(7)))]
         assert peak < 32e6  # one 10^7-row block would take >= 80 MB
 
 
 class TestBlockKernels:
     def test_stacked_kernels_equal_one_solve_per_instance(self):
         # random_instance stacks, grouped by shape; few users and varied
-        # densities make argmax ties common.
+        # densities make argmax ties common.  Each row must be the kernel's
+        # choice on that instance alone, serving the union of its sets.
         rng = np.random.default_rng(31)
         groups = {}
         for _ in range(600):
-            inst = random_instance(rng, max_users=5, max_cells=4, max_prbs=3)
-            groups.setdefault(inst.cover.shape, []).append(inst)
+            cover = random_instance(rng, max_users=5, max_cells=4, max_prbs=3)
+            groups.setdefault(cover.shape, []).append(cover)
         stacked = 0
-        for insts in groups.values():
-            if len(insts) < 2:
+        for group in groups.values():
+            if len(group) < 2:
                 continue
-            stacked += len(insts)
-            covers = np.stack([inst.cover for inst in insts])
+            stacked += len(group)
+            covers = np.stack(group)
             own = rng.random((covers.shape[1], covers.shape[3])) < 0.5
-            cga_chosen, order = cga_block(covers)
-            kernels = {
-                solve_cga: cga_chosen,
-                solve_dga: dga_block(covers),
-                (lambda inst: solve_dga(inst, own)): dga_block(covers, own),
-                solve_mbsfn: mbsfn_block(covers),
-            }
-            for solve, chosen in kernels.items():
+            for kernel, args in ((cga_block, ()), (dga_block, ()),
+                                 (dga_block, (own,)), (mbsfn_block, ())):
+                chosen = kernel(covers, *args)
                 served = served_block(covers, chosen)
-                for b, inst in enumerate(insts):
-                    result = solve(inst)
-                    assert tuple(chosen[b]) == result.chosen
-                    assert np.array_equal(served[b], result.served_mask)
-            for b, inst in enumerate(insts):
-                assert np.array_equal(order[b], cga_block(inst.cover[None])[1][0])
+                for b, cover in enumerate(group):
+                    assert tuple(chosen[b].tolist()) == chosen_by(kernel, cover, *args)
+                    assert (frozenset(np.flatnonzero(served[b]).tolist())
+                            == served_set(cover, chosen[b]))
         assert stacked >= 500
 
 
@@ -336,16 +314,15 @@ def reference_stacks():
     rng = np.random.default_rng(37)
     groups = {}
     for _ in range(400):
-        inst = random_instance(rng, max_users=5, max_cells=4, max_prbs=3)
-        groups.setdefault(inst.cover.shape, []).append(inst)
+        cover = random_instance(rng, max_users=5, max_cells=4, max_prbs=3)
+        groups.setdefault(cover.shape, []).append(cover)
     for shape in [(3, 3, 65), (2, 4, 128), (1, 3, 100), (3, 1, 70)]:
-        groups[shape] = [CoverageInstance(rng.random(shape) < density)
+        groups[shape] = [rng.random(shape) < density
                          for density in (0.02, 0.1, 0.5, 0.9, 0.98, 0.5, 0.05)]
     shapes = groups.keys()
     assert any(c == 1 for c, _, _ in shapes) and any(n == 1 for _, n, _ in shapes)
-    return [(np.stack([inst.cover for inst in insts]),
-             [reference_exact(inst) for inst in insts])
-            for insts in groups.values()]
+    return [(np.stack(group), [reference_exact(cover) for cover in group])
+            for group in groups.values()]
 
 
 class TestStackedExact:
@@ -356,11 +333,7 @@ class TestStackedExact:
     def test_each_row_is_the_reference_allocation(self, block_words, monkeypatch):
         monkeypatch.setattr(coverage, "_EXACT_BLOCK_WORDS", block_words)
         for covers, references in reference_stacks():
-            chosen = exact_block(covers)
-            served = served_block(covers, chosen)
-            for b, (ref_chosen, ref_served) in enumerate(references):
-                assert tuple(chosen[b].tolist()) == ref_chosen
-                assert frozenset(np.flatnonzero(served[b]).tolist()) == ref_served
+            assert chosen_and_served(exact_block, covers) == references
 
     def test_exact_n4_sized_stack_stays_small(self):
         # 100 sub-frames of 7 cells, 4 PRBs and 35 users, as the exact_n4
@@ -399,15 +372,15 @@ class TestMcpReduction:
                 for _ in range(m)
             )
             mcp = McpInstance(universe_size=universe, k=k, sets=sets)
-            inst = reduce_mcp(mcp)
-            assert inst.num_cells == k and inst.num_prbs == m
-            result = solve_exact(inst)
-            chosen_sets = map_solution(result.chosen)
+            cover = reduce_mcp(mcp)
+            assert cover.shape[:2] == (k, m)
+            chosen_sets = map_solution(chosen_by(exact_block, cover))
             assert len(chosen_sets) <= k
             covered = frozenset().union(
                 frozenset(), *(mcp.sets[i] for i in chosen_sets))
-            assert len(covered) == result.served_count
-            assert result.served_count == brute_force_mcp(mcp)
+            served = served_count(exact_block, cover)
+            assert len(covered) == served
+            assert served == brute_force_mcp(mcp)
 
     def test_map_solution_deduplicates(self):
         assert map_solution((2, 0, 2, 1)) == [0, 1, 2]
@@ -424,56 +397,54 @@ def coverage_instances(draw):
               for _ in range(num_prbs))
         for _ in range(num_cells)
     )
-    return CoverageInstance.from_sets(num_users=num_users, num_cells=num_cells,
-                            num_prbs=num_prbs, sets=sets)
+    return from_sets(num_users=num_users, num_cells=num_cells,
+                     num_prbs=num_prbs, sets=sets)
 
 
 class TestProperties:
     @given(coverage_instances())
     @settings(max_examples=60, deadline=None)
-    def test_solutions_are_feasible_and_consistent(self, inst):
-        for solver in (solve_cga, solve_dga, solve_sc, solve_mbsfn, solve_exact):
-            result = solver(inst)
-            assert len(result.chosen) == inst.num_cells
-            assert all(0 <= j < inst.num_prbs for j in result.chosen)
-            assert evaluate(inst, result.chosen).served == result.served
+    def test_solutions_are_feasible_and_consistent(self, cover):
+        # served_block against the union of the chosen sets
+        num_cells, num_prbs, _ = cover.shape
+        for kernel in (cga_block, dga_block, mbsfn_block, exact_block):
+            chosen = kernel(cover[None])
+            assert chosen.shape == (1, num_cells)
+            assert ((0 <= chosen) & (chosen < num_prbs)).all()
+            served = served_block(cover[None], chosen)[0]
+            assert (frozenset(np.flatnonzero(served).tolist())
+                    == served_set(cover, chosen[0]))
 
     @given(coverage_instances())
     @settings(max_examples=60, deadline=None)
-    def test_greedy_gains_never_increase(self, inst):
-        _, history = solve_cga_trace(inst)
+    def test_greedy_gains_never_increase(self, cover):
+        history = cga_history(cover, chosen_by(cga_block, cover))
         gains = np.diff((0,) + history)
         assert all(a >= b for a, b in zip(gains, gains[1:]))
 
     @given(coverage_instances())
     @settings(max_examples=60, deadline=None)
-    def test_exact_dominates_every_policy(self, inst):
-        opt = solve_exact(inst).served_count
-        for solver in (solve_cga, solve_dga, solve_sc, solve_mbsfn):
-            assert solver(inst).served_count <= opt
+    def test_exact_dominates_every_policy(self, cover):
+        opt = served_count(exact_block, cover)
+        for kernel in (cga_block, dga_block, mbsfn_block):
+            assert served_count(kernel, cover) <= opt
 
     @given(coverage_instances(), st.integers(0, 7), st.integers(0, 2),
            st.integers(0, 2))
     @settings(max_examples=60, deadline=None)
-    def test_adding_a_member_cannot_hurt_exact(self, inst, user, cell, prb):
-        c, j = cell % inst.num_cells, prb % inst.num_prbs
-        k = user % inst.num_users
-        grown = [list(row) for row in inst.sets]
-        grown[c][j] = grown[c][j] | {k}
-        bigger = CoverageInstance.from_sets(
-            num_users=inst.num_users, num_cells=inst.num_cells,
-            num_prbs=inst.num_prbs,
-            sets=tuple(tuple(row) for row in grown),
-        )
-        assert solve_exact(bigger).served_count >= solve_exact(inst).served_count
+    def test_adding_a_member_cannot_hurt_exact(self, cover, user, cell, prb):
+        num_cells, num_prbs, num_users = cover.shape
+        bigger = cover.copy()
+        bigger[cell % num_cells, prb % num_prbs, user % num_users] = True
+        assert served_count(exact_block, bigger) >= served_count(exact_block, cover)
 
     @given(coverage_instances())
     @settings(max_examples=60, deadline=None)
-    def test_greedy_always_within_half_of_exact(self, inst):
+    def test_greedy_always_within_half_of_exact(self, cover):
         # The guaranteed worst case under the one-PRB-per-cell constraint;
         # the stronger 1 - 1/e ratio holds empirically on the random
         # oracle suite but not universally (see
         # test_partition_constraint_worst_case_is_one_half).
-        opt = solve_exact(inst).served_count
-        greedy = solve_cga(inst).served_count
+        opt = served_count(exact_block, cover)
+        greedy = served_count(cga_block, cover)
         assert 2 * greedy >= opt

@@ -13,13 +13,11 @@ from mcmcast import engine
 from mcmcast.channel import ChannelModel, ChannelParams, min_snr_db
 from mcmcast.coverage import (
     GREEDY_BOUND,
-    CoverageInstance,
-    evaluate,
-    solve_cga,
-    solve_dga,
-    solve_exact,
-    solve_mbsfn,
-    solve_sc,
+    cga_block,
+    dga_block,
+    exact_block,
+    mbsfn_block,
+    served_block,
 )
 from mcmcast.engine import (
     Metrics,
@@ -35,6 +33,7 @@ from mcmcast.engine import (
 )
 from mcmcast.topology import NUM_CELLS, build_hex7, eligibility
 from mcmcast.traffic import write_synthetic_trace
+from oracles import chosen_by, served_set, snr_subframe
 
 FAST = SimConfig(horizon=20, num_drops=2, seed=3, ues_per_cell=4,
                  radius_m=600.0, num_prbs=4)
@@ -177,12 +176,10 @@ class TestPolicyOrderings:
         mc_mask = eligibility(scen, "mc")[:, None, :]
         sc_mask = eligibility(scen, "sc")[:, None, :]
         for _ in range(25):
-            decodable = model.snr_subframe(shadow, rng) >= min_snr_db(400.0)
-            mc_inst = CoverageInstance(decodable & mc_mask)
-            sc_inst = CoverageInstance(decodable & sc_mask)
-            sc_result = solve_sc(sc_inst)
-            forced = evaluate(mc_inst, sc_result.chosen)
-            assert sc_result.served <= forced.served
+            decodable = snr_subframe(model, shadow, rng) >= min_snr_db(400.0)
+            mc, sc = decodable & mc_mask, decodable & sc_mask
+            sc_chosen = chosen_by(dga_block, sc)
+            assert served_set(sc, sc_chosen) <= served_set(mc, sc_chosen)
 
     def test_dga_on_own_cells_picks_what_sc_picks(self):
         # DGA scoring only own-cell users on the MC instance sees exactly the
@@ -195,11 +192,12 @@ class TestPolicyOrderings:
         own = eligibility(scen, "sc")
         mc_mask = eligibility(scen, "mc")[:, None, :]
         for _ in range(25):
-            decodable = model.snr_subframe(shadow, rng) >= min_snr_db(400.0)
-            mc_result = solve_dga(CoverageInstance(decodable & mc_mask), own)
-            sc_result = solve_sc(CoverageInstance(decodable & own[:, None, :]))
-            assert mc_result.chosen == sc_result.chosen
-            assert sc_result.served <= mc_result.served
+            decodable = snr_subframe(model, shadow, rng) >= min_snr_db(400.0)
+            mc, sc = decodable & mc_mask, decodable & own[:, None, :]
+            mc_chosen = chosen_by(dga_block, mc, own)
+            sc_chosen = chosen_by(dga_block, sc)
+            assert mc_chosen == sc_chosen
+            assert served_set(sc, sc_chosen) <= served_set(mc, mc_chosen)
 
     def test_cga_beats_dga_on_shared_draws(self):
         cfg = SimConfig(horizon=150, num_drops=3, seed=11, radius_m=750.0)
@@ -262,11 +260,11 @@ class TestSummary:
 
 
 def reference_run(config, policies):
-    """The engine's run one sub-frame at a time: snr_subframe, then the
-    single-instance solvers on a CoverageInstance per connectivity mode.
+    """The engine's run one sub-frame at a time: one SNR draw, then each
+    policy's kernel on a one-instance stack of its connectivity mode.
     Returns policy -> ((D, T) served counts, (D, T, M) served masks)."""
     schedule = engine._build_schedule(config)
-    threshold = min_snr_db(np.resize(schedule.rates, config.horizon))
+    threshold = min_snr_db(np.resize(schedule, config.horizon))
     shape = (config.num_drops, config.horizon, NUM_CELLS * config.ues_per_cell)
     masks = {p: np.zeros(shape, dtype=bool) for p in policies}
     seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
@@ -279,18 +277,20 @@ def reference_run(config, policies):
         own = eligibility(scen, "sc")
         mc_mask = eligibility(scen, "mc")[:, None, :]
         for t in range(config.horizon):
-            decodable = model.snr_subframe(shadow, rng) >= threshold[t]
-            mc = CoverageInstance(decodable & mc_mask)
-            solvers = {
-                "cga": lambda: solve_cga(mc),
-                "dga": lambda: solve_dga(
-                    mc, own if config.dga_count == "primary" else None),
-                "sc": lambda: solve_sc(CoverageInstance(decodable & own[:, None, :])),
-                "mbsfn": lambda: solve_mbsfn(mc),
-                "exact": lambda: solve_exact(mc, config.exact_cap),
+            decodable = snr_subframe(model, shadow, rng) >= threshold[t]
+            mc = (decodable & mc_mask)[None]
+            sc = (decodable & own[:, None, :])[None]
+            primary = own if config.dga_count == "primary" else None
+            runs = {
+                "cga": (cga_block, mc, ()),
+                "dga": (dga_block, mc, (primary,)),
+                "sc": (dga_block, sc, ()),
+                "mbsfn": (mbsfn_block, mc, ()),
+                "exact": (exact_block, mc, (config.exact_cap,)),
             }
             for policy in policies:
-                masks[policy][d, t] = solvers[policy]().served_mask
+                kernel, stack, args = runs[policy]
+                masks[policy][d, t] = served_block(stack, kernel(stack, *args))[0]
     return {p: (m.sum(axis=-1), m) for p, m in masks.items()}
 
 
@@ -335,8 +335,8 @@ class TestBlockLoop:
         block = block_size(config)
         assert block >= 2
         if case == "trace":
-            rates = engine._build_schedule(config).rates[:block]
-            assert len(set(min_snr_db(np.array(rates)))) > 1
+            rates = engine._build_schedule(config)[:block]
+            assert len(set(min_snr_db(rates))) > 1
         for horizon in (1, block - 1, block, block + 1, 2 * block + 1):
             cfg = replace(config, horizon=horizon)
             out = compare_policies(cfg, policies)

@@ -74,9 +74,9 @@ class TestParseTrace:
 class TestScheduleFromTrace:
     def test_thirty_fps_spreads_over_33_subframes(self, trace_file):
         sched = schedule_from_trace(parse_trace(trace_file), fps=30.0)
-        assert len(sched) == 3 * 33
+        assert sched.shape == (3 * 33,) and sched.dtype == np.float64
         # Even share with the remainder on the last sub-frame of the frame.
-        first = sched.rates[:33]
+        first = sched[:33]
         assert first[0] == pytest.approx(36000 / 33)
         assert sum(first) == pytest.approx(36000)
 
@@ -84,20 +84,19 @@ class TestScheduleFromTrace:
         frames = parse_trace(trace_file)
         for fps in (24.0, 30.0, 60.0):
             sched = schedule_from_trace(frames, fps=fps)
-            assert sched.total_bits == pytest.approx(
+            assert sched.sum() == pytest.approx(
                 sum(bits for _, bits in frames), abs=1e-6)
 
     def test_burst_puts_whole_frame_first(self, trace_file):
         sched = schedule_from_trace(parse_trace(trace_file), fps=30.0,
                                     burst=True)
-        assert sched.rates[0] == 36000
-        assert all(r == 0.0 for r in sched.rates[1:33])
-        assert sched.rates[33] == 7200
+        assert sched[0] == 36000
+        assert all(r == 0.0 for r in sched[1:33])
+        assert sched[33] == 7200
 
     def test_high_fps_gets_one_subframe_per_frame(self, trace_file):
         sched = schedule_from_trace(parse_trace(trace_file), fps=2000.0)
-        assert len(sched) == 3
-        assert sched.rates == (36000.0, 7200.0, 8800.0)
+        assert sched.tolist() == [36000.0, 7200.0, 8800.0]
 
     def test_bad_fps_rejected(self, trace_file):
         with pytest.raises(ValueError):
@@ -107,8 +106,9 @@ class TestScheduleFromTrace:
 class TestConstantSchedule:
     def test_constant(self):
         sched = schedule_constant(400.0, 5)
-        assert sched.rates == (400.0,) * 5
-        assert sched.total_bits == 2000.0
+        assert sched.dtype == np.float64
+        assert sched.tolist() == [400.0] * 5
+        assert sched.sum() == 2000.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
