@@ -14,7 +14,6 @@ choosing among.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -28,8 +27,6 @@ __all__ = [
     "min_snr_db",
     "DEFAULT_RATE_TABLE",
 ]
-
-log = logging.getLogger(__name__)
 
 # (min_snr_db, bits per PRB per sub-frame) steps.  Thresholds are the
 # usual 15 CQI switching points; rates are truncated Shannon with a 0.6
@@ -101,13 +98,7 @@ def path_loss(distance_km, params: ChannelParams | None = None):
     """Log-distance path loss in dB; distances below the clamp are lifted
     to it (the model diverges at zero range). Accepts scalars or arrays."""
     p = params or ChannelParams()
-    d = np.asarray(distance_km, dtype=float)
-    if np.any(d < p.min_distance_km):
-        log.debug(
-            "clamping %d distance(s) below %.4f km", int(np.sum(d < p.min_distance_km)),
-            p.min_distance_km,
-        )
-        d = np.maximum(d, p.min_distance_km)
+    d = np.maximum(np.asarray(distance_km, dtype=float), p.min_distance_km)
     pl = p.pathloss_intercept_db + p.pathloss_slope_db * np.log10(d)
     return float(pl) if np.isscalar(distance_km) else pl
 

@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .coverage import (
-    EXACT_DEFAULT_CAP,
     GREEDY_BOUND,
     CapExceededError,
     cga_block,
+    check_exact_cap,
     exact_block,
     random_instance,
     served_block,
@@ -40,49 +40,49 @@ __all__ = ["main", "build_parser", "PRESETS"]
 USER_SWEEP = (5, 10, 20, 40)
 RADIUS_SWEEP = (250.0, 500.0, 750.0, 1000.0)
 
-# Each preset bundles default overrides; explicit flags still win.
+# Each preset bundles default overrides; explicit flags still win.  A
+# sweep preset runs both sweeps; every other preset compares its policies.
 PRESETS: dict[str, dict] = {
     "fig4_dist_vs_central": {
-        "kind": "compare",
         "policies": ("cga", "dga"),
         "overrides": {"radius_m": 500.0, "horizon": 1000, "num_drops": 5},
     },
     "fig5_packets_sweep": {
-        "kind": "sweep",
+        "sweep": True,
         "policies": ("cga", "sc"),
         "overrides": {"radius_m": 1000.0, "horizon": 500, "num_drops": 3},
     },
     "fig7_trace_mc_vs_sc": {
-        "kind": "compare",
         "policies": ("cga", "sc"),
         "overrides": {"radius_m": 1000.0, "horizon": 1000, "num_drops": 3},
         "synthetic_trace": True,
     },
     "fig8_mbsfn_vs_mc": {
-        "kind": "compare",
         "policies": ("cga", "mbsfn"),
         "overrides": {"radius_m": 1000.0, "horizon": 1000, "num_drops": 3},
     },
-    "custom": {"kind": "run", "overrides": {}},
+    "custom": {},
 }
 # Fig. 6 reads the unserved-per-cell column of the same sweeps as Fig. 5.
 PRESETS["fig6_unserved_sweep"] = PRESETS["fig5_packets_sweep"]
 
-# flag/config-file key -> (SimConfig field, parser)
-_FIELDS: dict[str, tuple[str, type]] = {
-    "policy": ("policy", str),
-    "seed": ("seed", int),
-    "ues": ("ues_per_cell", int),
-    "radius": ("radius_m", float),
-    "subframes": ("horizon", int),
-    "trace": ("trace_path", str),
-    "fps": ("fps", float),
-    "rate": ("rate_bits", float),
-    "edge_threshold": ("edge_threshold", float),
-    "dga_count": ("dga_count", str),
-    "drops": ("num_drops", int),
-    "prbs": ("num_prbs", int),
-    "burst": ("burst", bool),
+# The SimConfig-backed `run` settings, each both a flag (--key with dashes)
+# and a --config key: key -> (SimConfig field, type, add_argument extras)
+_FIELDS: dict[str, tuple[str, type, dict]] = {
+    "policy": ("policy", str, {"choices": POLICIES}),
+    "seed": ("seed", int, {}),
+    "ues": ("ues_per_cell", int, {"help": "UEs per cell"}),
+    "radius": ("radius_m", float, {"help": "cell radius in meters"}),
+    "subframes": ("horizon", int, {"help": "horizon in sub-frames"}),
+    "trace": ("trace_path", str, {"help": "video trace file path"}),
+    "fps": ("fps", float, {}),
+    "rate": ("rate_bits", float, {"help": "constant bits per sub-frame"}),
+    "edge_threshold": ("edge_threshold", float, {}),
+    "dga_count": ("dga_count", str, {"choices": ("connected", "primary")}),
+    "drops": ("num_drops", int, {"help": "independent UE placements"}),
+    "prbs": ("num_prbs", int, {"help": "PRBs per cell"}),
+    "burst": ("burst", bool,
+              {"help": "deliver each video frame in its first sub-frame"}),
 }
 
 
@@ -95,22 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an experiment preset")
     run.add_argument("--preset", default="custom", choices=sorted(PRESETS))
-    run.add_argument("--policy", choices=POLICIES)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--ues", type=int, help="UEs per cell")
-    run.add_argument("--radius", type=float, help="cell radius in meters")
-    run.add_argument("--subframes", type=int, help="horizon in sub-frames")
-    run.add_argument("--trace", help="video trace file path")
-    run.add_argument("--fps", type=float)
-    run.add_argument("--rate", type=float, help="constant bits per sub-frame")
-    run.add_argument("--edge-threshold", type=float, dest="edge_threshold")
-    run.add_argument("--dga-count", choices=("connected", "primary"),
-                     dest="dga_count")
+    for key, (_, typ, extras) in _FIELDS.items():
+        flag = "--" + key.replace("_", "-")
+        if typ is bool:  # a bare switch; None leaves the lower layers' value
+            run.add_argument(flag, action="store_true", default=None, **extras)
+        else:
+            run.add_argument(flag, type=typ, **extras)
     run.add_argument("--out", default="out", help="output directory")
-    run.add_argument("--drops", type=int, help="independent UE placements")
-    run.add_argument("--prbs", type=int, help="PRBs per cell")
-    run.add_argument("--burst", action="store_true", default=None,
-                     help="deliver each video frame in its first sub-frame")
     run.add_argument("--config", help="flat key=value config file")
 
     oracle = sub.add_parser("oracle-check",
@@ -138,7 +129,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 def _coerce(key: str, value: str):
-    field, typ = _FIELDS[key]
+    field, typ, _ = _FIELDS[key]
     if typ is bool:
         if value.lower() in ("1", "true", "yes", "on"):
             return field, True
@@ -161,7 +152,7 @@ def _build_config(
                 raise ValueError(f"unknown config key {key!r}")
             field, parsed = _coerce(key, value)
             overrides[field] = parsed
-    for key, (field, _) in _FIELDS.items():
+    for key, (field, *_) in _FIELDS.items():
         value = getattr(args, key, None)
         if value is not None:
             overrides[field] = value
@@ -188,7 +179,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace = write_synthetic_trace(str(out / "trace.txt"), seed=config.seed)
         config = replace(config, trace_path=trace)
 
-    if preset["kind"] == "sweep":
+    if preset.get("sweep"):
         users_table = sweep(config, "users_per_cell", list(USER_SWEEP), policies)
         radius_table = sweep(config, "radius", list(RADIUS_SWEEP), policies)
         _write(out / "sweep_users.csv",
@@ -219,13 +210,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
     # The largest search space a draw may reach is refused before any draw.
-    # 2^64 is over the cap, so a huge --max-cells needs no huge power.
-    if args.max_prbs > 1 and (args.max_cells >= 64
-                              or args.max_prbs ** args.max_cells > EXACT_DEFAULT_CAP):
-        raise CapExceededError(
-            f"exact search space up to {args.max_prbs}^{args.max_cells} "
-            f"exceeds cap {EXACT_DEFAULT_CAP}"
-        )
+    check_exact_cap(args.max_cells, args.max_prbs)
     rng = np.random.default_rng(args.seed)
     worst = np.inf
     for _ in range(args.instances):

@@ -44,6 +44,7 @@ __all__ = [
     "dga_block",
     "mbsfn_block",
     "exact_block",
+    "check_exact_cap",
     "random_instance",
 ]
 
@@ -67,6 +68,19 @@ GREEDY_BOUND = 1.0 - 1.0 / np.e
 
 class CapExceededError(RuntimeError):
     """Exhaustive search would enumerate more allocations than allowed."""
+
+
+def check_exact_cap(num_cells: int, num_prbs: int,
+                    cap: int = EXACT_DEFAULT_CAP) -> None:
+    """Raise CapExceededError when the N^C allocations of num_cells cells
+    on num_prbs PRBs each exceed cap.  Exact for any cap: with N >= 2,
+    N^C >= 2^C, which exceeds cap once C passes cap's bit length, so such
+    a cell count is refused without computing the power."""
+    if ((num_prbs > 1 and num_cells > int(cap).bit_length())
+            or num_prbs ** num_cells > cap):
+        raise CapExceededError(
+            f"exact search space {num_prbs}^{num_cells} exceeds cap {cap}"
+        )
 
 
 # ------------------------------------------------------------ block kernels
@@ -156,11 +170,7 @@ def exact_block(covers: np.ndarray, cap: int = EXACT_DEFAULT_CAP) -> np.ndarray:
     strictly larger, so the first maximizer overall wins.
     """
     num_blocks, num_cells, num_prbs, _ = covers.shape
-    candidates = num_prbs ** num_cells
-    if candidates > cap:
-        raise CapExceededError(
-            f"{num_prbs}^{num_cells} = {candidates} allocations exceeds cap {cap}"
-        )
+    check_exact_cap(num_cells, num_prbs, cap)
     words = _packed(covers)
     width = words.shape[-1]
     budget = _EXACT_BLOCK_WORDS // max(width, 1)  # rows of W words
@@ -190,7 +200,9 @@ def exact_block(covers: np.ndarray, cap: int = EXACT_DEFAULT_CAP) -> np.ndarray:
             better = count > best_count
             best_count[better] = count[better]
             index[better] = h0 * tails + i[better]
-    return np.stack(np.unravel_index(best_index, (num_prbs,) * num_cells), axis=-1)
+    # cell c's PRB is digit c of the index in base N, most significant first
+    place = num_prbs ** np.arange(num_cells - 1, -1, -1)
+    return best_index[:, None] // place % num_prbs
 
 
 def _unions(words: np.ndarray) -> np.ndarray:

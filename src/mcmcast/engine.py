@@ -25,8 +25,8 @@ import numpy as np
 from .channel import ChannelModel, ChannelParams, min_snr_db
 from .coverage import (
     EXACT_DEFAULT_CAP,
-    CapExceededError,
     cga_block,
+    check_exact_cap,
     dga_block,
     exact_block,
     mbsfn_block,
@@ -101,11 +101,8 @@ def _validate(config: SimConfig, policies: tuple[str, ...]) -> None:
     for policy in policies:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
-    if "exact" in policies and config.num_prbs ** NUM_CELLS > config.exact_cap:
-        raise CapExceededError(
-            f"exact search space {config.num_prbs}^{NUM_CELLS} exceeds cap "
-            f"{config.exact_cap}"
-        )
+    if "exact" in policies:
+        check_exact_cap(NUM_CELLS, config.num_prbs, config.exact_cap)
 
 
 @dataclass(frozen=True)
@@ -250,7 +247,7 @@ def compare_policies(
     metrics = {
         p: Metrics(
             policy=p, served_counts=_frozen(counts[p]),
-            num_users=scenario.num_users, num_cells=scenario.num_cells,
+            num_users=num_users, num_cells=NUM_CELLS,
         )
         for p in policies
     }

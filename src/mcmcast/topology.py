@@ -66,11 +66,11 @@ def build_hex7(
         positions.append(
             cell_pos[c] + np.column_stack([r * np.cos(theta), r * np.sin(theta)])
         )
-    ue_pos = np.vstack(positions) if positions else np.zeros((0, 2))
+    ue_pos = np.vstack(positions)
 
     dist = np.linalg.norm(cell_pos[:, None, :] - ue_pos[None, :, :], axis=2)  # (C, M)
-    primary = dist.argmin(axis=0) if len(ue_pos) else np.zeros(0, dtype=int)
-    d_primary = dist[primary, np.arange(len(ue_pos))] if len(ue_pos) else np.zeros(0)
+    primary = dist.argmin(axis=0)
+    d_primary = dist[primary, np.arange(len(ue_pos))]
     edge = d_primary > edge_threshold * radius_m
 
     return NetworkScenario(

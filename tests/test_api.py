@@ -1,14 +1,17 @@
 """The public surface: the package's __all__, the names deleted from it,
-and the names the benchmark harness in perfbench/ looks up.
+the names the benchmark harness in perfbench/ looks up, and a check that
+src/mcmcast holds no unused import or private name.
 
 The harness wraps names on mcmcast.engine and mcmcast.cli to time each
 layer and silently skips a name it cannot find, so a rename or removal
 here would zero a per-layer metric without failing anything else.
 """
 
+import ast
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +147,56 @@ def test_scipy_is_loaded_only_for_a_summary_statistic():
     proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY_CHILD],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Every name a tree reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _all_of(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _private_defs(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_no_unused_import_or_private_name():
+    """A stand-in for a linter: every module-level import is used in its
+    module, and every module-level _private name is read somewhere in
+    src/mcmcast, so dead code cannot come back unnoticed."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(mcmcast.__file__).parent.glob("*.py"))}
+    read_anywhere = set().union(*map(_read_names, trees.values()))
+    dead = []
+    for module, tree in trees.items():
+        used = _read_names(tree) | _all_of(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        dead.append(f"{module}: import {bound}")
+        dead += [f"{module}: {name}"
+                 for name in _private_defs(tree) - read_anywhere]
+    assert not dead, dead

@@ -1,12 +1,14 @@
 """Command-line behavior: presets, precedence, artifacts, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from mcmcast.cli import main
+from mcmcast.cli import _FIELDS, _build_config, build_parser, main
+from mcmcast.engine import SimConfig
 
 RUN = [sys.executable, "-m", "mcmcast.cli"]
 
@@ -89,6 +91,11 @@ class TestExitCodes:
     def test_oracle_check_passes(self, capsys):
         assert invoke("oracle-check", "--instances", "30",
                       "--max-users", "8", "--seed", "1") == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_oracle_check_beyond_64_cells_at_one_prb(self, capsys):
+        assert invoke("oracle-check", "--max-cells", "1000", "--max-prbs", "1",
+                      "--instances", "3", "--max-users", "3") == 0
         assert "PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["--instances", "--max-users",
@@ -219,6 +226,33 @@ class TestConfigPrecedence:
         cfg.write_text("just words\n")
         assert invoke("run", "--config", str(cfg),
                       "--out", str(tmp_path / "o")) == 2
+
+
+class TestSettingsTable:
+    """cli._FIELDS is the one declaration of each SimConfig-backed setting."""
+
+    # A value other than SimConfig's default for every key
+    VALUES = {
+        "policy": "sc", "seed": "7", "ues": "3", "radius": "650",
+        "subframes": "9", "trace": "clip.txt", "fps": "25", "rate": "300",
+        "edge_threshold": "0.7", "dga_count": "primary", "drops": "2",
+        "prbs": "4", "burst": "true",
+    }
+
+    @pytest.mark.parametrize("key", sorted(_FIELDS))
+    def test_flag_and_config_line_give_the_same_config(self, tmp_path, key):
+        field, typ, _ = _FIELDS[key]
+        assert field in {f.name for f in dataclasses.fields(SimConfig)}
+        flag = "--" + key.replace("_", "-")
+        value = self.VALUES[key]
+        argv = ["run", flag] if typ is bool else ["run", flag, value]
+        from_flag, _, _ = _build_config(build_parser().parse_args(argv))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key} = {value}\n")
+        from_file, _, _ = _build_config(
+            build_parser().parse_args(["run", "--config", str(cfg)]))
+        assert from_flag == from_file
+        assert getattr(from_flag, field) != getattr(SimConfig(), field)
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ checked against the set-based oracles in tests/oracles.py."""
 
 import functools
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 from mcmcast import coverage
 from mcmcast.channel import min_snr_db
 from mcmcast.coverage import (
+    EXACT_DEFAULT_CAP,
     GREEDY_BOUND,
     CapExceededError,
     cga_block,
+    check_exact_cap,
     dga_block,
     exact_block,
     mbsfn_block,
@@ -191,6 +194,36 @@ class TestGreedyVersusExact:
     def test_exact_cap_enforced(self):
         with pytest.raises(CapExceededError):
             exact_block(FIXTURE[None], cap=3)
+
+    def test_more_cells_than_numpy_has_dimensions(self):
+        # One PRB leaves a single allocation, whatever the cell count.
+        chosen = exact_block(np.ones((2, 65, 1, 3), dtype=bool))
+        assert chosen.shape == (2, 65)
+        assert not chosen.any()
+
+
+class TestExactCap:
+    @pytest.mark.parametrize("cells,prbs,cap,allowed", [
+        (7, 10, 10**7, True),
+        (7, 10, 10**7 - 1, False),
+        (10**9, 1, EXACT_DEFAULT_CAP, True),
+        (10**9, 1, 1, True),
+        (64, 2, 2**64, True),   # refused by a fixed 64-cell shortcut
+        (65, 2, 2**64, False),
+        (3, 7, 0, False),
+    ])
+    def test_boundaries(self, cells, prbs, cap, allowed):
+        if allowed:
+            check_exact_cap(cells, prbs, cap)
+        else:
+            with pytest.raises(CapExceededError, match="exceeds cap"):
+                check_exact_cap(cells, prbs, cap)
+
+    def test_huge_cell_count_is_refused_without_the_power(self):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="exceeds cap"):
+            check_exact_cap(10**9, 3)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestDga:

@@ -66,6 +66,12 @@ class TestLayout:
         with pytest.raises(ValueError):
             scen.ue_pos[0, 0] = 1.0
 
+    def test_no_users(self):
+        scen = build_hex7(RADIUS, 0)
+        assert scen.ue_pos.shape == (0, 2)
+        assert scen.primary_cell.shape == scen.edge_ue.shape == (0,)
+        assert eligibility(scen, "mc").shape == (7, 0)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             build_hex7(0.0, 5)
