@@ -1,14 +1,18 @@
 """Sub-frame simulation loop and experiment drivers.
 
-Each drop places UEs afresh and draws its own shadowing; within a drop
-the loop steps through blocks of sub-frames: draw per-PRB SNRs for the
-block → threshold each sub-frame at the SNR its required rate needs → one
-(B, C, N, M) stack of coverage instances per connectivity mode in use →
-run each allocation policy once on the stack → record who was served.
-The block size only groups the work: the RNG stream and every result are
-those of one sub-frame at a time.  When several policies are compared
-they see the *same* draws and share the instances of their mode (common
-random numbers), so observed differences are policy-only.
+Each drop places UEs afresh and draws its own shadowing, which fixes every
+link budget for the drop; once per drop the channel turns it into a table
+of cutoff fading powers, one per (SNR threshold the run's demand needs,
+cell, UE).  Within a drop the loop steps through blocks of sub-frames:
+draw per-PRB fading powers for the block → compare each sub-frame's powers
+with the cutoffs of its threshold (the decision the SNR in dB would give,
+without a log per draw) → one (B, C, N, M) stack of coverage instances per
+connectivity mode in use → run each allocation policy once on the stack →
+record who was served.  The block size only groups the work: the RNG
+stream and every result are those of one sub-frame at a time.  When
+several policies are compared they see the *same* draws and share the
+instances of their mode (common random numbers), so observed differences
+are policy-only.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ __all__ = [
 
 POLICIES = ("cga", "dga", "sc", "mbsfn", "exact")
 
-# Upper bound on the float64 SNR draws of one block of sub-frames (1 MiB):
+# Upper bound on the float64 fading powers of one block of sub-frames (1 MiB):
 # the loop draws and solves as many whole sub-frames at once as fit.  Larger
 # blocks were no faster and cost peak memory; smaller ones pay per-call
 # overhead more often.
@@ -204,8 +208,11 @@ def compare_policies(
             f"{math.ceil(horizon / len(schedule))} times",
             RuntimeWarning, stacklevel=2,
         )
-    # (T,) SNR each sub-frame's demand needs; np.resize repeats a short trace
-    threshold = min_snr_db(np.resize(schedule, horizon))
+    # The SNR each sub-frame's demand needs, as an index into the run's
+    # distinct thresholds; np.resize repeats a short trace
+    levels, level = np.unique(
+        min_snr_db(np.resize(schedule, horizon)), return_inverse=True
+    )
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
     num_users = NUM_CELLS * config.ues_per_cell
@@ -216,10 +223,10 @@ def compare_policies(
         served = {p: np.zeros(shape, dtype=bool) for p in policies}
 
     modes = {p: SC if p == "sc" else MC for p in policies}
-    # One (block, C, N, M) SNR buffer, reused by every block of every drop
+    # One (block, C, N, M) fading buffer, reused by every block of every drop
     frame = (NUM_CELLS, config.num_prbs, num_users)
     block = max(1, min(horizon, _BLOCK_WORDS // math.prod(frame)))
-    snr_buf = np.empty((block, *frame))
+    power_buf = np.empty((block, *frame))
 
     for d, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -227,15 +234,16 @@ def compare_policies(
             config.radius_m, config.ues_per_cell, config.edge_threshold, rng
         )
         model = ChannelModel(config.channel, scenario, config.num_prbs)
-        shadow = model.draw_shadowing(rng)
+        # (L, C, 1, M) least power that decodes at each threshold
+        cuts = model.cutoffs(model.draw_shadowing(rng), levels)[:, :, None, :]
         own = eligibility(scenario, SC)  # whom DGA scores under dga_count "primary"
         # (1, C, 1, M) per mode, built once per drop
         eligible = {m: eligibility(scenario, m)[None, :, None, :]
                     for m in set(modes.values())}
         for t0 in range(0, horizon, block):
             t1 = min(t0 + block, horizon)
-            snr_db = model.snr_block(shadow, rng, snr_buf[: t1 - t0])
-            decodable = snr_db >= threshold[t0:t1, None, None, None]
+            power = model.fading_block(rng, power_buf[: t1 - t0])
+            decodable = power >= cuts[level[t0:t1]]
             covers = {m: decodable & e for m, e in eligible.items()}
             for policy in policies:
                 cover = covers[modes[policy]]

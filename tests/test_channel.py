@@ -1,4 +1,5 @@
-"""Link-budget constants, the SNR->rate step table, and SNR sampling."""
+"""Link-budget constants, the SNR->rate step table, SNR sampling, and the
+per-drop cutoff powers that decide decodability from raw fading draws."""
 
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcmcast import channel
 from mcmcast.channel import (
     DEFAULT_RATE_TABLE,
     ChannelModel,
@@ -67,6 +69,28 @@ class TestLinkBudget:
             ChannelParams(shadowing_sigma_db=-1.0)
         with pytest.raises(ValueError):
             ChannelParams(prb_bandwidth_hz=0.0)
+
+    # Each of these used to run: a nan intercept served nobody, an infinite
+    # slope everybody, and 0 carrier PRBs died in math.log10.
+    @pytest.mark.parametrize("field, value", [
+        ("pathloss_intercept_db", math.nan),
+        ("pathloss_intercept_db", math.inf),
+        ("pathloss_slope_db", math.inf),
+        ("pathloss_slope_db", math.nan),
+        ("shadowing_sigma_db", math.inf),
+        ("shadowing_sigma_db", math.nan),
+        ("min_distance_km", 0.0),
+        ("min_distance_km", -0.01),
+        ("min_distance_km", math.inf),
+        ("min_distance_km", math.nan),
+        ("carrier_prbs", 0),
+        ("carrier_prbs", math.inf),
+        ("prb_bandwidth_hz", math.inf),
+        ("prb_bandwidth_hz", math.nan),
+    ])
+    def test_nonsense_link_budget_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChannelParams(**{field: value})
 
 
 class TestRateTable:
@@ -231,3 +255,117 @@ class TestMinSnr:
         assert min_snr_db(RATES[0]) == THRESHOLDS[0]
         assert min_snr_db(RATES[3] + 0.05) == THRESHOLDS[4]
         assert min_snr_db(RATES[-1] + 0.1) == math.inf
+
+
+ALL_THRESHOLDS = np.array([-np.inf, *THRESHOLDS, np.inf])
+
+
+class FixedDraws:
+    """A stand-in generator whose standard_exponential hands out chosen
+    powers, so snr_block computes the dB of exactly those."""
+
+    def __init__(self, powers):
+        self.powers = powers
+
+    def standard_exponential(self, out):
+        out[...] = self.powers
+        return out
+
+
+def fig7_drop(**params):
+    """A fig7-sized drop: 280 users at 1 km, 10 PRBs, drawn shadowing."""
+    rng = np.random.default_rng(11)
+    scenario = build_hex7(1000.0, 40, rng=rng)
+    model = ChannelModel(ChannelParams(**params), scenario, num_prbs=10)
+    return model, model.draw_shadowing(rng)
+
+
+def clamp_drop():
+    """Link budgets from 110 to 130 dB above every threshold.  From 120 dB
+    above, even the clamped power 1e-12 (-120 dB) meets a threshold; just
+    below that, the cutoff lies just above the clamp."""
+    model, _ = fig7_drop()
+    still, _ = fig7_drop(fast_fading=False)
+    unshadowed = still.snr_block(np.zeros((7, 280)), None, np.empty((1, 7, 1, 280)))
+    budgets = np.linspace(THRESHOLDS[0] + 110.0, THRESHOLDS[-1] + 130.0, 7 * 280)
+    return model, unshadowed[0, :, 0] - budgets.reshape(7, 280)
+
+
+DROPS = {
+    "fig7": fig7_drop,
+    "clamp": clamp_drop,
+    "no_fading": lambda: fig7_drop(fast_fading=False),
+}
+
+
+def decided_alike(model, shadow, powers, rng=None):
+    """Assert that powers (B, C, N, M) >= the cutoffs of every threshold
+    decide what snr_block's SNR of the same powers >= it decides.  With
+    rng, snr_block draws from it as fading_block drew the powers."""
+    cuts = model.cutoffs(shadow, ALL_THRESHOLDS)
+    assert cuts.shape == (len(ALL_THRESHOLDS), *shadow.shape)
+    snr_db = model.snr_block(shadow, rng or FixedDraws(powers), np.empty(powers.shape))
+    for thr, cut in zip(ALL_THRESHOLDS, cuts):
+        np.testing.assert_array_equal(
+            powers >= cut[:, None, :], snr_db >= thr, err_msg=f"threshold {thr}")
+
+
+class TestCutoffs:
+    """cutoffs must decide every power exactly as the dB path does."""
+
+    @pytest.mark.parametrize("drop", sorted(DROPS))
+    def test_a_million_draws_decide_alike(self, drop):
+        model, shadow = DROPS[drop]()
+        powers = model.fading_block(np.random.default_rng(5), np.empty((52, 7, 10, 280)))
+        assert powers.size >= 10**6
+        decided_alike(model, shadow, powers, np.random.default_rng(5))
+
+    @pytest.mark.parametrize("drop", ["fig7", "clamp"])
+    def test_draws_at_and_just_below_each_cutoff(self, drop):
+        # Row l of the block holds threshold l's cutoffs (1 where there is
+        # no finite one), then the next power down.
+        model, shadow = DROPS[drop]()
+        cuts = model.cutoffs(shadow, ALL_THRESHOLDS)
+        at = np.where(np.isfinite(cuts), cuts, 1.0)[:, :, None, :]
+        decided_alike(model, shadow, np.concatenate([at, np.nextafter(at, 0)]))
+
+    @pytest.mark.parametrize("drop", ["fig7", "clamp"])
+    def test_decisions_flip_once_in_64_ulps_around_each_cutoff(self, drop):
+        # Agreeing with `power >= cutoff` over the window means the dB
+        # decision is monotone there, which the cutoff search assumes.
+        model, shadow = DROPS[drop]()
+        cuts = model.cutoffs(shadow, ALL_THRESHOLDS)
+        ulps = np.arange(-64, 65)[:, None, None]
+        for thr, cut in zip(ALL_THRESHOLDS, cuts):
+            if not np.isfinite(cut).any():
+                continue
+            bits = np.where(np.isfinite(cut), cut, 1.0).view(np.int64)
+            powers = (bits + ulps).view(np.float64)[:, :, None, :]
+            snr_db = model.snr_block(shadow, FixedDraws(powers), np.empty(powers.shape))
+            np.testing.assert_array_equal(
+                powers >= cut[:, None, :], snr_db >= thr, err_msg=f"threshold {thr}")
+
+    @pytest.mark.parametrize("drop", ["fig7", "clamp"])
+    def test_whole_range_search_finds_the_same_cutoffs(self, drop, monkeypatch):
+        # A window of two patterns holds no cutoff the search can trust, so
+        # every one is searched again from the largest float64 down.
+        model, shadow = DROPS[drop]()
+        want = model.cutoffs(shadow, ALL_THRESHOLDS)
+        monkeypatch.setattr(channel, "_WINDOW_BITS", 1)
+        np.testing.assert_array_equal(model.cutoffs(shadow, ALL_THRESHOLDS), want)
+
+    def test_special_cutoffs(self):
+        model, shadow = clamp_drop()
+        cuts = model.cutoffs(shadow, ALL_THRESHOLDS)
+        assert (cuts[0] == -np.inf).all() and (cuts[-1] == np.inf).all()
+        finite = cuts[1:-1]
+        # Both regimes of the clamp are present for every threshold.
+        assert (finite == -np.inf).any(axis=(1, 2)).all()
+        assert ((finite > 1e-12) & (finite < 1e-11)).any(axis=(1, 2)).all()
+
+    def test_no_fading_takes_no_draw(self):
+        model, _ = fig7_drop(fast_fading=False)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert (model.fading_block(rng, np.empty((2, 7, 10, 280))) == 1.0).all()
+        assert rng.bit_generator.state == state

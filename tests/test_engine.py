@@ -303,13 +303,20 @@ def block_size(config):
 FOUR = ("cga", "dga", "sc", "mbsfn")
 
 
-def fast_trace(path):
-    """A trace whose demand steps every 4 sub-frames (250 fps), between
-    rates inside the table, so thresholds change within every block."""
-    sizes = [10 + (37 * i) % 90 for i in range(300)]  # 80..792 bits a frame
+def fast_trace(path, sizes=None):
+    """A trace whose demand steps every 4 sub-frames (250 fps), by default
+    between rates inside the table, so thresholds change within every
+    block.  sizes gives the frame sizes in bytes instead."""
+    if sizes is None:
+        sizes = [10 + (37 * i) % 90 for i in range(300)]  # 80..792 bits a frame
     lines = [f"{i} P {i / 250:.4f} {size}" for i, size in enumerate(sizes)]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+# Empty frames (no demand: threshold -inf) and 500-byte frames (1000 bits a
+# sub-frame, above the table's top rate: threshold +inf) among ordinary ones
+SPECIAL_SIZES = [(0, 10, 500, 40, 99)[i % 5] for i in range(300)]
 
 
 class TestBlockLoop:
@@ -322,7 +329,9 @@ class TestBlockLoop:
         "dga_primary": (dict(dga_count="primary"), FOUR),
         "no_fading": (dict(channel=ChannelParams(fast_fading=False)), FOUR),
         "trace": (dict(fps=250.0), FOUR),
+        "special_levels": (dict(fps=250.0), FOUR),
     }
+    TRACES = {"trace": None, "special_levels": SPECIAL_SIZES}
 
     @pytest.mark.parametrize("ues", [10, 20])
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -330,13 +339,16 @@ class TestBlockLoop:
         overrides, policies = self.CASES[case]
         config = SimConfig(ues_per_cell=ues, radius_m=900.0, num_drops=2,
                            seed=7, log_served_ids=True, **overrides)
-        if case == "trace":
-            config = replace(config, trace_path=fast_trace(tmp_path / "t.txt"))
+        if case in self.TRACES:
+            path = fast_trace(tmp_path / "t.txt", self.TRACES[case])
+            config = replace(config, trace_path=path)
         block = block_size(config)
         assert block >= 2
-        if case == "trace":
-            rates = engine._build_schedule(config)[:block]
-            assert len(set(min_snr_db(rates))) > 1
+        if case in self.TRACES:
+            levels = set(min_snr_db(engine._build_schedule(config)[:block]))
+            assert len(levels) > 1
+        if case == "special_levels":
+            assert {-np.inf, np.inf} < levels
         for horizon in (1, block - 1, block, block + 1, 2 * block + 1):
             cfg = replace(config, horizon=horizon)
             out = compare_policies(cfg, policies)
@@ -349,8 +361,10 @@ class TestBlockLoop:
                     horizon, policy)
 
     def test_fig7_sized_run_peaks_below_4_mb(self, tmp_path):
-        # M = 280 and three policies on a trace: the SNR buffer is bounded
-        # by _BLOCK_WORDS (1 MiB); a grown budget shows up here.
+        # M = 280 and three policies on a trace: the fading-power buffer is
+        # bounded by _BLOCK_WORDS (1 MiB), and the per-drop cutoff table by
+        # the run's distinct thresholds (at most 17 x C x M float64); a grown
+        # budget shows up here.
         trace = write_synthetic_trace(str(tmp_path / "trace.txt"), seed=1)
         cfg = SimConfig(ues_per_cell=40, radius_m=1000.0, horizon=100,
                         num_drops=1, seed=1, trace_path=trace)
