@@ -89,7 +89,7 @@ class ChannelParams:
                 raise ValueError(f"{name} must be finite")
         if self.shadowing_sigma_db < 0:
             raise ValueError("shadowing_sigma_db must be >= 0")
-        for name in ("prb_bandwidth_hz", "min_distance_km"):
+        for name in ("prb_bandwidth_hz", "min_distance_km", "subframe_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0")

@@ -18,8 +18,8 @@ choice serves.  The engine runs them on a block of sub-frames at a time.
                    constraint admits rare adversarial instances where a
                    greedy pick spends a cell the optimum needs (worst
                    case 1/2, like any greedy under a partition constraint)
-  * dga_block   -- uncoordinated per-cell argmax; on an instance built
-                   with single connectivity it is the sc policy
+  * dga_block   -- uncoordinated per-cell argmax: the dga policy on the
+                   MC instance, the sc policy on the SC instance
   * mbsfn_block -- one common PRB index for every cell
   * exact_block -- exhaustive search over all N^C allocations (oracle),
                    bit-packed unions of head cells ORed against unions
@@ -131,18 +131,9 @@ def cga_block(covers: np.ndarray) -> np.ndarray:
     return chosen
 
 
-def dga_block(covers: np.ndarray, own: np.ndarray | None = None) -> np.ndarray:
-    """Per-cell argmax of the users each (cell, PRB) covers; service is
-    still credited globally.  By default a multi-connected user counts at
-    every cell that can decode it.  With own, a (C, M) mask such as
-    topology.eligibility(scenario, "sc"), cell c counts only the users k
-    with own[c, k]."""
-    if own is not None:
-        own = np.asarray(own, dtype=bool)
-        shape = (covers.shape[1], covers.shape[3])
-        if own.shape != shape:
-            raise ValueError(f"own must have shape {shape}, got {own.shape}")
-        covers = covers & own[:, None, :]
+def dga_block(covers: np.ndarray) -> np.ndarray:
+    """Per-cell argmax of the users each (cell, PRB) covers, each cell
+    counting every user it covers with no regard for the other cells."""
     return covers.sum(axis=-1).argmax(axis=-1)
 
 

@@ -7,9 +7,10 @@ cell, UE).  Within a drop the loop steps through blocks of sub-frames:
 draw per-PRB fading powers for the block → compare each sub-frame's powers
 with the cutoffs of its threshold (the decision the SNR in dB would give,
 without a log per draw) → one (B, C, N, M) stack of coverage instances per
-connectivity mode in use → run each allocation policy once on the stack →
-record who was served.  The block size only groups the work: the RNG
-stream and every result are those of one sub-frame at a time.  When
+connectivity mode in use → run each policy's kernel once on the stack it
+picks on and credit its picks on the stack it is credited on (the _runs
+table) → record who was served.  The block size only groups the work: the
+RNG stream and every result are those of one sub-frame at a time.  When
 several policies are compared they see the *same* draws and share the
 instances of their mode (common random numbers), so observed differences
 are policy-only.
@@ -23,6 +24,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -45,8 +47,6 @@ __all__ = [
     "paired_one_sided_pvalue", "log_to_csv", "metrics_from_log",
     "sweep_to_csv", "summary_dict",
 ]
-
-POLICIES = ("cga", "dga", "sc", "mbsfn", "exact")
 
 # Upper bound on the float64 fading powers of one block of sub-frames (1 MiB):
 # the loop draws and solves as many whole sub-frames at once as fit.  Larger
@@ -75,6 +75,23 @@ class SimConfig:
     channel: ChannelParams = field(default_factory=ChannelParams)
     exact_cap: int = EXACT_DEFAULT_CAP
     log_served_ids: bool = False
+
+
+def _runs(config: SimConfig) -> dict:
+    """Policy -> (its (B, C, N, M) kernel, the connectivity mode of the
+    instance it picks on, the mode of the instance it is credited on).
+    Under dga_count "primary" a DGA cell counts only its primary users,
+    which is DGA on the SC instance, since SC is MC cut to primary cells."""
+    return {
+        "cga": (cga_block, MC, MC),
+        "dga": (dga_block, SC if config.dga_count == "primary" else MC, MC),
+        "sc": (dga_block, SC, SC),
+        "mbsfn": (mbsfn_block, MC, MC),
+        "exact": (partial(exact_block, cap=config.exact_cap), MC, MC),
+    }
+
+
+POLICIES = tuple(_runs(SimConfig()))
 
 
 def _validate(config: SimConfig, policies: tuple[str, ...]) -> None:
@@ -178,21 +195,6 @@ def _build_schedule(config: SimConfig) -> np.ndarray:
     )
 
 
-def _chosen(policy, covers, config, own) -> np.ndarray:
-    """(B, C) PRBs `policy` picks on a (B, C, N, M) stack of instances."""
-    if policy == "cga":
-        return cga_block(covers)
-    if policy == "dga":
-        return dga_block(covers, own if config.dga_count == "primary" else None)
-    if policy == "sc":
-        return dga_block(covers)
-    if policy == "mbsfn":
-        return mbsfn_block(covers)
-    if policy == "exact":
-        return exact_block(covers, cap=config.exact_cap)
-    raise ValueError(f"unknown policy {policy!r}")
-
-
 def compare_policies(
     config: SimConfig, policies: tuple[str, ...] | list[str]
 ) -> RunOutput:
@@ -222,7 +224,8 @@ def compare_policies(
         shape = (config.num_drops, horizon, num_users)
         served = {p: np.zeros(shape, dtype=bool) for p in policies}
 
-    modes = {p: SC if p == "sc" else MC for p in policies}
+    runs = _runs(config)
+    modes = {m for p in policies for m in runs[p][1:]}
     # One (block, C, N, M) fading buffer, reused by every block of every drop
     frame = (NUM_CELLS, config.num_prbs, num_users)
     block = max(1, min(horizon, _BLOCK_WORDS // math.prod(frame)))
@@ -236,18 +239,16 @@ def compare_policies(
         model = ChannelModel(config.channel, scenario, config.num_prbs)
         # (L, C, 1, M) least power that decodes at each threshold
         cuts = model.cutoffs(model.draw_shadowing(rng), levels)[:, :, None, :]
-        own = eligibility(scenario, SC)  # whom DGA scores under dga_count "primary"
         # (1, C, 1, M) per mode, built once per drop
-        eligible = {m: eligibility(scenario, m)[None, :, None, :]
-                    for m in set(modes.values())}
+        eligible = {m: eligibility(scenario, m)[None, :, None, :] for m in modes}
         for t0 in range(0, horizon, block):
             t1 = min(t0 + block, horizon)
             power = model.fading_block(rng, power_buf[: t1 - t0])
             decodable = power >= cuts[level[t0:t1]]
             covers = {m: decodable & e for m, e in eligible.items()}
             for policy in policies:
-                cover = covers[modes[policy]]
-                mask = served_block(cover, _chosen(policy, cover, config, own))
+                kernel, picks_on, credited_on = runs[policy]
+                mask = served_block(covers[credited_on], kernel(covers[picks_on]))
                 counts[policy][d, t0:t1] = mask.sum(axis=-1)
                 if served:
                     served[policy][d, t0:t1] = mask

@@ -53,17 +53,17 @@ def sets_of(cover: np.ndarray) -> tuple[tuple[frozenset[int], ...], ...]:
     )
 
 
-def chosen_by(kernel, cover: np.ndarray, *args) -> tuple[int, ...]:
+def chosen_by(kernel, cover: np.ndarray) -> tuple[int, ...]:
     """The PRBs a block kernel picks on the single instance `cover`, as
     the stack of that one instance."""
-    return tuple(kernel(cover[None], *args)[0].tolist())
+    return tuple(kernel(cover[None])[0].tolist())
 
 
-def served_count(kernel, cover: np.ndarray, *args) -> int:
+def served_count(kernel, cover: np.ndarray) -> int:
     """How many users the choice of a block kernel serves on the single
     instance `cover`."""
     stack = cover[None]
-    return int(served_block(stack, kernel(stack, *args)).sum())
+    return int(served_block(stack, kernel(stack)).sum())
 
 
 def served_set(cover: np.ndarray, chosen: Sequence[int]) -> frozenset[int]:

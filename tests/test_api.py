@@ -87,6 +87,12 @@ def test_all_is_pinned_and_every_name_resolves():
         assert getattr(mcmcast, name) is not None, name
 
 
+def test_policies_are_pinned_in_order():
+    # The CLI's --policy choices and the harness's per-layer names follow
+    # this order.
+    assert mcmcast.POLICIES == ("cga", "dga", "sc", "mbsfn", "exact")
+
+
 @pytest.mark.parametrize(
     "owner", [mcmcast, coverage, channel, channel.ChannelModel, traffic],
     ids=lambda owner: owner.__name__,

@@ -71,7 +71,9 @@ class TestLinkBudget:
             ChannelParams(prb_bandwidth_hz=0.0)
 
     # Each of these used to run: a nan intercept served nobody, an infinite
-    # slope everybody, and 0 carrier PRBs died in math.log10.
+    # slope everybody, 0 carrier PRBs died in math.log10, a nan sub-frame
+    # died in a trace run naming no field, and an infinite one gave every
+    # video frame a single sub-frame.
     @pytest.mark.parametrize("field, value", [
         ("pathloss_intercept_db", math.nan),
         ("pathloss_intercept_db", math.inf),
@@ -87,6 +89,10 @@ class TestLinkBudget:
         ("carrier_prbs", math.inf),
         ("prb_bandwidth_hz", math.inf),
         ("prb_bandwidth_hz", math.nan),
+        ("subframe_s", math.nan),
+        ("subframe_s", 0.0),
+        ("subframe_s", -1e-3),
+        ("subframe_s", math.inf),
     ])
     def test_nonsense_link_budget_is_refused_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -235,7 +235,8 @@ class TestDga:
 
     def test_primary_count_mode_uses_primary_only(self):
         # Both users connected everywhere, but primaries split 50/50; with
-        # the own-cell mask, cell 0 sees only user 0 on each PRB.
+        # the instance cut to each cell's own users, cell 0 sees only user 0
+        # on each PRB.
         rates = np.array([
             [[5.0, 0.0], [5.0, 5.0]],
             [[0.0, 5.0], [0.0, 0.0]],
@@ -243,12 +244,7 @@ class TestDga:
         cover = rates >= 1.0
         own = np.array([[True, False], [False, True]])
         assert chosen_by(dga_block, cover) == (1, 0)
-        assert chosen_by(dga_block, cover, own) == (0, 0)
-
-    @pytest.mark.parametrize("shape", [(2,), (6, 2), (2, 5), (1, 2, 6)])
-    def test_own_mask_of_wrong_shape_rejected(self, shape):
-        with pytest.raises(ValueError, match="own must have shape"):
-            dga_block(FIXTURE[None], np.ones(shape, dtype=bool))
+        assert chosen_by(dga_block, cover & own[:, None, :]) == (0, 0)
 
 
 def reference_cga(cover):
@@ -327,13 +323,11 @@ class TestBlockKernels:
                 continue
             stacked += len(group)
             covers = np.stack(group)
-            own = rng.random((covers.shape[1], covers.shape[3])) < 0.5
-            for kernel, args in ((cga_block, ()), (dga_block, ()),
-                                 (dga_block, (own,)), (mbsfn_block, ())):
-                chosen = kernel(covers, *args)
+            for kernel in (cga_block, dga_block, mbsfn_block):
+                chosen = kernel(covers)
                 served = served_block(covers, chosen)
                 for b, cover in enumerate(group):
-                    assert tuple(chosen[b].tolist()) == chosen_by(kernel, cover, *args)
+                    assert tuple(chosen[b].tolist()) == chosen_by(kernel, cover)
                     assert (frozenset(np.flatnonzero(served[b]).tolist())
                             == served_set(cover, chosen[b]))
         assert stacked >= 500

@@ -2,6 +2,7 @@
 shared draws, the oracle sandwich on small search spaces, and the block
 loop against a per-sub-frame reference loop."""
 
+import itertools
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -12,6 +13,7 @@ import pytest
 from mcmcast import engine
 from mcmcast.channel import ChannelModel, ChannelParams, min_snr_db
 from mcmcast.coverage import (
+    EXACT_DEFAULT_CAP,
     GREEDY_BOUND,
     cga_block,
     dga_block,
@@ -182,22 +184,38 @@ class TestPolicyOrderings:
             assert served_set(sc, sc_chosen) <= served_set(mc, sc_chosen)
 
     def test_dga_on_own_cells_picks_what_sc_picks(self):
-        # DGA scoring only own-cell users on the MC instance sees exactly the
-        # SC instance's counts, so it picks the same PRBs and, with the extra
-        # connectivity, serves a superset.
+        # The MC instance cut to each user's own cell is the SC instance,
+        # element by element, since SC eligibility is MC eligibility cut to
+        # the primary cell.  So DGA scoring only own-cell users on MC (what
+        # dga_count "primary" means) picks the PRBs it picks on SC and, with
+        # the extra connectivity, serves a superset.  At edge_threshold 0
+        # every user is an edge user, connected to every cell under MC.
         rng = np.random.default_rng(12)
-        scen = build_hex7(900.0, 4, rng=rng)
-        model = ChannelModel(ChannelParams(), scen, num_prbs=4)
-        shadow = model.draw_shadowing(rng)
-        own = eligibility(scen, "sc")
-        mc_mask = eligibility(scen, "mc")[:, None, :]
-        for _ in range(25):
-            decodable = snr_subframe(model, shadow, rng) >= min_snr_db(400.0)
-            mc, sc = decodable & mc_mask, decodable & own[:, None, :]
-            mc_chosen = chosen_by(dga_block, mc, own)
-            sc_chosen = chosen_by(dga_block, sc)
-            assert mc_chosen == sc_chosen
-            assert served_set(sc, sc_chosen) <= served_set(mc, mc_chosen)
+        for radius, edge_threshold in itertools.product((250.0, 900.0, 2000.0),
+                                                        (0.0, 0.8)):
+            scen = build_hex7(radius, 4, edge_threshold, rng=rng)
+            assert scen.edge_ue.all() == (edge_threshold == 0.0)
+            model = ChannelModel(ChannelParams(), scen, num_prbs=4)
+            shadow = model.draw_shadowing(rng)
+            own = eligibility(scen, "sc")[:, None, :]
+            mc_mask = eligibility(scen, "mc")[:, None, :]
+            for _ in range(25):
+                decodable = snr_subframe(model, shadow, rng) >= min_snr_db(400.0)
+                mc, sc = decodable & mc_mask, decodable & own
+                assert np.array_equal(mc & own, sc)
+                mc_chosen = chosen_by(dga_block, mc & own)
+                sc_chosen = chosen_by(dga_block, sc)
+                assert mc_chosen == sc_chosen
+                assert served_set(sc, sc_chosen) <= served_set(mc, mc_chosen)
+
+    def test_the_configs_exact_cap_reaches_the_kernel(self):
+        # 11^7 allocations are more than the default cap allows, so the run
+        # completes only when exact_block is given config.exact_cap.
+        cfg = SimConfig(num_prbs=11, ues_per_cell=1, horizon=1, num_drops=1,
+                        exact_cap=11**7)
+        assert 11**7 > EXACT_DEFAULT_CAP
+        out = compare_policies(cfg, ("exact",))
+        assert out.metrics["exact"].served_counts.shape == (1, 1)
 
     def test_cga_beats_dga_on_shared_draws(self):
         cfg = SimConfig(horizon=150, num_drops=3, seed=11, radius_m=750.0)
@@ -274,23 +292,26 @@ def reference_run(config, policies):
                           config.edge_threshold, rng)
         model = ChannelModel(config.channel, scen, config.num_prbs)
         shadow = model.draw_shadowing(rng)
-        own = eligibility(scen, "sc")
+        own = eligibility(scen, "sc")[:, None, :]
         mc_mask = eligibility(scen, "mc")[:, None, :]
         for t in range(config.horizon):
             decodable = snr_subframe(model, shadow, rng) >= threshold[t]
             mc = (decodable & mc_mask)[None]
-            sc = (decodable & own[:, None, :])[None]
-            primary = own if config.dga_count == "primary" else None
-            runs = {
+            sc = (decodable & own)[None]
+            # dga_count "primary": each cell scores only its own users
+            dga = mc & own if config.dga_count == "primary" else mc
+            runs = {  # policy -> (kernel, stack it picks on, extra arguments)
                 "cga": (cga_block, mc, ()),
-                "dga": (dga_block, mc, (primary,)),
+                "dga": (dga_block, dga, ()),
                 "sc": (dga_block, sc, ()),
                 "mbsfn": (mbsfn_block, mc, ()),
                 "exact": (exact_block, mc, (config.exact_cap,)),
             }
             for policy in policies:
                 kernel, stack, args = runs[policy]
-                masks[policy][d, t] = served_block(stack, kernel(stack, *args))[0]
+                credited = sc if policy == "sc" else mc
+                masks[policy][d, t] = served_block(
+                    credited, kernel(stack, *args))[0]
     return {p: (m.sum(axis=-1), m) for p, m in masks.items()}
 
 
