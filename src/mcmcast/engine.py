@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import warnings
@@ -53,6 +54,19 @@ __all__ = [
 # blocks were no faster and cost peak memory; smaller ones pay per-call
 # overhead more often.
 _BLOCK_WORDS = 1 << 17
+
+# The per-policy aggregates that summary.json reports, in the order of the
+# sweep CSVs' columns
+_AGGREGATES = (
+    "avg_packets_delivered", "per_ue_service_ratio",
+    "avg_unserved_per_cell", "ci95_halfwidth",
+)
+_LOG_HEADER = ("drop", "t", "policy", "served_count", "served_ids")
+# Sweep axis -> (the SimConfig field it sets, that field's type)
+_SWEEP_AXES = {
+    "users_per_cell": ("ues_per_cell", int),
+    "radius": ("radius_m", float),
+}
 
 
 @dataclass(frozen=True)
@@ -119,7 +133,7 @@ def _validate(config: SimConfig, policies: tuple[str, ...]) -> None:
         raise ValueError("need at least one policy")
     if len(set(policies)) != len(policies):
         raise ValueError(f"repeated policy in {policies!r}")
-    for policy in policies:
+    for policy in (config.policy, *policies):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
     if "exact" in policies:
@@ -165,10 +179,7 @@ class Metrics:
             "policy": self.policy,
             "num_users": self.num_users,
             "num_cells": self.num_cells,
-            "avg_packets_delivered": round(self.avg_packets_delivered, 6),
-            "per_ue_service_ratio": round(self.per_ue_service_ratio, 6),
-            "avg_unserved_per_cell": round(self.avg_unserved_per_cell, 6),
-            "ci95_halfwidth": round(self.ci95_halfwidth, 6),
+            **{name: round(getattr(self, name), 6) for name in _AGGREGATES},
             "num_drops": int(self.served_counts.shape[0]),
             "horizon": int(self.served_counts.shape[1]),
         }
@@ -185,7 +196,7 @@ class RunOutput:
 
 def _build_schedule(config: SimConfig) -> np.ndarray:
     """(T,) bits each sub-frame of the trace, or of the horizon, demands."""
-    if config.trace_path:
+    if config.trace_path is not None:
         frames = parse_trace(config.trace_path)
         return schedule_from_trace(
             frames, config.fps, config.channel.subframe_s, config.burst
@@ -272,19 +283,17 @@ def sweep(
 ) -> list[tuple[float, RunOutput]]:
     """Independent runs per value.  The base seed is reused so sweep points
     share underlying draws where shapes allow, smoothing the trend."""
-    if axis not in ("users_per_cell", "radius"):
+    if axis not in _SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
     policies = (config.policy,) if policies is None else policies
-    table = []
-    for value in values:
-        if axis == "users_per_cell":
-            cfg = replace(config, ues_per_cell=int(value))
-        else:
-            cfg = replace(config, radius_m=float(value))
-        table.append((float(value), compare_policies(cfg, policies)))
-    return table
+    name, typ = _SWEEP_AXES[axis]
+    return [
+        (float(value),
+         compare_policies(replace(config, **{name: typ(value)}), policies))
+        for value in values
+    ]
 
 
 def paired_one_sided_pvalue(a: Metrics, b: Metrics) -> float:
@@ -308,7 +317,7 @@ def log_to_csv(output: RunOutput, policies: tuple[str, ...] | None = None) -> st
     masks = [output.served_masks.get(p) for p in policies]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["drop", "t", "policy", "served_count", "served_ids"])
+    writer.writerow(_LOG_HEADER)
     for d in range(output.config.num_drops):
         for t in range(output.config.horizon):
             for policy, count, mask in zip(policies, counts, masks):
@@ -327,7 +336,7 @@ def metrics_from_log(
     or when the policies' grids differ."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
-    if header[:4] != ["drop", "t", "policy", "served_count"]:
+    if tuple(header[:4]) != _LOG_HEADER[:4]:
         raise ValueError(f"bad log header: {header!r}")
     cells: dict[str, dict[tuple[int, int], int]] = {}
     for row in reader:
@@ -359,40 +368,27 @@ def metrics_from_log(
 def sweep_to_csv(axis: str, table: list[tuple[float, RunOutput]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        axis, "policy", "avg_packets_delivered", "per_ue_service_ratio",
-        "avg_unserved_per_cell", "ci95_halfwidth",
-    ])
+    writer.writerow((axis, "policy", *_AGGREGATES))
     for value, output in table:
-        for policy in sorted(output.metrics):
-            m = output.metrics[policy]
-            writer.writerow([
+        for policy, m in sorted(output.metrics.items()):
+            writer.writerow((
                 f"{value:.6f}", policy,
-                f"{m.avg_packets_delivered:.6f}",
-                f"{m.per_ue_service_ratio:.6f}",
-                f"{m.avg_unserved_per_cell:.6f}",
-                f"{m.ci95_halfwidth:.6f}",
-            ])
+                *(f"{getattr(m, name):.6f}" for name in _AGGREGATES),
+            ))
     return buf.getvalue()
 
 
 def summary_dict(output: RunOutput) -> dict:
-    config = asdict(output.config)
+    metrics = output.metrics
     summary = {
-        "config": config,
-        "metrics": {p: m.to_dict() for p, m in sorted(output.metrics.items())},
+        "config": asdict(output.config),
+        "metrics": {p: m.to_dict() for p, m in sorted(metrics.items())},
     }
-    policies = sorted(output.metrics)
-    if len(policies) >= 2:
-        pvals = {}
-        for i, a in enumerate(policies):
-            for b in policies[i + 1:]:
-                key = f"{a}_gt_{b}"
-                pvals[key] = round(
-                    paired_one_sided_pvalue(
-                        output.metrics[a], output.metrics[b]
-                    ), 6,
-                )
+    pvals = {
+        f"{a}_gt_{b}": round(paired_one_sided_pvalue(metrics[a], metrics[b]), 6)
+        for a, b in itertools.combinations(sorted(metrics), 2)
+    }
+    if pvals:
         summary["paired_pvalues"] = pvals
     return summary
 

@@ -72,17 +72,16 @@ def schedule_from_trace(
     if subframe_s <= 0:
         raise ValueError("subframe_s must be > 0")
     n_sub = max(1, round(1.0 / (fps * subframe_s)))
-    rates: list[float] = []
-    for _, bits in frames:
-        if burst:
-            rates.append(float(bits))
-            rates.extend([0.0] * (n_sub - 1))
-        else:
-            share = float(bits) / n_sub
-            chunk = [share] * n_sub
-            chunk[-1] = float(bits) - share * (n_sub - 1)
-            rates.extend(chunk)
-    return np.array(rates)
+    bits = np.array([float(b) for _, b in frames])
+    # (frames, sub-frames per frame), read row by row
+    rates = np.zeros((len(bits), n_sub))
+    if burst:
+        rates[:, 0] = bits
+    else:
+        share = bits / n_sub
+        rates[:] = share[:, None]
+        rates[:, -1] = bits - share * (n_sub - 1)
+    return rates.ravel()
 
 
 def schedule_constant(

@@ -84,6 +84,12 @@ class TestExitCodes:
                       "--subframes", "3", "--out", str(tmp_path / "o")) == 2
         assert not (tmp_path / "o").exists()
 
+    def test_empty_trace_path_is_2_and_writes_nothing(self, tmp_path, capsys):
+        assert invoke("run", "--trace", "", "--subframes", "3",
+                      "--out", str(tmp_path / "o")) == 2
+        assert "No such file or directory: ''" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_exact_cap_exceeded_is_4(self, tmp_path):
         assert invoke("run", "--policy", "exact", "--prbs", "11",
                       "--subframes", "1", "--out", str(tmp_path)) == 4
@@ -220,6 +226,22 @@ class TestConfigPrecedence:
         cfg.write_text("warp_speed = 9\n")
         assert invoke("run", "--config", str(cfg),
                       "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("word", ["0", "false", "No", "OFF"])
+    def test_false_words_turn_burst_off(self, tmp_path, word):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"burst = {word}\n")
+        config, _, _ = _build_config(
+            build_parser().parse_args(["run", "--config", str(cfg)]))
+        assert config.burst is False
+
+    def test_bad_boolean_is_bad_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("burst = maybe\n")
+        assert invoke("run", "--config", str(cfg),
+                      "--out", str(tmp_path / "o")) == 2
+        assert "bad boolean for burst: 'maybe'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_line_is_bad_config(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

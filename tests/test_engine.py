@@ -80,6 +80,23 @@ class TestRunBasics:
             compare_policies(SimConfig(), ("magic",))
         with pytest.raises(ValueError):
             compare_policies(SimConfig(dga_count="sometimes"), ("dga",))
+        with pytest.raises(ValueError, match="ues_per_cell must be >= 1"):
+            compare_policies(SimConfig(ues_per_cell=0), ("cga",))
+        with pytest.raises(ValueError, match="num_prbs must be >= 1"):
+            compare_policies(SimConfig(num_prbs=0), ("cga",))
+
+    def test_unknown_config_policy_refused(self):
+        # summary.json writes config.policy even when the run names its own
+        # policies, so an unknown one must not get that far.
+        cfg = SimConfig(policy="bogus", horizon=3, num_drops=1, ues_per_cell=2)
+        with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+            compare_policies(cfg, ("cga",))
+
+    def test_empty_trace_path_is_a_missing_file(self):
+        # "" names a trace, as on the command line, not the constant rate.
+        cfg = SimConfig(horizon=3, num_drops=1, ues_per_cell=2, trace_path="")
+        with pytest.raises(OSError):
+            compare_policies(cfg, ("cga",))
 
     @pytest.mark.parametrize("policies", [(), ("cga", "cga"), ("cga", "dga", "cga")])
     def test_empty_or_repeated_policies_rejected_before_any_drop(
@@ -135,17 +152,27 @@ class TestMetrics:
             assert back[policy].avg_unserved_per_cell == m.avg_unserved_per_cell
 
     @pytest.mark.parametrize("damage", ["missing row", "repeated row",
-                                        "policy cut short"])
+                                        "policy cut short", "bad header"])
     def test_damaged_log_rejected(self, damage):
         lines = log_to_csv(compare_policies(FAST, ("cga", "mbsfn"))).splitlines()
         if damage == "missing row":
             del lines[7]
         elif damage == "repeated row":
             lines.insert(9, lines[7])
+        elif damage == "bad header":
+            lines[0] = lines[0].replace("served_count", "count")
         else:  # the last sub-frame of every drop lost for one policy only
             lines = [x for x in lines if not x.startswith(("0,19,mbsfn", "1,19,mbsfn"))]
         with pytest.raises(ValueError, match="log"):
             metrics_from_log("\n".join(lines) + "\n", num_users=28)
+
+    def test_blank_lines_in_log_are_skipped(self):
+        out = compare_policies(FAST, ("cga", "mbsfn"))
+        lines = log_to_csv(out).splitlines()
+        lines[5:5] = ["", ""]
+        back = metrics_from_log("\n".join(lines) + "\n\n", num_users=28)
+        for policy, m in out.metrics.items():
+            assert np.array_equal(back[policy].served_counts, m.served_counts)
 
     def test_log_contains_served_ids_when_asked(self):
         cfg = SimConfig(horizon=2, num_drops=1, seed=4, ues_per_cell=2,

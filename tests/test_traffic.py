@@ -102,6 +102,42 @@ class TestScheduleFromTrace:
         with pytest.raises(ValueError):
             schedule_from_trace(parse_trace(trace_file), fps=0.0)
 
+    @pytest.mark.parametrize("subframe_s", [0.0, -1e-3])
+    def test_bad_subframe_rejected(self, trace_file, subframe_s):
+        with pytest.raises(ValueError, match="subframe_s must be > 0"):
+            schedule_from_trace(parse_trace(trace_file), 30.0, subframe_s)
+
+    @staticmethod
+    def per_frame_schedule(frames, fps, subframe_s, burst):
+        """The schedule built one frame at a time, as a list of floats."""
+        n_sub = max(1, round(1.0 / (fps * subframe_s)))
+        rates = []
+        for _, bits in frames:
+            if burst:
+                rates.append(float(bits))
+                rates.extend([0.0] * (n_sub - 1))
+            else:
+                share = float(bits) / n_sub
+                chunk = [share] * n_sub
+                chunk[-1] = float(bits) - share * (n_sub - 1)
+                rates.extend(chunk)
+        return np.array(rates)
+
+    @pytest.mark.parametrize("burst", [False, True])
+    def test_matches_the_per_frame_loop_bit_for_bit(self, burst):
+        rng = np.random.default_rng(13)
+        # 1000 fps gives one sub-frame per frame; 7 and 3 frames per second
+        # leave a remainder on the last sub-frame of each period.
+        for fps in (1000.0, 3000.0, 30.0, 29.97, 7.0, 3.0, 1.3):
+            for _ in range(4):
+                sizes = rng.integers(0, 20_000, size=rng.integers(1, 40)) * 8
+                sizes[rng.random(len(sizes)) < 0.2] = 0
+                frames = [(i, int(b)) for i, b in enumerate(sizes)]
+                got = schedule_from_trace(frames, fps, 1e-3, burst)
+                want = self.per_frame_schedule(frames, fps, 1e-3, burst)
+                assert got.dtype == want.dtype == np.float64
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestConstantSchedule:
     def test_constant(self):
