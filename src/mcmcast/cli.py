@@ -20,6 +20,7 @@ from .coverage import (
     cga_block,
     check_exact_cap,
     exact_block,
+    pack,
     random_instance,
     served_block,
 )
@@ -214,12 +215,12 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     worst = np.inf
     for _ in range(args.instances):
-        cover = random_instance(
+        words = pack(random_instance(
             rng, max_users=args.max_users, max_cells=args.max_cells,
             max_prbs=args.max_prbs,
-        )[None]
-        opt = int(served_block(cover, exact_block(cover)).sum())
-        greedy = int(served_block(cover, cga_block(cover)).sum())
+        )[None])
+        opt = int(np.bitwise_count(served_block(words, exact_block(words))).sum())
+        greedy = int(np.bitwise_count(served_block(words, cga_block(words))).sum())
         if opt:
             worst = min(worst, greedy / opt)
     ok = worst >= GREEDY_BOUND

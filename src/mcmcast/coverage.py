@@ -1,16 +1,21 @@
 """Partitioned maximum-coverage model and PRB allocation kernels.
 
 The allocation problem: each of C cells must stream a common multicast
-service on exactly one of N PRBs per sub-frame.  An instance is one
-boolean array cover[c, j, k] of shape (C, N, M): True when user k decodes
-cell c streaming on PRB j.  A user is served when at least one chosen
+service on exactly one of N PRBs per sub-frame.  An instance is the
+boolean cover[c, j, k] of shape (C, N, M): True when user k decodes cell
+c streaming on PRB j.  A user is served when at least one chosen
 (cell, PRB) pair covers it, and the goal is to pick one PRB per cell
 maximizing the number of distinct served users.  This is NP-hard (it
 embeds maximum coverage).
 
-Each policy is one kernel over a (B, C, N, M) stack of B instances that
-returns the (B, C) chosen PRBs; served_block gives the (B, M) users a
-choice serves.  The engine runs them on a block of sub-frames at a time.
+The kernels work on the packed form of the instance: pack turns each
+(cell, PRB) row of M user bits into W = ceil(M / 64) uint64 words, the
+padding bits zero, so that unions are ORs and union sizes are popcounts;
+unpack turns words back into user bits.  Each policy is one kernel over a
+(B, C, N, W) stack of B packed instances that returns the (B, C) chosen
+PRBs; served_block gives the (B, W) words of the users a choice serves.
+The engine packs each block of sub-frames once and runs every kernel on
+it.
 
   * cga_block   -- centralized greedy over (cell, PRB) pairs; on random
                    workloads the oracle suite observes coverage within
@@ -22,9 +27,9 @@ choice serves.  The engine runs them on a block of sub-frames at a time.
                    MC instance, the sc policy on the SC instance
   * mbsfn_block -- one common PRB index for every cell
   * exact_block -- exhaustive search over all N^C allocations (oracle),
-                   bit-packed unions of head cells ORed against unions
-                   of tail cells, a group of instances at a time, in
-                   chunks of at most 128 KiB
+                   unions of head cells ORed against unions of tail
+                   cells, a group of instances at a time, in chunks of
+                   at most STACK_WORDS words
 
 All kernels are pure functions of the stack and break argmax ties toward
 the lowest (cell, prb) index within each instance, so outputs are
@@ -39,6 +44,10 @@ __all__ = [
     "CapExceededError",
     "EXACT_DEFAULT_CAP",
     "GREEDY_BOUND",
+    "STACK_WORDS",
+    "num_words",
+    "pack",
+    "unpack",
     "served_block",
     "cga_block",
     "dga_block",
@@ -50,14 +59,17 @@ __all__ = [
 
 EXACT_DEFAULT_CAP = 10_000_000
 
-# Upper bound on the uint64 words one chunk of the exhaustive search holds
-# (128 KiB).  It sets both how many instances exact_block searches together
-# and how many head unions each chunk ORs against the tail unions, so that
-# even the full cap never materializes at once.  2^16 words searched the
-# 4^7 allocations of 4 sub-frames per chunk and ran the exact_n4 benchmark
-# about 1.5x faster, but its peak RSS, which grows with the chunks the
-# harness completes, then read past the benchmark's bound (CHANGES.md).
-_EXACT_BLOCK_WORDS = 1 << 14
+# Upper bound on the uint64 words of one packed stack (128 KiB).  The engine
+# packs as many whole sub-frames at once as fit, and every kernel runs on
+# that stack.  Within exact_block it also bounds each chunk of the search:
+# how many instances are searched together and how many head unions each
+# chunk ORs against the tail unions, so that even the full cap never
+# materializes at once.  2^16 words searched the 4^7 allocations of 4
+# sub-frames per chunk and ran the exact_n4 benchmark about 1.5x faster,
+# but its peak RSS, which grows with the chunks the harness completes,
+# then read past the benchmark's bound (CHANGES.md); 2^17 also raised the
+# fig4 benchmark's peak RSS by 6%.
+STACK_WORDS = 1 << 14
 
 # Greedy-to-optimal ratio the oracle suite checks for: 1 - 1/e.  This is
 # the classic cardinality-constrained greedy figure; under the
@@ -83,38 +95,65 @@ def check_exact_cap(num_cells: int, num_prbs: int,
         )
 
 
+# ------------------------------------------------------------ packed form
+
+def num_words(num_users: int) -> int:
+    """W, the uint64 words a packed row of num_users user bits takes."""
+    return -(-num_users // 64)
+
+
+def pack(cover: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(..., M) bool -> (..., W) uint64 words holding the user bits,
+    W = num_words(M), the padding bits zero; popcounts of ORs of these
+    rows are union sizes.  With `out`, a C-contiguous (..., W) uint64
+    array whose padding bytes are zero, the bits are written into it."""
+    num_users = cover.shape[-1]
+    if out is None:
+        out = np.zeros(cover.shape[:-1] + (num_words(num_users),), dtype=np.uint64)
+    out.view(np.uint8)[..., : -(-num_users // 8)] = np.packbits(cover, axis=-1)
+    return out
+
+
+def unpack(words: np.ndarray, num_users: int) -> np.ndarray:
+    """(..., W) uint64 words -> the (..., M) bool user bits, M = num_users;
+    the inverse of pack."""
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=num_users)
+    return bits.view(bool)
+
+
 # ------------------------------------------------------------ block kernels
 #
-# Each kernel takes a (B, C, N, M) boolean stack of B instances and returns
+# Each kernel takes a (B, C, N, W) packed stack of B instances and returns
 # a (B, C) int array of chosen PRBs, ties going to the lowest (cell, prb)
 # index within every instance.
 
-def served_block(covers: np.ndarray, chosen: np.ndarray) -> np.ndarray:
-    """(B, M) mask of the users served when cell c of instance b transmits
-    on PRB chosen[b, c]."""
+def served_block(words: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """(B, W) words of the users served when cell c of instance b
+    transmits on PRB chosen[b, c]."""
     num_blocks, num_cells = chosen.shape
-    picked = covers[np.arange(num_blocks)[:, None], np.arange(num_cells), chosen]
-    return picked.any(axis=1)
+    picked = words[np.arange(num_blocks)[:, None], np.arange(num_cells), chosen]
+    return np.bitwise_or.reduce(picked, axis=1)
 
 
-def cga_block(covers: np.ndarray) -> np.ndarray:
+def cga_block(words: np.ndarray) -> np.ndarray:
     """Centralized greedy on every instance of the stack: C times, commit
     the (cell, PRB) pair covering the most not-yet-served users, then
     retire that cell.  Runs exactly C steps, so the allocation is total
     even when the marginal gain drops to zero.
 
-    Gains are exact popcounts of bit-packed rows; argmax over the flat
+    Gains are exact popcounts of the packed rows; argmax over the flat
     (cell, prb) index keeps the lowest pair on ties, and a retired cell's
     gains are pushed below zero, under every live gain.
     """
-    num_blocks, num_cells, num_prbs, num_users = covers.shape
+    num_blocks, num_cells, num_prbs, width = words.shape
     pairs = num_cells * num_prbs
     # (W, B, C*N), word-major: a gain is the sum of W contiguous slabs
-    rows = np.moveaxis(_packed(covers).reshape(num_blocks, pairs, -1), -1, 0)
+    rows = np.moveaxis(words.reshape(num_blocks, pairs, width), -1, 0)
     rows = np.ascontiguousarray(rows)
     keep = ~rows  # ANDed into the uncovered words when a row is picked
     uncovered = np.full(rows.shape[:2], ~np.uint64(0))
-    # M + 1 on every PRB of a retired cell, subtracted from its gains
+    # 64 W + 1, above any gain, on every PRB of a retired cell, subtracted
+    # from its gains
     penalty = np.zeros((num_blocks, num_cells, num_prbs), dtype=np.int64)
     picks = np.zeros((num_blocks, num_cells), dtype=np.intp)
     blocks = np.arange(num_blocks)
@@ -123,7 +162,7 @@ def cga_block(covers: np.ndarray) -> np.ndarray:
         gain -= penalty.reshape(num_blocks, pairs)
         pick = gain.argmax(axis=-1)
         picks[:, step] = pick
-        penalty[blocks, pick // num_prbs] = num_users + 1
+        penalty[blocks, pick // num_prbs] = 64 * width + 1
         uncovered &= keep[:, blocks, pick]
     order, prbs = np.divmod(picks, num_prbs)
     chosen = np.zeros_like(order)
@@ -131,40 +170,38 @@ def cga_block(covers: np.ndarray) -> np.ndarray:
     return chosen
 
 
-def dga_block(covers: np.ndarray) -> np.ndarray:
+def dga_block(words: np.ndarray) -> np.ndarray:
     """Per-cell argmax of the users each (cell, PRB) covers, each cell
     counting every user it covers with no regard for the other cells."""
-    return covers.sum(axis=-1).argmax(axis=-1)
+    return _popcount(words).argmax(axis=-1)
 
 
-def mbsfn_block(covers: np.ndarray) -> np.ndarray:
+def mbsfn_block(words: np.ndarray) -> np.ndarray:
     """One common PRB for every cell: the index whose system-wide union
     covers the most users."""
-    best = covers.any(axis=1).sum(axis=-1).argmax(axis=-1)
-    return np.repeat(best[:, None], covers.shape[1], axis=1)
+    best = _popcount(np.bitwise_or.reduce(words, axis=1)).argmax(axis=-1)
+    return np.repeat(best[:, None], words.shape[1], axis=1)
 
 
-def exact_block(covers: np.ndarray, cap: int = EXACT_DEFAULT_CAP) -> np.ndarray:
+def exact_block(words: np.ndarray, cap: int = EXACT_DEFAULT_CAP) -> np.ndarray:
     """The exhaustive oracle on every instance of the stack: the first
     allocation, in itertools.product order over the cells' PRBs, that
     serves the most users, which is the lowest-(cell, prb) tie-break.
     Refuses stacks whose instances have more than `cap` allocations.
 
-    An allocation is the OR of one bit-packed row per cell.  The cells
+    An allocation is the OR of one packed row per cell.  The cells
     split into leading head cells and trailing tail cells: each allocation
     is one head union ORed with one tail union, and its index in
     itertools.product order is head index * N^tail + tail index.  The
     search takes G instances at a time and ORs r head unions against all
     tail unions at once, keeping every (G, r, N^tail, W) chunk within
-    _EXACT_BLOCK_WORDS words.  A flat argmax per instance keeps the first
+    STACK_WORDS words.  A flat argmax per instance keeps the first
     maximizer within a chunk, and a later chunk replaces it only when
     strictly larger, so the first maximizer overall wins.
     """
-    num_blocks, num_cells, num_prbs, _ = covers.shape
+    num_blocks, num_cells, num_prbs, width = words.shape
     check_exact_cap(num_cells, num_prbs, cap)
-    words = _packed(covers)
-    width = words.shape[-1]
-    budget = _EXACT_BLOCK_WORDS // max(width, 1)  # rows of W words
+    budget = STACK_WORDS // max(width, 1)  # rows of W words
     tail_cells = -(-num_cells // 2)
     while tail_cells and num_prbs ** tail_cells > budget:
         tail_cells -= 1
@@ -183,8 +220,7 @@ def exact_block(covers: np.ndarray, cap: int = EXACT_DEFAULT_CAP) -> np.ndarray:
         index = best_index[b0: b0 + group]
         for h0 in range(0, heads, rows):
             # one expression, so that no chunk of ORs outlives its popcount
-            counts = np.bitwise_count(head[:, h0: h0 + rows, None] | tail[:, None])
-            counts = counts[..., 0] if width == 1 else counts.sum(axis=-1, dtype=np.int64)
+            counts = _popcount(head[:, h0: h0 + rows, None] | tail[:, None])
             counts = counts.reshape(size, -1)
             i = counts.argmax(axis=-1)
             count = counts[np.arange(size), i]
@@ -208,15 +244,11 @@ def _unions(words: np.ndarray) -> np.ndarray:
     return out
 
 
-def _packed(cover: np.ndarray) -> np.ndarray:
-    """(..., M) bool -> (..., W) uint64 words holding the user bits, each
-    row zero-padded to whole words; popcounts of ORs of these rows are
-    union sizes."""
-    num_users = cover.shape[-1]
-    words = -(-num_users // 64)
-    padded = np.zeros(cover.shape[:-1] + (64 * words,), dtype=bool)
-    padded[..., :num_users] = cover
-    return np.packbits(padded).view(np.uint64).reshape(cover.shape[:-1] + (words,))
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """(..., W) words -> (...) counts of their set bits: int64, or the
+    uint8 popcounts themselves when W = 1."""
+    counts = np.bitwise_count(words)
+    return counts[..., 0] if counts.shape[-1] == 1 else counts.sum(axis=-1, dtype=np.int64)
 
 
 def random_instance(

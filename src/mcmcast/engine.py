@@ -3,17 +3,21 @@
 Each drop places UEs afresh and draws its own shadowing, which fixes every
 link budget for the drop; once per drop the channel turns it into a table
 of cutoff fading powers, one per (SNR threshold the run's demand needs,
-cell, UE).  Within a drop the loop steps through blocks of sub-frames:
-draw per-PRB fading powers for the block → compare each sub-frame's powers
-with the cutoffs of its threshold (the decision the SNR in dB would give,
-without a log per draw) → one (B, C, N, M) stack of coverage instances per
-connectivity mode in use → run each policy's kernel once on the stack it
-picks on and credit its picks on the stack it is credited on (the _runs
-table) → record who was served.  The block size only groups the work: the
-RNG stream and every result are those of one sub-frame at a time.  When
-several policies are compared they see the *same* draws and share the
-instances of their mode (common random numbers), so observed differences
-are policy-only.
+cell, UE), and each connectivity mode in use packs its (C, M) eligibility
+into words.  Within a drop the loop steps through kernel blocks of K
+sub-frames, as many as fit one packed stack of coverage.STACK_WORDS words,
+each drawn in fading blocks of at most 1 MiB of powers: draw per-PRB
+fading powers → compare each sub-frame's powers with the cutoffs of its
+threshold (the decision the SNR in dB would give, without a log per draw)
+and pack the result into the block's (K, C, N, W) words → AND them with
+each mode's eligibility words, one packed stack of coverage instances per
+mode → run each policy's kernel once on the stack it picks on and credit
+its picks on the stack it is credited on (the _runs table) → count the
+served words, unpacking them to users only when the run keeps its served
+masks.  The block sizes only group the work: the RNG stream and every
+result are those of one sub-frame at a time.  When several policies are
+compared they see the *same* draws and share the instances of their mode
+(common random numbers), so observed differences are policy-only.
 """
 
 from __future__ import annotations
@@ -32,12 +36,16 @@ import numpy as np
 from .channel import ChannelModel, ChannelParams, min_snr_db
 from .coverage import (
     EXACT_DEFAULT_CAP,
+    STACK_WORDS,
     cga_block,
     check_exact_cap,
     dga_block,
     exact_block,
     mbsfn_block,
+    num_words,
+    pack,
     served_block,
+    unpack,
 )
 from .topology import MC, NUM_CELLS, SC, _frozen, build_hex7, eligibility
 from .traffic import parse_trace, schedule_constant, schedule_from_trace
@@ -49,10 +57,10 @@ __all__ = [
     "sweep_to_csv", "summary_dict",
 ]
 
-# Upper bound on the float64 fading powers of one block of sub-frames (1 MiB):
-# the loop draws and solves as many whole sub-frames at once as fit.  Larger
-# blocks were no faster and cost peak memory; smaller ones pay per-call
-# overhead more often.
+# Upper bound on the float64 fading powers of one fading block of sub-frames
+# (1 MiB): the loop draws and compares as many whole sub-frames at once as
+# fit, and no more than one kernel block holds.  Larger blocks were no
+# faster and cost peak memory; smaller ones pay per-call overhead more often.
 _BLOCK_WORDS = 1 << 17
 
 # The per-policy aggregates that summary.json reports, in the order of the
@@ -92,7 +100,7 @@ class SimConfig:
 
 
 def _runs(config: SimConfig) -> dict:
-    """Policy -> (its (B, C, N, M) kernel, the connectivity mode of the
+    """Policy -> (its (B, C, N, W) kernel, the connectivity mode of the
     instance it picks on, the mode of the instance it is credited on).
     Under dga_count "primary" a DGA cell counts only its primary users,
     which is DGA on the SC instance, since SC is MC cut to primary cells."""
@@ -170,9 +178,11 @@ class Metrics:
         d = len(self.drop_means)
         if d < 2:
             return 0.0
-        from scipy import stats  # deferred: scipy.stats takes about 1 s to import
+        # deferred: scipy.special takes about 0.35 s to import; its inverse
+        # t distribution equals scipy.stats.t.ppf bit for bit
+        from scipy.special import stdtrit
         sem = self.drop_means.std(ddof=1) / np.sqrt(d)
-        return float(stats.t.ppf(0.975, d - 1) * sem)
+        return float(stdtrit(d - 1, 0.975) * sem)
 
     def to_dict(self) -> dict:
         return {
@@ -195,11 +205,13 @@ class RunOutput:
 
 
 def _build_schedule(config: SimConfig) -> np.ndarray:
-    """(T,) bits each sub-frame of the trace, or of the horizon, demands."""
+    """(T,) bits each sub-frame of the horizon demands, or each sub-frame
+    of a trace shorter than the horizon."""
     if config.trace_path is not None:
         frames = parse_trace(config.trace_path)
         return schedule_from_trace(
-            frames, config.fps, config.channel.subframe_s, config.burst
+            frames, config.fps, config.channel.subframe_s, config.burst,
+            length=config.horizon,
         )
     return schedule_constant(
         config.rate_bits, config.horizon, config.channel.subframe_s
@@ -237,10 +249,16 @@ def compare_policies(
 
     runs = _runs(config)
     modes = {m for p in policies for m in runs[p][1:]}
-    # One (block, C, N, M) fading buffer, reused by every block of every drop
+    # One (span, C, N, W) word buffer for the packed decodability of a kernel
+    # block, whose padding bits stay zero, and one (block, C, N, M) fading
+    # buffer for the fading blocks within it, both reused by every block of
+    # every drop
     frame = (NUM_CELLS, config.num_prbs, num_users)
-    block = max(1, min(horizon, _BLOCK_WORDS // math.prod(frame)))
+    width = num_words(num_users)
+    span = max(1, min(horizon, STACK_WORDS // (math.prod(frame[:2]) * width)))
+    block = max(1, min(span, _BLOCK_WORDS // math.prod(frame)))
     power_buf = np.empty((block, *frame))
+    word_buf = np.zeros((span, *frame[:2], width), dtype=np.uint64)
 
     for d, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -250,19 +268,24 @@ def compare_policies(
         model = ChannelModel(config.channel, scenario, config.num_prbs)
         # (L, C, 1, M) least power that decodes at each threshold
         cuts = model.cutoffs(model.draw_shadowing(rng), levels)[:, :, None, :]
-        # (1, C, 1, M) per mode, built once per drop
-        eligible = {m: eligibility(scenario, m)[None, :, None, :] for m in modes}
-        for t0 in range(0, horizon, block):
-            t1 = min(t0 + block, horizon)
-            power = model.fading_block(rng, power_buf[: t1 - t0])
-            decodable = power >= cuts[level[t0:t1]]
-            covers = {m: decodable & e for m, e in eligible.items()}
+        # (1, C, 1, W) words per mode, packed once per drop
+        eligible = {
+            m: pack(eligibility(scenario, m))[None, :, None, :] for m in modes
+        }
+        for t0 in range(0, horizon, span):
+            t1 = min(t0 + span, horizon)
+            for f0 in range(t0, t1, block):
+                f1 = min(f0 + block, t1)
+                power = model.fading_block(rng, power_buf[: f1 - f0])
+                pack(power >= cuts[level[f0:f1]], out=word_buf[f0 - t0: f1 - t0])
+            covers = {m: word_buf[: t1 - t0] & e for m, e in eligible.items()}
             for policy in policies:
                 kernel, picks_on, credited_on = runs[policy]
-                mask = served_block(covers[credited_on], kernel(covers[picks_on]))
-                counts[policy][d, t0:t1] = mask.sum(axis=-1)
+                chosen = kernel(covers[picks_on])
+                words = served_block(covers[credited_on], chosen)
+                counts[policy][d, t0:t1] = np.bitwise_count(words).sum(axis=-1)
                 if served:
-                    served[policy][d, t0:t1] = mask
+                    served[policy][d, t0:t1] = unpack(words, num_users)
 
     metrics = {
         p: Metrics(
@@ -296,14 +319,27 @@ def sweep(
     ]
 
 
-def paired_one_sided_pvalue(a: Metrics, b: Metrics) -> float:
-    """P-value for mean(a) > mean(b) with (drop, sub-frame) cells paired."""
+def paired_one_sided_pvalue(a: Metrics, b: Metrics) -> float | None:
+    """P-value for mean(a) > mean(b) with (drop, sub-frame) cells paired:
+    the one-sided paired t-test, computed as scipy.stats.ttest_rel computes
+    it, bit for bit.  None with fewer than two paired cells, where the test
+    is undefined.  A constant nonzero difference has no spread: 0.0 when
+    it favours a, 1.0 otherwise."""
     x = a.served_counts.ravel().astype(float)
     y = b.served_counts.ravel().astype(float)
+    n = x.size
+    if n < 2:
+        return None
     if np.allclose(x, y):
         return 1.0
-    from scipy import stats  # deferred: scipy.stats takes about 1 s to import
-    return float(stats.ttest_rel(x, y, alternative="greater").pvalue)
+    # deferred: scipy.special takes about 0.35 s to import
+    from scipy.special import stdtr
+    d = x - y
+    mean = d.mean()
+    var = ((d - mean) ** 2).mean() * (n / (n - 1))
+    with np.errstate(divide="ignore"):
+        t = mean / np.sqrt(var / n)
+    return float(stdtr(n - 1.0, -t))
 
 
 # ---------------------------------------------------------------- artifacts
@@ -385,12 +421,16 @@ def summary_dict(output: RunOutput) -> dict:
         "metrics": {p: m.to_dict() for p, m in sorted(metrics.items())},
     }
     pvals = {
-        f"{a}_gt_{b}": round(paired_one_sided_pvalue(metrics[a], metrics[b]), 6)
+        f"{a}_gt_{b}": _rounded(paired_one_sided_pvalue(metrics[a], metrics[b]))
         for a, b in itertools.combinations(sorted(metrics), 2)
     }
     if pvals:
         summary["paired_pvalues"] = pvals
     return summary
+
+
+def _rounded(pvalue: float | None) -> float | None:
+    return None if pvalue is None else round(pvalue, 6)
 
 
 def summary_to_json(output: RunOutput) -> str:

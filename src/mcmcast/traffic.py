@@ -59,29 +59,34 @@ def schedule_from_trace(
     fps: float,
     subframe_s: float = 1e-3,
     burst: bool = False,
+    length: int | None = None,
 ) -> np.ndarray:
     """(T,) bits demanded in each sub-frame: each frame's bits spread over
     the sub-frames of its frame period.
 
     With ``burst`` the whole frame lands on the first sub-frame of the
     period; otherwise bits are split evenly with the remainder on the
-    last sub-frame.  Total bits are conserved exactly either way.
+    last sub-frame.  Total bits are conserved exactly either way.  With
+    ``length``, only the first ``length`` sub-frames of the schedule are
+    built, or the whole schedule when it is shorter, so the memory is
+    bounded by what the caller keeps.
     """
     if fps <= 0:
         raise ValueError("fps must be > 0")
     if subframe_s <= 0:
         raise ValueError("subframe_s must be > 0")
+    if length is not None and length <= 0:
+        raise ValueError("length must be > 0")
     n_sub = max(1, round(1.0 / (fps * subframe_s)))
-    bits = np.array([float(b) for _, b in frames])
-    # (frames, sub-frames per frame), read row by row
-    rates = np.zeros((len(bits), n_sub))
+    total = len(frames) * n_sub
+    kept = total if length is None else min(length, total)
+    # (frame, sub-frame within its period) of each sub-frame kept
+    frame, phase = np.divmod(np.arange(kept), n_sub)
+    bits = np.array([float(b) for _, b in frames])[frame]
     if burst:
-        rates[:, 0] = bits
-    else:
-        share = bits / n_sub
-        rates[:] = share[:, None]
-        rates[:, -1] = bits - share * (n_sub - 1)
-    return rates.ravel()
+        return np.where(phase == 0, bits, 0.0)
+    share = bits / n_sub
+    return np.where(phase == n_sub - 1, bits - share * (n_sub - 1), share)
 
 
 def schedule_constant(

@@ -1,11 +1,12 @@
 """Test-only oracles for the allocation kernels: a set-based view of a
 (C, N, M) coverage instance and its constructor, a kernel's choice on one
-instance and how many it serves, the set-union served users of an
-allocation, the greedy's per-step history, the embedding of plain maximum
+instance and how many it serves, the users a choice on a boolean stack
+serves, the set-union served users of an allocation, the greedy's per-step history, the embedding of plain maximum
 coverage, the SNR->rate step function, and a one-sub-frame SNR draw.
 
-The package works on bare boolean arrays only; these helpers rebuild the
-set form the paper states the problem in, so the tests can check the
+The package's kernels work on packed (B, C, N, W) word stacks; these
+helpers take boolean instances, pack them with coverage.pack, and rebuild
+the set form the paper states the problem in, so the tests can check the
 kernels against it.  pytest does not collect this module (its name does
 not start with test_); the tests import it.
 """
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from mcmcast.channel import _RATES, _THRESHOLDS_DB
-from mcmcast.coverage import served_block
+from mcmcast.coverage import pack, served_block, unpack
 
 
 def from_sets(
@@ -54,16 +55,23 @@ def sets_of(cover: np.ndarray) -> tuple[tuple[frozenset[int], ...], ...]:
 
 
 def chosen_by(kernel, cover: np.ndarray) -> tuple[int, ...]:
-    """The PRBs a block kernel picks on the single instance `cover`, as
-    the stack of that one instance."""
-    return tuple(kernel(cover[None])[0].tolist())
+    """The PRBs a block kernel picks on the single boolean instance
+    `cover`, as the packed stack of that one instance."""
+    return tuple(kernel(pack(cover[None]))[0].tolist())
 
 
 def served_count(kernel, cover: np.ndarray) -> int:
     """How many users the choice of a block kernel serves on the single
-    instance `cover`."""
-    stack = cover[None]
-    return int(served_block(stack, kernel(stack)).sum())
+    boolean instance `cover`."""
+    stack = pack(cover[None])
+    return int(np.bitwise_count(served_block(stack, kernel(stack))).sum())
+
+
+def served_users(covers: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """(B, M) bool mask of the users served on the boolean (B, C, N, M)
+    stack `covers` when cell c of instance b transmits on PRB chosen[b, c],
+    by served_block on the packed stack."""
+    return unpack(served_block(pack(covers), chosen), covers.shape[-1])
 
 
 def served_set(cover: np.ndarray, chosen: Sequence[int]) -> frozenset[int]:

@@ -148,6 +148,20 @@ class TestArtifacts:
         assert set(summary["metrics"]) == {"cga", "mbsfn"}
         assert "cga_gt_mbsfn" in summary["paired_pvalues"]
 
+    def test_one_paired_cell_writes_a_null_pvalue(self, tmp_path):
+        # One sub-frame of one drop leaves the paired t-test undefined; the
+        # summary says so with a JSON null, not a NaN no JSON parser takes.
+        code = invoke("run", "--preset", "fig7_trace_mc_vs_sc", "--subframes",
+                      "1", "--drops", "1", "--out", str(tmp_path))
+        assert code == 0
+        text = (tmp_path / "summary.json").read_text()
+        assert "NaN" not in text
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        summary = json.loads(text, parse_constant=refuse)
+        assert summary["paired_pvalues"] == {"cga_gt_sc": None}
+
     def test_log_header_and_policy_column(self, tmp_path):
         invoke("run", "--preset", "custom", "--policy", "sc",
                "--subframes", "4", "--drops", "2", "--ues", "3",

@@ -23,8 +23,11 @@ from mcmcast.coverage import (
     dga_block,
     exact_block,
     mbsfn_block,
+    num_words,
+    pack,
     random_instance,
     served_block,
+    unpack,
 )
 from oracles import (
     McpInstance,
@@ -35,6 +38,7 @@ from oracles import (
     reduce_mcp,
     served_count,
     served_set,
+    served_users,
     sets_of,
 )
 
@@ -193,11 +197,11 @@ class TestGreedyVersusExact:
 
     def test_exact_cap_enforced(self):
         with pytest.raises(CapExceededError):
-            exact_block(FIXTURE[None], cap=3)
+            exact_block(pack(FIXTURE[None]), cap=3)
 
     def test_more_cells_than_numpy_has_dimensions(self):
         # One PRB leaves a single allocation, whatever the cell count.
-        chosen = exact_block(np.ones((2, 65, 1, 3), dtype=bool))
+        chosen = exact_block(pack(np.ones((2, 65, 1, 3), dtype=bool)))
         assert chosen.shape == (2, 65)
         assert not chosen.any()
 
@@ -272,20 +276,21 @@ def reference_exact(cover):
 
 
 def chosen_and_served(kernel, covers):
-    """Each row's (chosen PRBs, served user ids) under a block kernel."""
-    chosen = kernel(covers)
-    served = served_block(covers, chosen)
+    """Each row's (chosen PRBs, served user ids) under a block kernel, on
+    the packed form of the boolean stack `covers`."""
+    chosen = kernel(pack(covers))
+    served = served_users(covers, chosen)
     return [(tuple(ch.tolist()), frozenset(np.flatnonzero(s).tolist()))
             for ch, s in zip(chosen, served)]
 
 
 class TestArraySolversMatchSetReferences:
     # Few users and dense or sparse sets make argmax ties the common case.
-    @pytest.mark.parametrize("block_words", [coverage._EXACT_BLOCK_WORDS, 1, 8])
+    @pytest.mark.parametrize("block_words", [coverage.STACK_WORDS, 1, 8])
     def test_cga_and_exact_pick_the_reference_allocation(self, block_words,
                                                          monkeypatch):
         # Small blocks split the exhaustive search over many prefixes.
-        monkeypatch.setattr(coverage, "_EXACT_BLOCK_WORDS", block_words)
+        monkeypatch.setattr(coverage, "STACK_WORDS", block_words)
         rng = np.random.default_rng(23)
         for _ in range(300):
             cover = random_instance(rng, max_users=5, max_cells=4, max_prbs=3)
@@ -324,13 +329,71 @@ class TestBlockKernels:
             stacked += len(group)
             covers = np.stack(group)
             for kernel in (cga_block, dga_block, mbsfn_block):
-                chosen = kernel(covers)
-                served = served_block(covers, chosen)
+                chosen = kernel(pack(covers))
+                served = served_users(covers, chosen)
                 for b, cover in enumerate(group):
                     assert tuple(chosen[b].tolist()) == chosen_by(kernel, cover)
                     assert (frozenset(np.flatnonzero(served[b]).tolist())
                             == served_set(cover, chosen[b]))
         assert stacked >= 500
+
+
+def reference_dga(cover):
+    """Per-cell first PRB reaching the most users, by set sizes."""
+    return tuple(max(range(len(row)), key=lambda j: (len(row[j]), -j))
+                 for row in sets_of(cover)), None
+
+
+def reference_mbsfn(cover):
+    """The first PRB whose union over every cell is the largest."""
+    sets = sets_of(cover)
+    best = max(range(cover.shape[1]), key=lambda j: (
+        len(frozenset().union(*(row[j] for row in sets))), -j))
+    return (best,) * len(sets), None
+
+
+class TestPackedForm:
+    """pack and unpack, and every kernel on packed stacks whose rows end
+    inside a word, on a word boundary and one bit past it."""
+
+    USERS = [1, 63, 64, 65, 128, 280]
+
+    @pytest.mark.parametrize("num_users", USERS)
+    def test_pack_round_trips_with_zero_padding(self, num_users):
+        rng = np.random.default_rng(num_users)
+        width = num_words(num_users)
+        assert width == (num_users + 63) // 64
+        for cover in (rng.random((3, 2, 4, num_users)) < 0.5,
+                      np.ones((3, 2, 4, num_users), dtype=bool)):
+            words = pack(cover)
+            assert words.dtype == np.uint64 and words.shape == (3, 2, 4, width)
+            assert np.array_equal(unpack(words, num_users), cover)
+            # no padding bit is set, so popcounts are user counts
+            assert np.array_equal(np.bitwise_count(words).sum(axis=-1),
+                                  cover.sum(axis=-1))
+            # into a slice of a larger zeroed buffer, leaving the rest alone
+            buffer = np.zeros((5, 2, 4, width), dtype=np.uint64)
+            assert np.shares_memory(pack(cover, out=buffer[1:4]), buffer)
+            assert np.array_equal(buffer[1:4], words)
+            assert not buffer[[0, 4]].any()
+
+    @pytest.mark.parametrize("num_users", USERS)
+    def test_kernels_match_the_set_references(self, num_users):
+        rng = np.random.default_rng(100 + num_users)
+        references = ((cga_block, reference_cga), (dga_block, reference_dga),
+                      (mbsfn_block, reference_mbsfn),
+                      (exact_block, reference_exact))
+        for density in (0.0, 0.01, 0.1, 0.5, 0.9, 1.0):
+            covers = rng.random((4, 3, 3, num_users)) < density
+            words = pack(covers)
+            for kernel, reference in references:
+                chosen = kernel(words)
+                served = unpack(served_block(words, chosen), num_users)
+                for b, cover in enumerate(covers):
+                    want, _ = reference(cover)
+                    assert tuple(chosen[b].tolist()) == want, (kernel, density, b)
+                    assert (frozenset(np.flatnonzero(served[b]).tolist())
+                            == served_set(cover, want))
 
 
 @functools.cache
@@ -356,19 +419,19 @@ class TestStackedExact:
     # 40 words: the (4, 2) stacks search 2 instances at a time with an odd
     # number of instances, and the (4, 3) and two-word (3, 3) heads span
     # several chunks.  1 word puts every cell in the head.
-    @pytest.mark.parametrize("block_words", [coverage._EXACT_BLOCK_WORDS, 1, 8, 40])
+    @pytest.mark.parametrize("block_words", [coverage.STACK_WORDS, 1, 8, 40])
     def test_each_row_is_the_reference_allocation(self, block_words, monkeypatch):
-        monkeypatch.setattr(coverage, "_EXACT_BLOCK_WORDS", block_words)
+        monkeypatch.setattr(coverage, "STACK_WORDS", block_words)
         for covers, references in reference_stacks():
             assert chosen_and_served(exact_block, covers) == references
 
     def test_exact_n4_sized_stack_stays_small(self):
         # 100 sub-frames of 7 cells, 4 PRBs and 35 users, as the exact_n4
         # benchmark runs them; its peak RSS is gated.
-        covers = np.random.default_rng(5).random((100, 7, 4, 35)) < 0.3
+        words = pack(np.random.default_rng(5).random((100, 7, 4, 35)) < 0.3)
         tracemalloc.start()
         try:
-            exact_block(covers)
+            exact_block(words)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -435,10 +498,10 @@ class TestProperties:
         # served_block against the union of the chosen sets
         num_cells, num_prbs, _ = cover.shape
         for kernel in (cga_block, dga_block, mbsfn_block, exact_block):
-            chosen = kernel(cover[None])
+            chosen = kernel(pack(cover[None]))
             assert chosen.shape == (1, num_cells)
             assert ((0 <= chosen) & (chosen < num_prbs)).all()
-            served = served_block(cover[None], chosen)[0]
+            served = served_users(cover[None], chosen)[0]
             assert (frozenset(np.flatnonzero(served).tolist())
                     == served_set(cover, chosen[0]))
 

@@ -15,11 +15,13 @@ from mcmcast.channel import ChannelModel, ChannelParams, min_snr_db
 from mcmcast.coverage import (
     EXACT_DEFAULT_CAP,
     GREEDY_BOUND,
+    STACK_WORDS,
     cga_block,
     dga_block,
     exact_block,
     mbsfn_block,
-    served_block,
+    num_words,
+    pack,
 )
 from mcmcast.engine import (
     Metrics,
@@ -35,7 +37,7 @@ from mcmcast.engine import (
 )
 from mcmcast.topology import NUM_CELLS, build_hex7, eligibility
 from mcmcast.traffic import write_synthetic_trace
-from oracles import chosen_by, served_set, snr_subframe
+from oracles import chosen_by, served_set, served_users, snr_subframe
 
 FAST = SimConfig(horizon=20, num_drops=2, seed=3, ues_per_cell=4,
                  radius_m=600.0, num_prbs=4)
@@ -116,6 +118,22 @@ class TestRunBasics:
             warnings.simplefilter("error")  # 33 sub-frames cover the horizon
             out = compare_policies(cfg, ("cga",))
         assert out.metrics["cga"].served_counts.shape == (1, 5)
+
+    def test_slow_trace_builds_only_the_horizon(self, tmp_path):
+        # At 0.03 fps a frame spans 33 333 sub-frames, so the whole schedule
+        # of the 300-frame trace is 80 MB of float64; a run keeps only its
+        # horizon of them.  The 1 MiB fading buffer is most of what remains.
+        trace = write_synthetic_trace(str(tmp_path / "trace.txt"), seed=1)
+        cfg = SimConfig(horizon=1000, num_drops=1, seed=2, trace_path=trace,
+                        fps=0.03, ues_per_cell=1)
+        tracemalloc.start()
+        try:
+            out = compare_policies(cfg, ("cga",))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.metrics["cga"].served_counts.shape == (1, 1000)
+        assert peak < 4e6
 
     def test_short_trace_wraps_with_a_warning(self, tmp_path):
         path = tmp_path / "trace.txt"
@@ -298,6 +316,22 @@ class TestSummary:
         assert set(summary["metrics"]) == {"cga", "sc"}
         assert "cga_gt_sc" in summary["paired_pvalues"]
 
+    def test_one_paired_cell_gives_no_pvalue(self):
+        cfg = replace(FAST, horizon=1, num_drops=1)
+        out = compare_policies(cfg, ("cga", "sc"))
+        assert paired_one_sided_pvalue(
+            out.metrics["cga"], out.metrics["sc"]) is None
+        assert summary_dict(out)["paired_pvalues"] == {"cga_gt_sc": None}
+        assert '"cga_gt_sc": null' in summary_to_json(out)
+
+    def test_constant_difference_is_decided_without_a_warning(self):
+        # No spread in the differences: t is infinite and the p-value 0 for
+        # the policy ahead, 1 for the one behind.  Warnings fail tier-1.
+        ahead = Metrics("a", np.full((2, 5), 9), 70, 7)
+        behind = Metrics("b", np.full((2, 5), 4), 70, 7)
+        assert paired_one_sided_pvalue(ahead, behind) == 0.0
+        assert paired_one_sided_pvalue(behind, ahead) == 1.0
+
     def test_json_is_deterministic(self):
         a = summary_to_json(compare_policies(FAST, ("cga", "sc")))
         b = summary_to_json(compare_policies(FAST, ("cga", "sc")))
@@ -306,8 +340,9 @@ class TestSummary:
 
 def reference_run(config, policies):
     """The engine's run one sub-frame at a time: one SNR draw, then each
-    policy's kernel on a one-instance stack of its connectivity mode.
-    Returns policy -> ((D, T) served counts, (D, T, M) served masks)."""
+    policy's kernel on a one-instance boolean stack of its connectivity
+    mode, packed on its own.  Returns policy -> ((D, T) served counts,
+    (D, T, M) served masks)."""
     schedule = engine._build_schedule(config)
     threshold = min_snr_db(np.resize(schedule, config.horizon))
     shape = (config.num_drops, config.horizon, NUM_CELLS * config.ues_per_cell)
@@ -337,15 +372,19 @@ def reference_run(config, policies):
             for policy in policies:
                 kernel, stack, args = runs[policy]
                 credited = sc if policy == "sc" else mc
-                masks[policy][d, t] = served_block(
-                    credited, kernel(stack, *args))[0]
+                masks[policy][d, t] = served_users(
+                    credited, kernel(pack(stack), *args))[0]
     return {p: (m.sum(axis=-1), m) for p, m in masks.items()}
 
 
-def block_size(config):
-    """Sub-frames per block of the engine's SNR buffer for this config."""
-    frame = NUM_CELLS * config.num_prbs * NUM_CELLS * config.ues_per_cell
-    return engine._BLOCK_WORDS // frame
+def block_sizes(config):
+    """Sub-frames per fading block and per kernel block of the engine for
+    this config, before the horizon cuts them: its fading-power buffer,
+    capped at a kernel block, and its packed stack of STACK_WORDS words."""
+    pairs = NUM_CELLS * config.num_prbs
+    users = NUM_CELLS * config.ues_per_cell
+    kernel = STACK_WORDS // (pairs * num_words(users))
+    return min(kernel, engine._BLOCK_WORDS // (pairs * users)), kernel
 
 
 FOUR = ("cga", "dga", "sc", "mbsfn")
@@ -369,7 +408,9 @@ SPECIAL_SIZES = [(0, 10, 500, 40, 99)[i % 5] for i in range(300)]
 
 class TestBlockLoop:
     """The block loop against the per-sub-frame reference, at horizons on
-    both sides of one and two block boundaries."""
+    both sides of one and two fading-block boundaries and of one and two
+    kernel-block boundaries.  The reference is causal, so one reference
+    run at the longest horizon holds every shorter one as its prefix."""
 
     CASES = {
         "all_policies": (dict(num_prbs=2), (*FOUR, "exact")),
@@ -381,7 +422,10 @@ class TestBlockLoop:
     }
     TRACES = {"trace": None, "special_levels": SPECIAL_SIZES}
 
-    @pytest.mark.parametrize("ues", [10, 20])
+    # 10 and 20 UEs per cell: two and three words per row, several fading
+    # blocks per kernel block.  1 UE per cell: one word per row, and the
+    # fading budget exceeds the kernel block, which caps it.
+    @pytest.mark.parametrize("ues", [1, 10, 20])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_the_per_subframe_loop(self, case, ues, tmp_path):
         overrides, policies = self.CASES[case]
@@ -390,29 +434,32 @@ class TestBlockLoop:
         if case in self.TRACES:
             path = fast_trace(tmp_path / "t.txt", self.TRACES[case])
             config = replace(config, trace_path=path)
-        block = block_size(config)
-        assert block >= 2
+        block, kernel = block_sizes(config)
+        assert 2 <= block <= kernel
+        assert (block < kernel) == (ues > 1)
         if case in self.TRACES:
             levels = set(min_snr_db(engine._build_schedule(config)[:block]))
             assert len(levels) > 1
         if case == "special_levels":
             assert {-np.inf, np.inf} < levels
-        for horizon in (1, block - 1, block, block + 1, 2 * block + 1):
-            cfg = replace(config, horizon=horizon)
-            out = compare_policies(cfg, policies)
-            want = reference_run(cfg, policies)
+        horizons = sorted({1, block - 1, block, block + 1, 2 * block + 1,
+                           kernel - 1, kernel, kernel + 1, 2 * kernel + 1})
+        want = reference_run(replace(config, horizon=horizons[-1]), policies)
+        for horizon in horizons:
+            out = compare_policies(replace(config, horizon=horizon), policies)
             for policy in policies:
                 counts, masks = want[policy]
                 got = out.metrics[policy].served_counts
-                assert np.array_equal(got, counts), (horizon, policy)
-                assert np.array_equal(out.served_masks[policy], masks), (
-                    horizon, policy)
+                assert np.array_equal(got, counts[:, :horizon]), (horizon, policy)
+                assert np.array_equal(out.served_masks[policy],
+                                      masks[:, :horizon]), (horizon, policy)
 
     def test_fig7_sized_run_peaks_below_4_mb(self, tmp_path):
         # M = 280 and three policies on a trace: the fading-power buffer is
-        # bounded by _BLOCK_WORDS (1 MiB), and the per-drop cutoff table by
-        # the run's distinct thresholds (at most 17 x C x M float64); a grown
-        # budget shows up here.
+        # bounded by _BLOCK_WORDS (1 MiB), each packed stack by STACK_WORDS
+        # (128 KiB), and the per-drop cutoff table by the run's distinct
+        # thresholds (at most 17 x C x M float64); a grown budget shows up
+        # here.
         trace = write_synthetic_trace(str(tmp_path / "trace.txt"), seed=1)
         cfg = SimConfig(ues_per_cell=40, radius_m=1000.0, horizon=100,
                         num_drops=1, seed=1, trace_path=trace)

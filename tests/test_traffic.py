@@ -107,6 +107,11 @@ class TestScheduleFromTrace:
         with pytest.raises(ValueError, match="subframe_s must be > 0"):
             schedule_from_trace(parse_trace(trace_file), 30.0, subframe_s)
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_bad_length_rejected(self, trace_file, length):
+        with pytest.raises(ValueError, match="length must be > 0"):
+            schedule_from_trace(parse_trace(trace_file), 30.0, length=length)
+
     @staticmethod
     def per_frame_schedule(frames, fps, subframe_s, burst):
         """The schedule built one frame at a time, as a list of floats."""
@@ -137,6 +142,22 @@ class TestScheduleFromTrace:
                 want = self.per_frame_schedule(frames, fps, 1e-3, burst)
                 assert got.dtype == want.dtype == np.float64
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("burst", [False, True])
+    def test_length_builds_the_prefix_bit_for_bit(self, burst):
+        # Cuts inside a period, on its last and first sub-frames, and at,
+        # just below and past the end of the whole schedule.
+        rng = np.random.default_rng(17)
+        for fps in (1000.0, 30.0, 7.0):
+            sizes = rng.integers(0, 20_000, size=9) * 8
+            frames = [(i, int(b)) for i, b in enumerate(sizes)]
+            want = self.per_frame_schedule(frames, fps, 1e-3, burst)
+            n_sub = len(want) // len(frames)
+            for length in {1, n_sub - 1 or 1, n_sub, n_sub + 1, len(want) - 1,
+                           len(want), len(want) + 5}:
+                got = schedule_from_trace(frames, fps, 1e-3, burst, length=length)
+                assert np.array_equal(got.view(np.int64),
+                                      want[:length].view(np.int64)), (fps, length)
 
 
 class TestConstantSchedule:
