@@ -28,8 +28,8 @@ it.
   * mbsfn_block -- one common PRB index for every cell
   * exact_block -- exhaustive search over all N^C allocations (oracle),
                    unions of head cells ORed against unions of tail
-                   cells, a group of instances at a time, in chunks of
-                   at most STACK_WORDS words
+                   cells, one instance at a time, in chunks of at most
+                   STACK_WORDS words
 
 All kernels are pure functions of the stack and break argmax ties toward
 the lowest (cell, prb) index within each instance, so outputs are
@@ -61,14 +61,11 @@ EXACT_DEFAULT_CAP = 10_000_000
 
 # Upper bound on the uint64 words of one packed stack (128 KiB).  The engine
 # packs as many whole sub-frames at once as fit, and every kernel runs on
-# that stack.  Within exact_block it also bounds each chunk of the search:
-# how many instances are searched together and how many head unions each
-# chunk ORs against the tail unions, so that even the full cap never
-# materializes at once.  2^16 words searched the 4^7 allocations of 4
-# sub-frames per chunk and ran the exact_n4 benchmark about 1.5x faster,
-# but its peak RSS, which grows with the chunks the harness completes,
-# then read past the benchmark's bound (CHANGES.md); 2^17 also raised the
-# fig4 benchmark's peak RSS by 6%.
+# that stack.  Within exact_block it also bounds each chunk of the search,
+# how many head unions of one instance each chunk ORs against its tail
+# unions, so that even the full cap never materializes at once; at C = 7,
+# N = 4 and up to 64 users one chunk holds all 4^7 allocations.  2^17
+# raised the fig4 benchmark's peak RSS by 6% (CHANGES.md).
 STACK_WORDS = 1 << 14
 
 # Greedy-to-optimal ratio the oracle suite checks for: 1 - 1/e.  This is
@@ -193,11 +190,11 @@ def exact_block(words: np.ndarray, cap: int = EXACT_DEFAULT_CAP) -> np.ndarray:
     split into leading head cells and trailing tail cells: each allocation
     is one head union ORed with one tail union, and its index in
     itertools.product order is head index * N^tail + tail index.  The
-    search takes G instances at a time and ORs r head unions against all
-    tail unions at once, keeping every (G, r, N^tail, W) chunk within
-    STACK_WORDS words.  A flat argmax per instance keeps the first
-    maximizer within a chunk, and a later chunk replaces it only when
-    strictly larger, so the first maximizer overall wins.
+    search takes one instance at a time and ORs r head unions against all
+    tail unions at once, keeping every (r, N^tail, W) chunk within
+    STACK_WORDS words.  A flat argmax keeps the first maximizer within a
+    chunk, and a later chunk replaces it only when strictly larger, so the
+    first maximizer overall wins.
     """
     num_blocks, num_cells, num_prbs, width = words.shape
     check_exact_cap(num_cells, num_prbs, cap)
@@ -207,40 +204,32 @@ def exact_block(words: np.ndarray, cap: int = EXACT_DEFAULT_CAP) -> np.ndarray:
         tail_cells -= 1
     head_cells = num_cells - tail_cells
     heads, tails = num_prbs ** head_cells, num_prbs ** tail_cells
-    group = max(1, budget // (heads * tails))
-    rows = max(1, min(heads, budget // (group * tails)))
+    rows = max(1, min(heads, budget // tails))
 
-    best_index = np.zeros(num_blocks, dtype=np.intp)
-    for b0 in range(0, num_blocks, group):
-        block = words[b0: b0 + group]
-        size = len(block)
-        head = _unions(block[:, :head_cells])
-        tail = _unions(block[:, head_cells:])
-        best_count = np.full(size, -1, dtype=np.int64)
-        index = best_index[b0: b0 + group]
+    best_index = []
+    for instance in words:
+        head = _unions(instance[:head_cells])
+        tail = _unions(instance[head_cells:])
+        best_count, index = -1, 0
         for h0 in range(0, heads, rows):
             # one expression, so that no chunk of ORs outlives its popcount
-            counts = _popcount(head[:, h0: h0 + rows, None] | tail[:, None])
-            counts = counts.reshape(size, -1)
-            i = counts.argmax(axis=-1)
-            count = counts[np.arange(size), i]
-            better = count > best_count
-            best_count[better] = count[better]
-            index[better] = h0 * tails + i[better]
+            counts = _popcount(head[h0: h0 + rows, None] | tail).ravel()
+            i = int(counts.argmax())
+            if int(counts[i]) > best_count:
+                best_count, index = int(counts[i]), h0 * tails + i
+        best_index.append(index)
     # cell c's PRB is digit c of the index in base N, most significant first
     place = num_prbs ** np.arange(num_cells - 1, -1, -1)
-    return best_index[:, None] // place % num_prbs
+    return np.array(best_index, dtype=np.intp)[:, None] // place % num_prbs
 
 
 def _unions(words: np.ndarray) -> np.ndarray:
-    """(..., K, N, W) rows -> (..., N^K, W) unions of one row per cell, in
-    itertools.product order (the last cell varies fastest)."""
-    *lead, num_cells, num_prbs, width = words.shape
-    out = np.zeros((*lead, 1, width), dtype=np.uint64)
-    for c in range(num_cells):
-        rows = words[..., c, :, :]
-        out = (out[..., :, None, :] | rows[..., None, :, :]).reshape(
-            *lead, out.shape[-2] * num_prbs, width)
+    """(K, N, W) rows of one instance -> (N^K, W) unions of one row per
+    cell, in itertools.product order (the last cell varies fastest)."""
+    _, num_prbs, width = words.shape
+    out = np.zeros((1, width), dtype=np.uint64)
+    for rows in words:
+        out = (out[:, None] | rows).reshape(len(out) * num_prbs, width)
     return out
 
 

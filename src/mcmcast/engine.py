@@ -48,7 +48,8 @@ from .coverage import (
     unpack,
 )
 from .topology import MC, NUM_CELLS, SC, _frozen, build_hex7, eligibility
-from .traffic import parse_trace, schedule_constant, schedule_from_trace
+from .traffic import (
+    frame_period, parse_trace, schedule_constant, schedule_from_trace)
 
 __all__ = [
     "POLICIES", "SimConfig", "Metrics", "RunOutput",
@@ -133,8 +134,7 @@ def _validate(config: SimConfig, policies: tuple[str, ...]) -> None:
         raise ValueError("edge_threshold must be finite and >= 0")
     if not (math.isfinite(config.rate_bits) and config.rate_bits >= 0):
         raise ValueError("rate_bits must be finite and >= 0")
-    if not (math.isfinite(config.fps) and config.fps > 0):
-        raise ValueError("fps must be finite and > 0")
+    frame_period(config.fps, config.channel.subframe_s)  # checks fps
     if config.dga_count not in ("connected", "primary"):
         raise ValueError(f"unknown dga_count {config.dga_count!r}")
     if not policies:
@@ -310,8 +310,11 @@ def sweep(
         raise ValueError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    policies = (config.policy,) if policies is None else policies
     name, typ = _SWEEP_AXES[axis]
+    for value in values:  # NaN is left to _validate
+        if typ(value) != value and value == value:
+            raise ValueError(f"{axis} value {value!r} is not a {typ.__name__}")
+    policies = (config.policy,) if policies is None else policies
     return [
         (float(value),
          compare_policies(replace(config, **{name: typ(value)}), policies))
@@ -330,7 +333,7 @@ def paired_one_sided_pvalue(a: Metrics, b: Metrics) -> float | None:
     n = x.size
     if n < 2:
         return None
-    if np.allclose(x, y):
+    if np.array_equal(x, y):
         return 1.0
     # deferred: scipy.special takes about 0.35 s to import
     from scipy.special import stdtr
@@ -368,17 +371,21 @@ def metrics_from_log(
     text: str, num_users: int, num_cells: int = NUM_CELLS
 ) -> dict[str, Metrics]:
     """Rebuild Metrics from a raw log CSV; must match the originals exactly.
-    Raises ValueError when a policy's (drop, t) rows repeat or leave gaps,
-    or when the policies' grids differ."""
+    Raises ValueError when the header or a row is malformed (naming its
+    line), when a policy's (drop, t) rows repeat or leave gaps, or when
+    the policies' grids differ."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header[:4]) != _LOG_HEADER[:4]:
+    header = next(reader, None)
+    if header is None or tuple(header[:4]) != _LOG_HEADER[:4]:
         raise ValueError(f"bad log header: {header!r}")
     cells: dict[str, dict[tuple[int, int], int]] = {}
     for row in reader:
         if not row:
             continue
-        d, t, policy, count = int(row[0]), int(row[1]), row[2], int(row[3])
+        try:
+            d, t, policy, count = int(row[0]), int(row[1]), row[2], int(row[3])
+        except (IndexError, ValueError):
+            raise ValueError(f"bad log line {reader.line_num}: {row!r}") from None
         grid = cells.setdefault(policy, {})
         if (d, t) in grid:
             raise ValueError(f"repeated log row (drop {d}, t {t}) for {policy!r}")

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "TraceParseError", "parse_trace", "schedule_from_trace",
+    "TraceParseError", "parse_trace", "frame_period", "schedule_from_trace",
     "schedule_constant", "write_synthetic_trace",
 ]
 
@@ -54,6 +54,19 @@ def parse_trace(path: str) -> list[tuple[int, float]]:
     return frames
 
 
+def frame_period(fps: float, subframe_s: float = 1e-3) -> int:
+    """Sub-frames per video frame: 1 / (fps * subframe_s) rounded, and at
+    least 1.  Raises ValueError unless fps is finite and > 0, subframe_s
+    is > 0 and the period is below 2^63, so that it fits an int64."""
+    if not (math.isfinite(fps) and fps > 0):
+        raise ValueError("fps must be finite and > 0")
+    if subframe_s <= 0:
+        raise ValueError("subframe_s must be > 0")
+    if not fps * subframe_s > 2.0 ** -63:  # then the period is <= 2^63 - 2^11
+        raise ValueError(f"fps {fps!r} gives a frame period past 2^63 sub-frames")
+    return max(1, round(1.0 / (fps * subframe_s)))
+
+
 def schedule_from_trace(
     frames: list[tuple[int, float]],
     fps: float,
@@ -71,13 +84,9 @@ def schedule_from_trace(
     built, or the whole schedule when it is shorter, so the memory is
     bounded by what the caller keeps.
     """
-    if fps <= 0:
-        raise ValueError("fps must be > 0")
-    if subframe_s <= 0:
-        raise ValueError("subframe_s must be > 0")
+    n_sub = frame_period(fps, subframe_s)
     if length is not None and length <= 0:
         raise ValueError("length must be > 0")
-    n_sub = max(1, round(1.0 / (fps * subframe_s)))
     total = len(frames) * n_sub
     kept = total if length is None else min(length, total)
     # (frame, sub-frame within its period) of each sub-frame kept

@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from mcmcast.cli import _FIELDS, _build_config, build_parser, main
+from mcmcast.cli import _FIELDS, PRESETS, _build_config, build_parser, main
 from mcmcast.engine import SimConfig
 
 RUN = [sys.executable, "-m", "mcmcast.cli"]
@@ -49,12 +51,22 @@ class TestExitCodes:
         for flag, value, message in [
             ("--radius", "nan", "radius_m must be finite"),
             ("--seed", "-1", "seed must be >= 0"),
+            # 1 / (fps * 1 ms) sub-frames per frame does not fit an int64
+            ("--fps", "1e-300", "frame period"),
+            ("--fps", "1e-320", "frame period"),
         ]:
-            out = tmp_path / flag.lstrip("-")
+            out = tmp_path / (flag.lstrip("-") + value)
             assert invoke("run", "--preset", "fig7_trace_mc_vs_sc", flag, value,
                           "--out", str(out)) == 2
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    def test_slow_but_representable_fps_runs(self, tmp_path):
+        # 10^15 sub-frames per frame: the horizon sees the first frame only
+        assert invoke("run", "--preset", "fig7_trace_mc_vs_sc", "--fps", "1e-12",
+                      "--subframes", "3", "--drops", "1", "--ues", "1",
+                      "--out", str(tmp_path)) == 0
+        assert (tmp_path / "summary.json").exists()
 
     def test_unknown_preset_is_2(self, tmp_path):
         proc = subprocess.run(
@@ -289,6 +301,34 @@ class TestSettingsTable:
             build_parser().parse_args(["run", "--config", str(cfg)]))
         assert from_flag == from_file
         assert getattr(from_flag, field) != getattr(SimConfig(), field)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadmeMatchesTheParser:
+    """README's `mcmcast run` flag list and preset table name exactly what
+    build_parser() and PRESETS declare."""
+
+    @staticmethod
+    def run_flags():
+        parser = build_parser()
+        run = parser._subparsers._group_actions[0].choices["run"]
+        return [s for action in run._actions for s in action.option_strings
+                if s.startswith("--") and s != "--help"]
+
+    def test_flag_list(self):
+        text = README.read_text(encoding="utf-8")
+        listed = re.search(r"`mcmcast run` flags: `([^`]*)`", text)
+        assert listed, "README has no `mcmcast run` flag list"
+        assert listed.group(1).split() == self.run_flags()
+
+    def test_preset_table(self):
+        text = README.read_text(encoding="utf-8")
+        table = text.split("\n| preset |", 1)[1].split("\n\n", 1)[0]
+        names = re.findall(r"^\| `([^`]+)`", table, flags=re.MULTILINE)
+        assert len(names) == len(set(names))
+        assert set(names) == set(PRESETS)
 
 
 class TestDeterminism:

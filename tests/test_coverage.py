@@ -416,9 +416,9 @@ def reference_stacks():
 
 
 class TestStackedExact:
-    # 40 words: the (4, 2) stacks search 2 instances at a time with an odd
-    # number of instances, and the (4, 3) and two-word (3, 3) heads span
-    # several chunks.  1 word puts every cell in the head.
+    # 40 words: the heads of the (4, 3) and two-word (3, 3) instances span
+    # several chunks, the last one short.  1 word searches one allocation
+    # per chunk.
     @pytest.mark.parametrize("block_words", [coverage.STACK_WORDS, 1, 8, 40])
     def test_each_row_is_the_reference_allocation(self, block_words, monkeypatch):
         monkeypatch.setattr(coverage, "STACK_WORDS", block_words)

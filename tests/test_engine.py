@@ -184,6 +184,15 @@ class TestMetrics:
         with pytest.raises(ValueError, match="log"):
             metrics_from_log("\n".join(lines) + "\n", num_users=28)
 
+    @pytest.mark.parametrize("text,line", [
+        ("", "header"),
+        ("drop,t,policy,served_count,served_ids\n0,0,cga,3,\n0,1,cga\n", "line 3"),
+        ("drop,t,policy,served_count,served_ids\n0,0,cga,x,\n", "line 2"),
+    ], ids=["empty", "short row", "bad count"])
+    def test_malformed_log_is_a_value_error(self, text, line):
+        with pytest.raises(ValueError, match=line):
+            metrics_from_log(text, num_users=28)
+
     def test_blank_lines_in_log_are_skipped(self):
         out = compare_policies(FAST, ("cga", "mbsfn"))
         lines = log_to_csv(out).splitlines()
@@ -299,6 +308,9 @@ class TestSweep:
             sweep(FAST, "radius", [])
         with pytest.raises(ValueError):
             sweep(FAST, "radius", [300.0], ())
+        # int(2.5) would run 2 UEs per cell under a 2.5 in the sweep CSV
+        with pytest.raises(ValueError, match="users_per_cell value 2.5"):
+            sweep(FAST, "users_per_cell", [2.5])
 
     def test_csv_shape(self):
         table = sweep(FAST, "radius", [500.0, 800.0], policies=("cga", "sc"))
@@ -329,6 +341,14 @@ class TestSummary:
         # the policy ahead, 1 for the one behind.  Warnings fail tier-1.
         ahead = Metrics("a", np.full((2, 5), 9), 70, 7)
         behind = Metrics("b", np.full((2, 5), 4), 70, 7)
+        assert paired_one_sided_pvalue(ahead, behind) == 0.0
+        assert paired_one_sided_pvalue(behind, ahead) == 1.0
+
+    def test_large_counts_one_apart_are_not_equal(self):
+        # np.allclose's relative tolerance would call these equal (p = 1
+        # both ways); the counts are integers, so only equal is equal.
+        ahead = Metrics("a", np.array([[100001, 100002, 100001]]), 10**6, 7)
+        behind = Metrics("b", np.array([[100000, 100001, 100000]]), 10**6, 7)
         assert paired_one_sided_pvalue(ahead, behind) == 0.0
         assert paired_one_sided_pvalue(behind, ahead) == 1.0
 

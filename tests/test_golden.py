@@ -60,8 +60,8 @@ CLI_RUNS = {
             "summary.json": "978a3e27bb52e6aeb0aec59cfeac0c1c79dd6ef3c26a774a39f64290d598fea4",
         },
     ),
-    # 3^7 allocations on M = 21 users: the exact oracle searches 7
-    # sub-frames at a time, so 20 sub-frames take groups of 7, 7 and 6.
+    # 3^7 allocations on M = 21 users: the exact oracle ORs the 27 head
+    # unions of 3 cells against the 81 tail unions of 4 cells in one chunk.
     "exact_prbs3": (
         ["--preset", "custom", "--policy", "exact", "--prbs", "3",
          "--seed", "5", "--ues", "3", "--subframes", "20", "--drops", "2",

@@ -102,6 +102,11 @@ class TestScheduleFromTrace:
         with pytest.raises(ValueError):
             schedule_from_trace(parse_trace(trace_file), fps=0.0)
 
+    @pytest.mark.parametrize("fps", [1e-300, 1e-320])
+    def test_frame_period_past_int64_rejected(self, trace_file, fps):
+        with pytest.raises(ValueError, match="frame period"):
+            schedule_from_trace(parse_trace(trace_file), fps, length=10)
+
     @pytest.mark.parametrize("subframe_s", [0.0, -1e-3])
     def test_bad_subframe_rejected(self, trace_file, subframe_s):
         with pytest.raises(ValueError, match="subframe_s must be > 0"):
