@@ -1,23 +1,23 @@
 """Sub-frame simulation loop and experiment drivers.
 
-Each drop places UEs afresh and draws its own shadowing, which fixes every
-link budget for the drop; once per drop the channel turns it into a table
-of cutoff fading powers, one per (SNR threshold the run's demand needs,
-cell, UE), and each connectivity mode in use packs its (C, M) eligibility
-into words.  Within a drop the loop steps through kernel blocks of K
-sub-frames, as many as fit one packed stack of coverage.STACK_WORDS words,
-each drawn in fading blocks of at most 1 MiB of powers: draw per-PRB
-fading powers → compare each sub-frame's powers with the cutoffs of its
-threshold (the decision the SNR in dB would give, without a log per draw)
-and pack the result into the block's (K, C, N, W) words → AND them with
-each mode's eligibility words, one packed stack of coverage instances per
-mode → run each policy's kernel once on the stack it picks on and credit
-its picks on the stack it is credited on (the _runs table) → count the
-served words, unpacking them to users only when the run keeps its served
-masks.  The block sizes only group the work: the RNG stream and every
-result are those of one sub-frame at a time.  When several policies are
-compared they see the *same* draws and share the instances of their mode
-(common random numbers), so observed differences are policy-only.
+The loop, _blocks, only simulates.  Each drop places UEs afresh and draws
+its own shadowing, which fixes every link budget for the drop, turned once
+per drop into a table of cutoff fading powers per (SNR threshold the run's
+demand needs, cell, UE); each connectivity mode packs its (C, M)
+eligibility into words.  Within a drop the loop steps through kernel
+blocks of K sub-frames, as many as fit one packed stack of
+coverage.STACK_WORDS words, each drawn in fading blocks of at most 1 MiB
+of powers: draw per-PRB fading powers → compare them with the cutoffs of
+each sub-frame's threshold and pack the result into (K, C, N, W) words →
+AND them with each mode's eligibility words and yield one packed stack of
+instances per mode.  compare_policies only evaluates and records: on each
+block it runs each policy's kernel on the stack it picks on, credits its
+picks on the stack it is credited on (the _runs table) and counts the
+served words, unpacked to users only when the run keeps its served masks.
+The block sizes only group the work: the RNG stream and every result are
+those of one sub-frame at a time.  Policies compared in one run see the
+*same* draws and share their mode's instances (common random numbers),
+so observed differences are policy-only.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .coverage import (
     served_block,
     unpack,
 )
-from .topology import MC, NUM_CELLS, SC, _frozen, build_hex7, eligibility
+from .topology import MC, NUM_CELLS, SC, _frozen, build_hex7, check_radius, eligibility
 from .traffic import (
     frame_period, parse_trace, schedule_constant, schedule_from_trace)
 
@@ -128,8 +128,7 @@ def _validate(config: SimConfig, policies: tuple[str, ...]) -> None:
         raise ValueError("ues_per_cell must be >= 1")
     if config.num_prbs < 1:
         raise ValueError("num_prbs must be >= 1")
-    if not (math.isfinite(config.radius_m) and config.radius_m > 0):
-        raise ValueError("radius_m must be finite and > 0")
+    check_radius(config.radius_m)
     if not (math.isfinite(config.edge_threshold) and config.edge_threshold >= 0):
         raise ValueError("edge_threshold must be finite and >= 0")
     if not (math.isfinite(config.rate_bits) and config.rate_bits >= 0):
@@ -224,6 +223,34 @@ def compare_policies(
     """Evaluate every policy on the same channel realizations."""
     policies = tuple(policies)
     _validate(config, policies)
+    num_users = NUM_CELLS * config.ues_per_cell
+    shape = (config.num_drops, config.horizon)
+    counts = {p: np.zeros(shape, dtype=int) for p in policies}
+    served = {p: np.zeros((*shape, num_users), dtype=bool)
+              for p in policies if config.log_served_ids}
+    runs = _runs(config)
+    modes = {m for p in policies for m in runs[p][1:]}
+    for d, t0, t1, covers in _blocks(config, modes):
+        for policy in policies:
+            kernel, picks_on, credited_on = runs[policy]
+            words = served_block(covers[credited_on], kernel(covers[picks_on]))
+            counts[policy][d, t0:t1] = np.bitwise_count(words).sum(axis=-1)
+            if served:
+                served[policy][d, t0:t1] = unpack(words, num_users)
+
+    metrics = {
+        p: Metrics(policy=p, served_counts=_frozen(counts[p]),
+                   num_users=num_users, num_cells=NUM_CELLS)
+        for p in policies
+    }
+    served_masks = {p: _frozen(mask) for p, mask in served.items()}
+    return RunOutput(config=config, metrics=metrics, served_masks=served_masks)
+
+
+def _blocks(config: SimConfig, modes: set[str]):
+    """Every drop's kernel blocks, in order: yields (drop, t0, t1, covers),
+    covers holding one fresh (t1 - t0, C, N, W) packed stack per mode in
+    `modes`, the instances of sub-frames t0 to t1 - 1 of the drop."""
     schedule = _build_schedule(config)
     horizon = config.horizon
     if len(schedule) < horizon:
@@ -231,7 +258,7 @@ def compare_policies(
             f"video trace of {len(schedule)} sub-frames is shorter than the "
             f"horizon of {horizon} sub-frames; it wraps around and is played "
             f"{math.ceil(horizon / len(schedule))} times",
-            RuntimeWarning, stacklevel=2,
+            RuntimeWarning, stacklevel=3,  # the caller of compare_policies
         )
     # The SNR each sub-frame's demand needs, as an index into the run's
     # distinct thresholds; np.resize repeats a short trace
@@ -239,27 +266,17 @@ def compare_policies(
         min_snr_db(np.resize(schedule, horizon)), return_inverse=True
     )
 
-    seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
-    num_users = NUM_CELLS * config.ues_per_cell
-    counts = {p: np.zeros((config.num_drops, horizon), dtype=int) for p in policies}
-    served = {}
-    if config.log_served_ids:
-        shape = (config.num_drops, horizon, num_users)
-        served = {p: np.zeros(shape, dtype=bool) for p in policies}
-
-    runs = _runs(config)
-    modes = {m for p in policies for m in runs[p][1:]}
     # One (span, C, N, W) word buffer for the packed decodability of a kernel
     # block, whose padding bits stay zero, and one (block, C, N, M) fading
     # buffer for the fading blocks within it, both reused by every block of
     # every drop
-    frame = (NUM_CELLS, config.num_prbs, num_users)
-    width = num_words(num_users)
+    frame = (NUM_CELLS, config.num_prbs, NUM_CELLS * config.ues_per_cell)
+    width = num_words(frame[2])
     span = max(1, min(horizon, STACK_WORDS // (math.prod(frame[:2]) * width)))
     block = max(1, min(span, _BLOCK_WORDS // math.prod(frame)))
     power_buf = np.empty((block, *frame))
     word_buf = np.zeros((span, *frame[:2], width), dtype=np.uint64)
-
+    seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
     for d, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         scenario = build_hex7(
@@ -278,24 +295,7 @@ def compare_policies(
                 f1 = min(f0 + block, t1)
                 power = model.fading_block(rng, power_buf[: f1 - f0])
                 pack(power >= cuts[level[f0:f1]], out=word_buf[f0 - t0: f1 - t0])
-            covers = {m: word_buf[: t1 - t0] & e for m, e in eligible.items()}
-            for policy in policies:
-                kernel, picks_on, credited_on = runs[policy]
-                chosen = kernel(covers[picks_on])
-                words = served_block(covers[credited_on], chosen)
-                counts[policy][d, t0:t1] = np.bitwise_count(words).sum(axis=-1)
-                if served:
-                    served[policy][d, t0:t1] = unpack(words, num_users)
-
-    metrics = {
-        p: Metrics(
-            policy=p, served_counts=_frozen(counts[p]),
-            num_users=num_users, num_cells=NUM_CELLS,
-        )
-        for p in policies
-    }
-    served_masks = {p: _frozen(mask) for p, mask in served.items()}
-    return RunOutput(config=config, metrics=metrics, served_masks=served_masks)
+            yield d, t0, t1, {m: word_buf[: t1 - t0] & e for m, e in eligible.items()}
 
 
 def sweep(

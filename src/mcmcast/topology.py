@@ -10,6 +10,7 @@ from the primary cells and the edge flags as a (C, M) mask.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,7 @@ def build_hex7(
 ) -> NetworkScenario:
     """One center cell plus six neighbors at inter-site distance
     sqrt(3) * radius; ues_per_cell UEs uniform in each cell's disc."""
-    if radius_m <= 0:
-        raise ValueError("radius_m must be > 0")
+    check_radius(radius_m)
     if ues_per_cell < 0:
         raise ValueError("ues_per_cell must be >= 0")
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -76,6 +76,21 @@ def build_hex7(
     return NetworkScenario(
         _frozen(cell_pos), _frozen(ue_pos), _frozen(primary.astype(int)), _frozen(edge)
     )
+
+
+def check_radius(radius_m: float) -> None:
+    """Raise ValueError unless radius_m is finite and > 0 and the square of
+    the layout's largest cell-to-UE distance is finite, as the distance
+    norms of build_hex7 and the channel model need."""
+    if not (math.isfinite(radius_m) and radius_m > 0):
+        raise ValueError("radius_m must be finite and > 0")
+    # The farthest a UE can be from an eNB: from the far edge of its cell's
+    # disc to the eNB across the ring, 2 sqrt(3) radii from its own
+    reach = (2.0 * math.sqrt(3.0) + 1.0) * radius_m
+    if not math.isfinite(reach * reach):
+        raise ValueError(
+            f"radius_m {radius_m!r} is too large: the squared cell-to-UE "
+            "distances of its layout overflow")
 
 
 def eligibility(scenario: NetworkScenario, mode: str) -> np.ndarray:

@@ -1,6 +1,6 @@
 """The public surface: the package's __all__, the names deleted from it,
 the names the benchmark harness in perfbench/ looks up, and a check that
-src/mcmcast holds no unused import or private name.
+src/mcmcast holds no unused import, private name or public name.
 
 The harness wraps names on mcmcast.engine and mcmcast.cli to time each
 layer and silently skips a name it cannot find, so a rename or removal
@@ -175,7 +175,9 @@ def _all_of(tree: ast.Module) -> set[str]:
     return set()
 
 
-def _private_defs(tree: ast.Module) -> set[str]:
+def _module_defs(tree: ast.Module) -> set[str]:
+    """The functions, classes and assigned names at a module's top level,
+    dunders aside."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -183,16 +185,26 @@ def _private_defs(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {t.id for t in targets if isinstance(t, ast.Name)}
-    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def _parsed(directory: Path) -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(directory.glob("*.py"))}
 
 
 def test_no_unused_import_or_private_name():
     """A stand-in for a linter: every module-level import is used in its
-    module, and every module-level _private name is read somewhere in
-    src/mcmcast, so dead code cannot come back unnoticed."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(Path(mcmcast.__file__).parent.glob("*.py"))}
+    module, every module-level _private name is read somewhere in
+    src/mcmcast, and every public function, class or constant is read
+    somewhere in src/mcmcast, tests/ or perfbench/, so dead code cannot
+    come back unnoticed."""
+    trees = _parsed(Path(mcmcast.__file__).parent)
     read_anywhere = set().union(*map(_read_names, trees.values()))
+    root = Path(__file__).resolve().parents[1]
+    read_by_anyone = read_anywhere.union(*(
+        _read_names(tree) for folder in ("tests", "perfbench")
+        for tree in _parsed(root / folder).values()))
     dead = []
     for module, tree in trees.items():
         used = _read_names(tree) | _all_of(tree)
@@ -204,6 +216,7 @@ def test_no_unused_import_or_private_name():
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in used:
                         dead.append(f"{module}: import {bound}")
-        dead += [f"{module}: {name}"
-                 for name in _private_defs(tree) - read_anywhere]
+        for name in _module_defs(tree):
+            if name not in (read_anywhere if name.startswith("_") else read_by_anyone):
+                dead.append(f"{module}: {name}")
     assert not dead, dead

@@ -50,6 +50,9 @@ class TestExitCodes:
         # The trace preset would synthesize trace.txt into --out first.
         for flag, value, message in [
             ("--radius", "nan", "radius_m must be finite"),
+            # the squared distances of the layout overflow
+            ("--radius", "1e154", "radius_m 1e+154 is too large"),
+            ("--radius", "1e308", "radius_m 1e+308 is too large"),
             ("--seed", "-1", "seed must be >= 0"),
             # 1 / (fps * 1 ms) sub-frames per frame does not fit an int64
             ("--fps", "1e-300", "frame period"),
@@ -60,6 +63,12 @@ class TestExitCodes:
                           "--out", str(out)) == 2
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    def test_huge_but_sound_radius_runs(self, tmp_path):
+        # No overflow warning either: the suite makes warnings errors
+        assert invoke("run", "--radius", "1e150", "--subframes", "3",
+                      "--drops", "1", "--ues", "1", "--out", str(tmp_path)) == 0
+        assert (tmp_path / "summary.json").exists()
 
     def test_slow_but_representable_fps_runs(self, tmp_path):
         # 10^15 sub-frames per frame: the horizon sees the first frame only

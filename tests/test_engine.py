@@ -22,6 +22,7 @@ from mcmcast.coverage import (
     mbsfn_block,
     num_words,
     pack,
+    unpack,
 )
 from mcmcast.engine import (
     Metrics,
@@ -35,7 +36,7 @@ from mcmcast.engine import (
     sweep,
     sweep_to_csv,
 )
-from mcmcast.topology import NUM_CELLS, build_hex7, eligibility
+from mcmcast.topology import MC, NUM_CELLS, SC, build_hex7, eligibility
 from mcmcast.traffic import write_synthetic_trace
 from oracles import chosen_by, served_set, served_users, snr_subframe
 
@@ -140,10 +141,12 @@ class TestRunBasics:
         path.write_text("0 I 0.0 100\n1 P 0.0 100\n")  # 66 sub-frames
         cfg = SimConfig(horizon=500, num_drops=1, seed=2, trace_path=str(path),
                         fps=30.0, ues_per_cell=1)
-        with pytest.warns(RuntimeWarning,
-                          match=r"\b66 sub-frames.*\b500 sub-frames.*\b8 times"):
+        match = r"\b66 sub-frames.*\b500 sub-frames.*\b8 times"
+        with pytest.warns(RuntimeWarning, match=match) as record:
             out = compare_policies(cfg, ("cga",))
         assert out.metrics["cga"].served_counts.shape == (1, 500)
+        # The warning points at the line that called compare_policies
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestMetrics:
@@ -362,11 +365,15 @@ def reference_run(config, policies):
     """The engine's run one sub-frame at a time: one SNR draw, then each
     policy's kernel on a one-instance boolean stack of its connectivity
     mode, packed on its own.  Returns policy -> ((D, T) served counts,
-    (D, T, M) served masks)."""
+    (D, T, M) served masks), and mode -> its (D, T, C, N, M) instances."""
     schedule = engine._build_schedule(config)
     threshold = min_snr_db(np.resize(schedule, config.horizon))
     shape = (config.num_drops, config.horizon, NUM_CELLS * config.ues_per_cell)
     masks = {p: np.zeros(shape, dtype=bool) for p in policies}
+    instances = {
+        m: np.zeros((*shape[:2], NUM_CELLS, config.num_prbs, shape[2]), dtype=bool)
+        for m in (MC, SC)
+    }
     seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
     for d, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -380,6 +387,7 @@ def reference_run(config, policies):
             decodable = snr_subframe(model, shadow, rng) >= threshold[t]
             mc = (decodable & mc_mask)[None]
             sc = (decodable & own)[None]
+            instances[MC][d, t], instances[SC][d, t] = mc[0], sc[0]
             # dga_count "primary": each cell scores only its own users
             dga = mc & own if config.dga_count == "primary" else mc
             runs = {  # policy -> (kernel, stack it picks on, extra arguments)
@@ -394,7 +402,7 @@ def reference_run(config, policies):
                 credited = sc if policy == "sc" else mc
                 masks[policy][d, t] = served_users(
                     credited, kernel(pack(stack), *args))[0]
-    return {p: (m.sum(axis=-1), m) for p, m in masks.items()}
+    return {p: (m.sum(axis=-1), m) for p, m in masks.items()}, instances
 
 
 def block_sizes(config):
@@ -464,7 +472,8 @@ class TestBlockLoop:
             assert {-np.inf, np.inf} < levels
         horizons = sorted({1, block - 1, block, block + 1, 2 * block + 1,
                            kernel - 1, kernel, kernel + 1, 2 * kernel + 1})
-        want = reference_run(replace(config, horizon=horizons[-1]), policies)
+        longest = replace(config, horizon=horizons[-1])
+        want, instances = reference_run(longest, policies)
         for horizon in horizons:
             out = compare_policies(replace(config, horizon=horizon), policies)
             for policy in policies:
@@ -473,6 +482,31 @@ class TestBlockLoop:
                 assert np.array_equal(got, counts[:, :horizon]), (horizon, policy)
                 assert np.array_equal(out.served_masks[policy],
                                       masks[:, :horizon]), (horizon, policy)
+
+        # Without served masks, the path the CLI and the benchmark take
+        off = compare_policies(replace(longest, log_served_ids=False), policies)
+        assert off.served_masks == {}
+        for policy in policies:
+            assert np.array_equal(off.metrics[policy].served_counts,
+                                  out.metrics[policy].served_counts), policy
+
+        # The simulation loop alone: its stacks, unpacked, are the reference's
+        # instances, so a fault in the draw, compare or pack step fails here
+        # even where every kernel's pick would hide it
+        users = NUM_CELLS * ues
+        stacks = {m: np.zeros_like(instances[m]) for m in instances}
+        tiles = []
+        for d, t0, t1, covers in engine._blocks(longest, {MC, SC}):
+            tiles.append((d, t0, t1))
+            for mode, words in covers.items():
+                assert words.shape == (t1 - t0, NUM_CELLS, longest.num_prbs,
+                                       num_words(users))
+                stacks[mode][d, t0:t1] = unpack(words, users)
+        assert tiles == [(d, t0, min(t0 + kernel, longest.horizon))
+                         for d in range(2)
+                         for t0 in range(0, longest.horizon, kernel)]
+        for mode in instances:
+            assert np.array_equal(stacks[mode], instances[mode]), mode
 
     def test_fig7_sized_run_peaks_below_4_mb(self, tmp_path):
         # M = 280 and three policies on a trace: the fading-power buffer is

@@ -77,6 +77,19 @@ class TestLayout:
             build_hex7(0.0, 5)
         with pytest.raises(ValueError):
             build_hex7(100.0, -1)
+        for radius in (1e154, 1e308):  # the layout's distances overflow
+            with pytest.raises(ValueError, match="too large"):
+                build_hex7(radius, 5)
+
+    def test_largest_radius_builds_without_overflow(self):
+        # (2 sqrt(3) + 1) * 3e153, the farthest a UE can be from an eNB,
+        # still squares to a finite float, so the distances stay finite
+        # (the suite turns numpy's overflow warnings into errors)
+        scen = build_hex7(3e153, 50, rng=np.random.default_rng(1))
+        dist = np.linalg.norm(scen.cell_pos[:, None] - scen.ue_pos[None], axis=2)
+        assert np.isfinite(dist).all()
+        with pytest.raises(ValueError, match="too large"):
+            build_hex7(3.01e153, 50, rng=np.random.default_rng(1))
 
 
 class TestConnectivity:
