@@ -16,7 +16,6 @@ from .engine import (
     SimConfig,
     compare_policies,
     log_to_csv,
-    metrics_from_log,
     paired_one_sided_pvalue,
     summary_dict,
     sweep,
@@ -49,7 +48,6 @@ __all__ = [
     "build_hex7",
     "compare_policies",
     "log_to_csv",
-    "metrics_from_log",
     "paired_one_sided_pvalue",
     "parse_trace",
     "path_loss",

@@ -7,13 +7,13 @@ Rayleigh-power perturbation in dB, which is what makes different PRBs of
 the same cell look different to a user.  SNR maps to a decodable rate in
 bits per PRB per sub-frame through a 15-step threshold table.
 
-A link's SNR is its link budget plus 10 * log10 of its fading power, and
-snr_block gives it in dB.  Within a drop the link budget is fixed, so
-whether a power reaches an SNR threshold is a cutoff on the power itself:
-cutoffs builds, once per drop, the least float64 power at which the dB
-expression snr_block evaluates meets each threshold, and the engine
-compares the raw fading_block draws with it.  Both decide every draw
-alike, without a log per draw.
+A link's SNR in dB is its link budget plus 10 * log10 of its fading
+power, the expression _fade_db evaluates.  Within a drop the link budget
+is fixed, so whether a power reaches an SNR threshold is a cutoff on the
+power itself: cutoffs builds, once per drop, the least float64 power at
+which that dB expression meets each threshold, and the engine compares
+the raw fading_block draws with it.  The comparison decides every draw
+as the dB expression would, without a log per draw.
 
 The carrier transmit power is split evenly over the carrier's PRBs (100
 for a 20 MHz LTE carrier), independent of how many PRBs the allocator is
@@ -159,9 +159,9 @@ _WINDOW_BITS = 7
 
 def _fade_db(power, base, out=None):
     """base + 10 * log10(max(power, 1e-12)), the SNR in dB of fading power
-    over link budget base, into out (a new array by default).  snr_block
-    and the cutoff search both evaluate it here, with the same numpy
-    operations, so they decide every draw alike."""
+    over link budget base, into out (a new array by default).  The cutoff
+    search evaluates every probe power here, so its cutoffs decide each
+    power exactly as this expression does."""
     out = np.maximum(power, _MIN_POWER, out=out)
     np.log10(out, out=out)
     out *= 10.0
@@ -230,18 +230,18 @@ def _cutoffs(base, thresholds):
 
 
 class ChannelModel:
-    """Samples per-sub-frame fading and SNR for a fixed scenario.
+    """Samples per-sub-frame fading for a fixed scenario.
 
     Path losses are precomputed once; shadowing is drawn per drop via
-    draw_shadowing and held fixed while fading_block (raw powers) or
-    snr_block (SNR in dB) draws a block of sub-frames at a time.  All
+    draw_shadowing and held fixed while fading_block draws the raw fading
+    powers of a block of sub-frames at a time, as many PRBs as its buffer
+    holds, and cutoffs gives the powers that meet each SNR threshold.  All
     randomness comes from generators the caller passes in, so a fixed
     seed fixes the entire sequence.
     """
 
-    def __init__(self, params: ChannelParams, scenario, num_prbs: int):
+    def __init__(self, params: ChannelParams, scenario):
         self.params = params
-        self.num_prbs = num_prbs
         # (C, M) distances in km, clamped once up front
         delta = scenario.cell_pos[:, None, :] - scenario.ue_pos[None, :, :]
         d_km = np.linalg.norm(delta, axis=2) / 1000.0
@@ -254,9 +254,9 @@ class ChannelModel:
     def cutoffs(self, shadow_db: np.ndarray, thresholds) -> np.ndarray:
         """(L, C, M) cutoff powers of the L SNR thresholds in dB under this
         shadowing: a fading power p from fading_block reaches threshold l
-        on link (c, m) exactly when p >= cutoffs[l, c, m], as snr_block's
-        SNR of p would.  -inf where every power does, +inf where none
-        does."""
+        on link (c, m) exactly when p >= cutoffs[l, c, m], as its SNR in
+        dB, _fade_db of p over the link budget, would.  -inf where every
+        power does, +inf where none does."""
         return _cutoffs(snr(self.params, self._pl_db, shadow_db), thresholds)
 
     def fading_block(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -270,16 +270,3 @@ class ChannelModel:
             out.fill(1.0)
             return out
         return rng.standard_exponential(out=out)
-
-    def snr_block(
-        self, shadow_db: np.ndarray, rng: np.random.Generator, out: np.ndarray
-    ) -> np.ndarray:
-        """Fill out, a C-contiguous (B, C, N, M) float64 array, with the SNR
-        draws in dB of B consecutive sub-frames and return it: the link
-        budget plus, with fast fading, 10 * log10 of the fading_block
-        power, drawn from rng the same way."""
-        base = snr(self.params, self._pl_db, shadow_db)[:, None, :]
-        if not self.params.fast_fading:
-            out[...] = base
-            return out
-        return _fade_db(self.fading_block(rng, out), base, out=out)

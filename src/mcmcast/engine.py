@@ -27,6 +27,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -54,8 +55,7 @@ from .traffic import (
 __all__ = [
     "POLICIES", "SimConfig", "Metrics", "RunOutput",
     "compare_policies", "sweep",
-    "paired_one_sided_pvalue", "log_to_csv", "metrics_from_log",
-    "sweep_to_csv", "summary_dict",
+    "paired_one_sided_pvalue", "log_to_csv", "sweep_to_csv", "summary_dict",
 ]
 
 # Upper bound on the float64 fading powers of one fading block of sub-frames
@@ -118,6 +118,12 @@ POLICIES = tuple(_runs(SimConfig()))
 
 
 def _validate(config: SimConfig, policies: tuple[str, ...]) -> None:
+    for name in ("ues_per_cell", "num_prbs", "horizon", "seed", "num_drops"):
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if config.horizon < 1:
         raise ValueError("horizon must be >= 1")
     if config.seed < 0:
@@ -282,7 +288,7 @@ def _blocks(config: SimConfig, modes: set[str]):
         scenario = build_hex7(
             config.radius_m, config.ues_per_cell, config.edge_threshold, rng
         )
-        model = ChannelModel(config.channel, scenario, config.num_prbs)
+        model = ChannelModel(config.channel, scenario)
         # (L, C, 1, M) least power that decodes at each threshold
         cuts = model.cutoffs(model.draw_shadowing(rng), levels)[:, :, None, :]
         # (1, C, 1, W) words per mode, packed once per drop
@@ -365,47 +371,6 @@ def log_to_csv(output: RunOutput, policies: tuple[str, ...] | None = None) -> st
                     ids = ";".join(map(str, np.flatnonzero(mask[d, t])))
                 writer.writerow((d, t, policy, count[d][t], ids))
     return buf.getvalue()
-
-
-def metrics_from_log(
-    text: str, num_users: int, num_cells: int = NUM_CELLS
-) -> dict[str, Metrics]:
-    """Rebuild Metrics from a raw log CSV; must match the originals exactly.
-    Raises ValueError when the header or a row is malformed (naming its
-    line), when a policy's (drop, t) rows repeat or leave gaps, or when
-    the policies' grids differ."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header[:4]) != _LOG_HEADER[:4]:
-        raise ValueError(f"bad log header: {header!r}")
-    cells: dict[str, dict[tuple[int, int], int]] = {}
-    for row in reader:
-        if not row:
-            continue
-        try:
-            d, t, policy, count = int(row[0]), int(row[1]), row[2], int(row[3])
-        except (IndexError, ValueError):
-            raise ValueError(f"bad log line {reader.line_num}: {row!r}") from None
-        grid = cells.setdefault(policy, {})
-        if (d, t) in grid:
-            raise ValueError(f"repeated log row (drop {d}, t {t}) for {policy!r}")
-        grid[(d, t)] = count
-    out = {}
-    for policy, grid in cells.items():
-        drops = 1 + max(d for d, _ in grid)
-        horizon = 1 + max(t for _, t in grid)
-        if len(grid) != drops * horizon or any(d < 0 or t < 0 for d, t in grid):
-            raise ValueError(f"log rows for {policy!r} leave gaps in its grid")
-        arr = np.zeros((drops, horizon), dtype=int)
-        for (d, t), count in grid.items():
-            arr[d, t] = count
-        out[policy] = Metrics(
-            policy=policy, served_counts=_frozen(arr),
-            num_users=num_users, num_cells=num_cells,
-        )
-    if len({m.served_counts.shape for m in out.values()}) > 1:
-        raise ValueError("the policies in the log cover different (drop, t) grids")
-    return out
 
 
 def sweep_to_csv(axis: str, table: list[tuple[float, RunOutput]]) -> str:

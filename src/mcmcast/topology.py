@@ -34,10 +34,6 @@ class NetworkScenario:
     def num_cells(self) -> int:
         return len(self.cell_pos)
 
-    @property
-    def num_users(self) -> int:
-        return len(self.ue_pos)
-
 
 def build_hex7(
     radius_m: float,

@@ -1,14 +1,20 @@
-"""Test-only oracles for the allocation kernels: a set-based view of a
-(C, N, M) coverage instance and its constructor, a kernel's choice on one
-instance and how many it serves, the users a choice on a boolean stack
-serves, the set-union served users of an allocation, the greedy's per-step history, the embedding of plain maximum
-coverage, the SNR->rate step function, and a one-sub-frame SNR draw.
+"""Test-only oracles for the allocation kernels and the channel: a
+set-based view of a (C, N, M) coverage instance and its constructor, a
+kernel's choice on one instance and how many it serves, the users a
+choice on a boolean stack serves, the set-union served users of an
+allocation, the greedy's per-step history, the embedding of plain maximum
+coverage, a MILP optimum for instances at the paper's size, the SNR->rate
+step function, the SNR in dB of given fading powers, and a one-sub-frame
+SNR draw.
 
 The package's kernels work on packed (B, C, N, W) word stacks; these
 helpers take boolean instances, pack them with coverage.pack, and rebuild
 the set form the paper states the problem in, so the tests can check the
-kernels against it.  pytest does not collect this module (its name does
-not start with test_); the tests import it.
+kernels against it.  The package decides decodability by comparing raw
+fading powers with per-drop cutoffs, with no SNR in dB per draw; snr_of
+gives that SNR, by the expression the cutoff search evaluates, so the
+tests can check the cutoffs against it.  pytest does not collect this
+module (its name does not start with test_); the tests import it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mcmcast.channel import _RATES, _THRESHOLDS_DB
+from mcmcast.channel import _RATES, _THRESHOLDS_DB, _fade_db, snr
 from mcmcast.coverage import pack, served_block, unpack
 
 
@@ -130,6 +136,35 @@ def map_solution(chosen: Sequence[int]) -> list[int]:
     return sorted(set(chosen))
 
 
+def milp_optimum(cover: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """The optimum value of the boolean (C, N, M) instance `cover`, as
+    scipy's MILP solver reports it at a zero gap, and the allocation it
+    found: binary x[c, j] with sum_j x[c, j] = 1 for each cell c, and
+    y[k] <= the sum of the x[c, j] whose (cell, PRB) pair covers user k,
+    maximizing sum_k y[k].  The value is a float for the caller to
+    certify against the allocation's served count."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    num_cells, num_prbs, num_users = cover.shape
+    pairs = num_cells * num_prbs
+    one_per_cell = np.hstack([np.kron(np.eye(num_cells), np.ones(num_prbs)),
+                              np.zeros((num_cells, num_users))])
+    covered = np.hstack([-cover.reshape(pairs, num_users).T.astype(float),
+                         np.eye(num_users)])
+    result = milp(
+        np.concatenate([np.zeros(pairs), -np.ones(num_users)]),
+        integrality=np.concatenate([np.ones(pairs), np.zeros(num_users)]),
+        bounds=Bounds(0.0, 1.0),
+        constraints=[LinearConstraint(one_per_cell, 1.0, 1.0),
+                     LinearConstraint(covered, -np.inf, 0.0)],
+        options={"mip_rel_gap": 0.0},
+    )
+    if not result.success:
+        raise RuntimeError(f"MILP failed: {result.message}")
+    chosen = result.x[:pairs].reshape(num_cells, num_prbs).argmax(axis=1)
+    return -result.fun, tuple(chosen.tolist())
+
+
 def rate_from_snr(snr_db):
     """Decodable rate for an SNR: 0 below the first step, then the highest
     step whose threshold is met, saturating at the top step.  Vectorized."""
@@ -138,9 +173,18 @@ def rate_from_snr(snr_db):
     return float(out) if np.isscalar(snr_db) else out
 
 
-def snr_subframe(model, shadow_db: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """(C, N, M) SNR draw of one sub-frame: the one-sub-frame case of
-    ChannelModel.snr_block."""
+def snr_of(model, shadow_db: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """(B, C, N, M) SNR in dB of the (B, C, N, M) fading powers on the
+    model's links under the (C, M) shadowing: the link budget plus
+    10 * log10 of each power, evaluated by channel._fade_db, the
+    expression the cutoff search meets each threshold with."""
+    return _fade_db(powers, snr(model.params, model._pl_db, shadow_db)[:, None, :])
+
+
+def snr_subframe(model, shadow_db: np.ndarray, rng: np.random.Generator,
+                 num_prbs: int) -> np.ndarray:
+    """(C, N, M) SNR draw of one sub-frame on num_prbs PRBs: snr_of the
+    powers one fading_block of one sub-frame takes from rng."""
     num_cells, num_users = shadow_db.shape
-    out = np.empty((1, num_cells, model.num_prbs, num_users))
-    return model.snr_block(shadow_db, rng, out)[0]
+    powers = model.fading_block(rng, np.empty((1, num_cells, num_prbs, num_users)))
+    return snr_of(model, shadow_db, powers)[0]

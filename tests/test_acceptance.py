@@ -5,7 +5,10 @@ Each criterion owns one test and prints a single pass/fail line; run
 is split: the uniform per-iteration bound is checked in its strict form
 (expected to fail -- counterexamples exist, see
 tests/test_coverage.py::TestGreedyVersusExact) and in the restricted
-form that does hold with zero tolerance.
+form that does hold with zero tolerance.  Criterion 10 checks the greedy
+at the paper's own size, C = 7 and N = 10, against each sub-frame's
+optimum from a test-only MILP whose value the served count of its own
+allocation certifies.
 """
 
 import itertools
@@ -25,18 +28,23 @@ from mcmcast.coverage import (
     exact_block,
     mbsfn_block,
     random_instance,
+    served_block,
+    unpack,
 )
+from mcmcast import engine
 from mcmcast.engine import SimConfig, compare_policies, paired_one_sided_pvalue, sweep
-from mcmcast.topology import build_hex7
+from mcmcast.topology import MC, build_hex7
 from mcmcast.traffic import write_synthetic_trace
 from oracles import (
     McpInstance,
     cga_history,
     chosen_by,
     map_solution,
+    milp_optimum,
     reduce_mcp,
     served_count,
     served_set,
+    served_users,
 )
 
 ORACLE_SEED = 1
@@ -245,9 +253,32 @@ def test_c9_channel_unit_checks():
         assert abs(ChannelParams().noise_floor_dbm - (-116.45)) <= 0.01
 
         scenario = build_hex7(500.0, 50, rng=np.random.default_rng(0))
-        model = ChannelModel(ChannelParams(), scenario, num_prbs=1)
+        model = ChannelModel(ChannelParams(), scenario)
         rng = np.random.default_rng(1)
         draws = np.concatenate(
             [model.draw_shadowing(rng).ravel() for _ in range(300)])
         assert draws.size >= 100_000
         assert abs(draws.std() - 10.0) / 10.0 <= 0.05
+
+
+def test_c10_greedy_near_optimum_at_paper_scale():
+    with criterion(10, "CGA >= (1 - 1/e) OPT on 20 engine sub-frames at "
+                       "C = 7, N = 10, M = 70, OPT certified"):
+        cfg = SimConfig(ues_per_cell=10, radius_m=1000.0, horizon=20,
+                        num_drops=1, seed=3)
+        _, _, _, covers = next(engine._blocks(cfg, {MC}))
+        words = covers[MC]
+        cover = unpack(words, 70)
+        assert cover.shape == (20, 7, 10, 70)
+        cga = np.bitwise_count(served_block(words, cga_block(words))).sum(axis=-1)
+        worst = 1.0
+        for b in range(len(cover)):
+            value, chosen = milp_optimum(cover[b])
+            opt = int(served_users(cover[b][None], np.array([chosen])).sum())
+            assert opt == round(value), (b, opt, value)
+            if b == 0:
+                assert opt == served_count(exact_block, cover[b])
+            assert GREEDY_BOUND * opt <= cga[b] <= opt, (b, cga[b], opt)
+            if opt:
+                worst = min(worst, cga[b] / opt)
+        print(f"\nworst CGA/OPT over {len(cover)} sub-frames: {worst:.3f}")

@@ -4,7 +4,8 @@ src/mcmcast holds no unused import, private name or public name.
 
 The harness wraps names on mcmcast.engine and mcmcast.cli to time each
 layer and silently skips a name it cannot find, so a rename or removal
-here would zero a per-layer metric without failing anything else.
+here would zero a per-layer metric without failing anything else.  The
+test below reads the harness's own list of names, so it fails instead.
 """
 
 import ast
@@ -16,8 +17,6 @@ from pathlib import Path
 import pytest
 
 import mcmcast
-import mcmcast.cli
-import mcmcast.engine
 from mcmcast import channel, cli, coverage, engine, topology, traffic
 
 PUBLIC = {
@@ -36,7 +35,6 @@ PUBLIC = {
     "build_hex7",
     "compare_policies",
     "log_to_csv",
-    "metrics_from_log",
     "paired_one_sided_pvalue",
     "parse_trace",
     "path_loss",
@@ -52,36 +50,58 @@ PUBLIC = {
 
 # The single-instance solver layer and the test-only oracles, which live
 # in tests/oracles.py; the (B, C, N, M) kernels are the allocation API.
+# No program read the raw log back (metrics_from_log) or drew SNRs in dB
+# (snr_block); the tests parse the log and evaluate the dB expression.
 DELETED = (
     "CoverageInstance", "CoverageResult", "evaluate", "_result",
     "solve_cga", "solve_cga_trace", "solve_dga", "solve_sc", "solve_mbsfn",
     "solve_exact", "McpInstance", "reduce_mcp", "map_solution",
     "rate_from_snr", "snr_subframe", "TraceSchedule",
+    "metrics_from_log", "snr_block",
 )
 
-# What perfbench/ reaches, per owner.  The solver names on mcmcast.engine
-# are the block kernels the engine calls; the tracer's solve_* spans read
-# zero samples until it wraps these.
-BENCHMARK_NAMES = {
-    mcmcast: (
-        "POLICIES", "SimConfig", "compare_policies", "write_synthetic_trace",
-        "parse_trace", "schedule_from_trace", "schedule_constant",
-    ),
-    mcmcast.engine: (
-        "build_hex7", "ChannelModel", "cga_block", "dga_block", "mbsfn_block",
-        "exact_block", "served_block", "parse_trace", "schedule_constant",
-        "schedule_from_trace",
-    ),
-    mcmcast.engine.ChannelModel: ("__init__", "draw_shadowing"),
-    mcmcast.cli: (
-        "main", "build_parser", "write_synthetic_trace", "compare_policies",
-        "log_to_csv", "summary_to_json", "_write",
-    ),
+ROOT = Path(__file__).resolve().parents[1]
+HARNESS = ROOT / "perfbench" / "harness.py"
+
+# What perfbench/workloads.py, harness.py and setup_probe.py call on the
+# root package.
+BENCHMARK_ROOT_NAMES = (
+    "POLICIES", "SimConfig", "compare_policies", "write_synthetic_trace",
+    "parse_trace", "schedule_from_trace", "schedule_constant",
+)
+
+# The (owner, attribute) pairs of the harness's _TARGETS that it wraps:
+# the layers it times.
+WRAPPED = {
+    ("engine", "build_hex7"),
+    ("engine.ChannelModel", "__init__"),
+    ("engine.ChannelModel", "draw_shadowing"),
+    ("engine", "parse_trace"),
+    ("engine", "schedule_constant"),
+    ("engine", "schedule_from_trace"),
+    ("cli", "write_synthetic_trace"),
+    ("cli", "compare_policies"),
+    ("cli", "log_to_csv"),
+    ("cli", "summary_to_json"),
+    ("cli", "_write"),
+}
+
+# The pairs that name what earlier refactors removed, so the harness skips
+# them and their per-layer metrics read zero (ROADMAP item 1).
+UNWRAPPED = {
+    ("engine", "connectivity_mode"),
+    ("engine.ChannelModel", "sample_subframe"),
+    ("engine", "build_instance"),
+    ("engine", "solve_cga"),
+    ("engine", "solve_dga"),
+    ("engine", "solve_sc"),
+    ("engine", "solve_mbsfn"),
+    ("engine", "solve_exact"),
 }
 
 
 def test_all_is_pinned_and_every_name_resolves():
-    assert len(mcmcast.__all__) == len(PUBLIC) == 27
+    assert len(mcmcast.__all__) == len(PUBLIC) == 26
     assert set(mcmcast.__all__) == PUBLIC
     for name in mcmcast.__all__:
         assert getattr(mcmcast, name) is not None, name
@@ -94,17 +114,32 @@ def test_policies_are_pinned_in_order():
 
 
 @pytest.mark.parametrize(
-    "owner", [mcmcast, coverage, channel, channel.ChannelModel, traffic],
+    "owner", [mcmcast, coverage, channel, channel.ChannelModel, traffic, engine],
     ids=lambda owner: owner.__name__,
 )
 def test_deleted_names_are_gone(owner):
     assert [name for name in DELETED if hasattr(owner, name)] == []
 
 
+def _wrapped(owner_path: str, attr: str) -> bool:
+    """Whether the harness wraps attr: its owner is looked up as
+    harness._owner looks it up, and the Tracer skips a missing one."""
+    owner = {"engine": engine, "cli": cli}[owner_path.split(".")[0]]
+    for part in owner_path.split(".")[1:]:
+        owner = getattr(owner, part, None)
+    return owner is not None and getattr(owner, attr, None) is not None
+
+
 def test_names_the_benchmark_harness_needs_exist():
-    for owner, names in BENCHMARK_NAMES.items():
-        missing = [name for name in names if not hasattr(owner, name)]
-        assert not missing, (owner.__name__, missing)
+    missing = [name for name in BENCHMARK_ROOT_NAMES if not hasattr(mcmcast, name)]
+    assert not missing, missing
+    # Read from the file rather than imported: the harness imports its
+    # sibling modules, which only perfbench's own sys.path finds.
+    targets = _literal(ast.parse(HARNESS.read_text(encoding="utf-8")), "_TARGETS")
+    pairs = {(owner, attr) for owner, attr, _ in targets}
+    assert len(pairs) == len(targets) == len(WRAPPED) + len(UNWRAPPED) == 19
+    assert {pair for pair in pairs if _wrapped(*pair)} == WRAPPED
+    assert {pair for pair in pairs if not _wrapped(*pair)} == UNWRAPPED
 
 
 @pytest.mark.parametrize(
@@ -167,12 +202,14 @@ def _read_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def _all_of(tree: ast.Module) -> set[str]:
+def _literal(tree: ast.Module, name: str):
+    """The literal value a module assigns to name at its top level, or
+    None."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return set(ast.literal_eval(node.value))
-    return set()
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
 
 
 def _module_defs(tree: ast.Module) -> set[str]:
@@ -197,17 +234,16 @@ def test_no_unused_import_or_private_name():
     """A stand-in for a linter: every module-level import is used in its
     module, every module-level _private name is read somewhere in
     src/mcmcast, and every public function, class or constant is read
-    somewhere in src/mcmcast, tests/ or perfbench/, so dead code cannot
-    come back unnoticed."""
+    somewhere in src/mcmcast or perfbench/, the programs, so dead code
+    cannot come back unnoticed.  A read from tests/ does not count: code
+    only its own tests run is dead code."""
     trees = _parsed(Path(mcmcast.__file__).parent)
     read_anywhere = set().union(*map(_read_names, trees.values()))
-    root = Path(__file__).resolve().parents[1]
-    read_by_anyone = read_anywhere.union(*(
-        _read_names(tree) for folder in ("tests", "perfbench")
-        for tree in _parsed(root / folder).values()))
+    read_by_programs = read_anywhere.union(
+        *map(_read_names, _parsed(ROOT / "perfbench").values()))
     dead = []
     for module, tree in trees.items():
-        used = _read_names(tree) | _all_of(tree)
+        used = _read_names(tree) | set(_literal(tree, "__all__") or ())
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
@@ -217,6 +253,7 @@ def test_no_unused_import_or_private_name():
                     if bound not in used:
                         dead.append(f"{module}: import {bound}")
         for name in _module_defs(tree):
-            if name not in (read_anywhere if name.startswith("_") else read_by_anyone):
+            readers = read_anywhere if name.startswith("_") else read_by_programs
+            if name not in readers:
                 dead.append(f"{module}: {name}")
     assert not dead, dead

@@ -18,9 +18,10 @@ from mcmcast.channel import (
     snr,
 )
 from mcmcast.topology import build_hex7, eligibility
-from oracles import rate_from_snr, snr_subframe
+from oracles import rate_from_snr, snr_of, snr_subframe
 
 PARAMS = ChannelParams()
+SMALL_PRBS = 3  # the PRBs of small_model's SNR draws
 
 
 class TestLinkBudget:
@@ -59,8 +60,8 @@ class TestLinkBudget:
         fading_on, _ = small_model(fast_fading=True)
         fading_off, _ = small_model(fast_fading=False)
         zeros = np.zeros((7, 28))
-        still = snr_subframe(fading_off, zeros, np.random.default_rng(8))
-        faded = snr_subframe(fading_on, zeros, np.random.default_rng(8))
+        still = snr_subframe(fading_off, zeros, np.random.default_rng(8), SMALL_PRBS)
+        faded = snr_subframe(fading_on, zeros, np.random.default_rng(8), SMALL_PRBS)
         power = np.random.default_rng(8).exponential(1.0, size=faded.shape)
         np.testing.assert_allclose(faded, still + 10.0 * np.log10(power), atol=1e-9)
 
@@ -139,7 +140,7 @@ class TestRateTable:
 def small_model(fast_fading=True, radius=500.0, ues=4, seed=0):
     scenario = build_hex7(radius, ues, rng=np.random.default_rng(seed))
     params = ChannelParams(fast_fading=fast_fading)
-    return ChannelModel(params, scenario, num_prbs=3), scenario
+    return ChannelModel(params, scenario), scenario
 
 
 class TestChannelModel:
@@ -147,28 +148,29 @@ class TestChannelModel:
         model, scenario = small_model()
         rng = np.random.default_rng(1)
         shadow = model.draw_shadowing(rng)
-        assert shadow.shape == (7, scenario.num_users)
-        snr_db = snr_subframe(model, shadow, rng)
-        assert snr_db.shape == (7, 3, scenario.num_users)
+        num_users = len(scenario.ue_pos)
+        assert shadow.shape == (7, num_users)
+        snr_db = snr_subframe(model, shadow, rng, SMALL_PRBS)
+        assert snr_db.shape == (7, SMALL_PRBS, num_users)
 
     def test_same_seed_same_rates(self):
         model, _ = small_model()
-        a = snr_subframe(model, np.zeros((7, 28)), np.random.default_rng(5))
-        b = snr_subframe(model, np.zeros((7, 28)), np.random.default_rng(5))
+        a = snr_subframe(model, np.zeros((7, 28)), np.random.default_rng(5), SMALL_PRBS)
+        b = snr_subframe(model, np.zeros((7, 28)), np.random.default_rng(5), SMALL_PRBS)
         assert np.array_equal(a, b)
 
     def test_no_fading_means_prbs_identical(self):
         model, _ = small_model(fast_fading=False)
         rng = np.random.default_rng(2)
-        snr_db = snr_subframe(model, np.zeros((7, 28)), rng)
+        snr_db = snr_subframe(model, np.zeros((7, 28)), rng, SMALL_PRBS)
         assert np.allclose(snr_db, snr_db[:, :1, :])
 
     def test_no_fading_keeps_every_prb(self):
         model, scenario = small_model(fast_fading=False)
         rng = np.random.default_rng(2)
         shadow = np.zeros((7, 28))
-        assert snr_subframe(model, shadow, rng).shape == (7, 3, 28)
-        decodable = snr_subframe(model, shadow, rng) >= min_snr_db(100.0)
+        assert snr_subframe(model, shadow, rng, SMALL_PRBS).shape == (7, SMALL_PRBS, 28)
+        decodable = snr_subframe(model, shadow, rng, SMALL_PRBS) >= min_snr_db(100.0)
         assert decodable.shape == (7, 3, 28)
         cover = decodable & eligibility(scenario, "mc")[:, None, :]
         assert cover.shape == (7, 3, 28)
@@ -176,7 +178,7 @@ class TestChannelModel:
     def test_no_fading_snr_matches_link_budget(self):
         model, scenario = small_model(fast_fading=False)
         rng = np.random.default_rng(3)
-        snr_db = snr_subframe(model, np.zeros((7, 28)), rng)
+        snr_db = snr_subframe(model, np.zeros((7, 28)), rng, SMALL_PRBS)
         d_km = np.linalg.norm(
             scenario.cell_pos[0] - scenario.ue_pos[0]) / 1000.0
         expected = snr(ChannelParams(fast_fading=False), path_loss(d_km))
@@ -196,9 +198,9 @@ class TestChannelModel:
         fading_off, _ = small_model(fast_fading=False)
         rng = np.random.default_rng(6)
         zeros = np.zeros((7, 28))
-        still = snr_subframe(fading_off, zeros, rng)[0, 0, 0]
+        still = snr_subframe(fading_off, zeros, rng, SMALL_PRBS)[0, 0, 0]
         draws = np.array([
-            snr_subframe(fading_on, zeros, rng)[0, :, 0]
+            snr_subframe(fading_on, zeros, rng, SMALL_PRBS)[0, :, 0]
             for _ in range(10_000)
         ]).ravel()
         assert (draws - still).mean() == pytest.approx(-2.51, abs=0.15)
@@ -208,8 +210,10 @@ class TestChannelModel:
         near, _ = small_model(radius=250.0, seed=9)
         far, _ = small_model(radius=2500.0, seed=9)
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-        r_near = rate_from_snr(snr_subframe(near, near.draw_shadowing(rng_a), rng_a))
-        r_far = rate_from_snr(snr_subframe(far, far.draw_shadowing(rng_b), rng_b))
+        r_near = rate_from_snr(
+            snr_subframe(near, near.draw_shadowing(rng_a), rng_a, SMALL_PRBS))
+        r_far = rate_from_snr(
+            snr_subframe(far, far.draw_shadowing(rng_b), rng_b, SMALL_PRBS))
         assert r_far.mean() < r_near.mean()
 
 
@@ -266,23 +270,11 @@ class TestMinSnr:
 ALL_THRESHOLDS = np.array([-np.inf, *THRESHOLDS, np.inf])
 
 
-class FixedDraws:
-    """A stand-in generator whose standard_exponential hands out chosen
-    powers, so snr_block computes the dB of exactly those."""
-
-    def __init__(self, powers):
-        self.powers = powers
-
-    def standard_exponential(self, out):
-        out[...] = self.powers
-        return out
-
-
 def fig7_drop(**params):
     """A fig7-sized drop: 280 users at 1 km, 10 PRBs, drawn shadowing."""
     rng = np.random.default_rng(11)
     scenario = build_hex7(1000.0, 40, rng=rng)
-    model = ChannelModel(ChannelParams(**params), scenario, num_prbs=10)
+    model = ChannelModel(ChannelParams(**params), scenario)
     return model, model.draw_shadowing(rng)
 
 
@@ -291,10 +283,9 @@ def clamp_drop():
     above, even the clamped power 1e-12 (-120 dB) meets a threshold; just
     below that, the cutoff lies just above the clamp."""
     model, _ = fig7_drop()
-    still, _ = fig7_drop(fast_fading=False)
-    unshadowed = still.snr_block(np.zeros((7, 280)), None, np.empty((1, 7, 1, 280)))
+    unshadowed = snr(model.params, model._pl_db)
     budgets = np.linspace(THRESHOLDS[0] + 110.0, THRESHOLDS[-1] + 130.0, 7 * 280)
-    return model, unshadowed[0, :, 0] - budgets.reshape(7, 280)
+    return model, unshadowed - budgets.reshape(7, 280)
 
 
 DROPS = {
@@ -304,13 +295,12 @@ DROPS = {
 }
 
 
-def decided_alike(model, shadow, powers, rng=None):
+def decided_alike(model, shadow, powers):
     """Assert that powers (B, C, N, M) >= the cutoffs of every threshold
-    decide what snr_block's SNR of the same powers >= it decides.  With
-    rng, snr_block draws from it as fading_block drew the powers."""
+    decide what the SNR in dB of the same powers >= it decides."""
     cuts = model.cutoffs(shadow, ALL_THRESHOLDS)
     assert cuts.shape == (len(ALL_THRESHOLDS), *shadow.shape)
-    snr_db = model.snr_block(shadow, rng or FixedDraws(powers), np.empty(powers.shape))
+    snr_db = snr_of(model, shadow, powers)
     for thr, cut in zip(ALL_THRESHOLDS, cuts):
         np.testing.assert_array_equal(
             powers >= cut[:, None, :], snr_db >= thr, err_msg=f"threshold {thr}")
@@ -324,7 +314,7 @@ class TestCutoffs:
         model, shadow = DROPS[drop]()
         powers = model.fading_block(np.random.default_rng(5), np.empty((52, 7, 10, 280)))
         assert powers.size >= 10**6
-        decided_alike(model, shadow, powers, np.random.default_rng(5))
+        decided_alike(model, shadow, powers)
 
     @pytest.mark.parametrize("drop", ["fig7", "clamp"])
     def test_draws_at_and_just_below_each_cutoff(self, drop):
@@ -347,7 +337,7 @@ class TestCutoffs:
                 continue
             bits = np.where(np.isfinite(cut), cut, 1.0).view(np.int64)
             powers = (bits + ulps).view(np.float64)[:, :, None, :]
-            snr_db = model.snr_block(shadow, FixedDraws(powers), np.empty(powers.shape))
+            snr_db = snr_of(model, shadow, powers)
             np.testing.assert_array_equal(
                 powers >= cut[:, None, :], snr_db >= thr, err_msg=f"threshold {thr}")
 

@@ -340,6 +340,18 @@ class TestReadmeMatchesTheParser:
         assert set(names) == set(PRESETS)
 
 
+def test_readme_python_examples_run(capsys):
+    # Each ```python block of README.md runs as written, in a fresh
+    # namespace, and prints what it shows.
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for index, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {index}", "exec"),
+             {"__name__": "readme"})
+        assert capsys.readouterr().out, index
+
+
 class TestDeterminism:
     def test_same_args_byte_identical_outputs(self, tmp_path):
         args = ["run", "--preset", "custom", "--policy", "cga", "--seed", "9",

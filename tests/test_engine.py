@@ -2,6 +2,8 @@
 shared draws, the oracle sandwich on small search spaces, and the block
 loop against a per-sub-frame reference loop."""
 
+import csv
+import io
 import itertools
 import tracemalloc
 import warnings
@@ -29,7 +31,6 @@ from mcmcast.engine import (
     SimConfig,
     compare_policies,
     log_to_csv,
-    metrics_from_log,
     paired_one_sided_pvalue,
     summary_dict,
     summary_to_json,
@@ -42,6 +43,8 @@ from oracles import chosen_by, served_set, served_users, snr_subframe
 
 FAST = SimConfig(horizon=20, num_drops=2, seed=3, ues_per_cell=4,
                  radius_m=600.0, num_prbs=4)
+# The SimConfig fields that count something and must be integers
+COUNT_FIELDS = ("ues_per_cell", "num_prbs", "horizon", "seed", "num_drops")
 
 
 class TestRunBasics:
@@ -87,6 +90,26 @@ class TestRunBasics:
             compare_policies(SimConfig(ues_per_cell=0), ("cga",))
         with pytest.raises(ValueError, match="num_prbs must be >= 1"):
             compare_policies(SimConfig(num_prbs=0), ("cga",))
+
+    @pytest.mark.parametrize("value", [2.5, "3"])
+    @pytest.mark.parametrize("name", COUNT_FIELDS)
+    def test_non_integer_count_rejected_before_any_drop(
+            self, monkeypatch, name, value):
+        # Each of these used to pass validation and fail inside numpy or
+        # SeedSequence with an error that named no field.
+        def no_drop(*args, **kwargs):
+            raise AssertionError("a drop ran")
+        monkeypatch.setattr("mcmcast.engine.build_hex7", no_drop)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            compare_policies(replace(FAST, **{name: value}), ("cga",))
+
+    def test_numpy_integer_counts_run_like_python_ints(self):
+        counts = {name: np.int64(getattr(FAST, name)) for name in COUNT_FIELDS}
+        want = compare_policies(FAST, ("cga", "sc"))
+        got = compare_policies(replace(FAST, **counts), ("cga", "sc"))
+        for policy in ("cga", "sc"):
+            assert np.array_equal(got.metrics[policy].served_counts,
+                                  want.metrics[policy].served_counts), policy
 
     def test_unknown_config_policy_refused(self):
         # summary.json writes config.policy even when the run names its own
@@ -165,44 +188,17 @@ class TestMetrics:
         assert m.ci95_halfwidth == 0.0
 
     def test_recomputable_from_raw_log(self):
+        # The raw log's served_count column holds every (drop, sub-frame,
+        # policy) count, so every aggregate can be recomputed from it.
         out = compare_policies(FAST, ("cga", "mbsfn"))
-        back = metrics_from_log(log_to_csv(out), num_users=28)
+        rows = list(csv.DictReader(io.StringIO(log_to_csv(out))))
+        assert len(rows) == FAST.num_drops * FAST.horizon * 2
         for policy, m in out.metrics.items():
-            assert np.array_equal(back[policy].served_counts, m.served_counts)
-            assert back[policy].avg_packets_delivered == m.avg_packets_delivered
-            assert back[policy].avg_unserved_per_cell == m.avg_unserved_per_cell
-
-    @pytest.mark.parametrize("damage", ["missing row", "repeated row",
-                                        "policy cut short", "bad header"])
-    def test_damaged_log_rejected(self, damage):
-        lines = log_to_csv(compare_policies(FAST, ("cga", "mbsfn"))).splitlines()
-        if damage == "missing row":
-            del lines[7]
-        elif damage == "repeated row":
-            lines.insert(9, lines[7])
-        elif damage == "bad header":
-            lines[0] = lines[0].replace("served_count", "count")
-        else:  # the last sub-frame of every drop lost for one policy only
-            lines = [x for x in lines if not x.startswith(("0,19,mbsfn", "1,19,mbsfn"))]
-        with pytest.raises(ValueError, match="log"):
-            metrics_from_log("\n".join(lines) + "\n", num_users=28)
-
-    @pytest.mark.parametrize("text,line", [
-        ("", "header"),
-        ("drop,t,policy,served_count,served_ids\n0,0,cga,3,\n0,1,cga\n", "line 3"),
-        ("drop,t,policy,served_count,served_ids\n0,0,cga,x,\n", "line 2"),
-    ], ids=["empty", "short row", "bad count"])
-    def test_malformed_log_is_a_value_error(self, text, line):
-        with pytest.raises(ValueError, match=line):
-            metrics_from_log(text, num_users=28)
-
-    def test_blank_lines_in_log_are_skipped(self):
-        out = compare_policies(FAST, ("cga", "mbsfn"))
-        lines = log_to_csv(out).splitlines()
-        lines[5:5] = ["", ""]
-        back = metrics_from_log("\n".join(lines) + "\n\n", num_users=28)
-        for policy, m in out.metrics.items():
-            assert np.array_equal(back[policy].served_counts, m.served_counts)
+            back = np.full_like(m.served_counts, -1)
+            for row in rows:
+                if row["policy"] == policy:
+                    back[int(row["drop"]), int(row["t"])] = int(row["served_count"])
+            assert np.array_equal(back, m.served_counts), policy
 
     def test_log_contains_served_ids_when_asked(self):
         cfg = SimConfig(horizon=2, num_drops=1, seed=4, ues_per_cell=2,
@@ -230,12 +226,12 @@ class TestPolicyOrderings:
         # very same draws: extra connectivity can only widen the served set.
         rng = np.random.default_rng(12)
         scen = build_hex7(900.0, 4, rng=rng)
-        model = ChannelModel(ChannelParams(), scen, num_prbs=4)
+        model = ChannelModel(ChannelParams(), scen)
         shadow = model.draw_shadowing(rng)
         mc_mask = eligibility(scen, "mc")[:, None, :]
         sc_mask = eligibility(scen, "sc")[:, None, :]
         for _ in range(25):
-            decodable = snr_subframe(model, shadow, rng) >= min_snr_db(400.0)
+            decodable = snr_subframe(model, shadow, rng, 4) >= min_snr_db(400.0)
             mc, sc = decodable & mc_mask, decodable & sc_mask
             sc_chosen = chosen_by(dga_block, sc)
             assert served_set(sc, sc_chosen) <= served_set(mc, sc_chosen)
@@ -252,12 +248,12 @@ class TestPolicyOrderings:
                                                         (0.0, 0.8)):
             scen = build_hex7(radius, 4, edge_threshold, rng=rng)
             assert scen.edge_ue.all() == (edge_threshold == 0.0)
-            model = ChannelModel(ChannelParams(), scen, num_prbs=4)
+            model = ChannelModel(ChannelParams(), scen)
             shadow = model.draw_shadowing(rng)
             own = eligibility(scen, "sc")[:, None, :]
             mc_mask = eligibility(scen, "mc")[:, None, :]
             for _ in range(25):
-                decodable = snr_subframe(model, shadow, rng) >= min_snr_db(400.0)
+                decodable = snr_subframe(model, shadow, rng, 4) >= min_snr_db(400.0)
                 mc, sc = decodable & mc_mask, decodable & own
                 assert np.array_equal(mc & own, sc)
                 mc_chosen = chosen_by(dga_block, mc & own)
@@ -379,12 +375,13 @@ def reference_run(config, policies):
         rng = np.random.default_rng(seed)
         scen = build_hex7(config.radius_m, config.ues_per_cell,
                           config.edge_threshold, rng)
-        model = ChannelModel(config.channel, scen, config.num_prbs)
+        model = ChannelModel(config.channel, scen)
         shadow = model.draw_shadowing(rng)
         own = eligibility(scen, "sc")[:, None, :]
         mc_mask = eligibility(scen, "mc")[:, None, :]
         for t in range(config.horizon):
-            decodable = snr_subframe(model, shadow, rng) >= threshold[t]
+            snr_db = snr_subframe(model, shadow, rng, config.num_prbs)
+            decodable = snr_db >= threshold[t]
             mc = (decodable & mc_mask)[None]
             sc = (decodable & own)[None]
             instances[MC][d, t], instances[SC][d, t] = mc[0], sc[0]

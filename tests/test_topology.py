@@ -45,7 +45,7 @@ class TestLayout:
         scen = scenario(ues=40, seed=4)
         dist = np.linalg.norm(
             scen.cell_pos[:, None, :] - scen.ue_pos[None, :, :], axis=2)
-        d_primary = dist[scen.primary_cell, np.arange(scen.num_users)]
+        d_primary = dist[scen.primary_cell, np.arange(len(scen.ue_pos))]
         assert np.array_equal(scen.edge_ue, d_primary > 0.8 * RADIUS)
 
     def test_mean_distance_of_uniform_disc(self):
@@ -96,7 +96,7 @@ class TestConnectivity:
     def test_edge_ues_connect_everywhere_in_mc(self):
         scen = scenario(ues=40, seed=5)
         mask = eligibility(scen, "mc")
-        for k in range(scen.num_users):
+        for k in range(len(scen.ue_pos)):
             if scen.edge_ue[k]:
                 assert mask[:, k].all()
             else:
@@ -105,7 +105,7 @@ class TestConnectivity:
     def test_sc_collapses_to_primary(self):
         scen = scenario(ues=40, seed=5)
         mask = eligibility(scen, "sc")
-        for k in range(scen.num_users):
+        for k in range(len(scen.ue_pos)):
             assert np.flatnonzero(mask[:, k]).tolist() == [scen.primary_cell[k]]
 
     def test_unknown_mode_rejected(self):
