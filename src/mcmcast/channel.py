@@ -8,12 +8,11 @@ the same cell look different to a user.  SNR maps to a decodable rate in
 bits per PRB per sub-frame through a 15-step threshold table.
 
 A link's SNR in dB is its link budget plus 10 * log10 of its fading
-power, the expression _fade_db evaluates.  Within a drop the link budget
-is fixed, so whether a power reaches an SNR threshold is a cutoff on the
-power itself: cutoffs builds, once per drop, the least float64 power at
-which that dB expression meets each threshold, and the engine compares
-the raw fading_block draws with it.  The comparison decides every draw
-as the dB expression would, without a log per draw.
+power, with powers below 1e-12 read as 1e-12.  Within a drop the link
+budget is fixed, so whether a power reaches an SNR threshold is a cutoff
+on the power itself, 10 ** ((threshold - budget) / 10): cutoffs builds
+that table once per drop, and the engine compares the raw fading_block
+draws with it, with no log per draw.
 
 The carrier transmit power is split evenly over the carrier's PRBs (100
 for a 20 MHz LTE carrier), independent of how many PRBs the allocator is
@@ -80,8 +79,8 @@ class ChannelParams:
     subframe_s: float = 1e-3
 
     def __post_init__(self):
-        # Every link budget must come out finite: the cutoff search relies
-        # on it, and a nan or infinite budget serves nobody or everybody.
+        # Every link budget must come out finite: a nan or infinite budget
+        # serves nobody or everybody.
         for name in ("tx_power_dbm", "noise_density_dbm_hz", "noise_figure_db",
                      "shadowing_sigma_db", "pathloss_intercept_db",
                      "pathloss_slope_db"):
@@ -143,90 +142,8 @@ def min_snr_db(required):
 
 
 # Fading powers below this are read as this, so a zero draw stays finite
-# in dB.
+# in dB, and where this power meets a threshold every power does.
 _MIN_POWER = 1e-12
-_MAX_POWER = np.finfo(np.float64).max
-# Bit patterns of non-negative float64 values order like the values, so
-# cutoffs are searched for as int64 patterns.
-_MAX_BITS = np.float64(_MAX_POWER).view(np.int64)
-# The cutoff search first bisects a window of 2**_WINDOW_BITS patterns
-# centred on the closed-form power 10 ** ((threshold - base) / 10).  Over
-# 4 M cutoffs of drops with 35, 70 and 280 users at radii from 100 m to
-# 2.5 km, that power was the cutoff 14% of the time and missed it by -28
-# to +29 ulps.
-_WINDOW_BITS = 7
-
-
-def _fade_db(power, base, out=None):
-    """base + 10 * log10(max(power, 1e-12)), the SNR in dB of fading power
-    over link budget base, into out (a new array by default).  The cutoff
-    search evaluates every probe power here, so its cutoffs decide each
-    power exactly as this expression does."""
-    out = np.maximum(power, _MIN_POWER, out=out)
-    np.log10(out, out=out)
-    out *= 10.0
-    out += base
-    return out
-
-
-def _lowest_meeting(top, bits, base, thr):
-    """Lower each int64 power pattern in top, which meets thr over base,
-    to the least pattern in (top - 2**bits, top] that does, one power of
-    two at a time: the least there when the pattern 2**bits below top
-    fails, and top - 2**bits + 1 otherwise."""
-    top = top.copy()
-    probe = np.empty_like(top)
-    power = np.empty(top.shape)
-    meets = np.empty_like(top)
-    for step in range(bits - 1, -1, -1):
-        np.subtract(top, 1 << step, out=probe)
-        _fade_db(probe.view(np.float64), base, out=power)
-        np.greater_equal(power, thr, out=meets)
-        meets <<= step
-        top -= meets
-    return top
-
-
-def _cutoffs(base, thresholds):
-    """(L, C, M) least float64 power whose _fade_db over each link budget
-    in the (C, M) base meets each of the L thresholds: -inf where every
-    power does (the clamped one included), +inf where no finite power
-    does.
-
-    Each cutoff is bisected over the window of power patterns around the
-    closed-form power.  One that lands on either end of its window may lie
-    outside it, and is searched again over every pattern from the clamp
-    to the largest float64.  base must be finite, and _fade_db must not
-    decrease in the power.
-    """
-    thr = np.asarray(thresholds, dtype=np.float64)[:, None, None]
-    guess = np.subtract(thr, base)
-    guess /= 10.0
-    with np.errstate(over="ignore"):
-        np.power(10.0, guess, out=guess)
-    top = np.clip(guess, _MIN_POWER, _MAX_POWER, out=guess).view(np.int64)
-    top += 1 << (_WINDOW_BITS - 1)
-    np.minimum(top, _MAX_BITS, out=top)
-    cut = _lowest_meeting(top, _WINDOW_BITS, base, thr)
-    top -= cut
-    redo = np.nonzero((top == 0) | (top == (1 << _WINDOW_BITS) - 1))
-    cut = cut.view(np.float64)
-    if redo[0].size:
-        base = np.broadcast_to(base, cut.shape)[redo]
-        thr = np.broadcast_to(thr, cut.shape)[redo]
-        ends = np.repeat([[_MIN_POWER], [_MAX_POWER]], base.size, axis=1)
-        low, high = _fade_db(ends, base) >= thr
-        fill = np.where(low, -np.inf, np.inf)
-        held = np.flatnonzero(~low & high)
-        if held.size:
-            # Every pattern below the clamp's, negative ones included,
-            # fails where the clamp fails, so a search down from the
-            # largest float64 through 2**63 patterns is exact.
-            top = np.full(held.size, _MAX_BITS)
-            found = _lowest_meeting(top, 63, base[held], thr[held])
-            fill[held] = found.view(np.float64)
-        cut[redo] = fill
-    return cut
 
 
 class ChannelModel:
@@ -254,10 +171,15 @@ class ChannelModel:
     def cutoffs(self, shadow_db: np.ndarray, thresholds) -> np.ndarray:
         """(L, C, M) cutoff powers of the L SNR thresholds in dB under this
         shadowing: a fading power p from fading_block reaches threshold l
-        on link (c, m) exactly when p >= cutoffs[l, c, m], as its SNR in
-        dB, _fade_db of p over the link budget, would.  -inf where every
-        power does, +inf where none does."""
-        return _cutoffs(snr(self.params, self._pl_db, shadow_db), thresholds)
+        on link (c, m) when p >= cutoffs[l, c, m], the power
+        10 ** ((threshold - budget) / 10) over the link budget.  -inf where
+        that power is at or below the clamp 1e-12, so that every power
+        decodes, and +inf where it overflows, so that none does."""
+        budget = snr(self.params, self._pl_db, shadow_db)
+        thr = np.asarray(thresholds, dtype=np.float64)[:, None, None]
+        with np.errstate(over="ignore"):
+            cut = 10.0 ** ((thr - budget) / 10.0)
+        return np.where(cut <= _MIN_POWER, -np.inf, cut)
 
     def fading_block(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """Fill out, a C-contiguous (B, C, N, M) float64 array, with the

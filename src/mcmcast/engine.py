@@ -117,13 +117,20 @@ def _runs(config: SimConfig) -> dict:
 POLICIES = tuple(_runs(SimConfig()))
 
 
+# The SimConfig fields that count something, and those that are real numbers
+_COUNTS = ("ues_per_cell", "num_prbs", "horizon", "seed", "num_drops")
+_REALS = ("radius_m", "edge_threshold", "rate_bits", "fps")
+
+
 def _validate(config: SimConfig, policies: tuple[str, ...]) -> None:
-    for name in ("ues_per_cell", "num_prbs", "horizon", "seed", "num_drops"):
-        value = getattr(config, name)
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    for names, kind, check in ((_COUNTS, "an integer", operator.index),
+                               (_REALS, "a real number", math.isfinite)):
+        for name in names:
+            value = getattr(config, name)
+            try:
+                check(value)
+            except TypeError:
+                raise ValueError(f"{name} must be {kind}, got {value!r}") from None
     if config.horizon < 1:
         raise ValueError("horizon must be >= 1")
     if config.seed < 0:
@@ -229,6 +236,8 @@ def compare_policies(
     """Evaluate every policy on the same channel realizations."""
     policies = tuple(policies)
     _validate(config, policies)
+    # Numpy integer counts run as Python ints, so the summary echoes them
+    config = replace(config, **{n: operator.index(getattr(config, n)) for n in _COUNTS})
     num_users = NUM_CELLS * config.ues_per_cell
     shape = (config.num_drops, config.horizon)
     counts = {p: np.zeros(shape, dtype=int) for p in policies}

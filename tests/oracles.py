@@ -11,10 +11,12 @@ The package's kernels work on packed (B, C, N, W) word stacks; these
 helpers take boolean instances, pack them with coverage.pack, and rebuild
 the set form the paper states the problem in, so the tests can check the
 kernels against it.  The package decides decodability by comparing raw
-fading powers with per-drop cutoffs, with no SNR in dB per draw; snr_of
-gives that SNR, by the expression the cutoff search evaluates, so the
-tests can check the cutoffs against it.  pytest does not collect this
-module (its name does not start with test_); the tests import it.
+fading powers with per-drop closed-form cutoffs, with no SNR in dB per
+draw; snr_of gives that SNR, the link budget plus 10 * log10 of the
+clamped power, so the tests can check the cutoffs against it away from
+the few ulps around each cutoff where the two roundings may differ.
+pytest does not collect this module (its name does not start with
+test_); the tests import it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mcmcast.channel import _RATES, _THRESHOLDS_DB, _fade_db, snr
+from mcmcast.channel import _MIN_POWER, _RATES, _THRESHOLDS_DB, snr
 from mcmcast.coverage import pack, served_block, unpack
 
 
@@ -173,11 +175,16 @@ def rate_from_snr(snr_db):
     return float(out) if np.isscalar(snr_db) else out
 
 
+def _fade_db(power, base):
+    """base + 10 * log10(max(power, 1e-12)): the SNR in dB of fading power
+    over link budget base."""
+    return base + 10.0 * np.log10(np.maximum(power, _MIN_POWER))
+
+
 def snr_of(model, shadow_db: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """(B, C, N, M) SNR in dB of the (B, C, N, M) fading powers on the
     model's links under the (C, M) shadowing: the link budget plus
-    10 * log10 of each power, evaluated by channel._fade_db, the
-    expression the cutoff search meets each threshold with."""
+    10 * log10 of each power, clamped at 1e-12, by _fade_db."""
     return _fade_db(powers, snr(model.params, model._pl_db, shadow_db)[:, None, :])
 
 

@@ -104,12 +104,23 @@ class TestRunBasics:
             compare_policies(replace(FAST, **{name: value}), ("cga",))
 
     def test_numpy_integer_counts_run_like_python_ints(self):
-        counts = {name: np.int64(getattr(FAST, name)) for name in COUNT_FIELDS}
-        want = compare_policies(FAST, ("cga", "sc"))
-        got = compare_policies(replace(FAST, **counts), ("cga", "sc"))
-        for policy in ("cga", "sc"):
-            assert np.array_equal(got.metrics[policy].served_counts,
-                                  want.metrics[policy].served_counts), policy
+        # summary.json used to fail on the np.int64 counts asdict echoed.
+        for config in (SimConfig(horizon=5, num_drops=1, ues_per_cell=2), FAST):
+            counts = {name: np.int64(getattr(config, name)) for name in COUNT_FIELDS}
+            want = compare_policies(config, ("cga", "sc"))
+            got = compare_policies(replace(config, **counts), ("cga", "sc"))
+            # The log holds every served count
+            assert log_to_csv(got) == log_to_csv(want)
+            assert summary_to_json(got) == summary_to_json(want)
+
+    @pytest.mark.parametrize("name", ["radius_m", "edge_threshold", "rate_bits", "fps"])
+    def test_non_number_real_rejected_before_any_drop(self, monkeypatch, name):
+        # Each used to fail in math.isfinite with a TypeError naming no field.
+        def no_drop(*args, **kwargs):
+            raise AssertionError("a drop ran")
+        monkeypatch.setattr("mcmcast.engine.build_hex7", no_drop)
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            compare_policies(replace(FAST, **{name: "3"}), ("cga",))
 
     def test_unknown_config_policy_refused(self):
         # summary.json writes config.policy even when the run names its own
