@@ -21,17 +21,16 @@ choosing among.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import numbers
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
-    "ChannelParams",
-    "ChannelModel",
-    "path_loss",
-    "snr",
-    "min_snr_db",
+    "ChannelParams", "ChannelModel", "path_loss", "snr", "min_snr_db",
     "DEFAULT_RATE_TABLE",
 ]
 
@@ -60,6 +59,49 @@ DEFAULT_RATE_TABLE: tuple[tuple[float, float], ...] = (
 _THRESHOLDS_DB = np.array([t for t, _ in DEFAULT_RATE_TABLE])
 _RATES = np.array([r for _, r in DEFAULT_RATE_TABLE])
 
+# Field type -> (the values check_fields accepts for it, their name); a
+# bool is an int, but never a count or a real number
+_KINDS = {
+    bool: ((bool, np.bool_), "a boolean"),
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a real number"),
+}
+
+
+@functools.cache
+def typed_fields(cls) -> dict[str, type]:
+    """The int, float and bool fields of the dataclass cls -> their type."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if hints[f.name] in _KINDS}
+
+
+def check_fields(config, bounds: dict[str, str]) -> None:
+    """Store each int, float and bool field of the frozen dataclass config
+    as the Python type its annotation names (a numpy scalar too), or raise
+    ValueError, naming the field, for a value of another kind, a float
+    that is not finite, or a value outside its bound (">= 1", "> 0")."""
+    for name, typ in typed_fields(type(config)).items():
+        value, rule = getattr(config, name), bounds.get(name, "")
+        accepted, kind = _KINDS[typ]
+        if not isinstance(value, accepted) or typ is not bool and isinstance(value, bool):
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
+        value = typ(value)
+        op, _, bound = rule.partition(" ")
+        ok = not rule or (value > float(bound) if op == ">" else value >= float(bound))
+        if typ is float:
+            ok = ok and math.isfinite(value)
+            rule = f"finite and {rule}" if rule else "finite"
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+        object.__setattr__(config, name, value)
+
+
+# Lower bounds on ChannelParams fields, which check_fields applies.  With
+# every float finite, every link budget is: a nan or infinite budget would
+# serve nobody or everybody.
+_CHANNEL_BOUNDS = {"shadowing_sigma_db": ">= 0", "prb_bandwidth_hz": "> 0",
+                   "carrier_prbs": ">= 1", "min_distance_km": "> 0", "subframe_s": "> 0"}
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -79,21 +121,7 @@ class ChannelParams:
     subframe_s: float = 1e-3
 
     def __post_init__(self):
-        # Every link budget must come out finite: a nan or infinite budget
-        # serves nobody or everybody.
-        for name in ("tx_power_dbm", "noise_density_dbm_hz", "noise_figure_db",
-                     "shadowing_sigma_db", "pathloss_intercept_db",
-                     "pathloss_slope_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.shadowing_sigma_db < 0:
-            raise ValueError("shadowing_sigma_db must be >= 0")
-        for name in ("prb_bandwidth_hz", "min_distance_km", "subframe_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0")
-        if not (math.isfinite(self.carrier_prbs) and self.carrier_prbs >= 1):
-            raise ValueError("carrier_prbs must be finite and >= 1")
+        check_fields(self, _CHANNEL_BOUNDS)
 
     @property
     def per_prb_tx_dbm(self) -> float:

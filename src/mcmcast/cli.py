@@ -14,26 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import typed_fields
 from .coverage import (
-    GREEDY_BOUND,
-    CapExceededError,
-    cga_block,
-    check_exact_cap,
-    exact_block,
-    pack,
-    random_instance,
-    served_block,
-)
+    GREEDY_BOUND, CapExceededError, cga_block, check_exact_cap, exact_block, pack,
+    random_instance, served_block)
 from .engine import (
-    POLICIES,
-    SimConfig,
-    _validate,
-    compare_policies,
-    log_to_csv,
-    summary_to_json,
-    sweep,
-    sweep_to_csv,
-)
+    DGA_COUNTS, POLICIES, SimConfig, _validate, compare_policies, log_to_csv,
+    summary_to_json, sweep, sweep_to_csv)
 from .traffic import TraceParseError, parse_trace, write_synthetic_trace
 
 __all__ = ["main", "build_parser", "PRESETS"]
@@ -68,22 +55,22 @@ PRESETS: dict[str, dict] = {
 PRESETS["fig6_unserved_sweep"] = PRESETS["fig5_packets_sweep"]
 
 # The SimConfig-backed `run` settings, each both a flag (--key with dashes)
-# and a --config key: key -> (SimConfig field, type, add_argument extras)
-_FIELDS: dict[str, tuple[str, type, dict]] = {
-    "policy": ("policy", str, {"choices": POLICIES}),
-    "seed": ("seed", int, {}),
-    "ues": ("ues_per_cell", int, {"help": "UEs per cell"}),
-    "radius": ("radius_m", float, {"help": "cell radius in meters"}),
-    "subframes": ("horizon", int, {"help": "horizon in sub-frames"}),
-    "trace": ("trace_path", str, {"help": "video trace file path"}),
-    "fps": ("fps", float, {}),
-    "rate": ("rate_bits", float, {"help": "constant bits per sub-frame"}),
-    "edge_threshold": ("edge_threshold", float, {}),
-    "dga_count": ("dga_count", str, {"choices": ("connected", "primary")}),
-    "drops": ("num_drops", int, {"help": "independent UE placements"}),
-    "prbs": ("num_prbs", int, {"help": "PRBs per cell"}),
-    "burst": ("burst", bool,
-              {"help": "deliver each video frame in its first sub-frame"}),
+# and a --config key: key -> (SimConfig field, add_argument extras).  A
+# setting parses as its field's annotated int, float or bool, else as a str.
+_FIELDS: dict[str, tuple[str, dict]] = {
+    "policy": ("policy", {"choices": POLICIES}),
+    "seed": ("seed", {}),
+    "ues": ("ues_per_cell", {"help": "UEs per cell"}),
+    "radius": ("radius_m", {"help": "cell radius in meters"}),
+    "subframes": ("horizon", {"help": "horizon in sub-frames"}),
+    "trace": ("trace_path", {"help": "video trace file path"}),
+    "fps": ("fps", {}),
+    "rate": ("rate_bits", {"help": "constant bits per sub-frame"}),
+    "edge_threshold": ("edge_threshold", {}),
+    "dga_count": ("dga_count", {"choices": DGA_COUNTS}),
+    "drops": ("num_drops", {"help": "independent UE placements"}),
+    "prbs": ("num_prbs", {"help": "PRBs per cell"}),
+    "burst": ("burst", {"help": "deliver each video frame in its first sub-frame"}),
 }
 
 
@@ -96,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an experiment preset")
     run.add_argument("--preset", default="custom", choices=sorted(PRESETS))
-    for key, (_, typ, extras) in _FIELDS.items():
-        flag = "--" + key.replace("_", "-")
+    for key, (field, extras) in _FIELDS.items():
+        flag, typ = "--" + key.replace("_", "-"), typed_fields(SimConfig).get(field, str)
         if typ is bool:  # a bare switch; None leaves the lower layers' value
             run.add_argument(flag, action="store_true", default=None, **extras)
         else:
@@ -130,7 +117,8 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 def _coerce(key: str, value: str):
-    field, typ, _ = _FIELDS[key]
+    field, _ = _FIELDS[key]
+    typ = typed_fields(SimConfig).get(field, str)
     if typ is bool:
         if value.lower() in ("1", "true", "yes", "on"):
             return field, True
@@ -157,7 +145,7 @@ def _build_config(
         value = getattr(args, key, None)
         if value is not None:
             overrides[field] = value
-    config = replace(SimConfig(), **overrides)
+    config = SimConfig(**overrides)
     if "policy" in overrides:
         return config, preset, (config.policy,)
     return config, preset, preset.get("policies", (config.policy,))

@@ -27,14 +27,14 @@ import io
 import itertools
 import json
 import math
-import operator
+import os
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
-from .channel import ChannelModel, ChannelParams, min_snr_db
+from .channel import ChannelModel, ChannelParams, check_fields, min_snr_db
 from .coverage import (
     EXACT_DEFAULT_CAP,
     STACK_WORDS,
@@ -71,11 +71,13 @@ _AGGREGATES = (
     "avg_unserved_per_cell", "ci95_halfwidth",
 )
 _LOG_HEADER = ("drop", "t", "policy", "served_count", "served_ids")
-# Sweep axis -> (the SimConfig field it sets, that field's type)
-_SWEEP_AXES = {
-    "users_per_cell": ("ues_per_cell", int),
-    "radius": ("radius_m", float),
-}
+# Sweep axis -> the SimConfig field it sets
+_SWEEP_AXES = {"users_per_cell": "ues_per_cell", "radius": "radius_m"}
+# The dga_count choices: a DGA cell counts every user connected to it, or its own
+DGA_COUNTS = ("connected", "primary")
+# Lower bounds on SimConfig fields, which check_fields applies
+_BOUNDS = {"ues_per_cell": ">= 1", "num_prbs": ">= 1", "horizon": ">= 1", "seed": ">= 0",
+           "num_drops": ">= 1", "edge_threshold": ">= 0", "rate_bits": ">= 0"}
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,21 @@ class SimConfig:
     exact_cap: int = EXACT_DEFAULT_CAP
     log_served_ids: bool = False
 
+    def __post_init__(self):
+        check_fields(self, _BOUNDS)
+        check_radius(self.radius_m)
+        frame_period(self.fps, self.channel.subframe_s)  # checks fps
+        if self.dga_count not in DGA_COUNTS:
+            raise ValueError(f"unknown dga_count {self.dga_count!r}")
+        # A path is stored as a str, which summary.json can echo; an int
+        # would be read, and closed, as a file descriptor
+        path = self.trace_path
+        if path is not None:
+            path = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+            if not isinstance(path, str):
+                raise ValueError(f"trace_path must be a path, got {self.trace_path!r}")
+            object.__setattr__(self, "trace_path", path)
+
 
 def _runs(config: SimConfig) -> dict:
     """Policy -> (its (B, C, N, W) kernel, the connectivity mode of the
@@ -117,38 +134,8 @@ def _runs(config: SimConfig) -> dict:
 POLICIES = tuple(_runs(SimConfig()))
 
 
-# The SimConfig fields that count something, and those that are real numbers
-_COUNTS = ("ues_per_cell", "num_prbs", "horizon", "seed", "num_drops")
-_REALS = ("radius_m", "edge_threshold", "rate_bits", "fps")
-
-
 def _validate(config: SimConfig, policies: tuple[str, ...]) -> None:
-    for names, kind, check in ((_COUNTS, "an integer", operator.index),
-                               (_REALS, "a real number", math.isfinite)):
-        for name in names:
-            value = getattr(config, name)
-            try:
-                check(value)
-            except TypeError:
-                raise ValueError(f"{name} must be {kind}, got {value!r}") from None
-    if config.horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if config.seed < 0:
-        raise ValueError("seed must be >= 0")
-    if config.num_drops < 1:
-        raise ValueError("num_drops must be >= 1")
-    if config.ues_per_cell < 1:
-        raise ValueError("ues_per_cell must be >= 1")
-    if config.num_prbs < 1:
-        raise ValueError("num_prbs must be >= 1")
-    check_radius(config.radius_m)
-    if not (math.isfinite(config.edge_threshold) and config.edge_threshold >= 0):
-        raise ValueError("edge_threshold must be finite and >= 0")
-    if not (math.isfinite(config.rate_bits) and config.rate_bits >= 0):
-        raise ValueError("rate_bits must be finite and >= 0")
-    frame_period(config.fps, config.channel.subframe_s)  # checks fps
-    if config.dga_count not in ("connected", "primary"):
-        raise ValueError(f"unknown dga_count {config.dga_count!r}")
+    """The checks of a run's policies; a SimConfig checks its own fields."""
     if not policies:
         raise ValueError("need at least one policy")
     if len(set(policies)) != len(policies):
@@ -236,8 +223,6 @@ def compare_policies(
     """Evaluate every policy on the same channel realizations."""
     policies = tuple(policies)
     _validate(config, policies)
-    # Numpy integer counts run as Python ints, so the summary echoes them
-    config = replace(config, **{n: operator.index(getattr(config, n)) for n in _COUNTS})
     num_users = NUM_CELLS * config.ues_per_cell
     shape = (config.num_drops, config.horizon)
     counts = {p: np.zeros(shape, dtype=int) for p in policies}
@@ -325,16 +310,15 @@ def sweep(
         raise ValueError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    name, typ = _SWEEP_AXES[axis]
-    for value in values:  # NaN is left to _validate
-        if typ(value) != value and value == value:
-            raise ValueError(f"{axis} value {value!r} is not a {typ.__name__}")
+    configs = []
+    for value in values:  # every point is checked before any runs
+        try:
+            configs.append(replace(config, **{_SWEEP_AXES[axis]: value}))
+        except ValueError as exc:
+            raise ValueError(f"{axis} value {value!r}: {exc}") from None
     policies = (config.policy,) if policies is None else policies
-    return [
-        (float(value),
-         compare_policies(replace(config, **{name: typ(value)}), policies))
-        for value in values
-    ]
+    return [(float(value), compare_policies(c, policies))
+            for value, c in zip(values, configs)]
 
 
 def paired_one_sided_pvalue(a: Metrics, b: Metrics) -> float | None:

@@ -298,11 +298,12 @@ class TestSettingsTable:
 
     @pytest.mark.parametrize("key", sorted(_FIELDS))
     def test_flag_and_config_line_give_the_same_config(self, tmp_path, key):
-        field, typ, _ = _FIELDS[key]
+        field, _ = _FIELDS[key]
         assert field in {f.name for f in dataclasses.fields(SimConfig)}
         flag = "--" + key.replace("_", "-")
         value = self.VALUES[key]
-        argv = ["run", flag] if typ is bool else ["run", flag, value]
+        switch = isinstance(getattr(SimConfig(), field), bool)
+        argv = ["run", flag] if switch else ["run", flag, value]
         from_flag, _, _ = _build_config(build_parser().parse_args(argv))
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"{key} = {value}\n")

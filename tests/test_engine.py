@@ -3,11 +3,15 @@ shared draws, the oracle sandwich on small search spaces, and the block
 loop against a per-sub-frame reference loop."""
 
 import csv
+import dataclasses
 import io
 import itertools
+import math
+import os
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,14 @@ FAST = SimConfig(horizon=20, num_drops=2, seed=3, ues_per_cell=4,
                  radius_m=600.0, num_prbs=4)
 # The SimConfig fields that count something and must be integers
 COUNT_FIELDS = ("ues_per_cell", "num_prbs", "horizon", "seed", "num_drops")
+
+
+@pytest.fixture
+def no_drop(monkeypatch):
+    """Make any drop, that is any run past its checks, fail the test."""
+    def drop(*args, **kwargs):
+        raise AssertionError("a drop ran")
+    monkeypatch.setattr("mcmcast.engine.build_hex7", drop)
 
 
 class TestRunBasics:
@@ -103,15 +115,37 @@ class TestRunBasics:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             compare_policies(replace(FAST, **{name: value}), ("cga",))
 
-    def test_numpy_integer_counts_run_like_python_ints(self):
-        # summary.json used to fail on the np.int64 counts asdict echoed.
-        for config in (SimConfig(horizon=5, num_drops=1, ues_per_cell=2), FAST):
-            counts = {name: np.int64(getattr(config, name)) for name in COUNT_FIELDS}
-            want = compare_policies(config, ("cga", "sc"))
-            got = compare_policies(replace(config, **counts), ("cga", "sc"))
-            # The log holds every served count
-            assert log_to_csv(got) == log_to_csv(want)
-            assert summary_to_json(got) == summary_to_json(want)
+    def test_numpy_integer_counts_run_like_python_ints(self, tmp_path):
+        # summary.json used to fail on the numpy scalars and paths asdict
+        # echoed.  Every int, float and bool field of SimConfig and of its
+        # ChannelParams, given as a numpy scalar, runs as its Python value,
+        # and a trace path as its str.
+        trace = write_synthetic_trace(str(tmp_path / "trace.txt"), seed=1)
+        base = replace(FAST, trace_path=trace, log_served_ids=True)
+        as_numpy = {int: np.int64, float: np.float32, bool: np.bool_}
+
+        def artifacts(config):
+            out = compare_policies(config, ("cga", "sc"))
+            # The log holds every served count and, here, every served id
+            return log_to_csv(out), summary_to_json(out)
+
+        # (the config that holds the fields, a run config with some changed)
+        holders = [
+            (base, lambda **kw: replace(base, **kw)),
+            (base.channel, lambda **kw: replace(base, channel=replace(base.channel, **kw))),
+        ]
+        checked = 0
+        for instance, make in holders:
+            for f in dataclasses.fields(instance):
+                value = getattr(instance, f.name)
+                if type(value) not in as_numpy:
+                    continue
+                scalar = as_numpy[type(value)](value)
+                assert artifacts(make(**{f.name: scalar})) == artifacts(
+                    make(**{f.name: scalar.item()})), f.name
+                checked += 1
+        assert checked == 12 + 12  # SimConfig's and ChannelParams' fields
+        assert artifacts(replace(base, trace_path=Path(trace))) == artifacts(base)
 
     @pytest.mark.parametrize("name", ["radius_m", "edge_threshold", "rate_bits", "fps"])
     def test_non_number_real_rejected_before_any_drop(self, monkeypatch, name):
@@ -128,6 +162,27 @@ class TestRunBasics:
         cfg = SimConfig(policy="bogus", horizon=3, num_drops=1, ues_per_cell=2)
         with pytest.raises(ValueError, match="unknown policy 'bogus'"):
             compare_policies(cfg, ("cga",))
+
+    def test_trace_path_descriptor_refused_and_left_open(self, tmp_path, no_drop):
+        # An int used to be read as a file descriptor, which parse_trace
+        # then closed under its owner.
+        trace = write_synthetic_trace(str(tmp_path / "trace.txt"), seed=1)
+        fd = os.open(trace, os.O_RDONLY)
+        try:
+            with pytest.raises(ValueError, match="trace_path"):
+                compare_policies(replace(FAST, trace_path=fd), ("cga",))
+            os.fstat(fd)  # still open
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize("cls, name", [
+        (SimConfig, "burst"), (SimConfig, "log_served_ids"),
+        (ChannelParams, "fast_fading"),
+    ])
+    def test_string_for_a_bool_field_refused_by_name(self, cls, name):
+        # Each used to be read by truthiness: "no" switched burst mode on.
+        with pytest.raises(ValueError, match=f"{name} must be a boolean"):
+            cls(**{name: "no"})
 
     def test_empty_trace_path_is_a_missing_file(self):
         # "" names a trace, as on the command line, not the constant rate.
@@ -321,6 +376,14 @@ class TestSweep:
         # int(2.5) would run 2 UEs per cell under a 2.5 in the sweep CSV
         with pytest.raises(ValueError, match="users_per_cell value 2.5"):
             sweep(FAST, "users_per_cell", [2.5])
+
+    def test_every_value_checked_before_any_point_runs(self, no_drop):
+        # A NaN radius used to pass the type check, so the 500 m point ran
+        # before its own run refused it.
+        with pytest.raises(ValueError, match="users_per_cell value 2.5"):
+            sweep(FAST, "users_per_cell", [2, 2.5])
+        with pytest.raises(ValueError, match="radius value nan: radius_m must be finite"):
+            sweep(FAST, "radius", [500.0, math.nan])
 
     def test_csv_shape(self):
         table = sweep(FAST, "radius", [500.0, 800.0], policies=("cga", "sc"))
