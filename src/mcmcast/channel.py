@@ -85,7 +85,11 @@ def check_fields(config, bounds: dict[str, str]) -> None:
         accepted, kind = _KINDS[typ]
         if not isinstance(value, accepted) or typ is not bool and isinstance(value, bool):
             raise ValueError(f"{name} must be {kind}, got {value!r}")
-        value = typ(value)
+        try:
+            value = typ(value)
+        except OverflowError:  # an int or fraction past the largest float
+            raise ValueError(f"{name} must be finite, got a value past the "
+                             f"float range") from None
         op, _, bound = rule.partition(" ")
         ok = not rule or (value > float(bound) if op == ">" else value >= float(bound))
         if typ is float:

@@ -18,6 +18,13 @@ The block sizes only group the work: the RNG stream and every result are
 those of one sub-frame at a time.  Policies compared in one run see the
 *same* draws and share their mode's instances (common random numbers),
 so observed differences are policy-only.
+
+A run's drops are independent, each with its own seed, so compare_policies
+simulates them on min(drops, usable CPUs) workers: the calling thread and
+plain threads, drop d on worker d % workers, each with its own buffers and
+a 1 / workers share of both budgets, and each writing only its own drops'
+rows.  The fading draw, most of the work, releases the GIL.  Every result
+and artifact byte is the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import itertools
 import json
 import math
 import os
+import threading
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -103,6 +111,8 @@ class SimConfig:
 
     def __post_init__(self):
         check_fields(self, _BOUNDS)
+        if not isinstance(self.channel, ChannelParams):
+            raise ValueError(f"channel must be a ChannelParams, got {self.channel!r}")
         check_radius(self.radius_m)
         frame_period(self.fps, self.channel.subframe_s)  # checks fps
         if self.dga_count not in DGA_COUNTS:
@@ -230,14 +240,23 @@ def compare_policies(
               for p in policies if config.log_served_ids}
     runs = _runs(config)
     modes = {m for p in policies for m in runs[p][1:]}
-    for d, t0, t1, covers in _blocks(config, modes):
-        for policy in policies:
-            kernel, picks_on, credited_on = runs[policy]
-            words = served_block(covers[credited_on], kernel(covers[picks_on]))
-            counts[policy][d, t0:t1] = np.bitwise_count(words).sum(axis=-1)
-            if served:
-                served[policy][d, t0:t1] = unpack(words, num_users)
+    plan = _plan(config)
+    workers = min(config.num_drops, _cpus())
 
+    def work(w):
+        # Worker w simulates drops w, w + workers, ... and writes only
+        # their rows of counts and served
+        drops = range(w, config.num_drops, workers)
+        for d, t0, t1, covers in _blocks(config, modes, plan, drops, workers):
+            for policy in policies:
+                kernel, picks_on, credited_on = runs[policy]
+                words = served_block(covers[credited_on], kernel(covers[picks_on]))
+                counts[policy][d, t0:t1] = np.bitwise_count(words).sum(axis=-1)
+                if served:
+                    served[policy][d, t0:t1] = unpack(words, num_users)
+            yield
+
+    _run_workers(work, workers)
     metrics = {
         p: Metrics(policy=p, served_counts=_frozen(counts[p]),
                    num_users=num_users, num_cells=NUM_CELLS)
@@ -247,10 +266,53 @@ def compare_policies(
     return RunOutput(config=config, metrics=metrics, served_masks=served_masks)
 
 
-def _blocks(config: SimConfig, modes: set[str]):
-    """Every drop's kernel blocks, in order: yields (drop, t0, t1, covers),
-    covers holding one fresh (t1 - t0, C, N, W) packed stack per mode in
-    `modes`, the instances of sub-frames t0 to t1 - 1 of the drop."""
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def _run_workers(work, workers: int) -> None:
+    """Drive the generators work(0), ..., work(workers - 1) to their end,
+    work(0) on the calling thread and each other on a thread of its own,
+    and return once every thread has ended.  Once one raises, a thread
+    fails to start, or the caller is interrupted while it waits, the
+    others stop at their next step, and the error of the lowest-numbered worker that raised (the
+    caller being worker 0) is re-raised after every thread has ended."""
+    errors = {}
+
+    def run(w):
+        try:
+            for _ in work(w):
+                if errors:
+                    return
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[w] = exc
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        try:
+            thread.start()
+        except BaseException as exc:  # no thread to be had: stop the others
+            errors.setdefault(0, exc)
+            break
+    run(0)
+    for thread in threads:
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:  # an interrupt: stop every worker
+                errors.setdefault(0, exc)
+    if errors:
+        raise errors[min(errors)]
+
+
+def _plan(config: SimConfig) -> tuple[np.ndarray, np.ndarray, list]:
+    """The part of a run that every drop shares: the run's distinct SNR
+    thresholds, each sub-frame's index into them and one seed per drop.
+    Warns when a trace shorter than the horizon wraps around."""
     schedule = _build_schedule(config)
     horizon = config.horizon
     if len(schedule) < horizon:
@@ -265,20 +327,30 @@ def _blocks(config: SimConfig, modes: set[str]):
     levels, level = np.unique(
         min_snr_db(np.resize(schedule, horizon)), return_inverse=True
     )
+    return levels, level, np.random.SeedSequence(config.seed).spawn(config.num_drops)
 
+
+def _blocks(config: SimConfig, modes: set[str], plan, drops, workers: int):
+    """The kernel blocks of `drops`, indices into the drops of the run
+    that `plan` (from _plan) describes, in order: yields (drop, t0, t1,
+    covers), covers holding one fresh (t1 - t0, C, N, W) packed stack per
+    mode in `modes`, the instances of sub-frames t0 to t1 - 1 of the drop.
+    Its buffers take a 1 / workers share of the fading and stack budgets,
+    so that `workers` of these generators at once stay within them."""
+    levels, level, seeds = plan
+    horizon = config.horizon
     # One (span, C, N, W) word buffer for the packed decodability of a kernel
     # block, whose padding bits stay zero, and one (block, C, N, M) fading
     # buffer for the fading blocks within it, both reused by every block of
     # every drop
     frame = (NUM_CELLS, config.num_prbs, NUM_CELLS * config.ues_per_cell)
     width = num_words(frame[2])
-    span = max(1, min(horizon, STACK_WORDS // (math.prod(frame[:2]) * width)))
-    block = max(1, min(span, _BLOCK_WORDS // math.prod(frame)))
+    span = max(1, min(horizon, STACK_WORDS // workers // (math.prod(frame[:2]) * width)))
+    block = max(1, min(span, _BLOCK_WORDS // workers // math.prod(frame)))
     power_buf = np.empty((block, *frame))
     word_buf = np.zeros((span, *frame[:2], width), dtype=np.uint64)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
-    for d, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    for d in drops:
+        rng = np.random.default_rng(seeds[d])
         scenario = build_hex7(
             config.radius_m, config.ues_per_cell, config.edge_threshold, rng
         )

@@ -8,6 +8,8 @@ import io
 import itertools
 import math
 import os
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -183,6 +185,22 @@ class TestRunBasics:
         # Each used to be read by truthiness: "no" switched burst mode on.
         with pytest.raises(ValueError, match=f"{name} must be a boolean"):
             cls(**{name: "no"})
+
+    @pytest.mark.parametrize("cls, name", [
+        (SimConfig, "radius_m"), (SimConfig, "edge_threshold"),
+        (ChannelParams, "tx_power_dbm"),
+    ])
+    @pytest.mark.parametrize("value", [10**400, -10**400])
+    def test_int_past_the_float_range_refused_by_name(self, cls, name, value):
+        # float(value) used to raise a bare OverflowError
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("channel", [None, {}, "default", SimConfig()])
+    def test_channel_of_another_type_refused_by_name(self, channel):
+        # frame_period(fps, channel.subframe_s) used to raise AttributeError
+        with pytest.raises(ValueError, match="channel must be a ChannelParams"):
+            SimConfig(channel=channel)
 
     def test_empty_trace_path_is_a_missing_file(self):
         # "" names a trace, as on the command line, not the constant rate.
@@ -476,14 +494,20 @@ def reference_run(config, policies):
     return {p: (m.sum(axis=-1), m) for p, m in masks.items()}, instances
 
 
-def block_sizes(config):
-    """Sub-frames per fading block and per kernel block of the engine for
-    this config, before the horizon cuts them: its fading-power buffer,
-    capped at a kernel block, and its packed stack of STACK_WORDS words."""
+def block_sizes(config, workers=1):
+    """Sub-frames per fading block and per kernel block of each of the
+    engine's `workers` workers for this config, before the horizon cuts
+    them: its share of the fading-power budget, capped at a kernel block,
+    and its packed stack of a share of STACK_WORDS words."""
     pairs = NUM_CELLS * config.num_prbs
     users = NUM_CELLS * config.ues_per_cell
-    kernel = STACK_WORDS // (pairs * num_words(users))
-    return min(kernel, engine._BLOCK_WORDS // (pairs * users)), kernel
+    kernel = STACK_WORDS // workers // (pairs * num_words(users))
+    return min(kernel, engine._BLOCK_WORDS // workers // (pairs * users)), kernel
+
+
+def use_workers(monkeypatch, workers):
+    """Make compare_policies see `workers` usable CPUs."""
+    monkeypatch.setattr(engine, "_cpus", lambda: workers)
 
 
 FOUR = ("cga", "dga", "sc", "mbsfn")
@@ -506,10 +530,12 @@ SPECIAL_SIZES = [(0, 10, 500, 40, 99)[i % 5] for i in range(300)]
 
 
 class TestBlockLoop:
-    """The block loop against the per-sub-frame reference, at horizons on
-    both sides of one and two fading-block boundaries and of one and two
-    kernel-block boundaries.  The reference is causal, so one reference
-    run at the longest horizon holds every shorter one as its prefix."""
+    """The block loop against the per-sub-frame reference, on one worker
+    and on two (one drop each), at horizons on both sides of one and two
+    fading-block boundaries and of one and two kernel-block boundaries of
+    each worker's share of the budgets.  The reference is causal, so one
+    reference run at the longest horizon holds every shorter one as its
+    prefix."""
 
     CASES = {
         "all_policies": (dict(num_prbs=2), (*FOUR, "exact")),
@@ -520,64 +546,174 @@ class TestBlockLoop:
         "special_levels": (dict(fps=250.0), FOUR),
     }
     TRACES = {"trace": None, "special_levels": SPECIAL_SIZES}
+    WORKERS = (1, 2)
 
     # 10 and 20 UEs per cell: two and three words per row, several fading
     # blocks per kernel block.  1 UE per cell: one word per row, and the
     # fading budget exceeds the kernel block, which caps it.
     @pytest.mark.parametrize("ues", [1, 10, 20])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_the_per_subframe_loop(self, case, ues, tmp_path):
+    def test_matches_the_per_subframe_loop(self, case, ues, tmp_path, monkeypatch):
         overrides, policies = self.CASES[case]
         config = SimConfig(ues_per_cell=ues, radius_m=900.0, num_drops=2,
                            seed=7, log_served_ids=True, **overrides)
         if case in self.TRACES:
             path = fast_trace(tmp_path / "t.txt", self.TRACES[case])
             config = replace(config, trace_path=path)
-        block, kernel = block_sizes(config)
-        assert 2 <= block <= kernel
-        assert (block < kernel) == (ues > 1)
-        if case in self.TRACES:
-            levels = set(min_snr_db(engine._build_schedule(config)[:block]))
-            assert len(levels) > 1
-        if case == "special_levels":
-            assert {-np.inf, np.inf} < levels
-        horizons = sorted({1, block - 1, block, block + 1, 2 * block + 1,
-                           kernel - 1, kernel, kernel + 1, 2 * kernel + 1})
-        longest = replace(config, horizon=horizons[-1])
+        horizons = {}
+        for workers in self.WORKERS:
+            block, kernel = block_sizes(config, workers)
+            assert 2 <= block <= kernel
+            assert (block < kernel) == (ues > 1)
+            if case in self.TRACES:
+                levels = min_snr_db(engine._build_schedule(config)[:2 * block])
+                assert len(set(levels[:block])) > 1
+            if case == "special_levels":  # within the first two fading blocks
+                assert {-np.inf, np.inf} < set(levels)
+            horizons[workers] = sorted({
+                1, block - 1, block, block + 1, 2 * block + 1,
+                kernel - 1, kernel, kernel + 1, 2 * kernel + 1})
+        longest = replace(config, horizon=max(map(max, horizons.values())))
         want, instances = reference_run(longest, policies)
-        for horizon in horizons:
-            out = compare_policies(replace(config, horizon=horizon), policies)
-            for policy in policies:
-                counts, masks = want[policy]
-                got = out.metrics[policy].served_counts
-                assert np.array_equal(got, counts[:, :horizon]), (horizon, policy)
-                assert np.array_equal(out.served_masks[policy],
-                                      masks[:, :horizon]), (horizon, policy)
-
-        # Without served masks, the path the CLI and the benchmark take
-        off = compare_policies(replace(longest, log_served_ids=False), policies)
-        assert off.served_masks == {}
-        for policy in policies:
-            assert np.array_equal(off.metrics[policy].served_counts,
-                                  out.metrics[policy].served_counts), policy
-
-        # The simulation loop alone: its stacks, unpacked, are the reference's
-        # instances, so a fault in the draw, compare or pack step fails here
-        # even where every kernel's pick would hide it
         users = NUM_CELLS * ues
-        stacks = {m: np.zeros_like(instances[m]) for m in instances}
-        tiles = []
-        for d, t0, t1, covers in engine._blocks(longest, {MC, SC}):
-            tiles.append((d, t0, t1))
-            for mode, words in covers.items():
-                assert words.shape == (t1 - t0, NUM_CELLS, longest.num_prbs,
-                                       num_words(users))
-                stacks[mode][d, t0:t1] = unpack(words, users)
-        assert tiles == [(d, t0, min(t0 + kernel, longest.horizon))
-                         for d in range(2)
-                         for t0 in range(0, longest.horizon, kernel)]
-        for mode in instances:
-            assert np.array_equal(stacks[mode], instances[mode]), mode
+        for workers in self.WORKERS:
+            use_workers(monkeypatch, workers)
+            for horizon in horizons[workers]:
+                out = compare_policies(replace(config, horizon=horizon), policies)
+                for policy in policies:
+                    counts, masks = want[policy]
+                    got = out.metrics[policy].served_counts
+                    assert np.array_equal(got, counts[:, :horizon]), (
+                        workers, horizon, policy)
+                    assert np.array_equal(out.served_masks[policy], masks[:, :horizon]), (
+                        workers, horizon, policy)
+
+            # Without served masks, the path the CLI and the benchmark take
+            run = replace(longest, horizon=horizons[workers][-1])
+            off = compare_policies(replace(run, log_served_ids=False), policies)
+            assert off.served_masks == {}
+            for policy in policies:
+                assert np.array_equal(off.metrics[policy].served_counts,
+                                      want[policy][0][:, :run.horizon]), (workers, policy)
+
+            # The simulation loop alone: each worker's stacks, unpacked, are
+            # the reference's instances, so a fault in the draw, compare or
+            # pack step fails here even where every kernel's pick would hide it
+            kernel = block_sizes(config, workers)[1]
+            plan = engine._plan(run)
+            for w in range(workers):
+                tiles = []
+                drops = range(w, run.num_drops, workers)
+                for d, t0, t1, covers in engine._blocks(run, {MC, SC}, plan, drops, workers):
+                    tiles.append((d, t0, t1))
+                    for mode, words in covers.items():
+                        assert words.shape == (t1 - t0, NUM_CELLS, run.num_prbs,
+                                               num_words(users))
+                        assert np.array_equal(unpack(words, users),
+                                              instances[mode][d, t0:t1]), (workers, mode)
+                assert tiles == [(d, t0, min(t0 + kernel, run.horizon))
+                                 for d in drops
+                                 for t0 in range(0, run.horizon, kernel)]
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_worker_count_changes_no_result(self, trace, tmp_path, monkeypatch):
+        # 3 drops past two kernel blocks of 3 workers' budget share, with
+        # served masks, on each traffic source
+        config = SimConfig(ues_per_cell=10, radius_m=900.0, horizon=130,
+                           num_drops=3, seed=11, log_served_ids=True)
+        if trace:
+            config = replace(config, trace_path=fast_trace(tmp_path / "t.txt"))
+        assert block_sizes(config, 3)[1] * 3 < config.horizon
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave as often as they can
+        try:
+            for workers in (1, 2, 3):
+                use_workers(monkeypatch, workers)
+                out = compare_policies(config, FOUR)
+                runs.append((
+                    {p: m.served_counts.tolist() for p, m in out.metrics.items()},
+                    {p: m.tobytes() for p, m in out.served_masks.items()},
+                    log_to_csv(out), summary_to_json(out),
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1] == runs[2]
+        assert set(runs[0][1]) == set(FOUR)  # the masks were kept
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failing_drop_raises_in_the_caller_and_leaves_no_thread(
+            self, workers, monkeypatch):
+        # Drop 1 fails, on worker 1 when there are several; build_hex7 is
+        # the first use of each drop's fresh generator, so its state
+        # names the drop
+        config = replace(FAST, num_drops=4)
+        seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
+        bad = np.random.default_rng(seeds[1]).bit_generator.state
+
+        def build(radius, ues, edge, rng):
+            if rng.bit_generator.state == bad:
+                raise RuntimeError("drop 1 failed")
+            return build_hex7(radius, ues, edge, rng)
+
+        monkeypatch.setattr(engine, "build_hex7", build)
+        use_workers(monkeypatch, workers)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="drop 1 failed"):
+            compare_policies(config, ("cga", "sc"))
+        assert threading.enumerate() == before
+
+    def test_thread_that_fails_to_start_leaves_no_thread(self, monkeypatch):
+        # Of 3 workers, worker 1 starts and worker 2 cannot: the error
+        # reaches the caller once worker 1 has stopped
+        start_thread = threading.Thread.start
+        started = []
+
+        def start(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start_thread(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        use_workers(monkeypatch, 3)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            compare_policies(replace(FAST, num_drops=6), ("cga",))
+        assert threading.enumerate() == before
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_interrupt_while_waiting_stops_every_worker(self, monkeypatch):
+        # Worker 1 waits inside its first drop until the caller, done with
+        # drops 0, 2 and 4, is interrupted while it waits for worker 1.
+        # Worker 1 then stops after one block, and the interrupt reaches
+        # the caller with no thread left running.
+        config = replace(FAST, num_drops=6)
+        release = threading.Event()
+        on_worker = []
+
+        def build(*args):
+            if threading.current_thread() is not threading.main_thread():
+                on_worker.append(args)
+                assert release.wait(timeout=60)
+            return build_hex7(*args)
+
+        join = threading.Thread.join
+
+        def interrupted_join(thread, timeout=None):
+            if not release.is_set():
+                release.set()
+                raise KeyboardInterrupt
+            return join(thread, timeout)
+
+        monkeypatch.setattr(engine, "build_hex7", build)
+        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+        use_workers(monkeypatch, 2)
+        before = threading.enumerate()
+        with pytest.raises(KeyboardInterrupt):
+            compare_policies(config, ("cga",))
+        assert threading.enumerate() == before
+        assert len(on_worker) == 1  # drop 1 only, of drops 1, 3 and 5
 
     def test_fig7_sized_run_peaks_below_4_mb(self, tmp_path):
         # M = 280 and three policies on a trace: the fading-power buffer is
@@ -594,4 +730,28 @@ class TestBlockLoop:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_two_worker_fig7_sized_run_peaks_below_4_mb(self, tmp_path, monkeypatch):
+        # The same run with two drops on two workers, each with half of both
+        # budgets; tracemalloc sees every thread's allocations
+        trace = write_synthetic_trace(str(tmp_path / "trace.txt"), seed=1)
+        cfg = SimConfig(ues_per_cell=40, radius_m=1000.0, horizon=100,
+                        num_drops=2, seed=1, trace_path=trace)
+        use_workers(monkeypatch, 2)
+        start_thread = threading.Thread.start
+        started = []
+
+        def start(thread):
+            started.append(thread)
+            start_thread(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        tracemalloc.start()
+        try:
+            compare_policies(cfg, ("cga", "sc", "mbsfn"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(started) == 1
         assert peak < 4e6
