@@ -20,11 +20,11 @@ those of one sub-frame at a time.  Policies compared in one run see the
 so observed differences are policy-only.
 
 A run's drops are independent, each with its own seed, so compare_policies
-simulates them on min(drops, usable CPUs) workers: the calling thread and
-plain threads, drop d on worker d % workers, each with its own buffers and
-a 1 / workers share of both budgets, and each writing only its own drops'
-rows.  The fading draw, most of the work, releases the GIL.  Every result
-and artifact byte is the same on any number of CPUs.
+simulates them on up to min(drops, usable CPUs, 2) workers: the calling
+thread and a plain thread, drop d on worker d % workers, each with its own
+buffers and a 1 / workers share of both budgets, and each writing only its
+own drops' rows.  The fading draw, most of the work, releases the GIL.
+Every result and artifact byte is the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -71,6 +71,12 @@ __all__ = [
 # fit, and no more than one kernel block holds.  Larger blocks were no
 # faster and cost peak memory; smaller ones pay per-call overhead more often.
 _BLOCK_WORDS = 1 << 17
+
+# The most workers one run uses.  Two were measured against one, on a
+# 2-vCPU host (BENCH_20.json); more workers split the budgets finer and
+# share the GIL for the rest of each block, and no host with more CPUs
+# has shown that they pay.
+_MAX_WORKERS = 2
 
 # The per-policy aggregates that summary.json reports, in the order of the
 # sweep CSVs' columns
@@ -241,7 +247,7 @@ def compare_policies(
     runs = _runs(config)
     modes = {m for p in policies for m in runs[p][1:]}
     plan = _plan(config)
-    workers = min(config.num_drops, _cpus())
+    workers = _workers(config)
 
     def work(w):
         # Worker w simulates drops w, w + workers, ... and writes only
@@ -274,13 +280,29 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _frame(config: SimConfig) -> tuple[int, int, int]:
+    """(C, N, M): the cells, PRBs and users of one sub-frame."""
+    return NUM_CELLS, config.num_prbs, NUM_CELLS * config.ues_per_cell
+
+
+def _workers(config: SimConfig) -> int:
+    """How many workers simulate config's drops: one per usable CPU, but
+    no more than _MAX_WORKERS, than drops, or than leave each worker's
+    share of the fading and stack budgets one whole sub-frame."""
+    frame = _frame(config)
+    fit = min(_BLOCK_WORDS // math.prod(frame),
+              STACK_WORDS // (math.prod(frame[:2]) * num_words(frame[2])))
+    return max(1, min(config.num_drops, _cpus(), _MAX_WORKERS, fit))
+
+
 def _run_workers(work, workers: int) -> None:
     """Drive the generators work(0), ..., work(workers - 1) to their end,
     work(0) on the calling thread and each other on a thread of its own,
     and return once every thread has ended.  Once one raises, a thread
-    fails to start, or the caller is interrupted while it waits, the
-    others stop at their next step, and the error of the lowest-numbered worker that raised (the
-    caller being worker 0) is re-raised after every thread has ended."""
+    fails to start, or the caller is interrupted, the others stop at
+    their next step, and the error of the lowest-numbered worker that
+    raised (the caller being worker 0) is re-raised after every thread
+    has ended."""
     errors = {}
 
     def run(w):
@@ -291,20 +313,22 @@ def _run_workers(work, workers: int) -> None:
         except BaseException as exc:  # re-raised on the calling thread
             errors[w] = exc
 
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        try:
-            thread.start()
-        except BaseException as exc:  # no thread to be had: stop the others
-            errors.setdefault(0, exc)
-            break
-    run(0)
-    for thread in threads:
+    threads = []
+    try:
+        for w in range(1, workers):
+            threads.append(threading.Thread(target=run, args=(w,)))
+            threads[-1].start()
+        run(0)
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:  # a thread that fails to start, or an interrupt
+        errors.setdefault(0, exc)  # every worker stops at its next step
+    for thread in threads:  # only after an error can one still be running
         while thread.is_alive():
             try:
                 thread.join()
-            except BaseException as exc:  # an interrupt: stop every worker
-                errors.setdefault(0, exc)
+            except BaseException:  # a second interrupt; errors holds the first
+                pass
     if errors:
         raise errors[min(errors)]
 
@@ -336,14 +360,15 @@ def _blocks(config: SimConfig, modes: set[str], plan, drops, workers: int):
     covers), covers holding one fresh (t1 - t0, C, N, W) packed stack per
     mode in `modes`, the instances of sub-frames t0 to t1 - 1 of the drop.
     Its buffers take a 1 / workers share of the fading and stack budgets,
-    so that `workers` of these generators at once stay within them."""
+    so that `workers` of these generators at once stay within them, given
+    that each share holds a whole sub-frame (_workers sees to that)."""
     levels, level, seeds = plan
     horizon = config.horizon
     # One (span, C, N, W) word buffer for the packed decodability of a kernel
     # block, whose padding bits stay zero, and one (block, C, N, M) fading
     # buffer for the fading blocks within it, both reused by every block of
     # every drop
-    frame = (NUM_CELLS, config.num_prbs, NUM_CELLS * config.ues_per_cell)
+    frame = _frame(config)
     width = num_words(frame[2])
     span = max(1, min(horizon, STACK_WORDS // workers // (math.prod(frame[:2]) * width)))
     block = max(1, min(span, _BLOCK_WORDS // workers // math.prod(frame)))

@@ -506,8 +506,23 @@ def block_sizes(config, workers=1):
 
 
 def use_workers(monkeypatch, workers):
-    """Make compare_policies see `workers` usable CPUs."""
+    """Make compare_policies see `workers` usable CPUs and allow it that
+    many workers."""
     monkeypatch.setattr(engine, "_cpus", lambda: workers)
+    monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
+
+
+def counting_starts(monkeypatch):
+    """Record every thread that is started; returns the list."""
+    start_thread = threading.Thread.start
+    started = []
+
+    def start(thread):
+        started.append(thread)
+        start_thread(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
 
 
 FOUR = ("cga", "dga", "sc", "mbsfn")
@@ -568,8 +583,8 @@ class TestBlockLoop:
             if case in self.TRACES:
                 levels = min_snr_db(engine._build_schedule(config)[:2 * block])
                 assert len(set(levels[:block])) > 1
-            if case == "special_levels":  # within the first two fading blocks
-                assert {-np.inf, np.inf} < set(levels)
+            if case == "special_levels":  # within the first fading block of each worker's drop
+                assert {-np.inf, np.inf} < set(levels[:block * workers])
             horizons[workers] = sorted({
                 1, block - 1, block, block + 1, 2 * block + 1,
                 kernel - 1, kernel, kernel + 1, 2 * kernel + 1})
@@ -683,14 +698,17 @@ class TestBlockLoop:
         assert threading.enumerate() == before
         assert len(started) == 1 and not started[0].is_alive()
 
-    def test_interrupt_while_waiting_stops_every_worker(self, monkeypatch):
+    @pytest.mark.parametrize("interrupts", [1, 2])
+    def test_interrupt_while_waiting_stops_every_worker(self, interrupts, monkeypatch):
         # Worker 1 waits inside its first drop until the caller, done with
-        # drops 0, 2 and 4, is interrupted while it waits for worker 1.
-        # Worker 1 then stops after one block, and the interrupt reaches
-        # the caller with no thread left running.
+        # drops 0, 2 and 4, is interrupted as it starts to wait for worker
+        # 1, and with two interrupts once more as it waits for worker 1 to
+        # stop.  Worker 1 then stops after one block, and the interrupt
+        # reaches the caller with no thread left running.
         config = replace(FAST, num_drops=6)
         release = threading.Event()
         on_worker = []
+        joins = []
 
         def build(*args):
             if threading.current_thread() is not threading.main_thread():
@@ -701,8 +719,10 @@ class TestBlockLoop:
         join = threading.Thread.join
 
         def interrupted_join(thread, timeout=None):
-            if not release.is_set():
+            joins.append(thread)
+            if len(joins) == interrupts:
                 release.set()
+            if len(joins) <= interrupts:
                 raise KeyboardInterrupt
             return join(thread, timeout)
 
@@ -714,6 +734,36 @@ class TestBlockLoop:
             compare_policies(config, ("cga",))
         assert threading.enumerate() == before
         assert len(on_worker) == 1  # drop 1 only, of drops 1, 3 and 5
+        assert len(joins) == interrupts + 1
+
+    def test_at_most_two_workers_on_many_cpus(self, monkeypatch):
+        # Two workers is what was measured: eight usable CPUs and ten drops
+        # still start one thread besides the caller
+        monkeypatch.setattr(engine, "_cpus", lambda: 8)
+        config = replace(FAST, num_drops=10)
+        assert engine._workers(config) == 2
+        started = counting_starts(monkeypatch)
+        compare_policies(config, ("cga",))
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("budget", ["_BLOCK_WORDS", "STACK_WORDS"])
+    def test_no_more_workers_than_shares_that_hold_a_subframe(self, budget, monkeypatch):
+        # Each worker's share of a budget must hold one whole sub-frame, or
+        # its one-sub-frame buffers would take the run past the budget:
+        # three CPUs and three drops get one worker per whole share
+        use_workers(monkeypatch, 3)
+        config = replace(FAST, num_drops=3)
+        want = compare_policies(config, ("cga",)).metrics["cga"].served_counts
+        users = NUM_CELLS * config.ues_per_cell
+        words = NUM_CELLS * config.num_prbs * (
+            users if budget == "_BLOCK_WORDS" else num_words(users))
+        for size, workers in [(3 * words, 3), (3 * words - 1, 2),
+                              (2 * words - 1, 1), (words - 1, 1)]:
+            monkeypatch.setattr(engine, budget, size)
+            assert engine._workers(config) == workers, size
+        started = counting_starts(monkeypatch)
+        got = compare_policies(config, ("cga",)).metrics["cga"].served_counts
+        assert started == [] and np.array_equal(got, want)
 
     def test_fig7_sized_run_peaks_below_4_mb(self, tmp_path):
         # M = 280 and three policies on a trace: the fading-power buffer is
@@ -739,14 +789,7 @@ class TestBlockLoop:
         cfg = SimConfig(ues_per_cell=40, radius_m=1000.0, horizon=100,
                         num_drops=2, seed=1, trace_path=trace)
         use_workers(monkeypatch, 2)
-        start_thread = threading.Thread.start
-        started = []
-
-        def start(thread):
-            started.append(thread)
-            start_thread(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", start)
+        started = counting_starts(monkeypatch)
         tracemalloc.start()
         try:
             compare_policies(cfg, ("cga", "sc", "mbsfn"))
