@@ -28,8 +28,10 @@ it.
   * mbsfn_block -- one common PRB index for every cell
   * exact_block -- exhaustive search over all N^C allocations (oracle),
                    unions of head cells ORed against unions of tail
-                   cells, one instance at a time, in chunks of at most
-                   STACK_WORDS words
+                   cells; the unions are built for a group of instances
+                   at a time, the search runs one instance at a time, and
+                   each group and each chunk holds at most STACK_WORDS
+                   words
 
 All kernels are pure functions of the stack and break argmax ties toward
 the lowest (cell, prb) index within each instance, so outputs are
@@ -61,11 +63,13 @@ EXACT_DEFAULT_CAP = 10_000_000
 
 # Upper bound on the uint64 words of one packed stack (128 KiB).  The engine
 # packs as many whole sub-frames at once as fit, and every kernel runs on
-# that stack.  Within exact_block it also bounds each chunk of the search,
-# how many head unions of one instance each chunk ORs against its tail
-# unions, so that even the full cap never materializes at once; at C = 7,
-# N = 4 and up to 64 users one chunk holds all 4^7 allocations.  2^17
-# raised the fig4 benchmark's peak RSS by 6% (CHANGES.md).
+# that stack.  Within exact_block it also bounds each group of instances
+# whose head and tail unions are built together, and each chunk of the
+# search, how many head unions of one instance each chunk ORs against its
+# tail unions, so that even the full cap never materializes at once; at
+# C = 7, N = 4 and up to 64 users a group holds the unions of 51 instances
+# and one chunk all 4^7 allocations.  2^17 raised the fig4 benchmark's peak
+# RSS by 6% (CHANGES.md).
 STACK_WORDS = 1 << 14
 
 # Greedy-to-optimal ratio the oracle suite checks for: 1 - 1/e.  This is
@@ -190,11 +194,13 @@ def exact_block(words: np.ndarray, cap: int = EXACT_DEFAULT_CAP) -> np.ndarray:
     split into leading head cells and trailing tail cells: each allocation
     is one head union ORed with one tail union, and its index in
     itertools.product order is head index * N^tail + tail index.  The
-    search takes one instance at a time and ORs r head unions against all
-    tail unions at once, keeping every (r, N^tail, W) chunk within
-    STACK_WORDS words.  A flat argmax keeps the first maximizer within a
-    chunk, and a later chunk replaces it only when strictly larger, so the
-    first maximizer overall wins.
+    head and tail unions are built for as many consecutive instances at
+    once as fit their (N^head + N^tail) W words each in STACK_WORDS, at
+    least one.  The search then takes one instance at a time and ORs r
+    head unions against all tail unions at once, keeping every
+    (r, N^tail, W) chunk within STACK_WORDS words.  A flat argmax keeps
+    the first maximizer within a chunk, and a later chunk replaces it only
+    when strictly larger, so the first maximizer overall wins.
     """
     num_blocks, num_cells, num_prbs, width = words.shape
     check_exact_cap(num_cells, num_prbs, cap)
@@ -205,31 +211,35 @@ def exact_block(words: np.ndarray, cap: int = EXACT_DEFAULT_CAP) -> np.ndarray:
     head_cells = num_cells - tail_cells
     heads, tails = num_prbs ** head_cells, num_prbs ** tail_cells
     rows = max(1, min(heads, budget // tails))
+    group = max(1, budget // (heads + tails))  # instances per union build
 
     best_index = []
-    for instance in words:
-        head = _unions(instance[:head_cells])
-        tail = _unions(instance[head_cells:])
-        best_count, index = -1, 0
-        for h0 in range(0, heads, rows):
-            # one expression, so that no chunk of ORs outlives its popcount
-            counts = _popcount(head[h0: h0 + rows, None] | tail).ravel()
-            i = int(counts.argmax())
-            if int(counts[i]) > best_count:
-                best_count, index = int(counts[i]), h0 * tails + i
-        best_index.append(index)
+    for g0 in range(0, num_blocks, group):
+        stack = words[g0: g0 + group]
+        for head, tail in zip(_unions(stack[:, :head_cells]),
+                              _unions(stack[:, head_cells:])):
+            best_count, index = -1, 0
+            for h0 in range(0, heads, rows):
+                # one expression, so that no chunk of ORs outlives its popcount
+                counts = _popcount(head[h0: h0 + rows, None] | tail).ravel()
+                i = int(counts.argmax())
+                if int(counts[i]) > best_count:
+                    best_count, index = int(counts[i]), h0 * tails + i
+            best_index.append(index)
     # cell c's PRB is digit c of the index in base N, most significant first
     place = num_prbs ** np.arange(num_cells - 1, -1, -1)
     return np.array(best_index, dtype=np.intp)[:, None] // place % num_prbs
 
 
 def _unions(words: np.ndarray) -> np.ndarray:
-    """(K, N, W) rows of one instance -> (N^K, W) unions of one row per
-    cell, in itertools.product order (the last cell varies fastest)."""
-    _, num_prbs, width = words.shape
-    out = np.zeros((1, width), dtype=np.uint64)
-    for rows in words:
-        out = (out[:, None] | rows).reshape(len(out) * num_prbs, width)
+    """(G, K, N, W) rows of G instances -> (G, N^K, W) unions of one row
+    per cell of each instance, in itertools.product order (the last cell
+    varies fastest)."""
+    num_blocks, num_cells, num_prbs, width = words.shape
+    out = np.zeros((num_blocks, 1, width), dtype=np.uint64)
+    for c in range(num_cells):
+        out = (out[:, :, None] | words[:, c, None]).reshape(
+            num_blocks, out.shape[1] * num_prbs, width)
     return out
 
 

@@ -415,20 +415,48 @@ def reference_stacks():
             for group in groups.values()]
 
 
+def spy_unions(monkeypatch):
+    """The (G, N^K, W) shape of every array coverage._unions returns from
+    now on, in call order: head, then tail, for each group of instances."""
+    shapes = []
+    unions = coverage._unions
+
+    def spy(words):
+        out = unions(words)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(coverage, "_unions", spy)
+    return shapes
+
+
 class TestStackedExact:
     # 40 words: the heads of the (4, 3) and two-word (3, 3) instances span
     # several chunks, the last one short.  1 word searches one allocation
-    # per chunk.
-    @pytest.mark.parametrize("block_words", [coverage.STACK_WORDS, 1, 8, 40])
+    # per chunk.  72 words: the unions of the 7 two-word (3, 3) instances
+    # are built in groups of 3 + 3 + 1.
+    @pytest.mark.parametrize("block_words", [coverage.STACK_WORDS, 1, 8, 40, 72])
     def test_each_row_is_the_reference_allocation(self, block_words, monkeypatch):
         monkeypatch.setattr(coverage, "STACK_WORDS", block_words)
+        shapes = spy_unions(monkeypatch)
+        groups = []
         for covers, references in reference_stacks():
+            shapes.clear()
             assert chosen_and_served(exact_block, covers) == references
+            # every group's head unions, then its tail unions
+            assert [g for g, _, _ in shapes[::2]] == [g for g, _, _ in shapes[1::2]]
+            groups.append(tuple(g for g, _, _ in shapes[::2]))
+            assert sum(groups[-1]) == len(covers)
+        if block_words == 72:
+            assert (3, 3, 1) in groups
 
-    def test_exact_n4_sized_stack_stays_small(self):
+    def test_exact_n4_sized_stack_stays_small(self, monkeypatch):
         # 100 sub-frames of 7 cells, 4 PRBs and 35 users, as the exact_n4
-        # benchmark runs them; its peak RSS is gated.
+        # benchmark runs them; its peak RSS is gated.  Each group's head and
+        # tail unions fit STACK_WORDS together, and the stack takes at most
+        # two groups.
         words = pack(np.random.default_rng(5).random((100, 7, 4, 35)) < 0.3)
+        shapes = spy_unions(monkeypatch)
         tracemalloc.start()
         try:
             exact_block(words)
@@ -436,6 +464,10 @@ class TestStackedExact:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+        sizes = [np.prod(shape) for shape in shapes]
+        assert all(head + tail <= coverage.STACK_WORDS
+                   for head, tail in zip(sizes[::2], sizes[1::2]))
+        assert len(shapes) <= 2 * 2
 
 
 def brute_force_mcp(mcp: McpInstance) -> int:
