@@ -193,11 +193,10 @@ class Metrics:
         d = len(self.drop_means)
         if d < 2:
             return 0.0
-        # deferred: scipy.special takes about 0.35 s to import; its inverse
-        # t distribution equals scipy.stats.t.ppf bit for bit
-        from scipy.special import stdtrit
+        # _t975 is within 1e-12 of scipy.special.stdtrit(d - 1, 0.975),
+        # relative, for d - 1 up to 10^4 (tests/test_engine.py)
         sem = self.drop_means.std(ddof=1) / np.sqrt(d)
-        return float(stdtrit(d - 1, 0.975) * sem)
+        return float(_t975(d - 1) * sem)
 
     def to_dict(self) -> dict:
         return {
@@ -420,10 +419,11 @@ def sweep(
 
 def paired_one_sided_pvalue(a: Metrics, b: Metrics) -> float | None:
     """P-value for mean(a) > mean(b) with (drop, sub-frame) cells paired:
-    the one-sided paired t-test, computed as scipy.stats.ttest_rel computes
-    it, bit for bit.  None with fewer than two paired cells, where the test
-    is undefined.  A constant nonzero difference has no spread: 0.0 when
-    it favours a, 1.0 otherwise."""
+    the one-sided paired t-test, with the statistic scipy.stats.ttest_rel
+    computes and a Student-t tail within 1e-12 of scipy.special.stdtr,
+    absolute (tests/test_engine.py).  None with fewer than two paired
+    cells, where the test is undefined.  A constant nonzero difference has
+    no spread: 0.0 when it favours a, 1.0 otherwise."""
     x = a.served_counts.ravel().astype(float)
     y = b.served_counts.ravel().astype(float)
     n = x.size
@@ -431,14 +431,97 @@ def paired_one_sided_pvalue(a: Metrics, b: Metrics) -> float | None:
         return None
     if np.array_equal(x, y):
         return 1.0
-    # deferred: scipy.special takes about 0.35 s to import
-    from scipy.special import stdtr
     d = x - y
     mean = d.mean()
     var = ((d - mean) ** 2).mean() * (n / (n - 1))
     with np.errstate(divide="ignore"):
         t = mean / np.sqrt(var / n)
-    return float(stdtr(n - 1.0, -t))
+    return _t_tail(n - 1.0, float(t))
+
+
+# --------------------------------------------------------------- statistics
+# Student's t with df degrees of freedom, from the regularized incomplete
+# beta function: P(T >= t) = I_x(df/2, 1/2) / 2 for t >= 0, with
+# x = df / (df + t^2).  Plain floats and math, so no run loads scipy.
+
+def _log_gamma_ratio(a: float) -> float:
+    """log Γ(a + ½) − log Γ(a).  From a = 20 on, by its asymptotic series,
+    truncated below 4e-15: the difference of two lgamma values keeps
+    their rounding error, 1.9e-9 at a = 5e6."""
+    if a < 20.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    u = 1.0 / (a * a)
+    return (0.5 * math.log(a)
+            - (1 / 8 - u * (1 / 192 - u * (1 / 640 - u * 17 / 14336))) / a)
+
+
+def _beta_cf(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """I_x(a, b) · B(a, b) / (x^a · y^b), for y = 1 − x and
+    lam = (a + b)·y − b >= 0, by the continued fraction BFRAC of
+    DiDonato and Morris (ACM TOMS 708, 1992).  It takes y and lam as
+    given, so it stays accurate where x is near 1 and a is large; Lentz's
+    evaluation of the textbook fraction, which sees only x, was off by
+    2.3e-12 at df = 10^6, t = 1.75."""
+    c = lam + 1.0
+    c0 = b / a
+    c1 = 1.0 / a + 1.0
+    yp1 = y + 1.0
+    p, s = 1.0, a + 1.0
+    an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
+    r = c1 / c
+    for n in range(1, 10_000):  # under 250 terms for df up to 10^15
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        e = (t + 1.0) / (c1 + t + t)
+        beta = n + w / s + e * (c + n * yp1)
+        p = t + 1.0
+        s += 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0, r = r, anp1 / bnp1
+        if abs(r - r0) <= 1e-15 * r:
+            break
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
+    return r
+
+
+def _t_tail(df: float, t: float) -> float:
+    """P(T >= t) for Student's t with df degrees of freedom."""
+    if t < 0:
+        return 1.0 - _t_tail(df, -t)
+    r = t * t / df
+    if r == 0.0:  # t = 0, or t*t/df underflows: ½ within 1e-150
+        return 0.5
+    if r == math.inf:  # t = inf, or t*t overflows: 0 within 1e-150 at df >= 1
+        return 0.0
+    a = 0.5 * df
+    x, y = 1.0 / (1.0 + r), r / (1.0 + r)  # y = 1 − x, formed directly
+    log_x = -math.log1p(r)
+    front = math.exp(a * log_x + 0.5 * (math.log(r) + log_x)
+                     + _log_gamma_ratio(a) - 0.5 * math.log(math.pi))
+    lam = (a + 0.5) * y - 0.5
+    if lam >= 0.0:
+        return 0.5 * front * _beta_cf(a, 0.5, x, y, lam)
+    # x near 1: I_x(a, ½) = 1 − I_y(½, a)
+    return 0.5 - 0.5 * front * _beta_cf(0.5, a, y, x, -lam)
+
+
+def _t975(df: float) -> float:
+    """The t with P(T >= t) = 0.025, by Newton's method from the normal
+    quantile.  The tail is convex for t > 0 and the start lies below the
+    root, so the steps approach it from below and shrink."""
+    a = 0.5 * df
+    log_peak = _log_gamma_ratio(a) - 0.5 * math.log(math.pi * df)
+    t = 1.959963984540054
+    for _ in range(100):  # at most 9 steps for df up to 10^7
+        density = math.exp(log_peak - (a + 0.5) * math.log1p(t * t / df))
+        step = (_t_tail(df, t) - 0.025) / density
+        t += step
+        if abs(step) <= 1e-12 * t:
+            break
+    return t
 
 
 # ---------------------------------------------------------------- artifacts

@@ -449,6 +449,74 @@ class TestSummary:
         assert a == b
 
 
+# t from ±1e-6 to ±60, evenly and geometrically spaced
+T_GRID = np.concatenate([np.linspace(-60, 60, 241), np.geomspace(1e-6, 60, 61)])
+T_GRID = np.concatenate([T_GRID, -T_GRID])
+T_GRID = T_GRID[np.abs(T_GRID) >= 1e-6]
+
+
+class TestStudentT:
+    """engine's in-package Student-t tail and quantile against scipy, and
+    against closed forms with no scipy involved."""
+
+    # Past 10^6 as well, where one lgamma difference or a fraction fed x
+    # near 1 is off by more than 1e-12.  df = 1 is left to the closed form:
+    # stdtr(1, ·) itself is off by 1.4e-11 at t = 1e-6.
+    @pytest.mark.parametrize("df", [2, 3, 4.5, 7, 10, 39, 40, 41, 100, 1000,
+                                    10**4, 10**5, 10**6, 10**7, 10**9])
+    def test_tail_matches_scipy_stdtr(self, df):
+        from scipy.special import stdtr
+        got = np.array([engine._t_tail(df, float(t)) for t in T_GRID])
+        np.testing.assert_allclose(got, stdtr(df, -T_GRID), rtol=0, atol=1e-12)
+
+    def test_quantile_matches_scipy_stdtrit(self):
+        from scipy.special import stdtrit
+        dfs = np.unique(np.concatenate(
+            [np.arange(1, 101), np.geomspace(100, 10**4, 50).round()]))
+        got = np.array([engine._t975(df) for df in dfs])
+        np.testing.assert_allclose(got, stdtrit(dfs, 0.975), rtol=1e-12, atol=0)
+
+    def test_tail_closed_forms(self):
+        # P(T >= t) at df = 1 (Cauchy) and df = 2, below 1e-6 as well
+        ts = np.concatenate([T_GRID, [1e-9, -1e-9, 1e-100, -1e-100]])
+        for df, tail in ((1, 0.5 - np.arctan(ts) / np.pi),
+                         (2, 0.5 - ts / (2 * np.sqrt(2 + ts * ts)))):
+            got = np.array([engine._t_tail(df, float(t)) for t in ts])
+            np.testing.assert_allclose(got, tail, rtol=0, atol=1e-15)
+
+    def test_quantile_closed_forms(self):
+        assert engine._t975(1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-14)
+        # 0.975 = ½ + t / (2 √(2 + t²)) at df = 2
+        assert engine._t975(2) == pytest.approx(math.sqrt(1.805 / 0.0975), rel=1e-14)
+
+    @pytest.mark.parametrize("df", [1, 2, 40, 10**6])
+    def test_tail_ends(self, df):
+        assert engine._t_tail(df, 0.0) == engine._t_tail(df, -0.0) == 0.5
+        assert engine._t_tail(df, math.inf) == 0.0
+        assert engine._t_tail(df, -math.inf) == 1.0
+        # t*t/df underflows to 0 (warnings fail tier-1), or t*t overflows
+        for tiny in (1e-170, 5e-324):
+            assert engine._t_tail(df, tiny) == engine._t_tail(df, -tiny) == 0.5
+        assert engine._t_tail(df, 1e160) == 0.0
+        assert engine._t_tail(df, -1e160) == 1.0
+
+    def test_summary_statistics_match_scipy_stats(self):
+        from scipy import stats
+        cfg = replace(FAST, radius_m=800.0, num_drops=3)
+        out = compare_policies(cfg, ("cga", "mbsfn"))
+        cga, mbsfn = out.metrics["cga"], out.metrics["mbsfn"]
+        expected = stats.ttest_rel(cga.served_counts.ravel(),
+                                   mbsfn.served_counts.ravel(),
+                                   alternative="greater").pvalue
+        assert 0 < expected < 1
+        assert paired_one_sided_pvalue(cga, mbsfn) == pytest.approx(
+            expected, rel=0, abs=1e-12)
+        sem = stats.sem(cga.drop_means)
+        assert sem > 0
+        assert cga.ci95_halfwidth == pytest.approx(
+            stats.t.ppf(0.975, 2) * sem, rel=1e-12)
+
+
 def reference_run(config, policies):
     """The engine's run one sub-frame at a time: one SNR draw, then each
     policy's kernel on a one-instance boolean stack of its connectivity
