@@ -3,14 +3,18 @@
 The loop, _blocks, only simulates.  Each drop places UEs afresh and draws
 its own shadowing, which fixes every link budget for the drop, turned once
 per drop into a table of cutoff fading powers per (SNR threshold the run's
-demand needs, cell, UE); each connectivity mode packs its (C, M)
-eligibility into words.  Within a drop the loop steps through kernel
-blocks of K sub-frames, as many as fit one packed stack of
-coverage.STACK_WORDS words, each drawn in fading blocks of at most 1 MiB
-of powers: draw per-PRB fading powers → compare them with the cutoffs of
-each sub-frame's threshold and pack the result into (K, C, N, W) words →
-AND them with each mode's eligibility words and yield one packed stack of
-instances per mode.  compare_policies only evaluates and records: on each
+demand needs, cell, UE).  The widest connectivity mode of the run (MC if
+it has it, SC otherwise) is folded into that table, +inf on every link it
+cannot hear; a narrower mode (SC beside MC) packs its (C, M) eligibility
+into words.  Within a drop the loop steps through kernel blocks of K
+sub-frames, as many as fit one packed stack of coverage.STACK_WORDS words,
+each drawn in fading blocks of at most 1 MiB of powers: draw per-PRB
+fading powers → compare each run of sub-frames of one threshold, in one
+contiguous pass, with a (C, N, M) plane of that threshold's cutoffs on
+every PRB, refilled only when the threshold changes, and pack the result
+into (K, C, N, W) words, the widest mode's stack of instances → AND them
+with a narrower mode's eligibility words for its stack, and yield one
+stack per mode.  compare_policies only evaluates and records: on each
 block it runs each policy's kernel on the stack it picks on, credits its
 picks on the stack it is credited on (the _runs table) and counts the
 served words, unpacked to users only when the run keeps its served masks.
@@ -29,6 +33,7 @@ Every result and artifact byte is the same on any number of CPUs.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import itertools
@@ -356,42 +361,70 @@ def _plan(config: SimConfig) -> tuple[np.ndarray, np.ndarray, list]:
 def _blocks(config: SimConfig, modes: set[str], plan, drops, workers: int):
     """The kernel blocks of `drops`, indices into the drops of the run
     that `plan` (from _plan) describes, in order: yields (drop, t0, t1,
-    covers), covers holding one fresh (t1 - t0, C, N, W) packed stack per
-    mode in `modes`, the instances of sub-frames t0 to t1 - 1 of the drop.
-    Its buffers take a 1 / workers share of the fading and stack budgets,
-    so that `workers` of these generators at once stay within them, given
-    that each share holds a whole sub-frame (_workers sees to that)."""
+    covers), covers holding one (t1 - t0, C, N, W) packed stack per mode
+    in `modes`, the instances of sub-frames t0 to t1 - 1 of the drop.
+    The widest mode's stack (MC's when `modes` holds it) is the reused
+    word buffer itself, valid only until the generator resumes; a narrower
+    mode's is fresh.  Its buffers take a 1 / workers share of the fading
+    and stack budgets, so that `workers` of these generators at once stay
+    within them, given that each share holds a whole sub-frame (_workers
+    sees to that)."""
     levels, level, seeds = plan
     horizon = config.horizon
     # One (span, C, N, W) word buffer for the packed decodability of a kernel
-    # block, whose padding bits stay zero, and one (block, C, N, M) fading
-    # buffer for the fading blocks within it, both reused by every block of
-    # every drop
+    # block, whose padding bits stay zero, one (block, C, N, M) fading buffer
+    # and one bool buffer of the same shape for the fading blocks within it,
+    # and one (C, N, M) plane of one threshold's cutoffs on every PRB, all
+    # reused by every block of every drop
     frame = _frame(config)
     width = num_words(frame[2])
     span = max(1, min(horizon, STACK_WORDS // workers // (math.prod(frame[:2]) * width)))
     block = max(1, min(span, _BLOCK_WORDS // workers // math.prod(frame)))
     power_buf = np.empty((block, *frame))
+    decodes = np.empty((block, *frame), dtype=bool)
+    plane = np.empty(frame)
     word_buf = np.zeros((span, *frame[:2], width), dtype=np.uint64)
+    # The sub-frames whose threshold differs from the one before, then the horizon
+    changes = [*(np.flatnonzero(np.diff(level)) + 1).tolist(), horizon]
+    # SC is MC cut to primary cells, so MC's eligibility holds SC's
+    widest = MC if MC in modes else SC
     for d in drops:
         rng = np.random.default_rng(seeds[d])
         scenario = build_hex7(
             config.radius_m, config.ues_per_cell, config.edge_threshold, rng
         )
         model = ChannelModel(config.channel, scenario)
-        # (L, C, 1, M) least power that decodes at each threshold
-        cuts = model.cutoffs(model.draw_shadowing(rng), levels)[:, :, None, :]
-        # (1, C, 1, W) words per mode, packed once per drop
-        eligible = {
-            m: pack(eligibility(scenario, m))[None, :, None, :] for m in modes
+        # (L, C, M) least power that decodes at each threshold, +inf on every
+        # link the widest mode cannot hear: its decodability is its cover
+        cuts = np.where(eligibility(scenario, widest),
+                        model.cutoffs(model.draw_shadowing(rng), levels), np.inf)
+        # (1, C, 1, W) words per narrower mode, packed once per drop
+        narrower = {
+            m: pack(eligibility(scenario, m))[None, :, None, :]
+            for m in modes - {widest}
         }
+        shown = None  # the threshold whose cutoffs the plane holds
         for t0 in range(0, horizon, span):
             t1 = min(t0 + span, horizon)
             for f0 in range(t0, t1, block):
                 f1 = min(f0 + block, t1)
                 power = model.fading_block(rng, power_buf[: f1 - f0])
-                pack(power >= cuts[level[f0:f1]], out=word_buf[f0 - t0: f1 - t0])
-            yield d, t0, t1, {m: word_buf[: t1 - t0] & e for m, e in eligible.items()}
+                # Each run of equal thresholds against the plane, refilled
+                # only when the threshold changes
+                a = f0
+                while a < f1:
+                    b = min(f1, changes[bisect.bisect_right(changes, a)])
+                    if level[a] != shown:
+                        shown = int(level[a])
+                        plane[...] = cuts[shown][:, None, :]
+                    np.greater_equal(power[a - f0: b - f0], plane,
+                                     out=decodes[a - f0: b - f0])
+                    a = b
+                pack(decodes[: f1 - f0], out=word_buf[f0 - t0: f1 - t0])
+            words = word_buf[: t1 - t0]
+            covers = {m: words & e for m, e in narrower.items()}
+            covers[widest] = words
+            yield d, t0, t1, covers
 
 
 def sweep(
@@ -529,21 +562,21 @@ def _t975(df: float) -> float:
 def log_to_csv(output: RunOutput, policies: tuple[str, ...] | None = None) -> str:
     """Raw log of `policies` (default: every policy of the run), one row
     per (drop, t, policy) in that order.  served_ids lists the served
-    users when the run kept its served masks, and is empty otherwise."""
+    users when the run kept its served masks, and is empty otherwise.
+    The rows are the bytes csv.writer writes: no field needs quoting."""
     policies = tuple(output.metrics) if policies is None else tuple(policies)
     counts = [output.metrics[p].served_counts.tolist() for p in policies]
     masks = [output.served_masks.get(p) for p in policies]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_LOG_HEADER)
+    lines = [",".join(_LOG_HEADER)]
     for d in range(output.config.num_drops):
         for t in range(output.config.horizon):
             for policy, count, mask in zip(policies, counts, masks):
                 ids = ""
                 if mask is not None:
                     ids = ";".join(map(str, np.flatnonzero(mask[d, t])))
-                writer.writerow((d, t, policy, count[d][t], ids))
-    return buf.getvalue()
+                lines.append(f"{d},{t},{policy},{count[d][t]},{ids}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def sweep_to_csv(axis: str, table: list[tuple[float, RunOutput]]) -> str:

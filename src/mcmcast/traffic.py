@@ -8,6 +8,7 @@ and the frame stream is spread over the sub-frames of each frame period.
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -23,9 +24,21 @@ class TraceParseError(ValueError):
 
 
 def parse_trace(path: str) -> list[tuple[int, float]]:
-    """Read (frame_index, size_bits) pairs from a trace file."""
+    """Read (frame_index, size_bits) pairs from a trace file of UTF-8 text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The line of the first byte that does not decode, counted as the
+        # lines below are, with universal newlines
+        head = io.StringIO(data[: exc.start].decode("utf-8"), newline=None)
+        lineno = head.getvalue().count("\n") + 1
+        raise TraceParseError(
+            f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from exc
     frames: list[tuple[int, float]] = []
-    with open(path, encoding="utf-8") as fh:
+    with io.StringIO(text, newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -100,6 +100,14 @@ class TestExitCodes:
         assert f"{bad}:1:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_trace_that_is_not_utf8_is_3_and_writes_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe0 I 0.0 100\n")
+        assert invoke("run", "--trace", str(bad), "--subframes", "3",
+                      "--out", str(tmp_path / "o")) == 3
+        assert f"{bad}:1: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_trace_is_2_and_writes_nothing(self, tmp_path):
         assert invoke("run", "--trace", str(tmp_path / "absent.txt"),
                       "--subframes", "3", "--out", str(tmp_path / "o")) == 2

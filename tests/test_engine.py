@@ -291,6 +291,26 @@ class TestMetrics:
         first_row = log_to_csv(out).splitlines()[1]
         assert first_row.split(",")[4] == ";".join(str(k) for k in range(14))
 
+    @pytest.mark.parametrize("served_ids", [False, True])
+    def test_log_is_the_csv_writer_rendering(self, served_ids):
+        # Two drops, two policies, each in the run's order and alone, with
+        # and without served masks: the same bytes csv.writer writes
+        out = compare_policies(replace(FAST, log_served_ids=served_ids), ("cga", "sc"))
+        assert set(out.served_masks) == ({"cga", "sc"} if served_ids else set())
+        for policies in (("cga", "sc"), ("sc", "cga"), ("cga",), ("sc",)):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(("drop", "t", "policy", "served_count", "served_ids"))
+            for d in range(FAST.num_drops):
+                for t in range(FAST.horizon):
+                    for p in policies:
+                        mask = out.served_masks.get(p)
+                        ids = [] if mask is None else np.flatnonzero(mask[d, t])
+                        writer.writerow((d, t, p, out.metrics[p].served_counts[d, t],
+                                         ";".join(map(str, ids))))
+            assert log_to_csv(out, policies) == buf.getvalue(), policies
+        assert log_to_csv(out) == log_to_csv(out, ("cga", "sc"))
+
 
 class TestPolicyOrderings:
     def test_exact_sandwich_per_subframe(self):
@@ -627,8 +647,11 @@ class TestBlockLoop:
         "no_fading": (dict(channel=ChannelParams(fast_fading=False)), FOUR),
         "trace": (dict(fps=250.0), FOUR),
         "special_levels": (dict(fps=250.0), FOUR),
+        # SC alone: SC is the widest mode, folded into the cutoffs, and
+        # its cutoff plane is refilled as the trace's thresholds change
+        "sc_only": (dict(fps=250.0), ("sc",)),
     }
-    TRACES = {"trace": None, "special_levels": SPECIAL_SIZES}
+    TRACES = {"trace": None, "special_levels": SPECIAL_SIZES, "sc_only": None}
     WORKERS = (1, 2)
 
     # 10 and 20 UEs per cell: two and three words per row, several fading
@@ -681,14 +704,17 @@ class TestBlockLoop:
 
             # The simulation loop alone: each worker's stacks, unpacked, are
             # the reference's instances, so a fault in the draw, compare or
-            # pack step fails here even where every kernel's pick would hide it
+            # pack step fails here even where every kernel's pick would hide it.
+            # The modes are those of the run's policies: {SC} alone for sc_only
             kernel = block_sizes(config, workers)[1]
             plan = engine._plan(run)
+            modes = {m for p in policies for m in engine._runs(run)[p][1:]}
             for w in range(workers):
                 tiles = []
                 drops = range(w, run.num_drops, workers)
-                for d, t0, t1, covers in engine._blocks(run, {MC, SC}, plan, drops, workers):
+                for d, t0, t1, covers in engine._blocks(run, modes, plan, drops, workers):
                     tiles.append((d, t0, t1))
+                    assert set(covers) == modes
                     for mode, words in covers.items():
                         assert words.shape == (t1 - t0, NUM_CELLS, run.num_prbs,
                                                num_words(users))

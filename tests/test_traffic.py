@@ -64,6 +64,24 @@ class TestParseTrace:
         with pytest.raises(TraceParseError, match="^" + re.escape(f"{path}:2: ")):
             parse_trace(str(path))
 
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff\xfe0 I 0.0 100\n", 1),
+        # The line is counted with universal newlines, as the frames are
+        (b"0 I 0.0 100\r1 P 0.03 200\r\n2 P 0.07 \xe9300\n", 3),
+        (b"0 I 0.0 100\n\x80", 2),
+    ])
+    def test_non_utf8_text_rejected_with_its_line(self, tmp_path, data, line):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        with pytest.raises(TraceParseError,
+                           match="^" + re.escape(f"{path}:{line}: not UTF-8 text")):
+            parse_trace(str(path))
+
+    def test_universal_newlines_split_lines(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"0 I 0.0 100\r1 P 0.03 200\r\n2 P 0.07 300")
+        assert parse_trace(str(path)) == [(0, 800), (1, 1600), (2, 2400)]
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("# nothing\n")
