@@ -125,7 +125,11 @@ def _coerce(key: str, value: str):
         if value.lower() in ("0", "false", "no", "off"):
             return field, False
         raise ValueError(f"bad boolean for {key}: {value!r}")
-    return field, typ(value)
+    try:
+        return field, typ(value)
+    except ValueError:  # int or float; a str field takes any value
+        kind = "integer" if typ is int else "real number"
+        raise ValueError(f"bad {kind} for {key}: {value!r}") from None
 
 
 def _build_config(

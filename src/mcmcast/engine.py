@@ -3,19 +3,18 @@
 The loop, _blocks, only simulates.  Each drop places UEs afresh and draws
 its own shadowing, which fixes every link budget for the drop, turned once
 per drop into a table of cutoff fading powers per (SNR threshold the run's
-demand needs, cell, UE).  The widest connectivity mode of the run (MC if
-it has it, SC otherwise) is folded into that table, +inf on every link it
-cannot hear; a narrower mode (SC beside MC) packs its (C, M) eligibility
-into words.  Within a drop the loop steps through kernel blocks of K
-sub-frames, as many as fit one packed stack of coverage.STACK_WORDS words,
-each drawn in fading blocks of at most 1 MiB of powers: draw per-PRB
-fading powers → compare each run of sub-frames of one threshold, in one
-contiguous pass, with a (C, N, M) plane of that threshold's cutoffs on
-every PRB, refilled only when the threshold changes, and pack the result
-into (K, C, N, W) words, the widest mode's stack of instances → AND them
-with a narrower mode's eligibility words for its stack, and yield one
-stack per mode.  compare_policies only evaluates and records: on each
-block it runs each policy's kernel on the stack it picks on, credits its
+demand needs, cell, UE), +inf on every link that multi-connectivity (MC)
+cannot hear, and into (C, W) words of each user's own cell.  Within a drop
+the loop steps through kernel blocks of K sub-frames, as many as fit one
+packed stack of coverage.STACK_WORDS words, each drawn in fading blocks of
+at most 1 MiB of powers that also end where the threshold changes: draw
+per-PRB fading powers → compare them, in one contiguous pass, with a
+(C, N, M) plane of the block's threshold's cutoffs on every PRB → pack the
+result into (K, C, N, W) words, MC's stack of instances, and yield it with
+the own-cell words.  Single connectivity (SC) is MC cut to the own cell,
+so its stack is MC's AND the own-cell words.  compare_policies only
+evaluates and records: on each block it forms SC's stack if some policy
+uses it, runs each policy's kernel on the stack it picks on, credits its
 picks on the stack it is credited on (the _runs table) and counts the
 served words, unpacked to users only when the run keeps its served masks.
 The block sizes only group the work: the RNG stream and every result are
@@ -33,7 +32,6 @@ Every result and artifact byte is the same on any number of CPUs.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import itertools
@@ -96,7 +94,8 @@ _SWEEP_AXES = {"users_per_cell": "ues_per_cell", "radius": "radius_m"}
 DGA_COUNTS = ("connected", "primary")
 # Lower bounds on SimConfig fields, which check_fields applies
 _BOUNDS = {"ues_per_cell": ">= 1", "num_prbs": ">= 1", "horizon": ">= 1", "seed": ">= 0",
-           "num_drops": ">= 1", "edge_threshold": ">= 0", "rate_bits": ">= 0"}
+           "num_drops": ">= 1", "edge_threshold": ">= 0", "rate_bits": ">= 0",
+           "exact_cap": ">= 1"}
 
 
 @dataclass(frozen=True)
@@ -249,7 +248,7 @@ def compare_policies(
     served = {p: np.zeros((*shape, num_users), dtype=bool)
               for p in policies if config.log_served_ids}
     runs = _runs(config)
-    modes = {m for p in policies for m in runs[p][1:]}
+    uses_sc = any(SC in runs[p][1:] for p in policies)
     plan = _plan(config)
     workers = _workers(config)
 
@@ -257,7 +256,8 @@ def compare_policies(
         # Worker w simulates drops w, w + workers, ... and writes only
         # their rows of counts and served
         drops = range(w, config.num_drops, workers)
-        for d, t0, t1, covers in _blocks(config, modes, plan, drops, workers):
+        for d, t0, t1, mc, own in _blocks(config, plan, drops, workers):
+            covers = {MC: mc, SC: mc & own if uses_sc else None}
             for policy in policies:
                 kernel, picks_on, credited_on = runs[policy]
                 words = served_block(covers[credited_on], kernel(covers[picks_on]))
@@ -337,10 +337,11 @@ def _run_workers(work, workers: int) -> None:
         raise errors[min(errors)]
 
 
-def _plan(config: SimConfig) -> tuple[np.ndarray, np.ndarray, list]:
+def _plan(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """The part of a run that every drop shares: the run's distinct SNR
-    thresholds, each sub-frame's index into them and one seed per drop.
-    Warns when a trace shorter than the horizon wraps around."""
+    thresholds, each sub-frame's index into them, the sub-frame that ends
+    each sub-frame's run of one threshold, and one seed per drop.  Warns
+    when a trace shorter than the horizon wraps around."""
     schedule = _build_schedule(config)
     horizon = config.horizon
     if len(schedule) < horizon:
@@ -355,21 +356,24 @@ def _plan(config: SimConfig) -> tuple[np.ndarray, np.ndarray, list]:
     levels, level = np.unique(
         min_snr_db(np.resize(schedule, horizon)), return_inverse=True
     )
-    return levels, level, np.random.SeedSequence(config.seed).spawn(config.num_drops)
+    # The sub-frames whose threshold differs from the one before, then the horizon
+    changes = np.append(np.flatnonzero(np.diff(level)) + 1, horizon)
+    ends = changes[np.searchsorted(changes, np.arange(horizon), side="right")]
+    seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
+    return levels, level, ends, seeds
 
 
-def _blocks(config: SimConfig, modes: set[str], plan, drops, workers: int):
+def _blocks(config: SimConfig, plan, drops, workers: int):
     """The kernel blocks of `drops`, indices into the drops of the run
     that `plan` (from _plan) describes, in order: yields (drop, t0, t1,
-    covers), covers holding one (t1 - t0, C, N, W) packed stack per mode
-    in `modes`, the instances of sub-frames t0 to t1 - 1 of the drop.
-    The widest mode's stack (MC's when `modes` holds it) is the reused
-    word buffer itself, valid only until the generator resumes; a narrower
-    mode's is fresh.  Its buffers take a 1 / workers share of the fading
-    and stack budgets, so that `workers` of these generators at once stay
-    within them, given that each share holds a whole sub-frame (_workers
-    sees to that)."""
-    levels, level, seeds = plan
+    mc, own), mc the (t1 - t0, C, N, W) packed stack of MC instances of
+    sub-frames t0 to t1 - 1 of the drop, and own the drop's (1, C, 1, W)
+    own-cell words, so that mc & own is the SC stack.  mc is the reused
+    word buffer itself, valid only until the generator resumes.  Its
+    buffers take a 1 / workers share of the fading and stack budgets, so
+    that `workers` of these generators at once stay within them, given
+    that each share holds a whole sub-frame (_workers sees to that)."""
+    levels, level, ends, seeds = plan
     horizon = config.horizon
     # One (span, C, N, W) word buffer for the packed decodability of a kernel
     # block, whose padding bits stay zero, one (block, C, N, M) fading buffer
@@ -384,10 +388,6 @@ def _blocks(config: SimConfig, modes: set[str], plan, drops, workers: int):
     decodes = np.empty((block, *frame), dtype=bool)
     plane = np.empty(frame)
     word_buf = np.zeros((span, *frame[:2], width), dtype=np.uint64)
-    # The sub-frames whose threshold differs from the one before, then the horizon
-    changes = [*(np.flatnonzero(np.diff(level)) + 1).tolist(), horizon]
-    # SC is MC cut to primary cells, so MC's eligibility holds SC's
-    widest = MC if MC in modes else SC
     for d in drops:
         rng = np.random.default_rng(seeds[d])
         scenario = build_hex7(
@@ -395,36 +395,21 @@ def _blocks(config: SimConfig, modes: set[str], plan, drops, workers: int):
         )
         model = ChannelModel(config.channel, scenario)
         # (L, C, M) least power that decodes at each threshold, +inf on every
-        # link the widest mode cannot hear: its decodability is its cover
-        cuts = np.where(eligibility(scenario, widest),
+        # link MC cannot hear: its decodability is MC's cover
+        cuts = np.where(eligibility(scenario, MC),
                         model.cutoffs(model.draw_shadowing(rng), levels), np.inf)
-        # (1, C, 1, W) words per narrower mode, packed once per drop
-        narrower = {
-            m: pack(eligibility(scenario, m))[None, :, None, :]
-            for m in modes - {widest}
-        }
-        shown = None  # the threshold whose cutoffs the plane holds
+        own = pack(eligibility(scenario, SC))[None, :, None, :]
         for t0 in range(0, horizon, span):
             t1 = min(t0 + span, horizon)
-            for f0 in range(t0, t1, block):
-                f1 = min(f0 + block, t1)
+            f0 = t0
+            while f0 < t1:  # fading blocks of one threshold each
+                f1 = min(f0 + block, t1, int(ends[f0]))
+                plane[...] = cuts[level[f0]][:, None, :]
                 power = model.fading_block(rng, power_buf[: f1 - f0])
-                # Each run of equal thresholds against the plane, refilled
-                # only when the threshold changes
-                a = f0
-                while a < f1:
-                    b = min(f1, changes[bisect.bisect_right(changes, a)])
-                    if level[a] != shown:
-                        shown = int(level[a])
-                        plane[...] = cuts[shown][:, None, :]
-                    np.greater_equal(power[a - f0: b - f0], plane,
-                                     out=decodes[a - f0: b - f0])
-                    a = b
+                np.greater_equal(power, plane, out=decodes[: f1 - f0])
                 pack(decodes[: f1 - f0], out=word_buf[f0 - t0: f1 - t0])
-            words = word_buf[: t1 - t0]
-            covers = {m: words & e for m, e in narrower.items()}
-            covers[widest] = words
-            yield d, t0, t1, covers
+                f0 = f1
+            yield d, t0, t1, word_buf[: t1 - t0], own
 
 
 def sweep(

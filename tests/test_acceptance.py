@@ -33,7 +33,7 @@ from mcmcast.coverage import (
 )
 from mcmcast import engine
 from mcmcast.engine import SimConfig, compare_policies, paired_one_sided_pvalue, sweep
-from mcmcast.topology import MC, build_hex7
+from mcmcast.topology import build_hex7
 from mcmcast.traffic import write_synthetic_trace
 from oracles import (
     McpInstance,
@@ -266,8 +266,7 @@ def test_c10_greedy_near_optimum_at_paper_scale():
                        "C = 7, N = 10, M = 70, OPT certified"):
         cfg = SimConfig(ues_per_cell=10, radius_m=1000.0, horizon=20,
                         num_drops=1, seed=3)
-        _, _, _, covers = next(engine._blocks(cfg, {MC}, engine._plan(cfg), [0], 1))
-        words = covers[MC]
+        _, _, _, words, _ = next(engine._blocks(cfg, engine._plan(cfg), [0], 1))
         cover = unpack(words, 70)
         assert cover.shape == (20, 7, 10, 70)
         cga = np.bitwise_count(served_block(words, cga_block(words))).sum(axis=-1)

@@ -279,12 +279,16 @@ class TestConfigPrecedence:
         assert config.burst is False
 
     def test_bad_boolean_is_bad_config(self, tmp_path, capsys):
+        # and a bad int or float value names its key the same way
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("burst = maybe\n")
-        assert invoke("run", "--config", str(cfg),
-                      "--out", str(tmp_path / "o")) == 2
-        assert "bad boolean for burst: 'maybe'" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        for line, error in [("burst = maybe", "bad boolean for burst: 'maybe'"),
+                            ("ues = 1e3", "bad integer for ues: '1e3'"),
+                            ("fps = fast", "bad real number for fps: 'fast'")]:
+            cfg.write_text(line + "\n")
+            assert invoke("run", "--config", str(cfg),
+                          "--out", str(tmp_path / "o")) == 2, line
+            assert error in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_malformed_line_is_bad_config(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

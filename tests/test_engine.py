@@ -104,6 +104,9 @@ class TestRunBasics:
             compare_policies(SimConfig(ues_per_cell=0), ("cga",))
         with pytest.raises(ValueError, match="num_prbs must be >= 1"):
             compare_policies(SimConfig(num_prbs=0), ("cga",))
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="exact_cap must be >= 1"):
+                SimConfig(exact_cap=cap)
 
     @pytest.mark.parametrize("value", [2.5, "3"])
     @pytest.mark.parametrize("name", COUNT_FIELDS)
@@ -647,8 +650,9 @@ class TestBlockLoop:
         "no_fading": (dict(channel=ChannelParams(fast_fading=False)), FOUR),
         "trace": (dict(fps=250.0), FOUR),
         "special_levels": (dict(fps=250.0), FOUR),
-        # SC alone: SC is the widest mode, folded into the cutoffs, and
-        # its cutoff plane is refilled as the trace's thresholds change
+        # SC alone: its stack is still MC's, drawn on MC's eligibility,
+        # ANDed with the own-cell words, on a trace whose thresholds end
+        # fading blocks
         "sc_only": (dict(fps=250.0), ("sc",)),
     }
     TRACES = {"trace": None, "special_levels": SPECIAL_SIZES, "sc_only": None}
@@ -702,27 +706,64 @@ class TestBlockLoop:
                 assert np.array_equal(off.metrics[policy].served_counts,
                                       want[policy][0][:, :run.horizon]), (workers, policy)
 
-            # The simulation loop alone: each worker's stacks, unpacked, are
-            # the reference's instances, so a fault in the draw, compare or
-            # pack step fails here even where every kernel's pick would hide it.
-            # The modes are those of the run's policies: {SC} alone for sc_only
+            # The simulation loop alone: each worker's MC stacks, unpacked,
+            # are the reference's MC instances, and ANDed with the own-cell
+            # words its SC instances, whatever the run's policies, so a fault
+            # in the draw, compare or pack step fails here even where every
+            # kernel's pick would hide it
             kernel = block_sizes(config, workers)[1]
             plan = engine._plan(run)
-            modes = {m for p in policies for m in engine._runs(run)[p][1:]}
+            width = num_words(users)
             for w in range(workers):
                 tiles = []
                 drops = range(w, run.num_drops, workers)
-                for d, t0, t1, covers in engine._blocks(run, modes, plan, drops, workers):
+                for d, t0, t1, mc, own in engine._blocks(run, plan, drops, workers):
                     tiles.append((d, t0, t1))
-                    assert set(covers) == modes
-                    for mode, words in covers.items():
-                        assert words.shape == (t1 - t0, NUM_CELLS, run.num_prbs,
-                                               num_words(users))
+                    assert mc.shape == (t1 - t0, NUM_CELLS, run.num_prbs, width)
+                    assert own.shape == (1, NUM_CELLS, 1, width)
+                    for mode, words in ((MC, mc), (SC, mc & own)):
                         assert np.array_equal(unpack(words, users),
                                               instances[mode][d, t0:t1]), (workers, mode)
                 assert tiles == [(d, t0, min(t0 + kernel, run.horizon))
                                  for d in drops
                                  for t0 in range(0, run.horizon, kernel)]
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_one_draw_per_fading_block_of_one_threshold(self, trace, tmp_path, monkeypatch):
+        # Each drop's draws are the pieces of [0, T) cut at kernel-block
+        # boundaries and threshold changes, each cut again into fading
+        # blocks of B sub-frames from its start: ceil(K / B) draws per
+        # kernel block of K sub-frames at a constant rate
+        config = SimConfig(ues_per_cell=10, radius_m=900.0, num_drops=2, seed=7)
+        if trace:
+            config = replace(config, fps=250.0,
+                             trace_path=fast_trace(tmp_path / "t.txt"))
+        block, kernel = block_sizes(config)
+        config = replace(config, horizon=2 * kernel + block + 3)
+        horizon = config.horizon
+        threshold = min_snr_db(np.resize(engine._build_schedule(config), horizon))
+        changes = (np.flatnonzero(threshold[1:] != threshold[:-1]) + 1).tolist()
+        assert bool(changes) == trace
+        sizes = []
+        draw = engine.ChannelModel.fading_block
+
+        def counting(model, rng, out):
+            sizes.append(len(out))
+            return draw(model, rng, out)
+
+        monkeypatch.setattr(engine.ChannelModel, "fading_block", counting)
+        use_workers(monkeypatch, 1)
+        compare_policies(config, ("cga", "sc"))
+
+        cuts = sorted({*range(0, horizon, kernel), *changes, horizon})
+        pieces = [min(block, b - f0) for a, b in zip(cuts, cuts[1:])
+                  for f0 in range(a, b, block)]
+        if not trace:  # the last kernel block, of B + 3 sub-frames, takes two
+            assert len(pieces) == 2 * math.ceil(kernel / block) + 2
+        assert sizes == pieces * config.num_drops
+        starts = np.cumsum([0, *pieces])
+        for f0, f1 in zip(starts, starts[1:]):  # no draw spans a change
+            assert len(set(threshold[f0:f1])) == 1, (f0, f1)
 
     @pytest.mark.parametrize("trace", [False, True])
     def test_worker_count_changes_no_result(self, trace, tmp_path, monkeypatch):

@@ -41,6 +41,14 @@ CLI_RUNS = {
             "summary.json": "9da416d6c04df9a4ffaa50cb9dd185216fb5c20f4d5fef163f77307b4f87bcc8",
         },
     ),
+    # SC alone: its log is the one fig7 pins beside CGA
+    "fig7_sc_only": (
+        ["--preset", "fig7_trace_mc_vs_sc", "--policy", "sc", *SMALL],
+        {
+            "log_sc.csv": "755c7ea5560416b75b669e935707a4ba222ae57254a39a2ae7b89014ababb6e9",
+            "summary.json": "fc532ea6e9898484eb46b49546128a7760b892e8fe35e9893bc92a7c3bddde8b",
+        },
+    ),
     "fig8": (
         ["--preset", "fig8_mbsfn_vs_mc", *SMALL],
         {
