@@ -181,20 +181,17 @@ _MIN_POWER = 1e-12
 class ChannelModel:
     """Samples per-sub-frame fading for a fixed scenario.
 
-    Path losses are precomputed once; shadowing is drawn per drop via
-    draw_shadowing and held fixed while fading_block draws the raw fading
-    powers of a block of sub-frames at a time, as many PRBs as its buffer
-    holds, and cutoffs gives the powers that meet each SNR threshold.  All
-    randomness comes from generators the caller passes in, so a fixed
-    seed fixes the entire sequence.
+    Path losses are computed once, from the scenario's distances;
+    shadowing is drawn per drop via draw_shadowing and held fixed while
+    fading_block draws the raw fading powers of a block of sub-frames at a
+    time, as many PRBs as its buffer holds, and cutoffs gives the powers
+    that meet each SNR threshold.  All randomness comes from generators
+    the caller passes in, so a fixed seed fixes the entire sequence.
     """
 
     def __init__(self, params: ChannelParams, scenario):
         self.params = params
-        # (C, M) distances in km, clamped once up front
-        delta = scenario.cell_pos[:, None, :] - scenario.ue_pos[None, :, :]
-        d_km = np.linalg.norm(delta, axis=2) / 1000.0
-        self._pl_db = path_loss(d_km, params)
+        self._pl_db = path_loss(scenario.distance_m / 1000.0, params)
 
     def draw_shadowing(self, rng: np.random.Generator) -> np.ndarray:
         """One lognormal shadowing realization per (cell, UE), in dB."""

@@ -26,14 +26,14 @@ A run's drops are independent, each with its own seed, so compare_policies
 simulates them on up to min(drops, usable CPUs, 2) workers: the calling
 thread and a plain thread, drop d on worker d % workers, each with its own
 buffers and a 1 / workers share of both budgets, and each writing only its
-own drops' rows.  The fading draw, most of the work, releases the GIL.
-Every result and artifact byte is the same on any number of CPUs.
+own drops' rows.  _plan sizes the run once: its frame, its workers and
+each worker's kernel-block and fading-block lengths.  The fading draw,
+most of the work, releases the GIL.  Every result and artifact byte is
+the same on any number of CPUs.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import math
@@ -242,21 +242,20 @@ def compare_policies(
     """Evaluate every policy on the same channel realizations."""
     policies = tuple(policies)
     _validate(config, policies)
-    num_users = NUM_CELLS * config.ues_per_cell
+    plan = _plan(config)
+    (_, _, num_users), workers = plan[:2]
     shape = (config.num_drops, config.horizon)
     counts = {p: np.zeros(shape, dtype=int) for p in policies}
     served = {p: np.zeros((*shape, num_users), dtype=bool)
               for p in policies if config.log_served_ids}
     runs = _runs(config)
     uses_sc = any(SC in runs[p][1:] for p in policies)
-    plan = _plan(config)
-    workers = _workers(config)
 
     def work(w):
         # Worker w simulates drops w, w + workers, ... and writes only
         # their rows of counts and served
         drops = range(w, config.num_drops, workers)
-        for d, t0, t1, mc, own in _blocks(config, plan, drops, workers):
+        for d, t0, t1, mc, own in _blocks(config, plan, drops):
             covers = {MC: mc, SC: mc & own if uses_sc else None}
             for policy in policies:
                 kernel, picks_on, credited_on = runs[policy]
@@ -282,21 +281,6 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has it
         return os.cpu_count() or 1
-
-
-def _frame(config: SimConfig) -> tuple[int, int, int]:
-    """(C, N, M): the cells, PRBs and users of one sub-frame."""
-    return NUM_CELLS, config.num_prbs, NUM_CELLS * config.ues_per_cell
-
-
-def _workers(config: SimConfig) -> int:
-    """How many workers simulate config's drops: one per usable CPU, but
-    no more than _MAX_WORKERS, than drops, or than leave each worker's
-    share of the fading and stack budgets one whole sub-frame."""
-    frame = _frame(config)
-    fit = min(_BLOCK_WORDS // math.prod(frame),
-              STACK_WORDS // (math.prod(frame[:2]) * num_words(frame[2])))
-    return max(1, min(config.num_drops, _cpus(), _MAX_WORKERS, fit))
 
 
 def _run_workers(work, workers: int) -> None:
@@ -337,11 +321,19 @@ def _run_workers(work, workers: int) -> None:
         raise errors[min(errors)]
 
 
-def _plan(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """The part of a run that every drop shares: the run's distinct SNR
-    thresholds, each sub-frame's index into them, the sub-frame that ends
-    each sub-frame's run of one threshold, and one seed per drop.  Warns
-    when a trace shorter than the horizon wraps around."""
+def _plan(config: SimConfig) -> tuple:
+    """The part of a run that every drop shares, and the one place that
+    sizes it: (frame, workers, span, block, levels, level, ends, seeds).
+    frame is the (C, N, M) cells, PRBs and users of one sub-frame, and
+    workers one per usable CPU, but no more than _MAX_WORKERS, than drops,
+    or than leave each worker's 1 / workers share of the fading and stack
+    budgets a whole sub-frame.  span and block are each worker's kernel-
+    and fading-block lengths in sub-frames: what its shares of STACK_WORDS
+    and _BLOCK_WORDS hold, capped at the horizon and at span.  levels are
+    the run's distinct SNR thresholds, level each sub-frame's index into
+    them, ends the sub-frame that ends each sub-frame's run of one
+    threshold, and seeds one per drop.  Warns when a trace shorter than
+    the horizon wraps around."""
     schedule = _build_schedule(config)
     horizon = config.horizon
     if len(schedule) < horizon:
@@ -359,31 +351,35 @@ def _plan(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     # The sub-frames whose threshold differs from the one before, then the horizon
     changes = np.append(np.flatnonzero(np.diff(level)) + 1, horizon)
     ends = changes[np.searchsorted(changes, np.arange(horizon), side="right")]
+    frame = (NUM_CELLS, config.num_prbs, NUM_CELLS * config.ues_per_cell)
+    floats = math.prod(frame)  # the fading powers of one sub-frame
+    words = math.prod(frame[:2]) * num_words(frame[2])  # its packed stack
+    workers = max(1, min(config.num_drops, _cpus(), _MAX_WORKERS,
+                         _BLOCK_WORDS // floats, STACK_WORDS // words))
+    span = max(1, min(horizon, STACK_WORDS // workers // words))
+    block = max(1, min(span, _BLOCK_WORDS // workers // floats))
     seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
-    return levels, level, ends, seeds
+    return frame, workers, span, block, levels, level, ends, seeds
 
 
-def _blocks(config: SimConfig, plan, drops, workers: int):
+def _blocks(config: SimConfig, plan, drops):
     """The kernel blocks of `drops`, indices into the drops of the run
     that `plan` (from _plan) describes, in order: yields (drop, t0, t1,
     mc, own), mc the (t1 - t0, C, N, W) packed stack of MC instances of
     sub-frames t0 to t1 - 1 of the drop, and own the drop's (1, C, 1, W)
     own-cell words, so that mc & own is the SC stack.  mc is the reused
     word buffer itself, valid only until the generator resumes.  Its
-    buffers take a 1 / workers share of the fading and stack budgets, so
-    that `workers` of these generators at once stay within them, given
-    that each share holds a whole sub-frame (_workers sees to that)."""
-    levels, level, ends, seeds = plan
+    buffers are sized by the plan's span and block, one worker's share of
+    the fading and stack budgets, so that the plan's workers of these
+    generators at once stay within them."""
+    frame, _, span, block, levels, level, ends, seeds = plan
     horizon = config.horizon
     # One (span, C, N, W) word buffer for the packed decodability of a kernel
     # block, whose padding bits stay zero, one (block, C, N, M) fading buffer
     # and one bool buffer of the same shape for the fading blocks within it,
     # and one (C, N, M) plane of one threshold's cutoffs on every PRB, all
     # reused by every block of every drop
-    frame = _frame(config)
     width = num_words(frame[2])
-    span = max(1, min(horizon, STACK_WORDS // workers // (math.prod(frame[:2]) * width)))
-    block = max(1, min(span, _BLOCK_WORDS // workers // math.prod(frame)))
     power_buf = np.empty((block, *frame))
     decodes = np.empty((block, *frame), dtype=bool)
     plane = np.empty(frame)
@@ -565,16 +561,15 @@ def log_to_csv(output: RunOutput, policies: tuple[str, ...] | None = None) -> st
 
 
 def sweep_to_csv(axis: str, table: list[tuple[float, RunOutput]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow((axis, "policy", *_AGGREGATES))
+    """One row per (value, policy), policies sorted.  The rows are the
+    bytes csv.writer writes: every field is a number or a policy name."""
+    lines = [",".join((axis, "policy", *_AGGREGATES))]
     for value, output in table:
         for policy, m in sorted(output.metrics.items()):
-            writer.writerow((
-                f"{value:.6f}", policy,
-                *(f"{getattr(m, name):.6f}" for name in _AGGREGATES),
-            ))
-    return buf.getvalue()
+            fields = (f"{getattr(m, name):.6f}" for name in _AGGREGATES)
+            lines.append(f"{value:.6f},{policy},{','.join(fields)}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def summary_dict(output: RunOutput) -> dict:

@@ -29,6 +29,7 @@ class NetworkScenario:
     ue_pos: np.ndarray             # (M, 2) meters
     primary_cell: np.ndarray       # (M,) int
     edge_ue: np.ndarray            # (M,) bool
+    distance_m: np.ndarray         # (C, M) cell-to-UE meters
 
     @property
     def num_cells(self) -> int:
@@ -70,14 +71,15 @@ def build_hex7(
     edge = d_primary > edge_threshold * radius_m
 
     return NetworkScenario(
-        _frozen(cell_pos), _frozen(ue_pos), _frozen(primary.astype(int)), _frozen(edge)
+        _frozen(cell_pos), _frozen(ue_pos), _frozen(primary.astype(int)), _frozen(edge),
+        _frozen(dist),
     )
 
 
 def check_radius(radius_m: float) -> None:
     """Raise ValueError unless radius_m is finite and > 0 and the square of
     the layout's largest cell-to-UE distance is finite, as the distance
-    norms of build_hex7 and the channel model need."""
+    norms of build_hex7 need."""
     if not (math.isfinite(radius_m) and radius_m > 0):
         raise ValueError("radius_m must be finite and > 0")
     # The farthest a UE can be from an eNB: from the far edge of its cell's

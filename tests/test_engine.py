@@ -314,6 +314,24 @@ class TestMetrics:
             assert log_to_csv(out, policies) == buf.getvalue(), policies
         assert log_to_csv(out) == log_to_csv(out, ("cga", "sc"))
 
+    @pytest.mark.parametrize("axis, values", [
+        ("users_per_cell", [2, 4]), ("radius", [500.0, 800.0])])
+    def test_sweep_is_the_csv_writer_rendering(self, axis, values):
+        # Values in the sweep's order, policies sorted, every aggregate to
+        # 6 decimals: the same bytes csv.writer writes
+        table = sweep(FAST, axis, values, policies=("sc", "cga"))
+        aggregates = ("avg_packets_delivered", "per_ue_service_ratio",
+                      "avg_unserved_per_cell", "ci95_halfwidth")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow((axis, "policy", *aggregates))
+        for value, out in table:
+            for p in ("cga", "sc"):
+                m = out.metrics[p]
+                writer.writerow((f"{value:.6f}", p,
+                                 *(f"{getattr(m, name):.6f}" for name in aggregates)))
+        assert sweep_to_csv(axis, table) == buf.getvalue()
+
 
 class TestPolicyOrderings:
     def test_exact_sandwich_per_subframe(self):
@@ -713,11 +731,12 @@ class TestBlockLoop:
             # kernel's pick would hide it
             kernel = block_sizes(config, workers)[1]
             plan = engine._plan(run)
+            assert plan[1] == workers
             width = num_words(users)
             for w in range(workers):
                 tiles = []
                 drops = range(w, run.num_drops, workers)
-                for d, t0, t1, mc, own in engine._blocks(run, plan, drops, workers):
+                for d, t0, t1, mc, own in engine._blocks(run, plan, drops):
                     tiles.append((d, t0, t1))
                     assert mc.shape == (t1 - t0, NUM_CELLS, run.num_prbs, width)
                     assert own.shape == (1, NUM_CELLS, 1, width)
@@ -876,7 +895,7 @@ class TestBlockLoop:
         # still start one thread besides the caller
         monkeypatch.setattr(engine, "_cpus", lambda: 8)
         config = replace(FAST, num_drops=10)
-        assert engine._workers(config) == 2
+        assert engine._plan(config)[1] == 2
         started = counting_starts(monkeypatch)
         compare_policies(config, ("cga",))
         assert len(started) == 1
@@ -895,10 +914,31 @@ class TestBlockLoop:
         for size, workers in [(3 * words, 3), (3 * words - 1, 2),
                               (2 * words - 1, 1), (words - 1, 1)]:
             monkeypatch.setattr(engine, budget, size)
-            assert engine._workers(config) == workers, size
+            assert engine._plan(config)[1] == workers, size
         started = counting_starts(monkeypatch)
         got = compare_policies(config, ("cga",)).metrics["cga"].served_counts
         assert started == [] and np.array_equal(got, want)
+
+    # Each benchmark workload's shape on the benchmark's 2 usable CPUs,
+    # and fig7's on one, as under `taskset -c 0`: the frame, the
+    # workers, and each worker's kernel-block and fading-block lengths
+    @pytest.mark.parametrize("shape, cpus, sizes", [
+        pytest.param(dict(ues_per_cell=10, horizon=1000, num_drops=1), 2,
+                     (1, 117, 26), id="fig4_m70_cli"),
+        pytest.param(dict(ues_per_cell=40, horizon=100, num_drops=2), 2,
+                     (2, 23, 3), id="fig7_m280_trace"),
+        pytest.param(dict(ues_per_cell=40, horizon=100, num_drops=2), 1,
+                     (1, 46, 6), id="fig7_m280_trace_one_cpu"),
+        pytest.param(dict(ues_per_cell=5, horizon=100, num_drops=1, num_prbs=4), 2,
+                     (1, 100, 100), id="exact_n4"),
+    ])
+    def test_benchmark_shapes_are_sized_once_in_the_plan(
+            self, shape, cpus, sizes, monkeypatch):
+        monkeypatch.setattr(engine, "_cpus", lambda: cpus)
+        config = SimConfig(**shape)
+        frame, *got = engine._plan(config)[:4]
+        assert frame == (NUM_CELLS, config.num_prbs, NUM_CELLS * config.ues_per_cell)
+        assert tuple(got) == sizes
 
     def test_fig7_sized_run_peaks_below_4_mb(self, tmp_path):
         # M = 280 and three policies on a trace: the fading-power buffer is

@@ -40,6 +40,7 @@ class TestLayout:
         dist = np.linalg.norm(
             scen.cell_pos[:, None, :] - scen.ue_pos[None, :, :], axis=2)
         assert np.array_equal(scen.primary_cell, dist.argmin(axis=0))
+        assert np.array_equal(scen.distance_m, dist)  # kept for the channel model
 
     def test_edge_flag_matches_threshold(self):
         scen = scenario(ues=40, seed=4)
@@ -65,11 +66,14 @@ class TestLayout:
         scen = scenario()
         with pytest.raises(ValueError):
             scen.ue_pos[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            scen.distance_m[0, 0] = 1.0
 
     def test_no_users(self):
         scen = build_hex7(RADIUS, 0)
         assert scen.ue_pos.shape == (0, 2)
         assert scen.primary_cell.shape == scen.edge_ue.shape == (0,)
+        assert scen.distance_m.shape == (7, 0)
         assert eligibility(scen, "mc").shape == (7, 0)
 
     def test_argument_validation(self):
