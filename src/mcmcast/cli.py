@@ -19,9 +19,9 @@ from .coverage import (
     GREEDY_BOUND, CapExceededError, cga_block, check_exact_cap, exact_block, pack,
     random_instance, served_block)
 from .engine import (
-    DGA_COUNTS, POLICIES, SimConfig, _validate, compare_policies, log_to_csv,
+    DGA_COUNTS, POLICIES, SimConfig, _plan, compare_policies, log_to_csv,
     summary_to_json, sweep, sweep_to_csv)
-from .traffic import TraceParseError, parse_trace, write_synthetic_trace
+from .traffic import TraceParseError, write_synthetic_trace
 
 __all__ = ["main", "build_parser", "PRESETS"]
 
@@ -162,9 +162,7 @@ def _write(path: Path, text: str) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config, preset, policies = _build_config(args)
-    _validate(config, policies)  # a bad configuration writes nothing,
-    if config.trace_path is not None:
-        parse_trace(config.trace_path)  # and neither does an unreadable trace
+    _plan(config, policies)  # a run that cannot start writes nothing
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

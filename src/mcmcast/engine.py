@@ -26,10 +26,11 @@ A run's drops are independent, each with its own seed, so compare_policies
 simulates them on up to min(drops, usable CPUs, 2) workers: the calling
 thread and a plain thread, drop d on worker d % workers, each with its own
 buffers and a 1 / workers share of both budgets, and each writing only its
-own drops' rows.  _plan sizes the run once: its frame, its workers and
-each worker's kernel-block and fading-block lengths.  The fading draw,
-most of the work, releases the GIL.  Every result and artifact byte is
-the same on any number of CPUs.
+own drops' rows.  _plan is a run's whole set-up, before any drop runs
+(and, from the CLI, before anything is written): the checks, the demand,
+and the sizes, its frame, its workers and each worker's kernel-block and
+fading-block lengths.  The fading draw, most of the work, releases the
+GIL.  Every result and artifact byte is the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import threading
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,6 +129,8 @@ class SimConfig:
         frame_period(self.fps, self.channel.subframe_s)  # checks fps
         if self.dga_count not in DGA_COUNTS:
             raise ValueError(f"unknown dga_count {self.dga_count!r}")
+        if self.policy not in tuple(_runs(self)):  # POLICIES is built from one
+            raise ValueError(f"unknown policy {self.policy!r}")
         # A path is stored as a str, which summary.json can echo; an int
         # would be read, and closed, as a file descriptor
         path = self.trace_path
@@ -152,19 +156,6 @@ def _runs(config: SimConfig) -> dict:
 
 
 POLICIES = tuple(_runs(SimConfig()))
-
-
-def _validate(config: SimConfig, policies: tuple[str, ...]) -> None:
-    """The checks of a run's policies; a SimConfig checks its own fields."""
-    if not policies:
-        raise ValueError("need at least one policy")
-    if len(set(policies)) != len(policies):
-        raise ValueError(f"repeated policy in {policies!r}")
-    for policy in (config.policy, *policies):
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}")
-    if "exact" in policies:
-        check_exact_cap(NUM_CELLS, config.num_prbs, config.exact_cap)
 
 
 @dataclass(frozen=True)
@@ -222,28 +213,20 @@ class RunOutput:
     served_masks: dict[str, np.ndarray]
 
 
-def _build_schedule(config: SimConfig) -> np.ndarray:
-    """(T,) bits each sub-frame of the horizon demands, or each sub-frame
-    of a trace shorter than the horizon."""
-    if config.trace_path is not None:
-        frames = parse_trace(config.trace_path)
-        return schedule_from_trace(
-            frames, config.fps, config.channel.subframe_s, config.burst,
-            length=config.horizon,
-        )
-    return schedule_constant(
-        config.rate_bits, config.horizon, config.channel.subframe_s
-    )
-
-
 def compare_policies(
     config: SimConfig, policies: tuple[str, ...] | list[str]
 ) -> RunOutput:
     """Evaluate every policy on the same channel realizations."""
     policies = tuple(policies)
-    _validate(config, policies)
-    plan = _plan(config)
-    (_, _, num_users), workers = plan[:2]
+    plan = _plan(config, policies)
+    if plan.length < config.horizon:
+        warnings.warn(
+            f"video trace of {plan.length} sub-frames is shorter than the horizon "
+            f"of {config.horizon} sub-frames; it wraps around and is played "
+            f"{math.ceil(config.horizon / plan.length)} times",
+            RuntimeWarning, stacklevel=2,  # the caller of compare_policies
+        )
+    num_users, workers = plan.frame[2], plan.workers
     shape = (config.num_drops, config.horizon)
     counts = {p: np.zeros(shape, dtype=int) for p in policies}
     served = {p: np.zeros((*shape, num_users), dtype=bool)
@@ -321,28 +304,46 @@ def _run_workers(work, workers: int) -> None:
         raise errors[min(errors)]
 
 
-def _plan(config: SimConfig) -> tuple:
-    """The part of a run that every drop shares, and the one place that
-    sizes it: (frame, workers, span, block, levels, level, ends, seeds).
-    frame is the (C, N, M) cells, PRBs and users of one sub-frame, and
-    workers one per usable CPU, but no more than _MAX_WORKERS, than drops,
-    or than leave each worker's 1 / workers share of the fading and stack
-    budgets a whole sub-frame.  span and block are each worker's kernel-
-    and fading-block lengths in sub-frames: what its shares of STACK_WORDS
-    and _BLOCK_WORDS hold, capped at the horizon and at span.  levels are
-    the run's distinct SNR thresholds, level each sub-frame's index into
-    them, ends the sub-frame that ends each sub-frame's run of one
-    threshold, and seeds one per drop.  Warns when a trace shorter than
-    the horizon wraps around."""
-    schedule = _build_schedule(config)
-    horizon = config.horizon
-    if len(schedule) < horizon:
-        warnings.warn(
-            f"video trace of {len(schedule)} sub-frames is shorter than the "
-            f"horizon of {horizon} sub-frames; it wraps around and is played "
-            f"{math.ceil(horizon / len(schedule))} times",
-            RuntimeWarning, stacklevel=3,  # the caller of compare_policies
-        )
+class _Plan(NamedTuple):  # what _plan gives a run, shared by its drops
+    frame: tuple[int, int, int]
+    workers: int
+    span: int
+    block: int
+    levels: np.ndarray
+    level: np.ndarray
+    ends: np.ndarray
+    seeds: list
+    length: int
+
+
+def _plan(config: SimConfig, policies: tuple[str, ...]) -> _Plan:
+    """A run's whole set-up: check the policy list and the exact cap (a
+    SimConfig checks its own fields), read the demand, and size the run,
+    here and nowhere else.  frame is the (C, N, M) cells, PRBs and users
+    of one sub-frame, and workers one per usable CPU, but no more than
+    _MAX_WORKERS, than drops, or than leave each worker's 1 / workers
+    share of the fading and stack budgets a whole sub-frame.  span and
+    block are each worker's kernel- and fading-block lengths: what its
+    shares of STACK_WORDS and _BLOCK_WORDS hold, capped at the horizon
+    and at span.  levels are the run's distinct SNR thresholds, level
+    each sub-frame's index into them, ends the sub-frame that ends each
+    sub-frame's run of one threshold, seeds one per drop, and length the
+    demand's sub-frames, fewer than the horizon if a trace wraps."""
+    if not policies:
+        raise ValueError("need at least one policy")
+    if len(set(policies)) != len(policies):
+        raise ValueError(f"repeated policy in {policies!r}")
+    for policy in policies:
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}")
+    if "exact" in policies:
+        check_exact_cap(NUM_CELLS, config.num_prbs, config.exact_cap)
+    horizon, subframe_s = config.horizon, config.channel.subframe_s
+    if config.trace_path is None:
+        schedule = schedule_constant(config.rate_bits, horizon, subframe_s)
+    else:
+        schedule = schedule_from_trace(parse_trace(config.trace_path), config.fps,
+                                       subframe_s, config.burst, length=horizon)
     # The SNR each sub-frame's demand needs, as an index into the run's
     # distinct thresholds; np.resize repeats a short trace
     levels, level = np.unique(
@@ -359,10 +360,10 @@ def _plan(config: SimConfig) -> tuple:
     span = max(1, min(horizon, STACK_WORDS // workers // words))
     block = max(1, min(span, _BLOCK_WORDS // workers // floats))
     seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
-    return frame, workers, span, block, levels, level, ends, seeds
+    return _Plan(frame, workers, span, block, levels, level, ends, seeds, len(schedule))
 
 
-def _blocks(config: SimConfig, plan, drops):
+def _blocks(config: SimConfig, plan: _Plan, drops):
     """The kernel blocks of `drops`, indices into the drops of the run
     that `plan` (from _plan) describes, in order: yields (drop, t0, t1,
     mc, own), mc the (t1 - t0, C, N, W) packed stack of MC instances of
@@ -372,8 +373,8 @@ def _blocks(config: SimConfig, plan, drops):
     buffers are sized by the plan's span and block, one worker's share of
     the fading and stack budgets, so that the plan's workers of these
     generators at once stay within them."""
-    frame, _, span, block, levels, level, ends, seeds = plan
-    horizon = config.horizon
+    frame, span, block = plan.frame, plan.span, plan.block
+    level, ends, horizon = plan.level, plan.ends, config.horizon
     # One (span, C, N, W) word buffer for the packed decodability of a kernel
     # block, whose padding bits stay zero, one (block, C, N, M) fading buffer
     # and one bool buffer of the same shape for the fading blocks within it,
@@ -385,7 +386,7 @@ def _blocks(config: SimConfig, plan, drops):
     plane = np.empty(frame)
     word_buf = np.zeros((span, *frame[:2], width), dtype=np.uint64)
     for d in drops:
-        rng = np.random.default_rng(seeds[d])
+        rng = np.random.default_rng(plan.seeds[d])
         scenario = build_hex7(
             config.radius_m, config.ues_per_cell, config.edge_threshold, rng
         )
@@ -393,7 +394,7 @@ def _blocks(config: SimConfig, plan, drops):
         # (L, C, M) least power that decodes at each threshold, +inf on every
         # link MC cannot hear: its decodability is MC's cover
         cuts = np.where(eligibility(scenario, MC),
-                        model.cutoffs(model.draw_shadowing(rng), levels), np.inf)
+                        model.cutoffs(model.draw_shadowing(rng), plan.levels), np.inf)
         own = pack(eligibility(scenario, SC))[None, :, None, :]
         for t0 in range(0, horizon, span):
             t1 = min(t0 + span, horizon)

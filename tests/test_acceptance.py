@@ -266,7 +266,7 @@ def test_c10_greedy_near_optimum_at_paper_scale():
                        "C = 7, N = 10, M = 70, OPT certified"):
         cfg = SimConfig(ues_per_cell=10, radius_m=1000.0, horizon=20,
                         num_drops=1, seed=3)
-        _, _, _, words, _ = next(engine._blocks(cfg, engine._plan(cfg), [0]))
+        _, _, _, words, _ = next(engine._blocks(cfg, engine._plan(cfg, ("cga",)), [0]))
         cover = unpack(words, 70)
         assert cover.shape == (20, 7, 10, 70)
         cga = np.bitwise_count(served_block(words, cga_block(words))).sum(axis=-1)

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from mcmcast import engine
 from mcmcast.cli import _FIELDS, PRESETS, _build_config, build_parser, main
 from mcmcast.engine import SimConfig
+from mcmcast.traffic import write_synthetic_trace
 
 RUN = [sys.executable, "-m", "mcmcast.cli"]
 
@@ -163,6 +165,50 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "--seed must be >= 0" in captured.err
         assert "PASS" not in captured.out
+
+
+class TestCheckStep:
+    """The CLI's check before anything is written is the run's own
+    set-up, engine._plan, called once more before --out is made."""
+
+    def test_preset_refusals_write_nothing(self, tmp_path, capsys):
+        # The trace preset would synthesize trace.txt into --out first
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("policy = bogus\n")
+        for args, code, message in [
+            (("--config", str(cfg)), 2, "unknown policy 'bogus'"),
+            (("--policy", "exact", "--prbs", "11"), 4, "exceeds"),
+        ]:
+            out = tmp_path / "out"
+            assert invoke("run", "--preset", "fig7_trace_mc_vs_sc", *args,
+                          "--out", str(out)) == code
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_short_trace_warns_once_per_run(self, tmp_path):
+        trace = tmp_path / "t.txt"
+        trace.write_text("0 I 0.0 100\n1 P 0.0 100\n")  # 66 sub-frames
+        with pytest.warns(RuntimeWarning, match="wraps around") as record:
+            assert invoke("run", "--trace", str(trace), "--subframes", "100",
+                          "--drops", "1", "--ues", "1",
+                          "--out", str(tmp_path / "o")) == 0
+        assert len(record) == 1
+
+    @pytest.mark.parametrize("preset, reads", [
+        ("custom", 2), ("fig5_packets_sweep", 9), ("fig7_trace_mc_vs_sc", 1)])
+    def test_trace_reads(self, tmp_path, monkeypatch, preset, reads):
+        # One read by the check and one per compare_policies call (eight
+        # sweep points); the synthesized trace is written after the check
+        calls = []
+        parse = engine.parse_trace
+        monkeypatch.setattr(engine, "parse_trace",
+                            lambda path: calls.append(path) or parse(path))
+        args = [] if preset == "fig7_trace_mc_vs_sc" else [
+            "--trace", write_synthetic_trace(str(tmp_path / "t.txt"), seed=1)]
+        assert invoke("run", "--preset", preset, *args, "--subframes", "5",
+                      "--drops", "1", "--ues", "1",
+                      "--out", str(tmp_path / "o")) == 0
+        assert len(calls) == reads
 
 
 class TestArtifacts:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from mcmcast import engine
-from mcmcast.channel import ChannelModel, ChannelParams, min_snr_db
+from mcmcast.channel import ChannelModel, ChannelParams, min_snr_db, path_loss, snr
 from mcmcast.coverage import (
     EXACT_DEFAULT_CAP,
     GREEDY_BOUND,
@@ -44,7 +44,8 @@ from mcmcast.engine import (
     sweep_to_csv,
 )
 from mcmcast.topology import MC, NUM_CELLS, SC, build_hex7, eligibility
-from mcmcast.traffic import write_synthetic_trace
+from mcmcast.traffic import (
+    parse_trace, schedule_constant, schedule_from_trace, write_synthetic_trace)
 from oracles import chosen_by, served_set, served_users, snr_subframe
 
 FAST = SimConfig(horizon=20, num_drops=2, seed=3, ues_per_cell=4,
@@ -164,9 +165,9 @@ class TestRunBasics:
     def test_unknown_config_policy_refused(self):
         # summary.json writes config.policy even when the run names its own
         # policies, so an unknown one must not get that far.
-        cfg = SimConfig(policy="bogus", horizon=3, num_drops=1, ues_per_cell=2)
+        # A config refuses it when it is built, as it does any bad field.
         with pytest.raises(ValueError, match="unknown policy 'bogus'"):
-            compare_policies(cfg, ("cga",))
+            SimConfig(policy="bogus", horizon=3, num_drops=1, ues_per_cell=2)
 
     def test_trace_path_descriptor_refused_and_left_open(self, tmp_path, no_drop):
         # An int used to be read as a file descriptor, which parse_trace
@@ -558,13 +559,22 @@ class TestStudentT:
             stats.t.ppf(0.975, 2) * sem, rel=1e-12)
 
 
+def demand(config):
+    """(T,) bits each sub-frame of the horizon demands, or each sub-frame
+    of a trace shorter than the horizon, from the traffic module alone."""
+    subframe_s = config.channel.subframe_s
+    if config.trace_path is None:
+        return schedule_constant(config.rate_bits, config.horizon, subframe_s)
+    return schedule_from_trace(parse_trace(config.trace_path), config.fps,
+                               subframe_s, config.burst, length=config.horizon)
+
+
 def reference_run(config, policies):
     """The engine's run one sub-frame at a time: one SNR draw, then each
     policy's kernel on a one-instance boolean stack of its connectivity
     mode, packed on its own.  Returns policy -> ((D, T) served counts,
     (D, T, M) served masks), and mode -> its (D, T, C, N, M) instances."""
-    schedule = engine._build_schedule(config)
-    threshold = min_snr_db(np.resize(schedule, config.horizon))
+    threshold = min_snr_db(np.resize(demand(config), config.horizon))
     shape = (config.num_drops, config.horizon, NUM_CELLS * config.ues_per_cell)
     masks = {p: np.zeros(shape, dtype=bool) for p in policies}
     instances = {
@@ -694,7 +704,7 @@ class TestBlockLoop:
             assert 2 <= block <= kernel
             assert (block < kernel) == (ues > 1)
             if case in self.TRACES:
-                levels = min_snr_db(engine._build_schedule(config)[:2 * block])
+                levels = min_snr_db(demand(config)[:2 * block])
                 assert len(set(levels[:block])) > 1
             if case == "special_levels":  # within the first fading block of each worker's drop
                 assert {-np.inf, np.inf} < set(levels[:block * workers])
@@ -730,8 +740,8 @@ class TestBlockLoop:
             # in the draw, compare or pack step fails here even where every
             # kernel's pick would hide it
             kernel = block_sizes(config, workers)[1]
-            plan = engine._plan(run)
-            assert plan[1] == workers
+            plan = engine._plan(run, policies)
+            assert plan.workers == workers
             width = num_words(users)
             for w in range(workers):
                 tiles = []
@@ -760,7 +770,7 @@ class TestBlockLoop:
         block, kernel = block_sizes(config)
         config = replace(config, horizon=2 * kernel + block + 3)
         horizon = config.horizon
-        threshold = min_snr_db(np.resize(engine._build_schedule(config), horizon))
+        threshold = min_snr_db(np.resize(demand(config), horizon))
         changes = (np.flatnonzero(threshold[1:] != threshold[:-1]) + 1).tolist()
         assert bool(changes) == trace
         sizes = []
@@ -895,7 +905,7 @@ class TestBlockLoop:
         # still start one thread besides the caller
         monkeypatch.setattr(engine, "_cpus", lambda: 8)
         config = replace(FAST, num_drops=10)
-        assert engine._plan(config)[1] == 2
+        assert engine._plan(config, ("cga",)).workers == 2
         started = counting_starts(monkeypatch)
         compare_policies(config, ("cga",))
         assert len(started) == 1
@@ -914,7 +924,7 @@ class TestBlockLoop:
         for size, workers in [(3 * words, 3), (3 * words - 1, 2),
                               (2 * words - 1, 1), (words - 1, 1)]:
             monkeypatch.setattr(engine, budget, size)
-            assert engine._plan(config)[1] == workers, size
+            assert engine._plan(config, ("cga",)).workers == workers, size
         started = counting_starts(monkeypatch)
         got = compare_policies(config, ("cga",)).metrics["cga"].served_counts
         assert started == [] and np.array_equal(got, want)
@@ -936,9 +946,9 @@ class TestBlockLoop:
             self, shape, cpus, sizes, monkeypatch):
         monkeypatch.setattr(engine, "_cpus", lambda: cpus)
         config = SimConfig(**shape)
-        frame, *got = engine._plan(config)[:4]
-        assert frame == (NUM_CELLS, config.num_prbs, NUM_CELLS * config.ues_per_cell)
-        assert tuple(got) == sizes
+        plan = engine._plan(config, ("cga",))
+        assert plan.frame == (NUM_CELLS, config.num_prbs, NUM_CELLS * config.ues_per_cell)
+        assert (plan.workers, plan.span, plan.block) == sizes
 
     def test_fig7_sized_run_peaks_below_4_mb(self, tmp_path):
         # M = 280 and three policies on a trace: the fading-power buffer is
@@ -973,3 +983,64 @@ class TestBlockLoop:
             tracemalloc.stop()
         assert len(started) == 1
         assert peak < 4e6
+
+
+class TestChannelPathLaw:
+    """The draw, compare and pack steps of _blocks against the law they
+    sample, with no reference to the random stream itself, so that the
+    check still holds once the stream is re-pinned.  At a constant rate
+    each drop's link budgets fix, for each (cell, user) link, the chance
+    p = exp(-cutoff) that a unit-mean exponential fading power decodes on
+    one PRB, independently over PRBs and sub-frames.  The cutoffs come
+    from the drop's set-up, replayed from its seed, and the link budget
+    formula, not from ChannelModel.cutoffs."""
+
+    ALPHA = 1e-3  # each drop's links together
+    DELTA = 1e-3  # each drop's two outage totals together
+
+    @pytest.mark.parametrize("ues, radius", [(10, 500.0), (40, 1000.0)],
+                             ids=["M70_r500", "M280_r1000"])
+    def test_decodes_and_outages_follow_the_fading_law(self, ues, radius):
+        from scipy.stats import binom
+        config = SimConfig(ues_per_cell=ues, radius_m=radius, horizon=1000,
+                           num_drops=4, seed=5)
+        plan = engine._plan(config, ("cga",))
+        users, draws = NUM_CELLS * ues, config.horizon * config.num_prbs
+        decoded = np.zeros((config.num_drops, NUM_CELLS, users), dtype=int)
+        outages = np.zeros((config.num_drops, 2), dtype=int)  # MC, SC
+        for d, t0, t1, mc, own in engine._blocks(config, plan, range(config.num_drops)):
+            cover = unpack(mc, users)
+            decoded[d] += cover.sum(axis=(0, 2))
+            outages[d] += [(~unpack(words, users).any(axis=(1, 2))).sum()
+                           for words in (mc, mc & own)]
+        channel = config.channel
+        threshold = min_snr_db(demand(config)[0])
+        mid = 0  # links whose chance is neither near 0 nor near 1
+        for d, seed in enumerate(plan.seeds):
+            rng = np.random.default_rng(seed)
+            scen = build_hex7(radius, ues, config.edge_threshold, rng)
+            shadow = ChannelModel(channel, scen).draw_shadowing(rng)
+            budget = snr(channel, path_loss(scen.distance_m / 1000.0, channel), shadow)
+            with np.errstate(over="ignore"):
+                cut = 10.0 ** ((threshold - budget) / 10.0)
+            p = np.where(cut <= 1e-12, 1.0, np.exp(-cut))  # powers clamp at 1e-12
+            heard = eligibility(scen, MC)
+            assert not decoded[d][~heard].any(), d
+            # Each link's decodes over its T*N draws: twice the smaller
+            # binomial tail, against ALPHA split over the drop's links
+            k, q = decoded[d][heard], p[heard]
+            tail = 2 * np.minimum(binom.cdf(k, draws, q), binom.sf(k - 1, draws, q))
+            assert tail.min() >= self.ALPHA / heard.sum(), (d, tail.min())
+            mid += int(((q > 0.01) & (q < 0.99)).sum())
+            # Each mode's outages, a sum of independent Bernoulli draws,
+            # one per (sub-frame, user), within Bernstein's bound: the sum
+            # strays by eps from its mean with chance at most
+            # 2 exp(-eps^2 / (2 var + 2 eps / 3))
+            log_term = math.log(2 / (self.DELTA / 2))
+            for got, mode in zip(outages[d], (MC, SC)):
+                out = np.prod((1 - p * eligibility(scen, mode)) ** config.num_prbs, axis=0)
+                mean = config.horizon * out.sum()
+                var = config.horizon * (out * (1 - out)).sum()
+                eps = log_term / 3 + math.sqrt(log_term ** 2 / 9 + 2 * var * log_term)
+                assert abs(got - mean) <= eps, (d, mode, got, mean, eps)
+        assert mid >= 100 * config.num_drops  # the check has teeth
