@@ -138,9 +138,10 @@ def served_block(words: np.ndarray, chosen: np.ndarray) -> np.ndarray:
 
 def cga_block(words: np.ndarray) -> np.ndarray:
     """Centralized greedy on every instance of the stack: C times, commit
-    the (cell, PRB) pair covering the most not-yet-served users, then
-    retire that cell.  Runs exactly C steps, so the allocation is total
-    even when the marginal gain drops to zero.
+    the (cell, PRB) pair covering the most not-yet-served users: record
+    its PRB, retire its cell and clear its users from the uncovered
+    words.  Runs exactly C steps, so the allocation is total even when the
+    marginal gain drops to zero.
 
     Gains are exact popcounts of the packed rows; argmax over the flat
     (cell, prb) index keeps the lowest pair on ties, and a retired cell's
@@ -149,25 +150,20 @@ def cga_block(words: np.ndarray) -> np.ndarray:
     num_blocks, num_cells, num_prbs, width = words.shape
     pairs = num_cells * num_prbs
     # (W, B, C*N), word-major: a gain is the sum of W contiguous slabs
-    rows = np.moveaxis(words.reshape(num_blocks, pairs, width), -1, 0)
-    rows = np.ascontiguousarray(rows)
-    keep = ~rows  # ANDed into the uncovered words when a row is picked
+    rows = np.ascontiguousarray(np.moveaxis(words.reshape(num_blocks, pairs, width), -1, 0))
     uncovered = np.full(rows.shape[:2], ~np.uint64(0))
-    # 64 W + 1, above any gain, on every PRB of a retired cell, subtracted
-    # from its gains
+    # 64 W + 1, above any gain, subtracted from every gain of a retired cell
     penalty = np.zeros((num_blocks, num_cells, num_prbs), dtype=np.int64)
-    picks = np.zeros((num_blocks, num_cells), dtype=np.intp)
+    chosen = np.zeros((num_blocks, num_cells), dtype=np.intp)
     blocks = np.arange(num_blocks)
-    for step in range(num_cells):
+    for _ in range(num_cells):
         gain = np.bitwise_count(rows & uncovered[:, :, None]).sum(axis=0, dtype=np.int64)
         gain -= penalty.reshape(num_blocks, pairs)
         pick = gain.argmax(axis=-1)
-        picks[:, step] = pick
-        penalty[blocks, pick // num_prbs] = 64 * width + 1
-        uncovered &= keep[:, blocks, pick]
-    order, prbs = np.divmod(picks, num_prbs)
-    chosen = np.zeros_like(order)
-    chosen[blocks[:, None], order] = prbs
+        cell, prb = np.divmod(pick, num_prbs)
+        chosen[blocks, cell] = prb
+        penalty[blocks, cell] = 64 * width + 1
+        uncovered &= ~rows[:, blocks, pick]
     return chosen
 
 

@@ -270,10 +270,10 @@ def _run_workers(work, workers: int) -> None:
     """Drive the generators work(0), ..., work(workers - 1) to their end,
     work(0) on the calling thread and each other on a thread of its own,
     and return once every thread has ended.  Once one raises, a thread
-    fails to start, or the caller is interrupted, the others stop at
-    their next step, and the error of the lowest-numbered worker that
-    raised (the caller being worker 0) is re-raised after every thread
-    has ended."""
+    fails to start, or the caller is interrupted, working or waiting, the
+    others stop at their next step, and the error of the lowest-numbered
+    worker that raised (the caller being worker 0, its first interrupt
+    kept) is re-raised after every thread has ended."""
     errors = {}
 
     def run(w):
@@ -290,16 +290,14 @@ def _run_workers(work, workers: int) -> None:
             threads.append(threading.Thread(target=run, args=(w,)))
             threads[-1].start()
         run(0)
-        for thread in threads:
-            thread.join()
     except BaseException as exc:  # a thread that fails to start, or an interrupt
         errors.setdefault(0, exc)  # every worker stops at its next step
-    for thread in threads:  # only after an error can one still be running
+    for thread in threads:
         while thread.is_alive():
             try:
                 thread.join()
-            except BaseException:  # a second interrupt; errors holds the first
-                pass
+            except BaseException as exc:  # an interrupt while waiting
+                errors.setdefault(0, exc)
     if errors:
         raise errors[min(errors)]
 

@@ -94,7 +94,6 @@ def check_radius(radius_m: float) -> None:
 def eligibility(scenario: NetworkScenario, mode: str) -> np.ndarray:
     """(C, M) bool mask for `mode`: own cell, plus every cell for edge
     users under multi-connectivity."""
-    mode = mode.lower()
     if mode not in (MC, SC):
         raise ValueError(f"mode must be 'mc' or 'sc', got {mode!r}")
     own = np.arange(scenario.num_cells)[:, None] == scenario.primary_cell[None, :]

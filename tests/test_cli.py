@@ -79,6 +79,19 @@ class TestExitCodes:
                       "--out", str(tmp_path)) == 0
         assert (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("args", [("--policy", "bogus"),
+                                      ("--no-such-flag",), ("--ues", "x")])
+    def test_usage_error_is_2_and_writes_nothing(self, tmp_path, capsys, args):
+        # argparse exits; main returns its code instead
+        out = tmp_path / "o"
+        assert invoke("run", *args, "--out", str(out)) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_is_0(self, capsys):
+        assert invoke("run", "--help") == 0
+        assert "usage:" in capsys.readouterr().out
+
     def test_unknown_preset_is_2(self, tmp_path):
         proc = subprocess.run(
             RUN + ["run", "--preset", "nope", "--out", str(tmp_path)],

@@ -396,6 +396,27 @@ class TestPackedForm:
                             == served_set(cover, want))
 
 
+class TestEdgeShapes:
+    """Every kernel on a stack of no instances, and on instances with no
+    users (W = 0), where a retired cell's penalty is 64 * 0 + 1."""
+
+    KERNELS = [cga_block, dga_block, mbsfn_block, exact_block]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_empty_stack(self, kernel):
+        for width in (0, 1, 3):
+            chosen = kernel(np.zeros((0, 4, 3, width), dtype=np.uint64))
+            assert chosen.shape == (0, 4)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_no_users(self, kernel):
+        words = pack(np.zeros((5, 4, 3, 0), dtype=bool))
+        assert words.shape == (5, 4, 3, 0)
+        chosen = kernel(words)
+        assert chosen.shape == (5, 4) and not chosen.any()
+        assert served_block(words, chosen).shape == (5, 0)
+
+
 @functools.cache
 def reference_stacks():
     """(covers, reference_exact of each row) for stacks of same-shape

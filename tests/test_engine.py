@@ -910,6 +910,13 @@ class TestBlockLoop:
         compare_policies(config, ("cga",))
         assert len(started) == 1
 
+    def test_cpu_count_stands_in_where_affinity_is_missing(self, monkeypatch):
+        # Not every platform has sched_getaffinity, and cpu_count may not know
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert engine._cpus() == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert engine._cpus() == 1
+
     @pytest.mark.parametrize("budget", ["_BLOCK_WORDS", "STACK_WORDS"])
     def test_no_more_workers_than_shares_that_hold_a_subframe(self, budget, monkeypatch):
         # Each worker's share of a budget must hold one whole sub-frame, or

@@ -113,8 +113,10 @@ class TestConnectivity:
             assert np.flatnonzero(mask[:, k]).tolist() == [scen.primary_cell[k]]
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            eligibility(scenario(), "mesh")
+        # exactly "mc" or "sc": no other value, case or type is read as one
+        for mode in ("mesh", None, "MC", ["mc"]):
+            with pytest.raises(ValueError, match="mode must be 'mc' or 'sc', got"):
+                eligibility(scenario(), mode)
 
     def test_eligibility_masks_per_mode(self):
         scen = scenario(ues=40, seed=5)
