@@ -5,7 +5,9 @@ model with lognormal shadowing (10 dB sigma, one draw per (cell, UE) per
 drop).  Fast fading is an optional per-(cell, PRB, UE, sub-frame)
 Rayleigh-power perturbation in dB, which is what makes different PRBs of
 the same cell look different to a user.  SNR maps to a decodable rate in
-bits per PRB per sub-frame through a 15-step threshold table.
+bits per PRB per sub-frame through a 15-step threshold table.  path_loss
+and min_snr_db take arrays and give arrays, and every parameter is the
+caller's ChannelParams: nothing here builds its own.
 
 A link's SNR in dB is its link budget plus 10 * log10 of its fading
 power, with powers below 1e-12 read as 1e-12.  Within a drop the link
@@ -141,24 +143,23 @@ class ChannelParams:
         )
 
 
-def path_loss(distance_km, params: ChannelParams | None = None):
-    """Log-distance path loss in dB; distances below the clamp are lifted
-    to it (the model diverges at zero range). Accepts scalars or arrays."""
-    p = params or ChannelParams()
-    d = np.maximum(np.asarray(distance_km, dtype=float), p.min_distance_km)
-    pl = p.pathloss_intercept_db + p.pathloss_slope_db * np.log10(d)
-    return float(pl) if np.isscalar(distance_km) else pl
+def path_loss(distance_km, params: ChannelParams) -> np.ndarray:
+    """Log-distance path loss in dB of an array of distances; distances
+    below the clamp are lifted to it (the model diverges at zero range)."""
+    d = np.maximum(np.asarray(distance_km, dtype=float), params.min_distance_km)
+    return params.pathloss_intercept_db + params.pathloss_slope_db * np.log10(d)
 
 
-def snr(params: ChannelParams, path_loss_db, shadow_db=0.0):
+def snr(params: ChannelParams, path_loss_db, shadow_db):
     """Per-PRB SNR in dB without fast fading: transmit power minus path
     loss, shadowing and noise floor.  Positive shadow_db deepens the
     shadow (lowers SNR).  Accepts scalars or arrays."""
     return params.per_prb_tx_dbm - path_loss_db - shadow_db - params.noise_floor_dbm
 
 
-def min_snr_db(required):
-    """Lowest SNR whose decodable rate meets `required`.  Vectorized.
+def min_snr_db(required) -> np.ndarray:
+    """Lowest SNR whose decodable rate meets each rate of the array
+    `required`.
 
     An SNR decodes the rate of the highest step whose threshold it meets,
     and 0 below the first step.  Rates step up strictly, so that rate
@@ -169,8 +170,7 @@ def min_snr_db(required):
     """
     req = np.asarray(required, dtype=float)
     idx = np.searchsorted(_RATES, req, side="left")
-    out = np.where(req <= 0, -np.inf, np.append(_THRESHOLDS_DB, np.inf)[idx])
-    return float(out) if np.isscalar(required) else out
+    return np.where(req <= 0, -np.inf, np.append(_THRESHOLDS_DB, np.inf)[idx])
 
 
 # Fading powers below this are read as this, so a zero draw stays finite

@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_config_file(path: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is skipped
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -171,8 +171,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = replace(config, trace_path=trace)
 
     if preset.get("sweep"):
-        users_table = sweep(config, "users_per_cell", list(USER_SWEEP), policies)
-        radius_table = sweep(config, "radius", list(RADIUS_SWEEP), policies)
+        users_table = sweep(config, "users_per_cell", USER_SWEEP, policies)
+        radius_table = sweep(config, "radius", RADIUS_SWEEP, policies)
         _write(out / "sweep_users.csv",
                sweep_to_csv("users_per_cell", users_table))
         _write(out / "sweep_radius.csv", sweep_to_csv("radius", radius_table))

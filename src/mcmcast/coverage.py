@@ -247,10 +247,7 @@ def _popcount(words: np.ndarray) -> np.ndarray:
 
 
 def random_instance(
-    rng: np.random.Generator,
-    max_users: int = 12,
-    max_cells: int = 4,
-    max_prbs: int = 4,
+    rng: np.random.Generator, max_users: int, max_cells: int, max_prbs: int
 ) -> np.ndarray:
     """Random (C, N, M) instance for oracle checks, with C, N and M drawn
     up to their maxima; membership density varies per draw."""

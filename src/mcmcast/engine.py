@@ -407,17 +407,15 @@ def _blocks(config: SimConfig, plan: _Plan, drops):
             yield d, t0, t1, word_buf[: t1 - t0], own
 
 
-def sweep(
-    config: SimConfig,
-    axis: str,
-    values: list[float] | list[int],
-    policies: tuple[str, ...] | None = None,
-) -> list[tuple[float, RunOutput]]:
-    """Independent runs per value.  The base seed is reused so sweep points
-    share underlying draws where shapes allow, smoothing the trend."""
+def sweep(config: SimConfig, axis: str, values: list | tuple | np.ndarray,
+          policies: tuple[str, ...]) -> list[tuple[float, RunOutput]]:
+    """Independent runs of `policies` per value of `values`, a sequence of
+    numbers (a list, a tuple or an array).  The base seed is reused so
+    sweep points share underlying draws where shapes allow, smoothing the
+    trend."""
     if axis not in _SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    if not values:
+    if len(values) == 0:
         raise ValueError("sweep needs at least one value")
     configs = []
     for value in values:  # every point is checked before any runs
@@ -425,7 +423,6 @@ def sweep(
             configs.append(replace(config, **{_SWEEP_AXES[axis]: value}))
         except ValueError as exc:
             raise ValueError(f"{axis} value {value!r}: {exc}") from None
-    policies = (config.policy,) if policies is None else policies
     return [(float(value), compare_policies(c, policies))
             for value, c in zip(values, configs)]
 
@@ -539,12 +536,11 @@ def _t975(df: float) -> float:
 
 # ---------------------------------------------------------------- artifacts
 
-def log_to_csv(output: RunOutput, policies: tuple[str, ...] | None = None) -> str:
-    """Raw log of `policies` (default: every policy of the run), one row
-    per (drop, t, policy) in that order.  served_ids lists the served
+def log_to_csv(output: RunOutput, policies: tuple[str, ...]) -> str:
+    """Raw log of `policies`, some policies of the run, one row per
+    (drop, t, policy) in that order.  served_ids lists the served
     users when the run kept its served masks, and is empty otherwise.
     The rows are the bytes csv.writer writes: no field needs quoting."""
-    policies = tuple(output.metrics) if policies is None else tuple(policies)
     counts = [output.metrics[p].served_counts.tolist() for p in policies]
     masks = [output.served_masks.get(p) for p in policies]
     lines = [",".join(_LOG_HEADER)]

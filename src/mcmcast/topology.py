@@ -1,9 +1,10 @@
 """Seven-cell hexagonal layout, uniform UE drops, and connectivity.
 
-A UE's primary cell is the nearest eNB.  UEs farther than
-edge_threshold * radius from their primary are "edge" UEs; under
-multi-connectivity those may receive from every eNB in the system, all
-others only from their primary.  Single-connectivity mode collapses
+build_hex7 draws every UE position from the generator its caller passes,
+so a seed fixes the layout.  A UE's primary cell is the nearest eNB.  UEs
+farther than edge_threshold * radius from their primary are "edge" UEs;
+under multi-connectivity those may receive from every eNB in the system,
+all others only from their primary.  Single-connectivity mode collapses
 everyone to the primary.  eligibility() derives a mode's connectivity
 from the primary cells and the edge flags as a (C, M) mask.
 """
@@ -36,18 +37,14 @@ class NetworkScenario:
         return len(self.cell_pos)
 
 
-def build_hex7(
-    radius_m: float,
-    ues_per_cell: int,
-    edge_threshold: float = 0.8,
-    rng: np.random.Generator | None = None,
-) -> NetworkScenario:
+def build_hex7(radius_m: float, ues_per_cell: int, edge_threshold: float,
+               rng: np.random.Generator) -> NetworkScenario:
     """One center cell plus six neighbors at inter-site distance
-    sqrt(3) * radius; ues_per_cell UEs uniform in each cell's disc."""
+    sqrt(3) * radius; ues_per_cell UEs uniform in each cell's disc, placed
+    by draws from rng."""
     check_radius(radius_m)
     if ues_per_cell < 0:
         raise ValueError("ues_per_cell must be >= 0")
-    rng = rng if rng is not None else np.random.default_rng(0)
 
     isd = np.sqrt(3.0) * radius_m
     angles = np.deg2rad(np.arange(NUM_CELLS - 1) * 60.0)

@@ -2,12 +2,15 @@
 
 Trace lines follow the common frame-size listing used by public video
 trace archives: ``index frame_type time size_bytes`` with ``#`` comment
-lines.  Only the first and last columns are consumed — sizes become bits
-and the frame stream is spread over the sub-frames of each frame period.
+lines, and a UTF-8 byte-order mark is skipped.  Only the first and last
+columns are consumed — sizes become bits and the frame stream is spread
+over the sub-frames of each frame period.  The sub-frame length is the
+caller's (ChannelParams.subframe_s): nothing here assumes one.
 """
 
 from __future__ import annotations
 
+import codecs
 import io
 import math
 
@@ -24,18 +27,21 @@ class TraceParseError(ValueError):
 
 
 def parse_trace(path: str) -> list[tuple[int, float]]:
-    """Read (frame_index, size_bits) pairs from a trace file of UTF-8 text."""
+    """Read (frame_index, size_bits) pairs from a trace file of UTF-8 text,
+    with or without a byte-order mark."""
     with open(path, "rb") as fh:
         data = fh.read()
+    body = data.removeprefix(codecs.BOM_UTF8)
     try:
-        text = data.decode("utf-8")
+        text = body.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The line of the first byte that does not decode, counted as the
-        # lines below are, with universal newlines
-        head = io.StringIO(data[: exc.start].decode("utf-8"), newline=None)
+        # The file's byte and line of the first byte that does not decode,
+        # lines counted as below, with universal newlines
+        start = len(data) - len(body) + exc.start
+        head = io.StringIO(data[:start].decode("utf-8"), newline=None)
         lineno = head.getvalue().count("\n") + 1
         raise TraceParseError(
-            f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+            f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {start}"
         ) from exc
     frames: list[tuple[int, float]] = []
     with io.StringIO(text, newline=None) as fh:
@@ -67,7 +73,7 @@ def parse_trace(path: str) -> list[tuple[int, float]]:
     return frames
 
 
-def frame_period(fps: float, subframe_s: float = 1e-3) -> int:
+def frame_period(fps: float, subframe_s: float) -> int:
     """Sub-frames per video frame: 1 / (fps * subframe_s) rounded, and at
     least 1.  Raises ValueError unless fps is finite and > 0, subframe_s
     is > 0 and the period is below 2^63, so that it fits an int64."""
@@ -83,8 +89,8 @@ def frame_period(fps: float, subframe_s: float = 1e-3) -> int:
 def schedule_from_trace(
     frames: list[tuple[int, float]],
     fps: float,
-    subframe_s: float = 1e-3,
-    burst: bool = False,
+    subframe_s: float,
+    burst: bool,
     length: int | None = None,
 ) -> np.ndarray:
     """(T,) bits demanded in each sub-frame: each frame's bits spread over
@@ -111,9 +117,7 @@ def schedule_from_trace(
     return np.where(phase == n_sub - 1, bits - share * (n_sub - 1), share)
 
 
-def schedule_constant(
-    rate_bits: float, length: int, subframe_s: float = 1e-3
-) -> np.ndarray:
+def schedule_constant(rate_bits: float, length: int, subframe_s: float) -> np.ndarray:
     """(length,) bits demanded in each sub-frame, all equal to rate_bits.
     subframe_s is accepted for symmetry with schedule_from_trace; a
     constant demand does not depend on it."""
@@ -124,26 +128,24 @@ def schedule_constant(
     return np.full(length, float(rate_bits))
 
 
-def write_synthetic_trace(
-    path: str,
-    num_frames: int = 300,
-    fps: float = 30.0,
-    mean_frame_bytes: float = 1200.0,
-    gop: int = 12,
-    seed: int = 0,
-) -> str:
+# The synthetic trace's frames, frame rate, mean frame size in bytes and
+# group of pictures (GOP), in frames
+SYNTHETIC_FRAMES, SYNTHETIC_FPS, SYNTHETIC_FRAME_BYTES, SYNTHETIC_GOP = 300, 30.0, 1200.0, 12
+
+
+def write_synthetic_trace(path: str, seed: int) -> str:
     """Write a deterministic trace file shaped like a GOP-structured
-    encode: every ``gop``-th frame is an I-frame roughly 3x the size of
-    the surrounding P-frames."""
+    encode, drawn from seed: every SYNTHETIC_GOP-th frame is an I-frame
+    roughly 3x the size of the surrounding P-frames."""
     rng = np.random.default_rng(seed)
     # Per-GOP budget: one I frame at 3x the P size keeps the overall mean.
-    p_mean = mean_frame_bytes * gop / (gop + 2)
+    p_mean = SYNTHETIC_FRAME_BYTES * SYNTHETIC_GOP / (SYNTHETIC_GOP + 2)
     lines = ["# synthetic video trace", "# index type time size_bytes"]
-    for i in range(num_frames):
-        is_i = i % gop == 0
+    for i in range(SYNTHETIC_FRAMES):
+        is_i = i % SYNTHETIC_GOP == 0
         mean = 3.0 * p_mean if is_i else p_mean
         size = max(1, int(round(rng.gamma(8.0, mean / 8.0))))
-        lines.append(f"{i} {'I' if is_i else 'P'} {i / fps:.4f} {size}")
+        lines.append(f"{i} {'I' if is_i else 'P'} {i / SYNTHETIC_FPS:.4f} {size}")
     text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

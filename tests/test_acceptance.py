@@ -64,7 +64,7 @@ def criterion(num, text):
 def oracle_suite():
     rng = np.random.default_rng(ORACLE_SEED)
     for _ in range(ORACLE_INSTANCES):
-        cover = random_instance(rng)
+        cover = random_instance(rng, max_users=12, max_cells=4, max_prbs=4)
         opt = served_count(exact_block, cover)
         history = cga_history(cover, chosen_by(cga_block, cover))
         yield len(cover), opt, (0,) + history
@@ -203,8 +203,7 @@ def test_c6_sweep_trends_monotone_within_tolerance():
 def test_c7_trace_driven_orderings_and_oracle_ceiling(tmp_path):
     with criterion(7, "trace-driven MC-CGA > SC and > MBSFN at 95%; "
                       "MBSFN <= EXACT per sub-frame"):
-        trace = write_synthetic_trace(str(tmp_path / "trace.txt"),
-                                      num_frames=60, seed=3)
+        trace = write_synthetic_trace(str(tmp_path / "trace.txt"), seed=3)
         cfg = SimConfig(radius_m=1000.0, horizon=600, num_drops=3, seed=3,
                         trace_path=trace)
         out = compare_policies(cfg, ("cga", "sc", "mbsfn"))
@@ -249,10 +248,10 @@ def test_c8_presets_are_byte_deterministic(tmp_path):
 def test_c9_channel_unit_checks():
     with criterion(9, "path loss at 1 km, per-PRB noise floor, shadowing "
                       "sigma within 5%"):
-        assert path_loss(1.0) == 128.1
+        assert path_loss(1.0, ChannelParams()) == 128.1
         assert abs(ChannelParams().noise_floor_dbm - (-116.45)) <= 0.01
 
-        scenario = build_hex7(500.0, 50, rng=np.random.default_rng(0))
+        scenario = build_hex7(500.0, 50, 0.8, rng=np.random.default_rng(0))
         model = ChannelModel(ChannelParams(), scenario)
         rng = np.random.default_rng(1)
         draws = np.concatenate(

@@ -1,6 +1,7 @@
 """The public surface: the package's __all__, the names deleted from it,
 the names the benchmark harness in perfbench/ looks up, and a check that
-src/mcmcast holds no unused import, private name or public name.
+src/mcmcast holds no unused import, private name, public name, parameter
+or parameter default.
 
 The harness wraps names on mcmcast.engine and mcmcast.cli to time each
 layer and silently skips a name it cannot find, so a rename or removal
@@ -282,3 +283,34 @@ def test_every_parameter_is_read():
             unread |= {(module, getattr(node, "name", "<lambda>"), p.arg)
                        for p in params if p.arg not in read}
     assert unread == UNREAD_PARAMETERS
+
+
+# The parameter defaults of src/mcmcast, each with the program call that
+# omits it.  Every other setting is passed by its caller, and its default
+# is declared once: on SimConfig, on ChannelParams or in the CLI parser.
+DEFAULTS = {
+    ("cli.py", "main", "argv"): "the console script calls main()",
+    ("coverage.py", "check_exact_cap", "cap"): "oracle-check relies on it",
+    ("coverage.py", "exact_block", "cap"): "oracle-check relies on it",
+    ("coverage.py", "pack", "out"): "the CLI and the engine's own-cell words use it",
+    ("traffic.py", "schedule_from_trace", "length"):
+        "perfbench/setup_probe.py omits it until ROADMAP item 1",
+}
+
+
+def test_every_default_serves_a_program():
+    """The stand-in linter's third part: a parameter default in
+    src/mcmcast that no program call relies on repeats a setting declared
+    elsewhere or hides a branch, so the defaults are pinned to DEFAULTS."""
+    found = set()
+    for module, tree in _parsed(Path(mcmcast.__file__).parent).items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found |= {(module, getattr(node, "name", "<lambda>"), arg.arg)
+                      for arg in with_default}
+    assert found == set(DEFAULTS)

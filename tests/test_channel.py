@@ -26,19 +26,19 @@ SMALL_PRBS = 3  # the PRBs of small_model's SNR draws
 
 class TestLinkBudget:
     def test_path_loss_at_one_km_is_the_intercept(self):
-        assert path_loss(1.0) == 128.1
+        assert path_loss(1.0, PARAMS) == 128.1
 
     def test_path_loss_slope(self):
-        assert path_loss(10.0) == pytest.approx(128.1 + 37.6)
-        assert path_loss(0.25) == pytest.approx(105.4625, abs=1e-4)
+        assert path_loss(10.0, PARAMS) == pytest.approx(128.1 + 37.6)
+        assert path_loss(0.25, PARAMS) == pytest.approx(105.4625, abs=1e-4)
 
     def test_path_loss_clamps_tiny_distances(self):
-        assert path_loss(0.0) == path_loss(PARAMS.min_distance_km)
+        assert path_loss(0.0, PARAMS) == path_loss(PARAMS.min_distance_km, PARAMS)
         # Clamp floor is 10 m: 128.1 + 37.6*log10(0.01).
-        assert path_loss(1e-6) == pytest.approx(52.9, abs=1e-6)
+        assert path_loss(1e-6, PARAMS) == pytest.approx(52.9, abs=1e-6)
 
     def test_path_loss_vectorized(self):
-        out = path_loss(np.array([0.1, 1.0]))
+        out = path_loss(np.array([0.1, 1.0]), PARAMS)
         assert out.shape == (2,)
         assert out[1] == 128.1
 
@@ -50,11 +50,11 @@ class TestLinkBudget:
         assert PARAMS.noise_floor_dbm == pytest.approx(-116.447, abs=1e-3)
 
     def test_snr_at_one_km_without_fading(self):
-        assert snr(PARAMS, path_loss(1.0)) == pytest.approx(14.347, abs=1e-3)
+        assert snr(PARAMS, path_loss(1.0, PARAMS), 0.0) == pytest.approx(14.347, abs=1e-3)
 
     def test_shadow_lowers_and_fade_raises(self):
-        base = snr(PARAMS, path_loss(0.5))
-        assert snr(PARAMS, path_loss(0.5), shadow_db=3.0) == pytest.approx(base - 3.0)
+        base = snr(PARAMS, path_loss(0.5, PARAMS), 0.0)
+        assert snr(PARAMS, path_loss(0.5, PARAMS), shadow_db=3.0) == pytest.approx(base - 3.0)
         # Fading adds 10 * log10 of a unit-mean exponential power draw to the
         # link budget directly: a draw above 1 raises the SNR.
         fading_on, _ = small_model(fast_fading=True)
@@ -138,7 +138,7 @@ class TestRateTable:
 
 
 def small_model(fast_fading=True, radius=500.0, ues=4, seed=0):
-    scenario = build_hex7(radius, ues, rng=np.random.default_rng(seed))
+    scenario = build_hex7(radius, ues, 0.8, rng=np.random.default_rng(seed))
     params = ChannelParams(fast_fading=fast_fading)
     return ChannelModel(params, scenario), scenario
 
@@ -181,7 +181,7 @@ class TestChannelModel:
         snr_db = snr_subframe(model, np.zeros((7, 28)), rng, SMALL_PRBS)
         d_km = np.linalg.norm(
             scenario.cell_pos[0] - scenario.ue_pos[0]) / 1000.0
-        expected = snr(ChannelParams(fast_fading=False), path_loss(d_km))
+        expected = snr(ChannelParams(fast_fading=False), path_loss(d_km, PARAMS), 0.0)
         assert snr_db[0, 0, 0] == pytest.approx(expected, abs=1e-9)
 
     def test_shadowing_sigma(self):
@@ -257,7 +257,7 @@ class TestMinSnr:
         assert thresholds.shape == required.shape
         for req, thr in zip(required, thresholds):
             scalar = min_snr_db(float(req))
-            assert isinstance(scalar, float) and scalar == thr
+            assert scalar == thr
             np.testing.assert_array_equal(snrs >= thr, rates >= req)
 
     def test_edge_values(self):
@@ -273,7 +273,7 @@ ALL_THRESHOLDS = np.array([-np.inf, *THRESHOLDS, np.inf])
 def fig7_drop(**params):
     """A fig7-sized drop: 280 users at 1 km, 10 PRBs, drawn shadowing."""
     rng = np.random.default_rng(11)
-    scenario = build_hex7(1000.0, 40, rng=rng)
+    scenario = build_hex7(1000.0, 40, 0.8, rng=rng)
     model = ChannelModel(ChannelParams(**params), scenario)
     return model, model.draw_shadowing(rng)
 
@@ -283,7 +283,7 @@ def clamp_drop():
     above, even the clamped power 1e-12 (-120 dB) meets a threshold; just
     below that, the cutoff lies just above the clamp."""
     model, _ = fig7_drop()
-    unshadowed = snr(model.params, model._pl_db)
+    unshadowed = snr(model.params, model._pl_db, 0.0)
     budgets = np.linspace(THRESHOLDS[0] + 110.0, THRESHOLDS[-1] + 130.0, 7 * 280)
     return model, unshadowed - budgets.reshape(7, 280)
 

@@ -1,5 +1,6 @@
 """Command-line behavior: presets, precedence, artifacts, exit codes."""
 
+import codecs
 import dataclasses
 import json
 import re
@@ -354,6 +355,18 @@ class TestConfigPrecedence:
         cfg.write_text("just words\n")
         assert invoke("run", "--config", str(cfg),
                       "--out", str(tmp_path / "o")) == 2
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # A file saved as UTF-8 with a byte-order mark gives the same config
+        configs = []
+        for name, mark in (("plain.txt", b""), ("bom.txt", codecs.BOM_UTF8)):
+            cfg = tmp_path / name
+            cfg.write_bytes(mark + b"ues = 3\nradius = 650\n")
+            config, _, _ = _build_config(
+                build_parser().parse_args(["run", "--config", str(cfg)]))
+            configs.append(config)
+        assert configs[0] == configs[1]
+        assert (configs[0].ues_per_cell, configs[0].radius_m) == (3, 650.0)
 
 
 class TestSettingsTable:

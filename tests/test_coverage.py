@@ -140,7 +140,7 @@ class TestGreedyVersusExact:
     def test_bound_holds_on_random_instances(self):
         rng = np.random.default_rng(42)
         for _ in range(30):
-            cover = random_instance(rng)
+            cover = random_instance(rng, max_users=12, max_cells=4, max_prbs=4)
             opt = served_count(exact_block, cover)
             greedy = served_count(cga_block, cover)
             assert greedy <= opt
@@ -152,7 +152,7 @@ class TestGreedyVersusExact:
         # at least OPT/C users; checked in integers on every instance.
         rng = np.random.default_rng(7)
         for _ in range(40):
-            cover = random_instance(rng)
+            cover = random_instance(rng, max_users=12, max_cells=4, max_prbs=4)
             opt = served_count(exact_block, cover)
             history = cga_history(cover, chosen_by(cga_block, cover))
             assert history[0] * len(cover) >= opt
@@ -234,7 +234,7 @@ class TestDga:
     def test_single_cell_dga_equals_cga(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            cover = random_instance(rng, max_cells=1)
+            cover = random_instance(rng, max_users=12, max_cells=1, max_prbs=4)
             assert served_count(dga_block, cover) == served_count(cga_block, cover)
 
     def test_primary_count_mode_uses_primary_only(self):

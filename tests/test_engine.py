@@ -78,7 +78,7 @@ class TestRunBasics:
         for policy in ("cga", "sc"):
             assert np.array_equal(a.metrics[policy].served_counts,
                                   b.metrics[policy].served_counts)
-        assert log_to_csv(a) == log_to_csv(b)
+        assert log_to_csv(a, ("cga", "sc")) == log_to_csv(b, ("cga", "sc"))
 
     def test_served_counts_bounded_by_population(self):
         out = compare_policies(FAST, ("cga", "dga"))
@@ -133,7 +133,7 @@ class TestRunBasics:
         def artifacts(config):
             out = compare_policies(config, ("cga", "sc"))
             # The log holds every served count and, here, every served id
-            return log_to_csv(out), summary_to_json(out)
+            return log_to_csv(out, ("cga", "sc")), summary_to_json(out)
 
         # (the config that holds the fields, a run config with some changed)
         holders = [
@@ -279,7 +279,7 @@ class TestMetrics:
         # The raw log's served_count column holds every (drop, sub-frame,
         # policy) count, so every aggregate can be recomputed from it.
         out = compare_policies(FAST, ("cga", "mbsfn"))
-        rows = list(csv.DictReader(io.StringIO(log_to_csv(out))))
+        rows = list(csv.DictReader(io.StringIO(log_to_csv(out, ("cga", "mbsfn")))))
         assert len(rows) == FAST.num_drops * FAST.horizon * 2
         for policy, m in out.metrics.items():
             back = np.full_like(m.served_counts, -1)
@@ -292,7 +292,7 @@ class TestMetrics:
         cfg = SimConfig(horizon=2, num_drops=1, seed=4, ues_per_cell=2,
                         log_served_ids=True, rate_bits=0.0)
         out = compare_policies(cfg, ("cga",))
-        first_row = log_to_csv(out).splitlines()[1]
+        first_row = log_to_csv(out, ("cga",)).splitlines()[1]
         assert first_row.split(",")[4] == ";".join(str(k) for k in range(14))
 
     @pytest.mark.parametrize("served_ids", [False, True])
@@ -313,7 +313,6 @@ class TestMetrics:
                         writer.writerow((d, t, p, out.metrics[p].served_counts[d, t],
                                          ";".join(map(str, ids))))
             assert log_to_csv(out, policies) == buf.getvalue(), policies
-        assert log_to_csv(out) == log_to_csv(out, ("cga", "sc"))
 
     @pytest.mark.parametrize("axis, values", [
         ("users_per_cell", [2, 4]), ("radius", [500.0, 800.0])])
@@ -351,7 +350,7 @@ class TestPolicyOrderings:
         # Evaluate the SC allocation against the MC instance built from the
         # very same draws: extra connectivity can only widen the served set.
         rng = np.random.default_rng(12)
-        scen = build_hex7(900.0, 4, rng=rng)
+        scen = build_hex7(900.0, 4, 0.8, rng=rng)
         model = ChannelModel(ChannelParams(), scen)
         shadow = model.draw_shadowing(rng)
         mc_mask = eligibility(scen, "mc")[:, None, :]
@@ -428,22 +427,32 @@ class TestSweep:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sweep(FAST, "prbs", [1, 2])
+            sweep(FAST, "prbs", [1, 2], ("cga",))
         with pytest.raises(ValueError):
-            sweep(FAST, "radius", [])
+            sweep(FAST, "radius", [], ("cga",))
         with pytest.raises(ValueError):
             sweep(FAST, "radius", [300.0], ())
         # int(2.5) would run 2 UEs per cell under a 2.5 in the sweep CSV
         with pytest.raises(ValueError, match="users_per_cell value 2.5"):
-            sweep(FAST, "users_per_cell", [2.5])
+            sweep(FAST, "users_per_cell", [2.5], ("cga",))
 
     def test_every_value_checked_before_any_point_runs(self, no_drop):
         # A NaN radius used to pass the type check, so the 500 m point ran
         # before its own run refused it.
         with pytest.raises(ValueError, match="users_per_cell value 2.5"):
-            sweep(FAST, "users_per_cell", [2, 2.5])
+            sweep(FAST, "users_per_cell", [2, 2.5], ("cga",))
         with pytest.raises(ValueError, match="radius value nan: radius_m must be finite"):
-            sweep(FAST, "radius", [500.0, math.nan])
+            sweep(FAST, "radius", [500.0, math.nan], ("cga",))
+
+    def test_tuple_and_array_values_run_as_the_list(self):
+        # An array's truth value is ambiguous, so an empty sweep is found
+        # by its length
+        want = sweep_to_csv("radius", sweep(FAST, "radius", [500.0, 600.0], ("cga",)))
+        for values in ((500.0, 600.0), np.linspace(500.0, 600.0, 2)):
+            got = sweep_to_csv("radius", sweep(FAST, "radius", values, ("cga",)))
+            assert got == want, values
+        with pytest.raises(ValueError, match="at least one value"):
+            sweep(FAST, "radius", np.array([]), ("cga",))
 
     def test_csv_shape(self):
         table = sweep(FAST, "radius", [500.0, 800.0], policies=("cga", "sc"))
@@ -813,7 +822,7 @@ class TestBlockLoop:
                 runs.append((
                     {p: m.served_counts.tolist() for p, m in out.metrics.items()},
                     {p: m.tobytes() for p, m in out.served_masks.items()},
-                    log_to_csv(out), summary_to_json(out),
+                    log_to_csv(out, FOUR), summary_to_json(out),
                 ))
         finally:
             sys.setswitchinterval(interval)

@@ -130,4 +130,4 @@ def test_cli_artifacts_match_golden_digests(name, tmp_path, monkeypatch):
 
 def test_served_ids_log_matches_golden_digest():
     out = compare_policies(SERVED_IDS_CONFIG, POLICIES)
-    assert sha256(log_to_csv(out).encode()) == SERVED_IDS_DIGEST
+    assert sha256(log_to_csv(out, POLICIES).encode()) == SERVED_IDS_DIGEST

@@ -51,7 +51,7 @@ class TestLayout:
 
     def test_mean_distance_of_uniform_disc(self):
         # E[distance to own eNB] = 2R/3 for a uniform disc drop.
-        scen = build_hex7(RADIUS, 3000, rng=np.random.default_rng(8))
+        scen = build_hex7(RADIUS, 3000, 0.8, rng=np.random.default_rng(8))
         own = np.repeat(np.arange(7), 3000)
         d = np.linalg.norm(
             scen.ue_pos - scen.cell_pos[own], axis=1)
@@ -70,7 +70,7 @@ class TestLayout:
             scen.distance_m[0, 0] = 1.0
 
     def test_no_users(self):
-        scen = build_hex7(RADIUS, 0)
+        scen = build_hex7(RADIUS, 0, 0.8, np.random.default_rng(0))
         assert scen.ue_pos.shape == (0, 2)
         assert scen.primary_cell.shape == scen.edge_ue.shape == (0,)
         assert scen.distance_m.shape == (7, 0)
@@ -78,22 +78,22 @@ class TestLayout:
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            build_hex7(0.0, 5)
+            build_hex7(0.0, 5, 0.8, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            build_hex7(100.0, -1)
+            build_hex7(100.0, -1, 0.8, np.random.default_rng(0))
         for radius in (1e154, 1e308):  # the layout's distances overflow
             with pytest.raises(ValueError, match="too large"):
-                build_hex7(radius, 5)
+                build_hex7(radius, 5, 0.8, np.random.default_rng(0))
 
     def test_largest_radius_builds_without_overflow(self):
         # (2 sqrt(3) + 1) * 3e153, the farthest a UE can be from an eNB,
         # still squares to a finite float, so the distances stay finite
         # (the suite turns numpy's overflow warnings into errors)
-        scen = build_hex7(3e153, 50, rng=np.random.default_rng(1))
+        scen = build_hex7(3e153, 50, 0.8, rng=np.random.default_rng(1))
         dist = np.linalg.norm(scen.cell_pos[:, None] - scen.ue_pos[None], axis=2)
         assert np.isfinite(dist).all()
         with pytest.raises(ValueError, match="too large"):
-            build_hex7(3.01e153, 50, rng=np.random.default_rng(1))
+            build_hex7(3.01e153, 50, 0.8, rng=np.random.default_rng(1))
 
 
 class TestConnectivity:

@@ -1,11 +1,15 @@
 """Trace parsing and per-sub-frame bit schedules."""
 
+import codecs
 import re
 
 import numpy as np
 import pytest
 
 from mcmcast.traffic import (
+    SYNTHETIC_FRAME_BYTES,
+    SYNTHETIC_FRAMES,
+    SYNTHETIC_GOP,
     TraceParseError,
     parse_trace,
     schedule_constant,
@@ -77,6 +81,19 @@ class TestParseTrace:
                            match="^" + re.escape(f"{path}:{line}: not UTF-8 text")):
             parse_trace(str(path))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, trace_file):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"# comment\n" + THREE_FRAMES.encode())
+        assert parse_trace(str(path)) == parse_trace(trace_file)
+
+    def test_bad_byte_after_byte_order_mark_names_its_line_and_byte(self, tmp_path):
+        # The byte is counted in the file, the mark's three bytes included
+        path = tmp_path / "t.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"ab\ncd\xff")
+        with pytest.raises(TraceParseError, match="^" + re.escape(
+                f"{path}:2: not UTF-8 text: invalid start byte at byte 8")):
+            parse_trace(str(path))
+
     def test_universal_newlines_split_lines(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_bytes(b"0 I 0.0 100\r1 P 0.03 200\r\n2 P 0.07 300")
@@ -91,7 +108,8 @@ class TestParseTrace:
 
 class TestScheduleFromTrace:
     def test_thirty_fps_spreads_over_33_subframes(self, trace_file):
-        sched = schedule_from_trace(parse_trace(trace_file), fps=30.0)
+        sched = schedule_from_trace(parse_trace(trace_file), fps=30.0,
+                                    subframe_s=1e-3, burst=False)
         assert sched.shape == (3 * 33,) and sched.dtype == np.float64
         # Even share with the remainder on the last sub-frame of the frame.
         first = sched[:33]
@@ -101,39 +119,42 @@ class TestScheduleFromTrace:
     def test_total_bits_conserved_exactly(self, trace_file):
         frames = parse_trace(trace_file)
         for fps in (24.0, 30.0, 60.0):
-            sched = schedule_from_trace(frames, fps=fps)
+            sched = schedule_from_trace(frames, fps=fps, subframe_s=1e-3, burst=False)
             assert sched.sum() == pytest.approx(
                 sum(bits for _, bits in frames), abs=1e-6)
 
     def test_burst_puts_whole_frame_first(self, trace_file):
         sched = schedule_from_trace(parse_trace(trace_file), fps=30.0,
-                                    burst=True)
+                                    subframe_s=1e-3, burst=True)
         assert sched[0] == 36000
         assert all(r == 0.0 for r in sched[1:33])
         assert sched[33] == 7200
 
     def test_high_fps_gets_one_subframe_per_frame(self, trace_file):
-        sched = schedule_from_trace(parse_trace(trace_file), fps=2000.0)
+        sched = schedule_from_trace(parse_trace(trace_file), fps=2000.0,
+                                    subframe_s=1e-3, burst=False)
         assert sched.tolist() == [36000.0, 7200.0, 8800.0]
 
     def test_bad_fps_rejected(self, trace_file):
         with pytest.raises(ValueError):
-            schedule_from_trace(parse_trace(trace_file), fps=0.0)
+            schedule_from_trace(parse_trace(trace_file), fps=0.0, subframe_s=1e-3,
+                                burst=False)
 
     @pytest.mark.parametrize("fps", [1e-300, 1e-320])
     def test_frame_period_past_int64_rejected(self, trace_file, fps):
         with pytest.raises(ValueError, match="frame period"):
-            schedule_from_trace(parse_trace(trace_file), fps, length=10)
+            schedule_from_trace(parse_trace(trace_file), fps, 1e-3, False, length=10)
 
     @pytest.mark.parametrize("subframe_s", [0.0, -1e-3])
     def test_bad_subframe_rejected(self, trace_file, subframe_s):
         with pytest.raises(ValueError, match="subframe_s must be > 0"):
-            schedule_from_trace(parse_trace(trace_file), 30.0, subframe_s)
+            schedule_from_trace(parse_trace(trace_file), 30.0, subframe_s, False)
 
     @pytest.mark.parametrize("length", [0, -1])
     def test_bad_length_rejected(self, trace_file, length):
         with pytest.raises(ValueError, match="length must be > 0"):
-            schedule_from_trace(parse_trace(trace_file), 30.0, length=length)
+            schedule_from_trace(parse_trace(trace_file), 30.0, 1e-3, False,
+                                length=length)
 
     @staticmethod
     def per_frame_schedule(frames, fps, subframe_s, burst):
@@ -185,41 +206,39 @@ class TestScheduleFromTrace:
 
 class TestConstantSchedule:
     def test_constant(self):
-        sched = schedule_constant(400.0, 5)
+        sched = schedule_constant(400.0, 5, 1e-3)
         assert sched.dtype == np.float64
         assert sched.tolist() == [400.0] * 5
         assert sched.sum() == 2000.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            schedule_constant(-1.0, 5)
+            schedule_constant(-1.0, 5, 1e-3)
         with pytest.raises(ValueError):
-            schedule_constant(10.0, 0)
+            schedule_constant(10.0, 0, 1e-3)
 
 
 class TestSyntheticTrace:
     def test_parses_and_is_deterministic(self, tmp_path):
-        a = write_synthetic_trace(str(tmp_path / "a.txt"), num_frames=60,
-                                  seed=3)
-        b = write_synthetic_trace(str(tmp_path / "b.txt"), num_frames=60,
-                                  seed=3)
+        a = write_synthetic_trace(str(tmp_path / "a.txt"), seed=3)
+        b = write_synthetic_trace(str(tmp_path / "b.txt"), seed=3)
         assert (tmp_path / "a.txt").read_text() == \
             (tmp_path / "b.txt").read_text()
         frames = parse_trace(a)
-        assert len(frames) == 60
+        assert len(frames) == SYNTHETIC_FRAMES == 300
         assert all(bits > 0 for _, bits in frames)
 
     def test_i_frames_dominate_p_frames(self, tmp_path):
-        path = write_synthetic_trace(str(tmp_path / "t.txt"), num_frames=240,
-                                     gop=12, seed=1)
+        path = write_synthetic_trace(str(tmp_path / "t.txt"), seed=1)
         frames = parse_trace(path)
+        assert SYNTHETIC_GOP == 12
         i_bits = [bits for idx, bits in frames if idx % 12 == 0]
         p_bits = [bits for idx, bits in frames if idx % 12 != 0]
         assert np.mean(i_bits) > 2.0 * np.mean(p_bits)
 
     def test_mean_frame_size_close_to_target(self, tmp_path):
-        path = write_synthetic_trace(str(tmp_path / "t.txt"), num_frames=600,
-                                     mean_frame_bytes=1500.0, seed=2)
+        path = write_synthetic_trace(str(tmp_path / "t.txt"), seed=2)
         frames = parse_trace(path)
         mean_bytes = np.mean([bits / 8 for _, bits in frames])
-        assert mean_bytes == pytest.approx(1500.0, rel=0.15)
+        assert mean_bytes == pytest.approx(SYNTHETIC_FRAME_BYTES, rel=0.15)
+        assert SYNTHETIC_FRAME_BYTES == 1200.0
