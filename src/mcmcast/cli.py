@@ -1,5 +1,5 @@
-"""Command-line entry point: named experiment presets plus a brute-force
-oracle self-check.
+"""Command-line entry point: named experiment presets, a sweep preset's
+grid run by one engine.sweep call, plus a brute-force oracle self-check.
 
 Exit codes: 0 success, 1 oracle-check bound violated, 2 bad configuration,
 3 trace parse failure, 4 exact-search cap exceeded.
@@ -21,22 +21,20 @@ from .coverage import (
 from .engine import (
     DGA_COUNTS, POLICIES, SimConfig, _plan, compare_policies, log_to_csv,
     summary_to_json, sweep, sweep_to_csv)
-from .traffic import TraceParseError, write_synthetic_trace
+from .traffic import TraceParseError, read_lines, write_synthetic_trace
 
 __all__ = ["main", "build_parser", "PRESETS"]
 
-USER_SWEEP = (5, 10, 20, 40)
-RADIUS_SWEEP = (250.0, 500.0, 750.0, 1000.0)
-
-# Each preset bundles default overrides; explicit flags still win.  A
-# sweep preset runs both sweeps; every other preset compares its policies.
+# Each preset bundles default overrides; explicit flags still win.  A sweep
+# preset runs its grid, axis -> values; any other compares its policies.
 PRESETS: dict[str, dict] = {
     "fig4_dist_vs_central": {
         "policies": ("cga", "dga"),
         "overrides": {"radius_m": 500.0, "horizon": 1000, "num_drops": 5},
     },
     "fig5_packets_sweep": {
-        "sweep": True,
+        "sweep": {"users_per_cell": (5, 10, 20, 40),
+                  "radius": (250.0, 500.0, 750.0, 1000.0)},
         "policies": ("cga", "sc"),
         "overrides": {"radius_m": 1000.0, "horizon": 500, "num_drops": 3},
     },
@@ -104,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_config_file(path: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is skipped
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path, ValueError), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -170,16 +167,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace = write_synthetic_trace(str(out / "trace.txt"), seed=config.seed)
         config = replace(config, trace_path=trace)
 
-    if preset.get("sweep"):
-        users_table = sweep(config, "users_per_cell", USER_SWEEP, policies)
-        radius_table = sweep(config, "radius", RADIUS_SWEEP, policies)
-        _write(out / "sweep_users.csv",
-               sweep_to_csv("users_per_cell", users_table))
-        _write(out / "sweep_radius.csv", sweep_to_csv("radius", radius_table))
-        _write(out / "summary.json", summary_to_json(users_table[-1][1]))
+    if grid := preset.get("sweep"):
+        tables = sweep(config, grid, policies)
+        # Each axis's CSV and printed name is its first word: sweep_users.csv
+        names = {axis: axis.split("_")[0] for axis in grid}
+        for axis, table in tables.items():
+            _write(out / f"sweep_{names[axis]}.csv", sweep_to_csv(axis, table))
+        _write(out / "summary.json", summary_to_json(tables["users_per_cell"][-1][1]))
         print(f"{args.preset}: policies={','.join(policies)} "
-              f"users={list(USER_SWEEP)} radius={[int(r) for r in RADIUS_SWEEP]} "
-              f"-> {out}/sweep_users.csv, {out}/sweep_radius.csv")
+              + " ".join(f"{names[a]}={[int(v) for v in grid[a]]}" for a in grid)
+              + " -> " + ", ".join(f"{out}/sweep_{n}.csv" for n in names.values()))
         return 0
 
     output = compare_policies(config, policies)

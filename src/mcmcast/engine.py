@@ -4,23 +4,23 @@ The loop, _blocks, only simulates.  Each drop places UEs afresh and draws
 its own shadowing, which fixes every link budget for the drop, turned once
 per drop into a table of cutoff fading powers per (SNR threshold the run's
 demand needs, cell, UE), +inf on every link that multi-connectivity (MC)
-cannot hear, and into (C, W) words of each user's own cell.  Within a drop
-the loop steps through kernel blocks of K sub-frames, as many as fit one
-packed stack of coverage.STACK_WORDS words, each drawn in fading blocks of
-at most 1 MiB of powers that also end where the threshold changes: draw
-per-PRB fading powers → compare them, in one contiguous pass, with a
-(C, N, M) plane of the block's threshold's cutoffs on every PRB → pack the
-result into (K, C, N, W) words, MC's stack of instances, and yield it with
-the own-cell words.  Single connectivity (SC) is MC cut to the own cell,
-so its stack is MC's AND the own-cell words.  compare_policies only
-evaluates and records: on each block it forms SC's stack if some policy
-uses it, runs each policy's kernel on the stack it picks on, credits its
-picks on the stack it is credited on (the _runs table) and counts the
-served words, unpacked to users only when the run keeps its served masks.
-The block sizes only group the work: the RNG stream and every result are
-those of one sub-frame at a time.  Policies compared in one run see the
-*same* draws and share their mode's instances (common random numbers),
-so observed differences are policy-only.
+cannot hear, and into (C, N, W) words of each user's own cell on every
+PRB.  Within a drop the loop steps through kernel blocks of K sub-frames,
+as many as fit one packed stack of coverage.STACK_WORDS words, each drawn
+in fading blocks of at most 1 MiB of powers that also end where the
+threshold changes: draw per-PRB fading powers → compare them, in one
+contiguous pass, with a (C, N, M) plane of the block's threshold's cutoffs
+on every PRB → pack the result into (K, C, N, W) words, MC's stack of
+instances, and yield it with the own-cell words.  Single connectivity (SC)
+is MC cut to the own cell, so its stack is MC's AND the own-cell words.
+compare_policies only evaluates and records: on each block it forms SC's
+stack if some policy uses it, runs each policy's kernel on the stack it
+picks on, credits its picks on the stack it is credited on (the _runs
+table) and counts the served words, unpacked to users only when the run
+keeps its served masks.  The block sizes only group the work: the RNG
+stream and every result are those of one sub-frame at a time.  Policies
+compared in one run see the *same* draws and share their mode's instances
+(common random numbers), so observed differences are policy-only.
 
 A run's drops are independent, each with its own seed, so compare_policies
 simulates them on up to min(drops, usable CPUs, 2) workers: the calling
@@ -31,6 +31,7 @@ own drops' rows.  _plan is a run's whole set-up, before any drop runs
 and the sizes, its frame, its workers and each worker's kernel-block and
 fading-block lengths.  The fading draw, most of the work, releases the
 GIL.  Every result and artifact byte is the same on any number of CPUs.
+sweep runs a grid, each distinct SimConfig once, whichever axes share it.
 """
 
 from __future__ import annotations
@@ -365,12 +366,12 @@ def _blocks(config: SimConfig, plan: _Plan, drops):
     """The kernel blocks of `drops`, indices into the drops of the run
     that `plan` (from _plan) describes, in order: yields (drop, t0, t1,
     mc, own), mc the (t1 - t0, C, N, W) packed stack of MC instances of
-    sub-frames t0 to t1 - 1 of the drop, and own the drop's (1, C, 1, W)
-    own-cell words, so that mc & own is the SC stack.  mc is the reused
-    word buffer itself, valid only until the generator resumes.  Its
-    buffers are sized by the plan's span and block, one worker's share of
-    the fading and stack budgets, so that the plan's workers of these
-    generators at once stay within them."""
+    sub-frames t0 to t1 - 1 of the drop, and own the drop's own-cell
+    words, contiguous (1, C, N, W), so that mc & own is the SC stack.
+    mc is the reused word buffer itself, valid only until the generator
+    resumes.  Its buffers are sized by the plan's span and block, one
+    worker's share of the fading and stack budgets, so that the plan's
+    workers of these generators at once stay within them."""
     frame, span, block = plan.frame, plan.span, plan.block
     level, ends, horizon = plan.level, plan.ends, config.horizon
     # One (span, C, N, W) word buffer for the packed decodability of a kernel
@@ -393,7 +394,7 @@ def _blocks(config: SimConfig, plan: _Plan, drops):
         # link MC cannot hear: its decodability is MC's cover
         cuts = np.where(eligibility(scenario, MC),
                         model.cutoffs(model.draw_shadowing(rng), plan.levels), np.inf)
-        own = pack(eligibility(scenario, SC))[None, :, None, :]
+        own = np.repeat(pack(eligibility(scenario, SC))[None, :, None], frame[1], axis=2)
         for t0 in range(0, horizon, span):
             t1 = min(t0 + span, horizon)
             f0 = t0
@@ -407,24 +408,31 @@ def _blocks(config: SimConfig, plan: _Plan, drops):
             yield d, t0, t1, word_buf[: t1 - t0], own
 
 
-def sweep(config: SimConfig, axis: str, values: list | tuple | np.ndarray,
-          policies: tuple[str, ...]) -> list[tuple[float, RunOutput]]:
-    """Independent runs of `policies` per value of `values`, a sequence of
-    numbers (a list, a tuple or an array).  The base seed is reused so
-    sweep points share underlying draws where shapes allow, smoothing the
-    trend."""
-    if axis not in _SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}")
-    if len(values) == 0:
-        raise ValueError("sweep needs at least one value")
-    configs = []
-    for value in values:  # every point is checked before any runs
-        try:
-            configs.append(replace(config, **{_SWEEP_AXES[axis]: value}))
-        except ValueError as exc:
-            raise ValueError(f"{axis} value {value!r}: {exc}") from None
-    return [(float(value), compare_policies(c, policies))
-            for value, c in zip(values, configs)]
+def sweep(config: SimConfig, axes: dict,
+          policies: tuple[str, ...]) -> dict[str, list[tuple[float, RunOutput]]]:
+    """Runs of `policies` over a grid: axes maps each sweep axis to its
+    values, a sequence of numbers (a list, a tuple or an array), and each
+    point sets its one axis on config.  Returns axis -> [(value,
+    RunOutput), ...].  Every point is checked before any runs, and each
+    distinct SimConfig runs once: a point that two axes share is one
+    RunOutput in both tables.  The base seed is reused so sweep points
+    share underlying draws where shapes allow, smoothing the trend."""
+    grid = {}
+    for axis, values in axes.items():
+        if axis not in _SWEEP_AXES:
+            raise ValueError(f"unknown sweep axis {axis!r}")
+        if len(values) == 0:
+            raise ValueError("sweep needs at least one value")
+        grid[axis] = []
+        for value in values:
+            try:
+                grid[axis].append((value, replace(config, **{_SWEEP_AXES[axis]: value})))
+            except ValueError as exc:
+                raise ValueError(f"{axis} value {value!r}: {exc}") from None
+    distinct = dict.fromkeys(point for points in grid.values() for _, point in points)
+    runs = {point: compare_policies(point, policies) for point in distinct}
+    return {axis: [(float(value), runs[point]) for value, point in points]
+            for axis, points in grid.items()}
 
 
 def paired_one_sided_pvalue(a: Metrics, b: Metrics) -> float | None:

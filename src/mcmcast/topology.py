@@ -1,11 +1,11 @@
 """Seven-cell hexagonal layout, uniform UE drops, and connectivity.
 
-build_hex7 draws every UE position from the generator its caller passes,
-so a seed fixes the layout.  A UE's primary cell is the nearest eNB.  UEs
-farther than edge_threshold * radius from their primary are "edge" UEs;
-under multi-connectivity those may receive from every eNB in the system,
-all others only from their primary.  Single-connectivity mode collapses
-everyone to the primary.  eligibility() derives a mode's connectivity
+build_hex7 places every UE by one draw from the generator its caller
+passes, so a seed fixes the layout.  A UE's primary cell is the nearest
+eNB.  UEs farther than edge_threshold * radius from their primary are
+"edge" UEs; under multi-connectivity those may receive from every eNB in
+the system, all others only from their primary.  Single-connectivity
+mode collapses everyone to the primary.  eligibility() derives a mode's connectivity
 from the primary cells and the edge flags as a (C, M) mask.
 """
 
@@ -53,24 +53,18 @@ def build_hex7(radius_m: float, ues_per_cell: int, edge_threshold: float,
         np.column_stack([isd * np.cos(angles), isd * np.sin(angles)]),
     ])
 
-    positions = []
-    for c in range(len(cell_pos)):
-        r = radius_m * np.sqrt(rng.random(ues_per_cell))
-        theta = 2.0 * np.pi * rng.random(ues_per_cell)
-        positions.append(
-            cell_pos[c] + np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        )
-    ue_pos = np.vstack(positions)
+    # One draw for the layout: each cell's radii, then its angles, cell by cell
+    u = rng.random((len(cell_pos), 2, ues_per_cell))
+    r, theta = radius_m * np.sqrt(u[:, 0]), 2.0 * np.pi * u[:, 1]
+    offsets = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)  # (C, U, 2)
+    ue_pos = (cell_pos[:, None, :] + offsets).reshape(-1, 2)
 
     dist = np.linalg.norm(cell_pos[:, None, :] - ue_pos[None, :, :], axis=2)  # (C, M)
-    primary = dist.argmin(axis=0)
+    primary = dist.argmin(axis=0).astype(int)
     d_primary = dist[primary, np.arange(len(ue_pos))]
     edge = d_primary > edge_threshold * radius_m
 
-    return NetworkScenario(
-        _frozen(cell_pos), _frozen(ue_pos), _frozen(primary.astype(int)), _frozen(edge),
-        _frozen(dist),
-    )
+    return NetworkScenario(*map(_frozen, (cell_pos, ue_pos, primary, edge, dist)))
 
 
 def check_radius(radius_m: float) -> None:

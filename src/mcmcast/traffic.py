@@ -6,6 +6,7 @@ lines, and a UTF-8 byte-order mark is skipped.  Only the first and last
 columns are consumed — sizes become bits and the frame stream is spread
 over the sub-frames of each frame period.  The sub-frame length is the
 caller's (ChannelParams.subframe_s): nothing here assumes one.
+read_lines reads the package's text inputs, a trace and a --config file.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import math
 import numpy as np
 
 __all__ = [
-    "TraceParseError", "parse_trace", "frame_period", "schedule_from_trace",
-    "schedule_constant", "write_synthetic_trace",
+    "TraceParseError", "read_lines", "parse_trace", "frame_period",
+    "schedule_from_trace", "schedule_constant", "write_synthetic_trace",
 ]
 
 
@@ -26,48 +27,48 @@ class TraceParseError(ValueError):
     """Raised when a trace file cannot be interpreted."""
 
 
-def parse_trace(path: str) -> list[tuple[int, float]]:
-    """Read (frame_index, size_bits) pairs from a trace file of UTF-8 text,
-    with or without a byte-order mark."""
+def read_lines(path: str, error: type[ValueError]) -> list[str]:
+    """The lines of a UTF-8 text file, with or without a byte-order mark,
+    split with universal newlines.  A byte that does not decode raises
+    `error`, naming the file, the byte's line and its offset in the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     body = data.removeprefix(codecs.BOM_UTF8)
     try:
         text = body.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The file's byte and line of the first byte that does not decode,
-        # lines counted as below, with universal newlines
-        start = len(data) - len(body) + exc.start
+        start = len(data) - len(body) + exc.start  # the mark's bytes counted
         head = io.StringIO(data[:start].decode("utf-8"), newline=None)
         lineno = head.getvalue().count("\n") + 1
-        raise TraceParseError(
-            f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {start}"
-        ) from exc
+        raise error(f"{path}:{lineno}: not UTF-8 text: {exc.reason} "
+                    f"at byte {start}") from exc
+    return io.StringIO(text, newline=None).readlines()
+
+
+def parse_trace(path: str) -> list[tuple[int, float]]:
+    """Read (frame_index, size_bits) pairs from a trace file of UTF-8 text,
+    with or without a byte-order mark."""
     frames: list[tuple[int, float]] = []
-    with io.StringIO(text, newline=None) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) < 2:
-                raise TraceParseError(
-                    f"{path}:{lineno}: expected 'index ... size_bytes', got {line!r}"
-                )
-            try:
-                index = int(tokens[0])
-                size_bytes = float(tokens[-1])
-            except ValueError as exc:
-                raise TraceParseError(f"{path}:{lineno}: {exc}") from exc
-            bits = size_bytes * 8
-            if not math.isfinite(bits):
-                raise TraceParseError(
-                    f"{path}:{lineno}: frame size {tokens[-1]!r} is not a "
-                    f"finite number of bits"
-                )
-            if bits < 0:
-                raise TraceParseError(f"{path}:{lineno}: negative frame size")
-            frames.append((index, round(bits)))
+    for lineno, raw in enumerate(read_lines(path, TraceParseError), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) < 2:
+            raise TraceParseError(
+                f"{path}:{lineno}: expected 'index ... size_bytes', got {line!r}")
+        try:
+            index = int(tokens[0])
+            size_bytes = float(tokens[-1])
+        except ValueError as exc:
+            raise TraceParseError(f"{path}:{lineno}: {exc}") from exc
+        bits = size_bytes * 8
+        if not math.isfinite(bits):
+            raise TraceParseError(f"{path}:{lineno}: frame size {tokens[-1]!r} "
+                                  "is not a finite number of bits")
+        if bits < 0:
+            raise TraceParseError(f"{path}:{lineno}: negative frame size")
+        frames.append((index, round(bits)))
     if not frames:
         raise TraceParseError(f"{path}: no frames found")
     return frames

@@ -183,12 +183,9 @@ def test_c6_sweep_trends_monotone_within_tolerance():
                       "sweeps (<= 1 noisy pair each)"):
         cfg = SimConfig(radius_m=1000.0, horizon=500, num_drops=3, seed=1,
                         rate_bits=400.0)
-        sweeps = {
-            "users_per_cell": sweep(cfg, "users_per_cell", [5, 10, 20, 40],
-                                    policies=("cga", "sc")),
-            "radius": sweep(cfg, "radius", [250.0, 500.0, 750.0, 1000.0],
-                            policies=("cga", "sc")),
-        }
+        sweeps = sweep(cfg, {"users_per_cell": [5, 10, 20, 40],
+                             "radius": [250.0, 500.0, 750.0, 1000.0]},
+                       policies=("cga", "sc"))
         for axis, table in sweeps.items():
             for policy in ("cga", "sc"):
                 ratio = [out.metrics[policy].per_ue_service_ratio

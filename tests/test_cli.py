@@ -212,7 +212,8 @@ class TestCheckStep:
         ("custom", 2), ("fig5_packets_sweep", 9), ("fig7_trace_mc_vs_sc", 1)])
     def test_trace_reads(self, tmp_path, monkeypatch, preset, reads):
         # One read by the check and one per compare_policies call (eight
-        # sweep points); the synthesized trace is written after the check
+        # sweep points, as at 1 UE per cell the users axis and the radius
+        # axis share none); the synthesized trace is written after the check
         calls = []
         parse = engine.parse_trace
         monkeypatch.setattr(engine, "parse_trace",
@@ -271,6 +272,29 @@ class TestArtifacts:
         assert radius[0].startswith("radius,policy,")
         # 4 sweep values x 2 policies.
         assert len(users) == len(radius) == 1 + 8
+
+    @pytest.mark.parametrize("ues, points", [([], 7), (["--ues", "3"], 8)])
+    def test_sweep_preset_runs_each_distinct_point_once(self, tmp_path, monkeypatch,
+                                                        capsys, ues, points):
+        # At the preset's own 10 UEs per cell and 1000 m the two axes share
+        # a point, which runs once; at 3 UEs per cell they share none.  The
+        # trace is read by the check and once per run.
+        calls, reads = [], []
+        run, parse = engine.compare_policies, engine.parse_trace
+        monkeypatch.setattr(engine, "compare_policies", lambda config, policies: (
+            calls.append(config) or run(config, policies)))
+        monkeypatch.setattr(engine, "parse_trace",
+                            lambda path: reads.append(path) or parse(path))
+        trace = write_synthetic_trace(str(tmp_path / "t.txt"), seed=1)
+        assert invoke("run", "--preset", "fig5_packets_sweep", *ues, "--trace", trace,
+                      "--subframes", "5", "--drops", "1",
+                      "--out", str(tmp_path / "o")) == 0
+        assert len(calls) == len(set(calls)) == points
+        assert len(reads) == points + 1
+        assert capsys.readouterr().out == (
+            f"fig5_packets_sweep: policies=cga,sc users=[5, 10, 20, 40] "
+            f"radius=[250, 500, 750, 1000] -> {tmp_path / 'o'}/sweep_users.csv, "
+            f"{tmp_path / 'o'}/sweep_radius.csv\n")
 
     def test_trace_preset_synthesizes_trace(self, tmp_path):
         code = invoke("run", "--preset", "fig7_trace_mc_vs_sc", "--seed", "3",
@@ -367,6 +391,22 @@ class TestConfigPrecedence:
             configs.append(config)
         assert configs[0] == configs[1]
         assert (configs[0].ues_per_cell, configs[0].radius_m) == (3, 650.0)
+
+    @pytest.mark.parametrize("data, where", [
+        (b"\xffues = 3\n", "1: not UTF-8 text: invalid start byte at byte 0"),
+        # The mark's three bytes are counted, and lines with universal
+        # newlines, as a trace's are
+        (codecs.BOM_UTF8 + b"ues = 3\r\nradius = \xe9650\n",
+         "2: not UTF-8 text: invalid continuation byte at byte 21"),
+    ])
+    def test_non_utf8_file_is_2_and_names_its_line_and_byte(self, tmp_path, capsys,
+                                                             data, where):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(data)
+        out = tmp_path / "out"
+        assert invoke("run", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{where}\n"
+        assert not out.exists()
 
 
 class TestSettingsTable:

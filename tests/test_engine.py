@@ -319,7 +319,7 @@ class TestMetrics:
     def test_sweep_is_the_csv_writer_rendering(self, axis, values):
         # Values in the sweep's order, policies sorted, every aggregate to
         # 6 decimals: the same bytes csv.writer writes
-        table = sweep(FAST, axis, values, policies=("sc", "cga"))
+        table = sweep(FAST, {axis: values}, policies=("sc", "cga"))[axis]
         aggregates = ("avg_packets_delivered", "per_ue_service_ratio",
                       "avg_unserved_per_cell", "ci95_halfwidth")
         buf = io.StringIO()
@@ -411,7 +411,7 @@ class TestPolicyOrderings:
 
 class TestSweep:
     def test_single_value_matches_plain_run(self):
-        table = sweep(FAST, "radius", [600.0], policies=("cga",))
+        table = sweep(FAST, {"radius": [600.0]}, policies=("cga",))["radius"]
         assert len(table) == 1
         value, out = table[0]
         assert value == 600.0
@@ -421,41 +421,65 @@ class TestSweep:
             direct.metrics["cga"].served_counts)
 
     def test_axis_values_applied(self):
-        table = sweep(FAST, "users_per_cell", [2, 5], policies=("cga",))
+        table = sweep(FAST, {"users_per_cell": [2, 5]},
+                      policies=("cga",))["users_per_cell"]
         assert table[0][1].metrics["cga"].num_users == 14
         assert table[1][1].metrics["cga"].num_users == 35
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sweep(FAST, "prbs", [1, 2], ("cga",))
+            sweep(FAST, {"prbs": [1, 2]}, ("cga",))
         with pytest.raises(ValueError):
-            sweep(FAST, "radius", [], ("cga",))
+            sweep(FAST, {"radius": []}, ("cga",))
         with pytest.raises(ValueError):
-            sweep(FAST, "radius", [300.0], ())
+            sweep(FAST, {"radius": [300.0]}, ())
         # int(2.5) would run 2 UEs per cell under a 2.5 in the sweep CSV
         with pytest.raises(ValueError, match="users_per_cell value 2.5"):
-            sweep(FAST, "users_per_cell", [2.5], ("cga",))
+            sweep(FAST, {"users_per_cell": [2.5]}, ("cga",))
 
     def test_every_value_checked_before_any_point_runs(self, no_drop):
         # A NaN radius used to pass the type check, so the 500 m point ran
         # before its own run refused it.
         with pytest.raises(ValueError, match="users_per_cell value 2.5"):
-            sweep(FAST, "users_per_cell", [2, 2.5], ("cga",))
+            sweep(FAST, {"users_per_cell": [2, 2.5]}, ("cga",))
         with pytest.raises(ValueError, match="radius value nan: radius_m must be finite"):
-            sweep(FAST, "radius", [500.0, math.nan], ("cga",))
+            sweep(FAST, {"radius": [500.0, math.nan]}, ("cga",))
 
     def test_tuple_and_array_values_run_as_the_list(self):
         # An array's truth value is ambiguous, so an empty sweep is found
         # by its length
-        want = sweep_to_csv("radius", sweep(FAST, "radius", [500.0, 600.0], ("cga",)))
+        want = sweep_to_csv(
+            "radius", sweep(FAST, {"radius": [500.0, 600.0]}, ("cga",))["radius"])
         for values in ((500.0, 600.0), np.linspace(500.0, 600.0, 2)):
-            got = sweep_to_csv("radius", sweep(FAST, "radius", values, ("cga",)))
+            got = sweep_to_csv("radius", sweep(FAST, {"radius": values}, ("cga",))["radius"])
             assert got == want, values
         with pytest.raises(ValueError, match="at least one value"):
-            sweep(FAST, "radius", np.array([]), ("cga",))
+            sweep(FAST, {"radius": np.array([])}, ("cga",))
+
+    def test_a_point_two_axes_share_runs_once(self, monkeypatch):
+        # FAST's own (4 UEs, 600 m) lies on both axes, and twice on the
+        # radius axis: three distinct points, three runs, and the shared
+        # point is one RunOutput in every row it fills
+        calls = []
+        run = engine.compare_policies
+        monkeypatch.setattr(engine, "compare_policies", lambda config, policies: (
+            calls.append(config) or run(config, policies)))
+        tables = sweep(FAST, {"users_per_cell": [2, FAST.ues_per_cell],
+                              "radius": [FAST.radius_m, 800.0, FAST.radius_m]}, ("cga",))
+        assert len(calls) == len(set(calls)) == 3
+        shared = tables["users_per_cell"][1][1]
+        assert shared is tables["radius"][0][1] is tables["radius"][2][1]
+        assert [value for value, _ in tables["radius"]] == [600.0, 800.0, 600.0]
+        assert shared.config == FAST
+
+    def test_every_axis_checked_before_any_point_runs(self, no_drop):
+        with pytest.raises(ValueError, match="radius value nan"):
+            sweep(FAST, {"users_per_cell": [2, 3], "radius": [math.nan]}, ("cga",))
+        with pytest.raises(ValueError, match="unknown sweep axis 'prbs'"):
+            sweep(FAST, {"radius": [500.0], "prbs": [1]}, ("cga",))
 
     def test_csv_shape(self):
-        table = sweep(FAST, "radius", [500.0, 800.0], policies=("cga", "sc"))
+        table = sweep(FAST, {"radius": [500.0, 800.0]}, policies=("cga", "sc"))["radius"]
         text = sweep_to_csv("radius", table)
         lines = text.strip().splitlines()
         assert lines[0].startswith("radius,policy,avg_packets_delivered")
@@ -758,7 +782,8 @@ class TestBlockLoop:
                 for d, t0, t1, mc, own in engine._blocks(run, plan, drops):
                     tiles.append((d, t0, t1))
                     assert mc.shape == (t1 - t0, NUM_CELLS, run.num_prbs, width)
-                    assert own.shape == (1, NUM_CELLS, 1, width)
+                    assert own.shape == (1, NUM_CELLS, run.num_prbs, width)
+                    assert own.flags.c_contiguous
                     for mode, words in ((MC, mc), (SC, mc & own)):
                         assert np.array_equal(unpack(words, users),
                                               instances[mode][d, t0:t1]), (workers, mode)

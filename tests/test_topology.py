@@ -62,6 +62,24 @@ class TestLayout:
         assert np.array_equal(a.ue_pos, b.ue_pos)
         assert np.array_equal(eligibility(a, "mc"), eligibility(b, "mc"))
 
+    @pytest.mark.parametrize("radius, ues", [
+        (RADIUS, 0), (RADIUS, 1), (250.0, 3), (1000.0, 10), (1000.0, 40), (3e153, 5)])
+    def test_one_draw_places_users_as_the_per_cell_loop(self, radius, ues):
+        # Each cell draws its radii, then its angles, cell after cell: the
+        # same values in the same order as one (C, 2, U) draw, so every
+        # position and the generator's next draw are bit-identical
+        for seed in range(20):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            scen = build_hex7(radius, ues, 0.8, got_rng)
+            want = []
+            for center in scen.cell_pos:
+                r = radius * np.sqrt(want_rng.random(ues))
+                theta = 2.0 * np.pi * want_rng.random(ues)
+                want.append(center + np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+            assert np.array_equal(scen.ue_pos, np.vstack(want)), seed
+            assert scen.ue_pos.shape == (7 * ues, 2)
+            assert got_rng.random() == want_rng.random(), seed
+
     def test_positions_are_read_only(self):
         scen = scenario()
         with pytest.raises(ValueError):
