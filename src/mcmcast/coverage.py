@@ -61,15 +61,15 @@ __all__ = [
 
 EXACT_DEFAULT_CAP = 10_000_000
 
-# Upper bound on the uint64 words of one packed stack (128 KiB).  The engine
-# packs as many whole sub-frames at once as fit, and every kernel runs on
-# that stack.  Within exact_block it also bounds each group of instances
-# whose head and tail unions are built together, and each chunk of the
-# search, how many head unions of one instance each chunk ORs against its
-# tail unions, so that even the full cap never materializes at once; at
-# C = 7, N = 4 and up to 64 users a group holds the unions of 51 instances
-# and one chunk all 4^7 allocations.  2^17 raised the fig4 benchmark's peak
-# RSS by 6% (CHANGES.md).
+# Upper bound on the uint64 words of one packed stack (128 KiB).  Each of
+# the engine's workers packs as many whole sub-frames at once as fit, and
+# every kernel runs on that stack.  Within exact_block it also bounds each
+# group of instances whose head and tail unions are built together, and
+# each chunk of the search, how many head unions of one instance each chunk
+# ORs against its tail unions, so that even the full cap never materializes
+# at once; at C = 7, N = 4 and up to 64 users a group holds the unions of
+# 51 instances and one chunk all 4^7 allocations.  2^17 raised the fig4
+# benchmark's peak RSS by 6% (CHANGES.md).
 STACK_WORDS = 1 << 14
 
 # Greedy-to-optimal ratio the oracle suite checks for: 1 - 1/e.  This is

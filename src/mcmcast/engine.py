@@ -10,28 +10,30 @@ as many as fit one packed stack of coverage.STACK_WORDS words, each drawn
 in fading blocks of at most 1 MiB of powers that also end where the
 threshold changes: draw per-PRB fading powers → compare them, in one
 contiguous pass, with a (C, N, M) plane of the block's threshold's cutoffs
-on every PRB → pack the result into (K, C, N, W) words, MC's stack of
-instances, and yield it with the own-cell words.  Single connectivity (SC)
-is MC cut to the own cell, so its stack is MC's AND the own-cell words.
-compare_policies only evaluates and records: on each block it forms SC's
-stack if some policy uses it, runs each policy's kernel on the stack it
-picks on, credits its picks on the stack it is credited on (the _runs
-table) and counts the served words, unpacked to users only when the run
-keeps its served masks.  The block sizes only group the work: the RNG
-stream and every result are those of one sub-frame at a time.  Policies
-compared in one run see the *same* draws and share their mode's instances
-(common random numbers), so observed differences are policy-only.
+on every PRB, filled once per run of one threshold → pack the result into
+(K, C, N, W) words, MC's stack of instances, and yield it with the
+own-cell words.  Single connectivity (SC) is MC cut to the own cell, so its
+stack is MC's AND the own-cell words.  compare_policies only evaluates and
+records: on each block it forms SC's stack if some policy uses it, runs
+each policy's kernel on the stack it picks on, credits its picks on the
+stack it is credited on (the _runs table) and counts the served words,
+unpacked to users only when the run keeps its served masks.  The block
+sizes only group the work: the RNG stream and every result are those of
+one sub-frame at a time.  Policies compared in one run see the *same* draws
+and share their mode's instances (common random numbers), so observed
+differences are policy-only.
 
 A run's drops are independent, each with its own seed, so compare_policies
 simulates them on up to min(drops, usable CPUs, 2) workers: the calling
 thread and a plain thread, drop d on worker d % workers, each with its own
-buffers and a 1 / workers share of both budgets, and each writing only its
-own drops' rows.  _plan is a run's whole set-up, before any drop runs
-(and, from the CLI, before anything is written): the checks, the demand,
-and the sizes, its frame, its workers and each worker's kernel-block and
-fading-block lengths.  The fading draw, most of the work, releases the
-GIL.  Every result and artifact byte is the same on any number of CPUs.
-sweep runs a grid, each distinct SimConfig once, whichever axes share it.
+buffers, a whole packed stack and a 1 / workers share of the fading
+budget, and each writing only its own drops' rows.  _plan is a run's whole
+set-up, before any drop runs (and, from the CLI, before anything is
+written): the checks, the demand, and the sizes, its frame, its workers
+and each worker's kernel-block and fading-block lengths.  The fading draw,
+most of the work, releases the GIL.  Every result and artifact byte is the
+same on any number of CPUs.  sweep runs a grid, each distinct SimConfig
+once, whichever axes share it.
 """
 
 from __future__ import annotations
@@ -79,9 +81,9 @@ __all__ = [
 _BLOCK_WORDS = 1 << 17
 
 # The most workers one run uses.  Two were measured against one, on a
-# 2-vCPU host (BENCH_20.json); more workers split the budgets finer and
-# share the GIL for the rest of each block, and no host with more CPUs
-# has shown that they pay.
+# 2-vCPU host (BENCH_20.json); more workers split the fading budget
+# finer and share the GIL for the rest of each block, and no host with
+# more CPUs has shown that they pay.
 _MAX_WORKERS = 2
 
 # The per-policy aggregates that summary.json reports, in the order of the
@@ -321,11 +323,13 @@ def _plan(config: SimConfig, policies: tuple[str, ...]) -> _Plan:
     here and nowhere else.  frame is the (C, N, M) cells, PRBs and users
     of one sub-frame, and workers one per usable CPU, but no more than
     _MAX_WORKERS, than drops, or than leave each worker's 1 / workers
-    share of the fading and stack budgets a whole sub-frame.  span and
-    block are each worker's kernel- and fading-block lengths: what its
-    shares of STACK_WORDS and _BLOCK_WORDS hold, capped at the horizon
-    and at span.  levels are the run's distinct SNR thresholds, level
-    each sub-frame's index into them, ends the sub-frame that ends each
+    share of the fading budget a whole sub-frame.  span is each worker's
+    kernel-block length, what one whole packed stack of STACK_WORDS holds
+    (a sub-frame's words are about 1/56 of its fading powers at M = 280,
+    so a stack each is cheap), capped at the horizon; block its
+    fading-block length, what its share of _BLOCK_WORDS holds, capped at
+    span.  levels are the run's distinct SNR thresholds, level each
+    sub-frame's index into them, ends the sub-frame that ends each
     sub-frame's run of one threshold, seeds one per drop, and length the
     demand's sub-frames, fewer than the horizon if a trace wraps."""
     if not policies:
@@ -354,9 +358,8 @@ def _plan(config: SimConfig, policies: tuple[str, ...]) -> _Plan:
     frame = (NUM_CELLS, config.num_prbs, NUM_CELLS * config.ues_per_cell)
     floats = math.prod(frame)  # the fading powers of one sub-frame
     words = math.prod(frame[:2]) * num_words(frame[2])  # its packed stack
-    workers = max(1, min(config.num_drops, _cpus(), _MAX_WORKERS,
-                         _BLOCK_WORDS // floats, STACK_WORDS // words))
-    span = max(1, min(horizon, STACK_WORDS // workers // words))
+    workers = max(1, min(config.num_drops, _cpus(), _MAX_WORKERS, _BLOCK_WORDS // floats))
+    span = max(1, min(horizon, STACK_WORDS // words))
     block = max(1, min(span, _BLOCK_WORDS // workers // floats))
     seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
     return _Plan(frame, workers, span, block, levels, level, ends, seeds, len(schedule))
@@ -369,9 +372,11 @@ def _blocks(config: SimConfig, plan: _Plan, drops):
     sub-frames t0 to t1 - 1 of the drop, and own the drop's own-cell
     words, contiguous (1, C, N, W), so that mc & own is the SC stack.
     mc is the reused word buffer itself, valid only until the generator
-    resumes.  Its buffers are sized by the plan's span and block, one
-    worker's share of the fading and stack budgets, so that the plan's
-    workers of these generators at once stay within them."""
+    resumes.  Its buffers are sized by the plan's span, one whole packed
+    stack, and block, one worker's share of the fading budget, so that the
+    plan's workers of these generators at once stay within that budget.
+    The plane of cutoffs is filled at each drop's first sub-frame and
+    where the threshold changes: once per run of one threshold."""
     frame, span, block = plan.frame, plan.span, plan.block
     level, ends, horizon = plan.level, plan.ends, config.horizon
     # One (span, C, N, W) word buffer for the packed decodability of a kernel
@@ -400,7 +405,8 @@ def _blocks(config: SimConfig, plan: _Plan, drops):
             f0 = t0
             while f0 < t1:  # fading blocks of one threshold each
                 f1 = min(f0 + block, t1, int(ends[f0]))
-                plane[...] = cuts[level[f0]][:, None, :]
+                if f0 == 0 or level[f0] != level[f0 - 1]:  # a new drop or threshold
+                    plane[...] = cuts[level[f0]][:, None, :]
                 power = model.fading_block(rng, power_buf[: f1 - f0])
                 np.greater_equal(power, plane, out=decodes[: f1 - f0])
                 pack(decodes[: f1 - f0], out=word_buf[f0 - t0: f1 - t0])

@@ -650,10 +650,10 @@ def block_sizes(config, workers=1):
     """Sub-frames per fading block and per kernel block of each of the
     engine's `workers` workers for this config, before the horizon cuts
     them: its share of the fading-power budget, capped at a kernel block,
-    and its packed stack of a share of STACK_WORDS words."""
+    and a whole packed stack of STACK_WORDS words, whatever the workers."""
     pairs = NUM_CELLS * config.num_prbs
     users = NUM_CELLS * config.ues_per_cell
-    kernel = STACK_WORDS // workers // (pairs * num_words(users))
+    kernel = STACK_WORDS // (pairs * num_words(users))
     return min(kernel, engine._BLOCK_WORDS // workers // (pairs * users)), kernel
 
 
@@ -699,10 +699,10 @@ SPECIAL_SIZES = [(0, 10, 500, 40, 99)[i % 5] for i in range(300)]
 class TestBlockLoop:
     """The block loop against the per-sub-frame reference, on one worker
     and on two (one drop each), at horizons on both sides of one and two
-    fading-block boundaries and of one and two kernel-block boundaries of
-    each worker's share of the budgets.  The reference is causal, so one
-    reference run at the longest horizon holds every shorter one as its
-    prefix."""
+    fading-block boundaries of each worker's share of the fading budget
+    and of one and two kernel-block boundaries of its whole stack.  The
+    reference is causal, so one reference run at the longest horizon
+    holds every shorter one as its prefix."""
 
     CASES = {
         "all_policies": (dict(num_prbs=2), (*FOUR, "exact")),
@@ -720,8 +720,9 @@ class TestBlockLoop:
     WORKERS = (1, 2)
 
     # 10 and 20 UEs per cell: two and three words per row, several fading
-    # blocks per kernel block.  1 UE per cell: one word per row, and the
-    # fading budget exceeds the kernel block, which caps it.
+    # blocks per kernel block.  1 UE per cell: one word per row, and one
+    # worker's fading budget exceeds the kernel block, which caps it; two
+    # workers' halves of it are shorter than their whole stacks.
     @pytest.mark.parametrize("ues", [1, 10, 20])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_the_per_subframe_loop(self, case, ues, tmp_path, monkeypatch):
@@ -735,7 +736,7 @@ class TestBlockLoop:
         for workers in self.WORKERS:
             block, kernel = block_sizes(config, workers)
             assert 2 <= block <= kernel
-            assert (block < kernel) == (ues > 1)
+            assert (block < kernel) == (ues > 1 or workers > 1)
             if case in self.TRACES:
                 levels = min_snr_db(demand(config)[:2 * block])
                 assert len(set(levels[:block])) > 1
@@ -830,13 +831,13 @@ class TestBlockLoop:
 
     @pytest.mark.parametrize("trace", [False, True])
     def test_worker_count_changes_no_result(self, trace, tmp_path, monkeypatch):
-        # 3 drops past two kernel blocks of 3 workers' budget share, with
-        # served masks, on each traffic source
-        config = SimConfig(ues_per_cell=10, radius_m=900.0, horizon=130,
+        # 3 drops past two kernel blocks, each a whole stack on any number
+        # of workers, with served masks, on each traffic source
+        config = SimConfig(ues_per_cell=10, radius_m=900.0, horizon=2 * 117 + 3,
                            num_drops=3, seed=11, log_served_ids=True)
         if trace:
             config = replace(config, trace_path=fast_trace(tmp_path / "t.txt"))
-        assert block_sizes(config, 3)[1] * 3 < config.horizon
+        assert 2 * block_sizes(config, 3)[1] < config.horizon
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads interleave as often as they can
@@ -951,17 +952,16 @@ class TestBlockLoop:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert engine._cpus() == 1
 
-    @pytest.mark.parametrize("budget", ["_BLOCK_WORDS", "STACK_WORDS"])
+    @pytest.mark.parametrize("budget", ["_BLOCK_WORDS"])
     def test_no_more_workers_than_shares_that_hold_a_subframe(self, budget, monkeypatch):
-        # Each worker's share of a budget must hold one whole sub-frame, or
-        # its one-sub-frame buffers would take the run past the budget:
-        # three CPUs and three drops get one worker per whole share
+        # Each worker's share of the fading budget must hold one whole
+        # sub-frame, or its one-sub-frame buffers would take the run past
+        # the budget: three CPUs and three drops get one worker per whole
+        # share.  The packed stack is no share: each worker has a whole one.
         use_workers(monkeypatch, 3)
         config = replace(FAST, num_drops=3)
         want = compare_policies(config, ("cga",)).metrics["cga"].served_counts
-        users = NUM_CELLS * config.ues_per_cell
-        words = NUM_CELLS * config.num_prbs * (
-            users if budget == "_BLOCK_WORDS" else num_words(users))
+        words = NUM_CELLS * config.num_prbs * NUM_CELLS * config.ues_per_cell
         for size, workers in [(3 * words, 3), (3 * words - 1, 2),
                               (2 * words - 1, 1), (words - 1, 1)]:
             monkeypatch.setattr(engine, budget, size)
@@ -977,7 +977,7 @@ class TestBlockLoop:
         pytest.param(dict(ues_per_cell=10, horizon=1000, num_drops=1), 2,
                      (1, 117, 26), id="fig4_m70_cli"),
         pytest.param(dict(ues_per_cell=40, horizon=100, num_drops=2), 2,
-                     (2, 23, 3), id="fig7_m280_trace"),
+                     (2, 46, 3), id="fig7_m280_trace"),
         pytest.param(dict(ues_per_cell=40, horizon=100, num_drops=2), 1,
                      (1, 46, 6), id="fig7_m280_trace_one_cpu"),
         pytest.param(dict(ues_per_cell=5, horizon=100, num_drops=1, num_prbs=4), 2,
@@ -990,6 +990,20 @@ class TestBlockLoop:
         plan = engine._plan(config, ("cga",))
         assert plan.frame == (NUM_CELLS, config.num_prbs, NUM_CELLS * config.ues_per_cell)
         assert (plan.workers, plan.span, plan.block) == sizes
+
+    def test_each_worker_has_a_whole_stack_and_a_share_of_the_fading_budget(
+            self, monkeypatch):
+        # fig7's frame on 1, 2 and 3 workers: every worker's kernel block is
+        # the 46 sub-frames of one whole packed stack, and its fading block
+        # its 1 / workers share of the fading budget
+        config = SimConfig(ues_per_cell=40, horizon=100, num_drops=3)
+        plans = []
+        for workers in (1, 2, 3):
+            use_workers(monkeypatch, workers)
+            plans.append(engine._plan(config, ("cga",)))
+        assert [plan.workers for plan in plans] == [1, 2, 3]
+        assert [plan.span for plan in plans] == [46] * 3
+        assert [plan.block for plan in plans] == [6, 3, 2]
 
     def test_fig7_sized_run_peaks_below_4_mb(self, tmp_path):
         # M = 280 and three policies on a trace: the fading-power buffer is
@@ -1009,8 +1023,9 @@ class TestBlockLoop:
         assert peak < 4e6
 
     def test_two_worker_fig7_sized_run_peaks_below_4_mb(self, tmp_path, monkeypatch):
-        # The same run with two drops on two workers, each with half of both
-        # budgets; tracemalloc sees every thread's allocations
+        # The same run with two drops on two workers, each with half of the
+        # fading budget and a whole packed stack; tracemalloc sees every
+        # thread's allocations
         trace = write_synthetic_trace(str(tmp_path / "trace.txt"), seed=1)
         cfg = SimConfig(ues_per_cell=40, radius_m=1000.0, horizon=100,
                         num_drops=2, seed=1, trace_path=trace)
