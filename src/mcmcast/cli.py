@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 oracle-check bound violated, 2 bad configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -72,6 +73,7 @@ _FIELDS: dict[str, tuple[str, dict]] = {
 }
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcmcast",
@@ -159,15 +161,21 @@ def _write(path: Path, text: str) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config, preset, policies = _build_config(args)
-    _plan(config, policies)  # a run that cannot start writes nothing
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    if preset.get("synthetic_trace") and config.trace_path is None:
+    grid = preset.get("sweep")
+    synthesize = preset.get("synthetic_trace") and config.trace_path is None
+    # A run that cannot start writes nothing.  Every run plans, and so
+    # checks, before it simulates, and artifacts are written once it has
+    # run.  A plain run is its own check; the config checked here is the
+    # base of a sweep's points or lacks the trace written next
+    if grid or synthesize:
+        _plan(config, policies)
+    if synthesize:
+        out.mkdir(parents=True, exist_ok=True)
         trace = write_synthetic_trace(str(out / "trace.txt"), seed=config.seed)
         config = replace(config, trace_path=trace)
 
-    if grid := preset.get("sweep"):
+    if grid:
         tables = sweep(config, grid, policies)
         # Each axis's CSV and printed name is its first word: sweep_users.csv
         names = {axis: axis.split("_")[0] for axis in grid}
@@ -218,9 +226,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -54,6 +54,7 @@ from .channel import ChannelModel, ChannelParams, check_fields, min_snr_db
 from .coverage import (
     EXACT_DEFAULT_CAP,
     STACK_WORDS,
+    _popcount,
     cga_block,
     check_exact_cap,
     dga_block,
@@ -246,7 +247,7 @@ def compare_policies(
             for policy in policies:
                 kernel, picks_on, credited_on = runs[policy]
                 words = served_block(covers[credited_on], kernel(covers[picks_on]))
-                counts[policy][d, t0:t1] = np.bitwise_count(words).sum(axis=-1)
+                counts[policy][d, t0:t1] = _popcount(words)
                 if served:
                     served[policy][d, t0:t1] = unpack(words, num_users)
             yield
@@ -554,19 +555,32 @@ def log_to_csv(output: RunOutput, policies: tuple[str, ...]) -> str:
     """Raw log of `policies`, some policies of the run, one row per
     (drop, t, policy) in that order.  served_ids lists the served
     users when the run kept its served masks, and is empty otherwise.
-    The rows are the bytes csv.writer writes: no field needs quoting."""
-    counts = [output.metrics[p].served_counts.tolist() for p in policies]
-    masks = [output.served_masks.get(p) for p in policies]
-    lines = [",".join(_LOG_HEADER)]
-    for d in range(output.config.num_drops):
-        for t in range(output.config.horizon):
-            for policy, count, mask in zip(policies, counts, masks):
-                ids = ""
-                if mask is not None:
-                    ids = ";".join(map(str, np.flatnonzero(mask[d, t])))
-                lines.append(f"{d},{t},{policy},{count[d][t]},{ids}")
-    lines.append("")
-    return "\n".join(lines)
+    The rows are the bytes csv.writer writes: no field needs quoting.
+
+    One % format renders every row, from one flat tuple of their fields:
+    field f of policy i's row of sub-frame s sits at (s·P + i)·F + f, F
+    the columns, so each column of each policy is one strided slice
+    assignment."""
+    num_drops, horizon = output.config.num_drops, output.config.horizon
+    subframes, width = num_drops * horizon, len(_LOG_HEADER)
+    drops = np.repeat(np.arange(num_drops), horizon).tolist()
+    steps = np.tile(np.arange(horizon), num_drops).tolist()
+    stride = len(policies) * width  # the fields of one sub-frame's rows
+    fields = [None] * (subframes * stride)
+    for i, policy in enumerate(policies):
+        mask = output.served_masks.get(policy)
+        if mask is None:
+            served = [""] * subframes
+        else:  # each row joined from one table of the user-id strings
+            ids = [str(k) for k in range(mask.shape[-1])]
+            served = [";".join(itertools.compress(ids, row))
+                      for row in mask.reshape(subframes, -1).tolist()]
+        columns = (drops, steps, [policy] * subframes,
+                   output.metrics[policy].served_counts.ravel().tolist(), served)
+        for f, column in enumerate(columns):
+            fields[i * width + f:: stride] = column
+    row = ",".join(["%s"] * width) + "\n"
+    return ",".join(_LOG_HEADER) + "\n" + row * (subframes * len(policies)) % tuple(fields)
 
 
 def sweep_to_csv(axis: str, table: list[tuple[float, RunOutput]]) -> str:

@@ -182,8 +182,10 @@ class TestExitCodes:
 
 
 class TestCheckStep:
-    """The CLI's check before anything is written is the run's own
-    set-up, engine._plan, called once more before --out is made."""
+    """A run's check before anything is written is its own set-up,
+    engine._plan.  A plain run writes only once it has run; a sweep, and a
+    preset that synthesizes its trace into --out, call _plan once more
+    first, on the config they start from."""
 
     def test_preset_refusals_write_nothing(self, tmp_path, capsys):
         # The trace preset would synthesize trace.txt into --out first
@@ -209,11 +211,12 @@ class TestCheckStep:
         assert len(record) == 1
 
     @pytest.mark.parametrize("preset, reads", [
-        ("custom", 2), ("fig5_packets_sweep", 9), ("fig7_trace_mc_vs_sc", 1)])
+        ("custom", 1), ("fig5_packets_sweep", 9), ("fig7_trace_mc_vs_sc", 1)])
     def test_trace_reads(self, tmp_path, monkeypatch, preset, reads):
-        # One read by the check and one per compare_policies call (eight
-        # sweep points, as at 1 UE per cell the users axis and the radius
-        # axis share none); the synthesized trace is written after the check
+        # A plain run reads the trace once: the run is its own check.  A
+        # sweep reads it in the check and once per sweep point (eight, as at
+        # 1 UE per cell the users axis and the radius axis share none).  The
+        # synthesized trace is written after the check and read by the run
         calls = []
         parse = engine.parse_trace
         monkeypatch.setattr(engine, "parse_trace",

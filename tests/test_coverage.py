@@ -353,8 +353,8 @@ def reference_mbsfn(cover):
 
 
 class TestPackedForm:
-    """pack and unpack, and every kernel on packed stacks whose rows end
-    inside a word, on a word boundary and one bit past it."""
+    """pack, unpack and the popcount, and every kernel on packed stacks
+    whose rows end inside a word, on a word boundary and one bit past it."""
 
     USERS = [1, 63, 64, 65, 128, 280]
 
@@ -376,6 +376,14 @@ class TestPackedForm:
             assert np.shares_memory(pack(cover, out=buffer[1:4]), buffer)
             assert np.array_equal(buffer[1:4], words)
             assert not buffer[[0, 4]].any()
+
+    @pytest.mark.parametrize("num_users", [0, *USERS, 64 * 101 + 1])
+    def test_popcount_is_the_user_count(self, num_users):
+        # W = 0, every width of USERS and one row of 102 words
+        rng = np.random.default_rng(200 + num_users)
+        for density in (0.0, 0.3, 1.0):
+            cover = rng.random((3, 2, 4, num_users)) < density
+            assert np.array_equal(coverage._popcount(pack(cover)), cover.sum(-1))
 
     @pytest.mark.parametrize("num_users", USERS)
     def test_kernels_match_the_set_references(self, num_users):
