@@ -163,14 +163,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config, preset, policies = _build_config(args)
     out = Path(args.out)
     grid = preset.get("sweep")
-    synthesize = preset.get("synthetic_trace") and config.trace_path is None
     # A run that cannot start writes nothing.  Every run plans, and so
     # checks, before it simulates, and artifacts are written once it has
-    # run.  A plain run is its own check; the config checked here is the
-    # base of a sweep's points or lacks the trace written next
-    if grid or synthesize:
+    # run, so a plain run and a sweep are their own checks.  A synthesized
+    # trace is written before its run, so that run is planned first
+    if preset.get("synthetic_trace") and config.trace_path is None:
         _plan(config, policies)
-    if synthesize:
         out.mkdir(parents=True, exist_ok=True)
         trace = write_synthetic_trace(str(out / "trace.txt"), seed=config.seed)
         config = replace(config, trace_path=trace)

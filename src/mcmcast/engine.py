@@ -29,8 +29,9 @@ thread and a plain thread, drop d on worker d % workers, each with its own
 buffers, a whole packed stack and a 1 / workers share of the fading
 budget, and each writing only its own drops' rows.  _plan is a run's whole
 set-up, before any drop runs (and, from the CLI, before anything is
-written): the checks, the demand, and the sizes, its frame, its workers
-and each worker's kernel-block and fading-block lengths.  The fading draw,
+written): the checks, the demand, with a warning when a trace shorter
+than the horizon wraps, and the sizes, its frame, its workers and each
+worker's kernel-block and fading-block lengths.  The fading draw,
 most of the work, releases the GIL.  Every result and artifact byte is the
 same on any number of CPUs.  sweep runs a grid, each distinct SimConfig
 once, whichever axes share it.
@@ -223,13 +224,6 @@ def compare_policies(
     """Evaluate every policy on the same channel realizations."""
     policies = tuple(policies)
     plan = _plan(config, policies)
-    if plan.length < config.horizon:
-        warnings.warn(
-            f"video trace of {plan.length} sub-frames is shorter than the horizon "
-            f"of {config.horizon} sub-frames; it wraps around and is played "
-            f"{math.ceil(config.horizon / plan.length)} times",
-            RuntimeWarning, stacklevel=2,  # the caller of compare_policies
-        )
     num_users, workers = plan.frame[2], plan.workers
     shape = (config.num_drops, config.horizon)
     counts = {p: np.zeros(shape, dtype=int) for p in policies}
@@ -315,14 +309,14 @@ class _Plan(NamedTuple):  # what _plan gives a run, shared by its drops
     level: np.ndarray
     ends: np.ndarray
     seeds: list
-    length: int
 
 
 def _plan(config: SimConfig, policies: tuple[str, ...]) -> _Plan:
     """A run's whole set-up: check the policy list and the exact cap (a
-    SimConfig checks its own fields), read the demand, and size the run,
-    here and nowhere else.  frame is the (C, N, M) cells, PRBs and users
-    of one sub-frame, and workers one per usable CPU, but no more than
+    SimConfig checks its own fields), read the demand, warning when a
+    trace shorter than the horizon wraps, and size the run, here and
+    nowhere else.  frame is the (C, N, M) cells, PRBs and users of one
+    sub-frame, and workers one per usable CPU, but no more than
     _MAX_WORKERS, than drops, or than leave each worker's 1 / workers
     share of the fading budget a whole sub-frame.  span is each worker's
     kernel-block length, what one whole packed stack of STACK_WORDS holds
@@ -331,8 +325,7 @@ def _plan(config: SimConfig, policies: tuple[str, ...]) -> _Plan:
     fading-block length, what its share of _BLOCK_WORDS holds, capped at
     span.  levels are the run's distinct SNR thresholds, level each
     sub-frame's index into them, ends the sub-frame that ends each
-    sub-frame's run of one threshold, seeds one per drop, and length the
-    demand's sub-frames, fewer than the horizon if a trace wraps."""
+    sub-frame's run of one threshold, and seeds one per drop."""
     if not policies:
         raise ValueError("need at least one policy")
     if len(set(policies)) != len(policies):
@@ -348,6 +341,13 @@ def _plan(config: SimConfig, policies: tuple[str, ...]) -> _Plan:
     else:
         schedule = schedule_from_trace(parse_trace(config.trace_path), config.fps,
                                        subframe_s, config.burst, length=horizon)
+    if len(schedule) < horizon:
+        warnings.warn(
+            f"video trace of {len(schedule)} sub-frames is shorter than the horizon "
+            f"of {horizon} sub-frames; it wraps around and is played "
+            f"{math.ceil(horizon / len(schedule))} times",
+            RuntimeWarning, stacklevel=3,  # the caller of compare_policies
+        )
     # The SNR each sub-frame's demand needs, as an index into the run's
     # distinct thresholds; np.resize repeats a short trace
     levels, level = np.unique(
@@ -363,7 +363,7 @@ def _plan(config: SimConfig, policies: tuple[str, ...]) -> _Plan:
     span = max(1, min(horizon, STACK_WORDS // words))
     block = max(1, min(span, _BLOCK_WORDS // workers // floats))
     seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
-    return _Plan(frame, workers, span, block, levels, level, ends, seeds, len(schedule))
+    return _Plan(frame, workers, span, block, levels, level, ends, seeds)
 
 
 def _blocks(config: SimConfig, plan: _Plan, drops):
@@ -420,10 +420,12 @@ def sweep(config: SimConfig, axes: dict,
     """Runs of `policies` over a grid: axes maps each sweep axis to its
     values, a sequence of numbers (a list, a tuple or an array), and each
     point sets its one axis on config.  Returns axis -> [(value,
-    RunOutput), ...].  Every point is checked before any runs, and each
-    distinct SimConfig runs once: a point that two axes share is one
-    RunOutput in both tables.  The base seed is reused so sweep points
-    share underlying draws where shapes allow, smoothing the trend."""
+    RunOutput), ...].  Every point's SimConfig fields are checked before
+    any point runs, and the first point's _plan checks the policies, the
+    exact cap and the trace, none of which the axes set.  Each distinct
+    SimConfig runs once: a point that two axes share is one RunOutput in
+    both tables.  The base seed is reused so sweep points share
+    underlying draws where shapes allow, smoothing the trend."""
     grid = {}
     for axis, values in axes.items():
         if axis not in _SWEEP_AXES:

@@ -183,40 +183,58 @@ class TestExitCodes:
 
 class TestCheckStep:
     """A run's check before anything is written is its own set-up,
-    engine._plan.  A plain run writes only once it has run; a sweep, and a
-    preset that synthesizes its trace into --out, call _plan once more
-    first, on the config they start from."""
+    engine._plan.  A plain run and a sweep write only once they have run,
+    a sweep's first point planning before any point simulates; a preset
+    that synthesizes its trace into --out calls _plan once more first, on
+    the config without the trace."""
 
     def test_preset_refusals_write_nothing(self, tmp_path, capsys):
-        # The trace preset would synthesize trace.txt into --out first
+        # The trace preset would synthesize trace.txt into --out first; the
+        # sweep preset is refused by its first point's plan
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("policy = bogus\n")
-        for args, code, message in [
-            (("--config", str(cfg)), 2, "unknown policy 'bogus'"),
-            (("--policy", "exact", "--prbs", "11"), 4, "exceeds"),
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 I 0.0 many\n")
+        small = ("--subframes", "5", "--drops", "1", "--ues", "1")
+        for preset, args, code, message in [
+            ("fig7_trace_mc_vs_sc", ("--config", str(cfg)), 2, "unknown policy 'bogus'"),
+            ("fig7_trace_mc_vs_sc", ("--policy", "exact", "--prbs", "11"), 4, "exceeds"),
+            ("fig5_packets_sweep", ("--trace", str(bad), *small), 3, str(bad)),
+            ("fig5_packets_sweep", ("--trace", str(tmp_path / "none.txt"), *small),
+             2, "none.txt"),
+            ("fig5_packets_sweep", ("--policy", "exact", "--prbs", "11", *small),
+             4, "exceeds"),
         ]:
             out = tmp_path / "out"
-            assert invoke("run", "--preset", "fig7_trace_mc_vs_sc", *args,
+            assert invoke("run", "--preset", preset, *args,
                           "--out", str(out)) == code
             assert message in capsys.readouterr().err
             assert not out.exists()
 
-    def test_short_trace_warns_once_per_run(self, tmp_path):
-        trace = tmp_path / "t.txt"
-        trace.write_text("0 I 0.0 100\n1 P 0.0 100\n")  # 66 sub-frames
+    # The synthesized trace is 300 frames of 33 sub-frames, 9900, short of
+    # the horizon.  The plan before it is written reads none, so it does
+    # not warn
+    @pytest.mark.parametrize("preset, subframes", [
+        ("custom", "100"), ("fig7_trace_mc_vs_sc", "10000")])
+    def test_short_trace_warns_once_per_run(self, tmp_path, preset, subframes):
+        args = []
+        if preset == "custom":
+            trace = tmp_path / "t.txt"
+            trace.write_text("0 I 0.0 100\n1 P 0.0 100\n")  # 66 sub-frames
+            args = ["--trace", str(trace)]
         with pytest.warns(RuntimeWarning, match="wraps around") as record:
-            assert invoke("run", "--trace", str(trace), "--subframes", "100",
+            assert invoke("run", "--preset", preset, *args, "--subframes", subframes,
                           "--drops", "1", "--ues", "1",
                           "--out", str(tmp_path / "o")) == 0
         assert len(record) == 1
 
     @pytest.mark.parametrize("preset, reads", [
-        ("custom", 1), ("fig5_packets_sweep", 9), ("fig7_trace_mc_vs_sc", 1)])
+        ("custom", 1), ("fig5_packets_sweep", 8), ("fig7_trace_mc_vs_sc", 1)])
     def test_trace_reads(self, tmp_path, monkeypatch, preset, reads):
-        # A plain run reads the trace once: the run is its own check.  A
-        # sweep reads it in the check and once per sweep point (eight, as at
-        # 1 UE per cell the users axis and the radius axis share none).  The
-        # synthesized trace is written after the check and read by the run
+        # Every run reads the trace once, in its plan: a plain run, each of
+        # a sweep's points (eight, as at 1 UE per cell the users axis and the
+        # radius axis share none), and the run of a synthesized trace, whose
+        # check before the trace is written reads none
         calls = []
         parse = engine.parse_trace
         monkeypatch.setattr(engine, "parse_trace",
@@ -281,7 +299,7 @@ class TestArtifacts:
                                                         capsys, ues, points):
         # At the preset's own 10 UEs per cell and 1000 m the two axes share
         # a point, which runs once; at 3 UEs per cell they share none.  The
-        # trace is read by the check and once per run.
+        # trace is read once per run, in its plan, and nowhere else.
         calls, reads = [], []
         run, parse = engine.compare_policies, engine.parse_trace
         monkeypatch.setattr(engine, "compare_policies", lambda config, policies: (
@@ -293,7 +311,7 @@ class TestArtifacts:
                       "--subframes", "5", "--drops", "1",
                       "--out", str(tmp_path / "o")) == 0
         assert len(calls) == len(set(calls)) == points
-        assert len(reads) == points + 1
+        assert len(reads) == points
         assert capsys.readouterr().out == (
             f"fig5_packets_sweep: policies=cga,sc users=[5, 10, 20, 40] "
             f"radius=[250, 500, 750, 1000] -> {tmp_path / 'o'}/sweep_users.csv, "
