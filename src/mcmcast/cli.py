@@ -17,8 +17,8 @@ import numpy as np
 
 from .channel import typed_fields
 from .coverage import (
-    GREEDY_BOUND, CapExceededError, cga_block, check_exact_cap, exact_block, pack,
-    random_instance, served_block)
+    GREEDY_BOUND, CapExceededError, _popcount, cga_block, check_exact_cap, exact_block,
+    pack, random_instance, served_block)
 from .engine import (
     DGA_COUNTS, POLICIES, SimConfig, _plan, compare_policies, log_to_csv,
     summary_to_json, sweep, sweep_to_csv)
@@ -187,7 +187,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     output = compare_policies(config, policies)
     for policy in policies:
-        _write(out / f"log_{policy}.csv", log_to_csv(output, (policy,)))
+        _write(out / f"log_{policy}.csv", log_to_csv(output, policy))
     _write(out / "summary.json", summary_to_json(output))
     means = " ".join(
         f"{p}={output.metrics[p].avg_packets_delivered:.2f}" for p in policies
@@ -212,8 +212,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             rng, max_users=args.max_users, max_cells=args.max_cells,
             max_prbs=args.max_prbs,
         )[None])
-        opt = int(np.bitwise_count(served_block(words, exact_block(words))).sum())
-        greedy = int(np.bitwise_count(served_block(words, cga_block(words))).sum())
+        opt, greedy = (int(_popcount(served_block(words, kernel(words)))[0])
+                       for kernel in (exact_block, cga_block))
         if opt:
             worst = min(worst, greedy / opt)
     ok = worst >= GREEDY_BOUND

@@ -16,8 +16,10 @@ own-cell words.  Single connectivity (SC) is MC cut to the own cell, so its
 stack is MC's AND the own-cell words.  compare_policies only evaluates and
 records: on each block it forms SC's stack if some policy uses it, runs
 each policy's kernel on the stack it picks on, credits its picks on the
-stack it is credited on (the _runs table) and counts the served words,
-unpacked to users only when the run keeps its served masks.  The block
+stack it is credited on (the _runs table) and stores the served words
+in the policy's one record, (drops, T, W) words.  After the run the
+served counts are the record's popcounts, and the served masks, when
+the run keeps them, its unpacked bits.  The block
 sizes only group the work: the RNG stream and every result are those of
 one sub-frame at a time.  Policies compared in one run see the *same* draws
 and share their mode's instances (common random numbers), so observed
@@ -168,7 +170,7 @@ class Metrics:
     """Aggregates over a (num_drops, T) grid of per-sub-frame served counts."""
 
     policy: str
-    served_counts: np.ndarray     # (num_drops, T) int
+    served_counts: np.ndarray     # (num_drops, T) int64
     num_users: int
     num_cells: int
 
@@ -221,38 +223,38 @@ class RunOutput:
 def compare_policies(
     config: SimConfig, policies: tuple[str, ...] | list[str]
 ) -> RunOutput:
-    """Evaluate every policy on the same channel realizations."""
+    """Evaluate every policy on the same channel realizations.  Each
+    policy's record is the (num_drops, T, W) words of the users it
+    served; its counts and, under config.log_served_ids, its masks are
+    read from them after the run."""
     policies = tuple(policies)
     plan = _plan(config, policies)
     num_users, workers = plan.frame[2], plan.workers
-    shape = (config.num_drops, config.horizon)
-    counts = {p: np.zeros(shape, dtype=int) for p in policies}
-    served = {p: np.zeros((*shape, num_users), dtype=bool)
-              for p in policies if config.log_served_ids}
+    words = {p: np.zeros((config.num_drops, config.horizon, num_words(num_users)),
+                         dtype=np.uint64) for p in policies}
     runs = _runs(config)
     uses_sc = any(SC in runs[p][1:] for p in policies)
 
     def work(w):
         # Worker w simulates drops w, w + workers, ... and writes only
-        # their rows of counts and served
+        # their rows of each policy's words
         drops = range(w, config.num_drops, workers)
         for d, t0, t1, mc, own in _blocks(config, plan, drops):
             covers = {MC: mc, SC: mc & own if uses_sc else None}
             for policy in policies:
                 kernel, picks_on, credited_on = runs[policy]
-                words = served_block(covers[credited_on], kernel(covers[picks_on]))
-                counts[policy][d, t0:t1] = _popcount(words)
-                if served:
-                    served[policy][d, t0:t1] = unpack(words, num_users)
+                words[policy][d, t0:t1] = served_block(covers[credited_on],
+                                                       kernel(covers[picks_on]))
             yield
 
     _run_workers(work, workers)
-    metrics = {
-        p: Metrics(policy=p, served_counts=_frozen(counts[p]),
+    metrics = {  # _popcount gives uint8 counts when W = 1
+        p: Metrics(policy=p, served_counts=_frozen(_popcount(words[p]).astype(np.int64)),
                    num_users=num_users, num_cells=NUM_CELLS)
         for p in policies
     }
-    served_masks = {p: _frozen(mask) for p, mask in served.items()}
+    served_masks = {p: _frozen(unpack(words[p], num_users))
+                    for p in policies if config.log_served_ids}
     return RunOutput(config=config, metrics=metrics, served_masks=served_masks)
 
 
@@ -553,36 +555,32 @@ def _t975(df: float) -> float:
 
 # ---------------------------------------------------------------- artifacts
 
-def log_to_csv(output: RunOutput, policies: tuple[str, ...]) -> str:
-    """Raw log of `policies`, some policies of the run, one row per
-    (drop, t, policy) in that order.  served_ids lists the served
-    users when the run kept its served masks, and is empty otherwise.
-    The rows are the bytes csv.writer writes: no field needs quoting.
+def log_to_csv(output: RunOutput, policy: str) -> str:
+    """Raw log of one policy of the run, one row per (drop, t) in that
+    order.  served_ids lists the served users when the run kept its
+    served masks, and is empty otherwise.  The rows are the bytes
+    csv.writer writes: no field needs quoting.
 
     One % format renders every row, from one flat tuple of their fields:
-    field f of policy i's row of sub-frame s sits at (s·P + i)·F + f, F
-    the columns, so each column of each policy is one strided slice
-    assignment."""
+    field f of row s sits at s·F + f, F the columns, so each column is one
+    strided slice assignment."""
     num_drops, horizon = output.config.num_drops, output.config.horizon
     subframes, width = num_drops * horizon, len(_LOG_HEADER)
-    drops = np.repeat(np.arange(num_drops), horizon).tolist()
-    steps = np.tile(np.arange(horizon), num_drops).tolist()
-    stride = len(policies) * width  # the fields of one sub-frame's rows
-    fields = [None] * (subframes * stride)
-    for i, policy in enumerate(policies):
-        mask = output.served_masks.get(policy)
-        if mask is None:
-            served = [""] * subframes
-        else:  # each row joined from one table of the user-id strings
-            ids = [str(k) for k in range(mask.shape[-1])]
-            served = [";".join(itertools.compress(ids, row))
-                      for row in mask.reshape(subframes, -1).tolist()]
-        columns = (drops, steps, [policy] * subframes,
-                   output.metrics[policy].served_counts.ravel().tolist(), served)
-        for f, column in enumerate(columns):
-            fields[i * width + f:: stride] = column
+    mask = output.served_masks.get(policy)
+    if mask is None:
+        served = [""] * subframes
+    else:  # each row joined from one table of the user-id strings
+        ids = [str(k) for k in range(mask.shape[-1])]
+        served = [";".join(itertools.compress(ids, row))
+                  for row in mask.reshape(subframes, -1).tolist()]
+    columns = (np.repeat(np.arange(num_drops), horizon).tolist(),
+               np.tile(np.arange(horizon), num_drops).tolist(), [policy] * subframes,
+               output.metrics[policy].served_counts.ravel().tolist(), served)
+    fields = [None] * (subframes * width)
+    for f, column in enumerate(columns):
+        fields[f::width] = column
     row = ",".join(["%s"] * width) + "\n"
-    return ",".join(_LOG_HEADER) + "\n" + row * (subframes * len(policies)) % tuple(fields)
+    return ",".join(_LOG_HEADER) + "\n" + row * subframes % tuple(fields)
 
 
 def sweep_to_csv(axis: str, table: list[tuple[float, RunOutput]]) -> str:

@@ -78,7 +78,7 @@ class TestRunBasics:
         for policy in ("cga", "sc"):
             assert np.array_equal(a.metrics[policy].served_counts,
                                   b.metrics[policy].served_counts)
-        assert log_to_csv(a, ("cga", "sc")) == log_to_csv(b, ("cga", "sc"))
+            assert log_to_csv(a, policy) == log_to_csv(b, policy)
 
     def test_served_counts_bounded_by_population(self):
         out = compare_policies(FAST, ("cga", "dga"))
@@ -86,6 +86,19 @@ class TestRunBasics:
             assert m.served_counts.shape == (2, 20)
             assert (m.served_counts >= 0).all()
             assert (m.served_counts <= 28).all()
+
+    @pytest.mark.parametrize("ues, policies", [
+        (5, ("cga", "exact")),               # M = 35: one word per row
+        (10, ("cga", "dga", "sc", "mbsfn")),  # M = 70: two words per row
+    ])
+    def test_served_counts_are_int64_popcounts_of_the_masks(self, ues, policies):
+        # FAST has 4 PRBs; _popcount gives uint8 counts at one word per row
+        cfg = replace(FAST, ues_per_cell=ues, horizon=6, log_served_ids=True)
+        out = compare_policies(cfg, policies)
+        for p in policies:
+            counts = out.metrics[p].served_counts
+            assert counts.dtype == np.int64, p
+            assert np.array_equal(counts, out.served_masks[p].sum(-1)), p
 
     def test_identical_policy_twice_gives_identical_metrics(self):
         first = compare_policies(FAST, ("cga",)).metrics["cga"]
@@ -133,7 +146,7 @@ class TestRunBasics:
         def artifacts(config):
             out = compare_policies(config, ("cga", "sc"))
             # The log holds every served count and, here, every served id
-            return log_to_csv(out, ("cga", "sc")), summary_to_json(out)
+            return log_to_csv(out, "cga"), log_to_csv(out, "sc"), summary_to_json(out)
 
         # (the config that holds the fields, a run config with some changed)
         holders = [
@@ -279,7 +292,8 @@ class TestMetrics:
         # The raw log's served_count column holds every (drop, sub-frame,
         # policy) count, so every aggregate can be recomputed from it.
         out = compare_policies(FAST, ("cga", "mbsfn"))
-        rows = list(csv.DictReader(io.StringIO(log_to_csv(out, ("cga", "mbsfn")))))
+        rows = [row for p in ("cga", "mbsfn")
+                for row in csv.DictReader(io.StringIO(log_to_csv(out, p)))]
         assert len(rows) == FAST.num_drops * FAST.horizon * 2
         for policy, m in out.metrics.items():
             back = np.full_like(m.served_counts, -1)
@@ -292,27 +306,26 @@ class TestMetrics:
         cfg = SimConfig(horizon=2, num_drops=1, seed=4, ues_per_cell=2,
                         log_served_ids=True, rate_bits=0.0)
         out = compare_policies(cfg, ("cga",))
-        first_row = log_to_csv(out, ("cga",)).splitlines()[1]
+        first_row = log_to_csv(out, "cga").splitlines()[1]
         assert first_row.split(",")[4] == ";".join(str(k) for k in range(14))
 
     @pytest.mark.parametrize("served_ids", [False, True])
     def test_log_is_the_csv_writer_rendering(self, served_ids):
-        # Two drops, two policies, each in the run's order and alone, with
-        # and without served masks: the same bytes csv.writer writes
+        # Two drops, each policy of a two-policy run, with and without
+        # served masks: the same bytes csv.writer writes
         out = compare_policies(replace(FAST, log_served_ids=served_ids), ("cga", "sc"))
         assert set(out.served_masks) == ({"cga", "sc"} if served_ids else set())
-        for policies in (("cga", "sc"), ("sc", "cga"), ("cga",), ("sc",)):
+        for p in ("cga", "sc"):
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(("drop", "t", "policy", "served_count", "served_ids"))
+            mask = out.served_masks.get(p)
             for d in range(FAST.num_drops):
                 for t in range(FAST.horizon):
-                    for p in policies:
-                        mask = out.served_masks.get(p)
-                        ids = [] if mask is None else np.flatnonzero(mask[d, t])
-                        writer.writerow((d, t, p, out.metrics[p].served_counts[d, t],
-                                         ";".join(map(str, ids))))
-            assert log_to_csv(out, policies) == buf.getvalue(), policies
+                    ids = [] if mask is None else np.flatnonzero(mask[d, t])
+                    writer.writerow((d, t, p, out.metrics[p].served_counts[d, t],
+                                     ";".join(map(str, ids))))
+            assert log_to_csv(out, p) == buf.getvalue(), p
 
     @pytest.mark.parametrize("axis, values", [
         ("users_per_cell", [2, 4]), ("radius", [500.0, 800.0])])
@@ -848,7 +861,7 @@ class TestBlockLoop:
                 runs.append((
                     {p: m.served_counts.tolist() for p, m in out.metrics.items()},
                     {p: m.tobytes() for p, m in out.served_masks.items()},
-                    log_to_csv(out, FOUR), summary_to_json(out),
+                    [log_to_csv(out, p) for p in FOUR], summary_to_json(out),
                 ))
         finally:
             sys.setswitchinterval(interval)

@@ -105,12 +105,17 @@ CLI_RUNS["fig6_sweep"] = (
     CLI_RUNS["fig5_sweep"][1],
 )
 
-# Every policy on one run, with served user ids in the log.
+# Every policy on one run, with served user ids in each policy's log.
 SERVED_IDS_CONFIG = SimConfig(ues_per_cell=3, num_prbs=3, radius_m=1000.0,
                               horizon=10, num_drops=2, seed=5,
                               log_served_ids=True)
-SERVED_IDS_DIGEST = (
-    "f3f019ace6041751e14cfc3390ff010540edd2e7229ad8bcfb832e2d3c0ddbd7")
+SERVED_IDS_DIGESTS = {
+    "cga": "d9b14bba2d070b84d23e39caec6f0ec46a902ce8c6fc328f6219e680e21ef4ef",
+    "dga": "6d45aa4531921a580ebd26a1b0563b5b5aff734e28bcdfd4b9fa0987cea5f3d0",
+    "sc": "f609875a1be7c89ffd4beba11fa8c1a4d2de3839888da97d21286ea0b478be19",
+    "mbsfn": "69816e467f2a67c9c90bd608c6b849c57a474aac70c5f9b284ab4c779fbbe2f1",
+    "exact": "b17dfe4b439033776b5da459289cd48b2f8a1888caab874152f905d1177e1806",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -130,4 +135,5 @@ def test_cli_artifacts_match_golden_digests(name, tmp_path, monkeypatch):
 
 def test_served_ids_log_matches_golden_digest():
     out = compare_policies(SERVED_IDS_CONFIG, POLICIES)
-    assert sha256(log_to_csv(out, POLICIES).encode()) == SERVED_IDS_DIGEST
+    got = {p: sha256(log_to_csv(out, p).encode()) for p in POLICIES}
+    assert got == SERVED_IDS_DIGESTS
