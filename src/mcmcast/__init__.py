@@ -2,7 +2,7 @@
 model, seven-cell scenario builder, trace-driven traffic, and simulation
 engine."""
 
-from .channel import DEFAULT_RATE_TABLE, ChannelModel, ChannelParams, path_loss, snr
+from .channel import DEFAULT_RATE_TABLE, ChannelParams, path_loss, snr
 from .coverage import (
     EXACT_DEFAULT_CAP,
     GREEDY_BOUND,
@@ -34,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceededError",
-    "ChannelModel",
     "ChannelParams",
     "DEFAULT_RATE_TABLE",
     "EXACT_DEFAULT_CAP",

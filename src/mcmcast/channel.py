@@ -9,12 +9,15 @@ bits per PRB per sub-frame through a 15-step threshold table.  path_loss
 and min_snr_db take arrays and give arrays, and every parameter is the
 caller's ChannelParams: nothing here builds its own.
 
-A link's SNR in dB is its link budget plus 10 * log10 of its fading
-power, with powers below 1e-12 read as 1e-12.  Within a drop the link
-budget is fixed, so whether a power reaches an SNR threshold is a cutoff
-on the power itself, 10 ** ((threshold - budget) / 10): cutoffs builds
-that table once per drop, and the engine compares the raw fading_block
-draws with it, with no log per draw.
+A drop is three functions: link_budget draws its shadowing and gives its
+(C, M) link budget, each link's SNR in dB before fast fading; cutoffs
+turns that budget into cutoff powers; fading_block draws the raw fading
+powers of a block of sub-frames.  A link's SNR in dB is its link budget
+plus 10 * log10 of its fading power, with powers below 1e-12 read as
+1e-12, so whether a power reaches an SNR threshold is a cutoff on the
+power itself, 10 ** ((threshold - budget) / 10): the engine builds that
+table once per drop and compares the raw powers with it, with no log per
+draw.  Every draw comes from the generator the caller passes in.
 
 The carrier transmit power is split evenly over the carrier's PRBs (100
 for a 20 MHz LTE carrier), independent of how many PRBs the allocator is
@@ -32,8 +35,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 __all__ = [
-    "ChannelParams", "ChannelModel", "path_loss", "snr", "min_snr_db",
-    "DEFAULT_RATE_TABLE",
+    "ChannelParams", "path_loss", "snr", "min_snr_db", "link_budget", "cutoffs",
+    "fading_block", "DEFAULT_RATE_TABLE",
 ]
 
 # (min_snr_db, bits per PRB per sub-frame) steps.  Thresholds are the
@@ -178,46 +181,36 @@ def min_snr_db(required) -> np.ndarray:
 _MIN_POWER = 1e-12
 
 
-class ChannelModel:
-    """Samples per-sub-frame fading for a fixed scenario.
+def link_budget(params: ChannelParams, distance_m, rng: np.random.Generator) -> np.ndarray:
+    """(C, M) link budget in dB of one drop: the SNR without fast fading
+    of each (cell, UE) link at the (C, M) distances in metres, under one
+    lognormal shadowing value per link, drawn from rng in one normal call."""
+    shadow_db = rng.normal(0.0, params.shadowing_sigma_db, size=distance_m.shape)
+    return snr(params, path_loss(distance_m / 1000.0, params), shadow_db)
 
-    Path losses are computed once, from the scenario's distances;
-    shadowing is drawn per drop via draw_shadowing and held fixed while
-    fading_block draws the raw fading powers of a block of sub-frames at a
-    time, as many PRBs as its buffer holds, and cutoffs gives the powers
-    that meet each SNR threshold.  All randomness comes from generators
-    the caller passes in, so a fixed seed fixes the entire sequence.
-    """
 
-    def __init__(self, params: ChannelParams, scenario):
-        self.params = params
-        self._pl_db = path_loss(scenario.distance_m / 1000.0, params)
+def cutoffs(budget_db: np.ndarray, thresholds) -> np.ndarray:
+    """(L, C, M) cutoff powers of the L SNR thresholds in dB over the
+    (C, M) link budget: a fading power p from fading_block reaches
+    threshold l on link (c, m) when p >= cutoffs[l, c, m], the power
+    10 ** ((threshold - budget) / 10).  -inf where that power is at or
+    below the clamp 1e-12, so that every power decodes, and +inf where it
+    overflows, so that none does."""
+    thr = np.asarray(thresholds, dtype=np.float64)[:, None, None]
+    with np.errstate(over="ignore"):
+        cut = 10.0 ** ((thr - budget_db) / 10.0)
+    return np.where(cut <= _MIN_POWER, -np.inf, cut)
 
-    def draw_shadowing(self, rng: np.random.Generator) -> np.ndarray:
-        """One lognormal shadowing realization per (cell, UE), in dB."""
-        return rng.normal(0.0, self.params.shadowing_sigma_db, size=self._pl_db.shape)
 
-    def cutoffs(self, shadow_db: np.ndarray, thresholds) -> np.ndarray:
-        """(L, C, M) cutoff powers of the L SNR thresholds in dB under this
-        shadowing: a fading power p from fading_block reaches threshold l
-        on link (c, m) when p >= cutoffs[l, c, m], the power
-        10 ** ((threshold - budget) / 10) over the link budget.  -inf where
-        that power is at or below the clamp 1e-12, so that every power
-        decodes, and +inf where it overflows, so that none does."""
-        budget = snr(self.params, self._pl_db, shadow_db)
-        thr = np.asarray(thresholds, dtype=np.float64)[:, None, None]
-        with np.errstate(over="ignore"):
-            cut = 10.0 ** ((thr - budget) / 10.0)
-        return np.where(cut <= _MIN_POWER, -np.inf, cut)
-
-    def fading_block(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """Fill out, a C-contiguous (B, C, N, M) float64 array, with the
-        fading powers of B consecutive sub-frames and return it: a unit-mean
-        exponential power per PRB from one standard_exponential call, the
-        values, in the same order, that B successive per-sub-frame draws
-        would take from rng.  Without fast fading every power is 1 (0 dB)
-        and rng is not drawn from."""
-        if not self.params.fast_fading:
-            out.fill(1.0)
-            return out
-        return rng.standard_exponential(out=out)
+def fading_block(params: ChannelParams, rng: np.random.Generator,
+                 out: np.ndarray) -> np.ndarray:
+    """Fill out, a C-contiguous (B, C, N, M) float64 array, with the
+    fading powers of B consecutive sub-frames and return it: a unit-mean
+    exponential power per PRB from one standard_exponential call, the
+    values, in the same order, that B successive per-sub-frame draws
+    would take from rng.  Without fast fading every power is 1 (0 dB)
+    and rng is not drawn from."""
+    if not params.fast_fading:
+        out.fill(1.0)
+        return out
+    return rng.standard_exponential(out=out)

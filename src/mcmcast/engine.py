@@ -53,7 +53,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelModel, ChannelParams, check_fields, min_snr_db
+from .channel import (
+    ChannelParams, check_fields, cutoffs, fading_block, link_budget, min_snr_db)
 from .coverage import (
     EXACT_DEFAULT_CAP,
     STACK_WORDS,
@@ -397,11 +398,10 @@ def _blocks(config: SimConfig, plan: _Plan, drops):
         scenario = build_hex7(
             config.radius_m, config.ues_per_cell, config.edge_threshold, rng
         )
-        model = ChannelModel(config.channel, scenario)
-        # (L, C, M) least power that decodes at each threshold, +inf on every
-        # link MC cannot hear: its decodability is MC's cover
-        cuts = np.where(eligibility(scenario, MC),
-                        model.cutoffs(model.draw_shadowing(rng), plan.levels), np.inf)
+        # The drop's (C, M) link budget, then the (L, C, M) least power that decodes
+        # at each threshold, +inf on every link MC cannot hear: MC's cover
+        budget = link_budget(config.channel, scenario.distance_m, rng)
+        cuts = np.where(eligibility(scenario, MC), cutoffs(budget, plan.levels), np.inf)
         own = np.repeat(pack(eligibility(scenario, SC))[None, :, None], frame[1], axis=2)
         for t0 in range(0, horizon, span):
             t1 = min(t0 + span, horizon)
@@ -410,7 +410,7 @@ def _blocks(config: SimConfig, plan: _Plan, drops):
                 f1 = min(f0 + block, t1, int(ends[f0]))
                 if f0 == 0 or level[f0] != level[f0 - 1]:  # a new drop or threshold
                     plane[...] = cuts[level[f0]][:, None, :]
-                power = model.fading_block(rng, power_buf[: f1 - f0])
+                power = fading_block(config.channel, rng, power_buf[: f1 - f0])
                 np.greater_equal(power, plane, out=decodes[: f1 - f0])
                 pack(decodes[: f1 - f0], out=word_buf[f0 - t0: f1 - t0])
                 f0 = f1

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mcmcast.channel import _MIN_POWER, _RATES, _THRESHOLDS_DB, snr
+from mcmcast.channel import DEFAULT_RATE_TABLE, fading_block
 from mcmcast.coverage import pack, served_block, unpack
 
 
@@ -167,6 +167,13 @@ def milp_optimum(cover: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return -result.fun, tuple(chosen.tolist())
 
 
+# The rate table's columns, and the least fading power the SNR in dB
+# reads, as the channel module states them
+_THRESHOLDS_DB = np.array([t for t, _ in DEFAULT_RATE_TABLE])
+_RATES = np.array([r for _, r in DEFAULT_RATE_TABLE])
+_MIN_POWER = 1e-12
+
+
 def rate_from_snr(snr_db):
     """Decodable rate for an SNR: 0 below the first step, then the highest
     step whose threshold is met, saturating at the top step.  Vectorized."""
@@ -181,17 +188,17 @@ def _fade_db(power, base):
     return base + 10.0 * np.log10(np.maximum(power, _MIN_POWER))
 
 
-def snr_of(model, shadow_db: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """(B, C, N, M) SNR in dB of the (B, C, N, M) fading powers on the
-    model's links under the (C, M) shadowing: the link budget plus
-    10 * log10 of each power, clamped at 1e-12, by _fade_db."""
-    return _fade_db(powers, snr(model.params, model._pl_db, shadow_db)[:, None, :])
+def snr_of(budget_db: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """(B, C, N, M) SNR in dB of the (B, C, N, M) fading powers on links
+    of the (C, M) link budget: the budget plus 10 * log10 of each power,
+    clamped at 1e-12, by _fade_db."""
+    return _fade_db(powers, budget_db[:, None, :])
 
 
-def snr_subframe(model, shadow_db: np.ndarray, rng: np.random.Generator,
+def snr_subframe(params, budget_db: np.ndarray, rng: np.random.Generator,
                  num_prbs: int) -> np.ndarray:
     """(C, N, M) SNR draw of one sub-frame on num_prbs PRBs: snr_of the
     powers one fading_block of one sub-frame takes from rng."""
-    num_cells, num_users = shadow_db.shape
-    powers = model.fading_block(rng, np.empty((1, num_cells, num_prbs, num_users)))
-    return snr_of(model, shadow_db, powers)[0]
+    num_cells, num_users = budget_db.shape
+    powers = fading_block(params, rng, np.empty((1, num_cells, num_prbs, num_users)))
+    return snr_of(budget_db, powers)[0]

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from mcmcast.channel import ChannelModel, ChannelParams, path_loss
+from mcmcast.channel import ChannelParams, link_budget, path_loss, snr
 from mcmcast.coverage import (
     GREEDY_BOUND,
     cga_block,
@@ -249,10 +249,12 @@ def test_c9_channel_unit_checks():
         assert abs(ChannelParams().noise_floor_dbm - (-116.45)) <= 0.01
 
         scenario = build_hex7(500.0, 50, 0.8, rng=np.random.default_rng(0))
-        model = ChannelModel(ChannelParams(), scenario)
-        rng = np.random.default_rng(1)
+        params, rng = ChannelParams(), np.random.default_rng(1)
+        # Each draw is the unshadowed link budget less the shadowed one
+        base = snr(params, path_loss(scenario.distance_m / 1000.0, params), 0.0)
         draws = np.concatenate(
-            [model.draw_shadowing(rng).ravel() for _ in range(300)])
+            [(base - link_budget(params, scenario.distance_m, rng)).ravel()
+             for _ in range(300)])
         assert draws.size >= 100_000
         assert abs(draws.std() - 10.0) / 10.0 <= 0.05
 

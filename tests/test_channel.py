@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from mcmcast.channel import (
     DEFAULT_RATE_TABLE,
-    ChannelModel,
     ChannelParams,
+    cutoffs,
+    fading_block,
+    link_budget,
     min_snr_db,
     path_loss,
     snr,
@@ -21,7 +23,7 @@ from mcmcast.topology import build_hex7, eligibility
 from oracles import rate_from_snr, snr_of, snr_subframe
 
 PARAMS = ChannelParams()
-SMALL_PRBS = 3  # the PRBs of small_model's SNR draws
+SMALL_PRBS = 3  # the PRBs of small_drop's SNR draws
 
 
 class TestLinkBudget:
@@ -57,11 +59,11 @@ class TestLinkBudget:
         assert snr(PARAMS, path_loss(0.5, PARAMS), shadow_db=3.0) == pytest.approx(base - 3.0)
         # Fading adds 10 * log10 of a unit-mean exponential power draw to the
         # link budget directly: a draw above 1 raises the SNR.
-        fading_on, _ = small_model(fast_fading=True)
-        fading_off, _ = small_model(fast_fading=False)
-        zeros = np.zeros((7, 28))
-        still = snr_subframe(fading_off, zeros, np.random.default_rng(8), SMALL_PRBS)
-        faded = snr_subframe(fading_on, zeros, np.random.default_rng(8), SMALL_PRBS)
+        fading_on, scenario = small_drop(fast_fading=True)
+        fading_off, _ = small_drop(fast_fading=False)
+        budget = unshadowed(fading_on, scenario)
+        still = snr_subframe(fading_off, budget, np.random.default_rng(8), SMALL_PRBS)
+        faded = snr_subframe(fading_on, budget, np.random.default_rng(8), SMALL_PRBS)
         power = np.random.default_rng(8).exponential(1.0, size=faded.shape)
         np.testing.assert_allclose(faded, still + 10.0 * np.log10(power), atol=1e-9)
 
@@ -137,83 +139,108 @@ class TestRateTable:
         assert rate_from_snr(snr_db + bump) >= rate_from_snr(snr_db)
 
 
-def small_model(fast_fading=True, radius=500.0, ues=4, seed=0):
+def small_drop(fast_fading=True, radius=500.0, ues=4, seed=0):
+    """The channel parameters and the scenario of a small drop."""
     scenario = build_hex7(radius, ues, 0.8, rng=np.random.default_rng(seed))
-    params = ChannelParams(fast_fading=fast_fading)
-    return ChannelModel(params, scenario), scenario
+    return ChannelParams(fast_fading=fast_fading), scenario
+
+
+def unshadowed(params, scenario):
+    """The (C, M) link budget of the scenario without shadowing."""
+    return snr(params, path_loss(scenario.distance_m / 1000.0, params), 0.0)
 
 
 class TestChannelModel:
+    """The channel model of one drop: its link budget, from link_budget,
+    and the SNR draws of its sub-frames, from fading_block."""
+
     def test_shapes(self):
-        model, scenario = small_model()
+        params, scenario = small_drop()
         rng = np.random.default_rng(1)
-        shadow = model.draw_shadowing(rng)
+        budget = link_budget(params, scenario.distance_m, rng)
         num_users = len(scenario.ue_pos)
-        assert shadow.shape == (7, num_users)
-        snr_db = snr_subframe(model, shadow, rng, SMALL_PRBS)
+        assert budget.shape == (7, num_users)
+        snr_db = snr_subframe(params, budget, rng, SMALL_PRBS)
         assert snr_db.shape == (7, SMALL_PRBS, num_users)
 
     def test_same_seed_same_rates(self):
-        model, _ = small_model()
-        a = snr_subframe(model, np.zeros((7, 28)), np.random.default_rng(5), SMALL_PRBS)
-        b = snr_subframe(model, np.zeros((7, 28)), np.random.default_rng(5), SMALL_PRBS)
+        params, scenario = small_drop()
+        budget = unshadowed(params, scenario)
+        a = snr_subframe(params, budget, np.random.default_rng(5), SMALL_PRBS)
+        b = snr_subframe(params, budget, np.random.default_rng(5), SMALL_PRBS)
         assert np.array_equal(a, b)
 
     def test_no_fading_means_prbs_identical(self):
-        model, _ = small_model(fast_fading=False)
+        params, scenario = small_drop(fast_fading=False)
         rng = np.random.default_rng(2)
-        snr_db = snr_subframe(model, np.zeros((7, 28)), rng, SMALL_PRBS)
+        snr_db = snr_subframe(params, unshadowed(params, scenario), rng, SMALL_PRBS)
         assert np.allclose(snr_db, snr_db[:, :1, :])
 
     def test_no_fading_keeps_every_prb(self):
-        model, scenario = small_model(fast_fading=False)
+        params, scenario = small_drop(fast_fading=False)
         rng = np.random.default_rng(2)
-        shadow = np.zeros((7, 28))
-        assert snr_subframe(model, shadow, rng, SMALL_PRBS).shape == (7, SMALL_PRBS, 28)
-        decodable = snr_subframe(model, shadow, rng, SMALL_PRBS) >= min_snr_db(100.0)
+        budget = unshadowed(params, scenario)
+        assert snr_subframe(params, budget, rng, SMALL_PRBS).shape == (7, SMALL_PRBS, 28)
+        decodable = snr_subframe(params, budget, rng, SMALL_PRBS) >= min_snr_db(100.0)
         assert decodable.shape == (7, 3, 28)
         cover = decodable & eligibility(scenario, "mc")[:, None, :]
         assert cover.shape == (7, 3, 28)
 
     def test_no_fading_snr_matches_link_budget(self):
-        model, scenario = small_model(fast_fading=False)
+        params, scenario = small_drop(fast_fading=False)
         rng = np.random.default_rng(3)
-        snr_db = snr_subframe(model, np.zeros((7, 28)), rng, SMALL_PRBS)
+        snr_db = snr_subframe(params, unshadowed(params, scenario), rng, SMALL_PRBS)
         d_km = np.linalg.norm(
             scenario.cell_pos[0] - scenario.ue_pos[0]) / 1000.0
         expected = snr(ChannelParams(fast_fading=False), path_loss(d_km, PARAMS), 0.0)
         assert snr_db[0, 0, 0] == pytest.approx(expected, abs=1e-9)
 
+    def test_link_budget_takes_one_normal_draw_per_link(self):
+        # One normal call of (C, M) draws and nothing more, so that what
+        # else a drop reads from its generator starts where it did
+        _, scenario = small_drop()
+        params = ChannelParams(shadowing_sigma_db=6.0)
+        rng, twin = np.random.default_rng(13), np.random.default_rng(13)
+        budget = link_budget(params, scenario.distance_m, rng)
+        shadow = twin.normal(0.0, 6.0, size=(7, len(scenario.ue_pos)))
+        pl_db = path_loss(scenario.distance_m / 1000.0, params)
+        np.testing.assert_array_equal(budget, snr(params, pl_db, shadow))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.standard_normal() == twin.standard_normal()
+
     def test_shadowing_sigma(self):
-        model, _ = small_model()
+        params, scenario = small_drop()
         rng = np.random.default_rng(4)
+        # A link budget is the unshadowed one less the link's shadowing
+        base = unshadowed(params, scenario)
         draws = np.concatenate(
-            [model.draw_shadowing(rng).ravel() for _ in range(200)])
+            [(base - link_budget(params, scenario.distance_m, rng)).ravel()
+             for _ in range(200)])
         assert draws.std() == pytest.approx(10.0, rel=0.05)
 
     def test_fade_statistics(self):
         # Rayleigh power in dB has mean ~= -2.51 and std ~= 5.57; with
         # shadowing zeroed, per-sub-frame SNR draws at one link expose it.
-        fading_on, _ = small_model(fast_fading=True)
-        fading_off, _ = small_model(fast_fading=False)
+        fading_on, scenario = small_drop(fast_fading=True)
+        fading_off, _ = small_drop(fast_fading=False)
         rng = np.random.default_rng(6)
-        zeros = np.zeros((7, 28))
-        still = snr_subframe(fading_off, zeros, rng, SMALL_PRBS)[0, 0, 0]
+        budget = unshadowed(fading_on, scenario)
+        still = snr_subframe(fading_off, budget, rng, SMALL_PRBS)[0, 0, 0]
         draws = np.array([
-            snr_subframe(fading_on, zeros, rng, SMALL_PRBS)[0, :, 0]
+            snr_subframe(fading_on, budget, rng, SMALL_PRBS)[0, :, 0]
             for _ in range(10_000)
         ]).ravel()
         assert (draws - still).mean() == pytest.approx(-2.51, abs=0.15)
         assert draws.std() == pytest.approx(5.57, rel=0.05)
 
     def test_rates_degrade_with_distance(self):
-        near, _ = small_model(radius=250.0, seed=9)
-        far, _ = small_model(radius=2500.0, seed=9)
+        params, near = small_drop(radius=250.0, seed=9)
+        _, far = small_drop(radius=2500.0, seed=9)
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-        r_near = rate_from_snr(
-            snr_subframe(near, near.draw_shadowing(rng_a), rng_a, SMALL_PRBS))
-        r_far = rate_from_snr(
-            snr_subframe(far, far.draw_shadowing(rng_b), rng_b, SMALL_PRBS))
+        r_near = rate_from_snr(snr_subframe(
+            params, link_budget(params, near.distance_m, rng_a), rng_a, SMALL_PRBS))
+        r_far = rate_from_snr(snr_subframe(
+            params, link_budget(params, far.distance_m, rng_b), rng_b, SMALL_PRBS))
         assert r_far.mean() < r_near.mean()
 
 
@@ -271,21 +298,20 @@ ALL_THRESHOLDS = np.array([-np.inf, *THRESHOLDS, np.inf])
 
 
 def fig7_drop(**params):
-    """A fig7-sized drop: 280 users at 1 km, 10 PRBs, drawn shadowing."""
+    """A fig7-sized drop, 280 users at 1 km: its channel parameters and
+    its link budget under drawn shadowing."""
     rng = np.random.default_rng(11)
     scenario = build_hex7(1000.0, 40, 0.8, rng=rng)
-    model = ChannelModel(ChannelParams(**params), scenario)
-    return model, model.draw_shadowing(rng)
+    params = ChannelParams(**params)
+    return params, link_budget(params, scenario.distance_m, rng)
 
 
 def clamp_drop():
     """Link budgets from 110 to 130 dB above every threshold.  From 120 dB
     above, even the clamped power 1e-12 (-120 dB) meets a threshold; just
     below that, the cutoff lies just above the clamp."""
-    model, _ = fig7_drop()
-    unshadowed = snr(model.params, model._pl_db, 0.0)
     budgets = np.linspace(THRESHOLDS[0] + 110.0, THRESHOLDS[-1] + 130.0, 7 * 280)
-    return model, unshadowed - budgets.reshape(7, 280)
+    return PARAMS, budgets.reshape(7, 280)
 
 
 DROPS = {
@@ -295,12 +321,12 @@ DROPS = {
 }
 
 
-def decided_alike(model, shadow, powers):
+def decided_alike(budget, powers):
     """Assert that powers (B, C, N, M) >= the cutoffs of every threshold
     decide what the SNR in dB of the same powers >= it decides."""
-    cuts = model.cutoffs(shadow, ALL_THRESHOLDS)
-    assert cuts.shape == (len(ALL_THRESHOLDS), *shadow.shape)
-    snr_db = snr_of(model, shadow, powers)
+    cuts = cutoffs(budget, ALL_THRESHOLDS)
+    assert cuts.shape == (len(ALL_THRESHOLDS), *budget.shape)
+    snr_db = snr_of(budget, powers)
     for thr, cut in zip(ALL_THRESHOLDS, cuts):
         np.testing.assert_array_equal(
             powers >= cut[:, None, :], snr_db >= thr, err_msg=f"threshold {thr}")
@@ -314,16 +340,15 @@ class TestCutoffs:
 
     @pytest.mark.parametrize("drop", sorted(DROPS))
     def test_a_million_draws_decide_alike(self, drop):
-        model, shadow = DROPS[drop]()
-        powers = model.fading_block(np.random.default_rng(5), np.empty((52, 7, 10, 280)))
+        params, budget = DROPS[drop]()
+        powers = fading_block(params, np.random.default_rng(5), np.empty((52, 7, 10, 280)))
         assert powers.size >= 10**6
-        decided_alike(model, shadow, powers)
+        decided_alike(budget, powers)
 
     @pytest.mark.parametrize("drop", ["fig7", "clamp"])
     def test_cutoffs_are_the_closed_form(self, drop):
-        model, shadow = DROPS[drop]()
-        cuts = model.cutoffs(shadow, ALL_THRESHOLDS)
-        budget = snr(model.params, model._pl_db, shadow)
+        _, budget = DROPS[drop]()
+        cuts = cutoffs(budget, ALL_THRESHOLDS)
         want = 10 ** ((ALL_THRESHOLDS[:, None, None] - budget) / 10)
         finite = np.isfinite(cuts)
         np.testing.assert_array_equal(
@@ -332,20 +357,20 @@ class TestCutoffs:
         np.testing.assert_array_equal(cuts == np.inf, want == np.inf)
 
     def test_ends_take_no_warning(self):
-        model, shadow = fig7_drop()
+        _, budget = fig7_drop()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # Budgets about 4000 dB below every threshold overflow the
             # power, and about 4000 dB above it fall below the clamp.
-            deep = model.cutoffs(shadow + 4000.0, ALL_THRESHOLDS)
-            high = model.cutoffs(shadow - 4000.0, ALL_THRESHOLDS)
+            deep = cutoffs(budget - 4000.0, ALL_THRESHOLDS)
+            high = cutoffs(budget + 4000.0, ALL_THRESHOLDS)
         assert (deep[0] == -np.inf).all() and (deep[1:] == np.inf).all()
         assert (high[:-1] == -np.inf).all() and (high[-1] == np.inf).all()
 
     @pytest.mark.parametrize("drop", ["fig7", "clamp"])
     def test_decided_alike_beyond_32_ulps_of_each_cutoff(self, drop):
-        model, shadow = DROPS[drop]()
-        cuts = model.cutoffs(shadow, ALL_THRESHOLDS)
+        _, budget = DROPS[drop]()
+        cuts = cutoffs(budget, ALL_THRESHOLDS)
         steps = np.concatenate([np.arange(33, 97), 2 ** np.arange(7, 41)])
         ulps = np.concatenate([-steps, steps])[:, None, None]
         for thr, cut in zip(ALL_THRESHOLDS, cuts):
@@ -353,13 +378,13 @@ class TestCutoffs:
                 continue
             bits = np.where(np.isfinite(cut), cut, 1.0).view(np.int64)
             powers = (bits + ulps).view(np.float64)[:, :, None, :]
-            snr_db = snr_of(model, shadow, powers)
+            snr_db = snr_of(budget, powers)
             np.testing.assert_array_equal(
                 powers >= cut[:, None, :], snr_db >= thr, err_msg=f"threshold {thr}")
 
     def test_special_cutoffs(self):
-        model, shadow = clamp_drop()
-        cuts = model.cutoffs(shadow, ALL_THRESHOLDS)
+        _, budget = clamp_drop()
+        cuts = cutoffs(budget, ALL_THRESHOLDS)
         assert (cuts[0] == -np.inf).all() and (cuts[-1] == np.inf).all()
         finite = cuts[1:-1]
         # Both regimes of the clamp are present for every threshold.
@@ -367,8 +392,8 @@ class TestCutoffs:
         assert ((finite > 1e-12) & (finite < 1e-11)).any(axis=(1, 2)).all()
 
     def test_no_fading_takes_no_draw(self):
-        model, _ = fig7_drop(fast_fading=False)
+        params, _ = fig7_drop(fast_fading=False)
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
-        assert (model.fading_block(rng, np.empty((2, 7, 10, 280))) == 1.0).all()
+        assert (fading_block(params, rng, np.empty((2, 7, 10, 280))) == 1.0).all()
         assert rng.bit_generator.state == state

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from mcmcast import engine
-from mcmcast.channel import ChannelModel, ChannelParams, min_snr_db, path_loss, snr
+from mcmcast.channel import ChannelParams, link_budget, min_snr_db, path_loss, snr
 from mcmcast.coverage import (
     EXACT_DEFAULT_CAP,
     GREEDY_BOUND,
@@ -272,6 +272,17 @@ class TestRunBasics:
         # The warning points at the line that called compare_policies
         assert [w.filename for w in record] == [__file__]
 
+    def test_wrapped_trace_replays_from_its_start(self, tmp_path):
+        # 10 frames at 250 fps are 40 sub-frames of demand, played from
+        # their first sub-frame again at sub-frames 40 and 80
+        path = fast_trace(tmp_path / "t.txt", [10 + (37 * i) % 90 for i in range(10)])
+        cfg = SimConfig(horizon=100, num_drops=1, seed=2, trace_path=path, fps=250.0)
+        with pytest.warns(RuntimeWarning, match=r"\b40 sub-frames.*\b3 times"):
+            plan = engine._plan(cfg, ("cga",))
+        once = min_snr_db(demand(cfg))
+        assert len(once) == 40
+        np.testing.assert_array_equal(plan.levels[plan.level], np.tile(once, 3)[:100])
+
 
 class TestMetrics:
     def test_aggregates_follow_definitions(self):
@@ -364,12 +375,12 @@ class TestPolicyOrderings:
         # very same draws: extra connectivity can only widen the served set.
         rng = np.random.default_rng(12)
         scen = build_hex7(900.0, 4, 0.8, rng=rng)
-        model = ChannelModel(ChannelParams(), scen)
-        shadow = model.draw_shadowing(rng)
+        params = ChannelParams()
+        budget = link_budget(params, scen.distance_m, rng)
         mc_mask = eligibility(scen, "mc")[:, None, :]
         sc_mask = eligibility(scen, "sc")[:, None, :]
         for _ in range(25):
-            decodable = snr_subframe(model, shadow, rng, 4) >= min_snr_db(400.0)
+            decodable = snr_subframe(params, budget, rng, 4) >= min_snr_db(400.0)
             mc, sc = decodable & mc_mask, decodable & sc_mask
             sc_chosen = chosen_by(dga_block, sc)
             assert served_set(sc, sc_chosen) <= served_set(mc, sc_chosen)
@@ -386,12 +397,12 @@ class TestPolicyOrderings:
                                                         (0.0, 0.8)):
             scen = build_hex7(radius, 4, edge_threshold, rng=rng)
             assert scen.edge_ue.all() == (edge_threshold == 0.0)
-            model = ChannelModel(ChannelParams(), scen)
-            shadow = model.draw_shadowing(rng)
+            params = ChannelParams()
+            budget = link_budget(params, scen.distance_m, rng)
             own = eligibility(scen, "sc")[:, None, :]
             mc_mask = eligibility(scen, "mc")[:, None, :]
             for _ in range(25):
-                decodable = snr_subframe(model, shadow, rng, 4) >= min_snr_db(400.0)
+                decodable = snr_subframe(params, budget, rng, 4) >= min_snr_db(400.0)
                 mc, sc = decodable & mc_mask, decodable & own
                 assert np.array_equal(mc & own, sc)
                 mc_chosen = chosen_by(dga_block, mc & own)
@@ -632,12 +643,11 @@ def reference_run(config, policies):
         rng = np.random.default_rng(seed)
         scen = build_hex7(config.radius_m, config.ues_per_cell,
                           config.edge_threshold, rng)
-        model = ChannelModel(config.channel, scen)
-        shadow = model.draw_shadowing(rng)
+        budget = link_budget(config.channel, scen.distance_m, rng)
         own = eligibility(scen, "sc")[:, None, :]
         mc_mask = eligibility(scen, "mc")[:, None, :]
         for t in range(config.horizon):
-            snr_db = snr_subframe(model, shadow, rng, config.num_prbs)
+            snr_db = snr_subframe(config.channel, budget, rng, config.num_prbs)
             decodable = snr_db >= threshold[t]
             mc = (decodable & mc_mask)[None]
             sc = (decodable & own)[None]
@@ -724,12 +734,19 @@ class TestBlockLoop:
         "no_fading": (dict(channel=ChannelParams(fast_fading=False)), FOUR),
         "trace": (dict(fps=250.0), FOUR),
         "special_levels": (dict(fps=250.0), FOUR),
+        # The settings no other case moves off their defaults: the
+        # constant rate, the edge threshold, and burst delivery, each frame
+        # in the first sub-frame of its period and nothing in the rest
+        "rate": (dict(rate_bits=150.0), FOUR),
+        "edge": (dict(edge_threshold=0.5), FOUR),
+        "burst": (dict(fps=250.0, burst=True), FOUR),
         # SC alone: its stack is still MC's, drawn on MC's eligibility,
         # ANDed with the own-cell words, on a trace whose thresholds end
         # fading blocks
         "sc_only": (dict(fps=250.0), ("sc",)),
     }
-    TRACES = {"trace": None, "special_levels": SPECIAL_SIZES, "sc_only": None}
+    TRACES = {"trace": None, "special_levels": SPECIAL_SIZES, "sc_only": None,
+              "burst": None}
     WORKERS = (1, 2)
 
     # 10 and 20 UEs per cell: two and three words per row, several fading
@@ -822,13 +839,13 @@ class TestBlockLoop:
         changes = (np.flatnonzero(threshold[1:] != threshold[:-1]) + 1).tolist()
         assert bool(changes) == trace
         sizes = []
-        draw = engine.ChannelModel.fading_block
+        draw = engine.fading_block
 
-        def counting(model, rng, out):
+        def counting(params, rng, out):
             sizes.append(len(out))
-            return draw(model, rng, out)
+            return draw(params, rng, out)
 
-        monkeypatch.setattr(engine.ChannelModel, "fading_block", counting)
+        monkeypatch.setattr(engine, "fading_block", counting)
         use_workers(monkeypatch, 1)
         compare_policies(config, ("cga", "sc"))
 
@@ -1062,7 +1079,7 @@ class TestChannelPathLaw:
     p = exp(-cutoff) that a unit-mean exponential fading power decodes on
     one PRB, independently over PRBs and sub-frames.  The cutoffs come
     from the drop's set-up, replayed from its seed, and the link budget
-    formula, not from ChannelModel.cutoffs."""
+    formula, not from channel.cutoffs."""
 
     ALPHA = 1e-3  # each drop's links together
     DELTA = 1e-3  # each drop's two outage totals together
@@ -1088,7 +1105,7 @@ class TestChannelPathLaw:
         for d, seed in enumerate(plan.seeds):
             rng = np.random.default_rng(seed)
             scen = build_hex7(radius, ues, config.edge_threshold, rng)
-            shadow = ChannelModel(channel, scen).draw_shadowing(rng)
+            shadow = rng.normal(0.0, channel.shadowing_sigma_db, size=scen.distance_m.shape)
             budget = snr(channel, path_loss(scen.distance_m / 1000.0, channel), shadow)
             with np.errstate(over="ignore"):
                 cut = 10.0 ** ((threshold - budget) / 10.0)

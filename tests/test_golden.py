@@ -49,6 +49,16 @@ CLI_RUNS = {
             "summary.json": "fc532ea6e9898484eb46b49546128a7760b892e8fe35e9893bc92a7c3bddde8b",
         },
     ),
+    # Each frame in the first sub-frame of its period, nothing in the rest:
+    # every frame is above the top rate, so thresholds are +inf and -inf
+    "fig7_burst": (
+        ["--preset", "fig7_trace_mc_vs_sc", "--burst", *SMALL],
+        {
+            "log_cga.csv": "940a1c3f9f9bce8b4c3245e764567f3369349ac5700088af5fc58dd4b2f17eaa",
+            "log_sc.csv": "f8195a1a887a0ec9b9dc59b92bac155fd8287cd82e08b185f16c75ee58af899a",
+            "summary.json": "591cb7f32dff5deb26ca189fab1b201eefa5bebf8becf96e3f73bb17906f3eff",
+        },
+    ),
     "fig8": (
         ["--preset", "fig8_mbsfn_vs_mc", *SMALL],
         {
