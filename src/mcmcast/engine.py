@@ -69,7 +69,7 @@ from .coverage import (
     served_block,
     unpack,
 )
-from .topology import MC, NUM_CELLS, SC, _frozen, build_hex7, check_radius, eligibility
+from .topology import NUM_CELLS, _frozen, associate, build_hex7, check_radius
 from .traffic import (
     frame_period, parse_trace, schedule_constant, schedule_from_trace)
 
@@ -102,6 +102,9 @@ _LOG_HEADER = ("drop", "t", "policy", "served_count", "served_ids")
 _SWEEP_AXES = {"users_per_cell": "ues_per_cell", "radius": "radius_m"}
 # The dga_count choices: a DGA cell counts every user connected to it, or its own
 DGA_COUNTS = ("connected", "primary")
+# The connectivity modes of the instances a policy picks on and is credited on
+MC = "mc"
+SC = "sc"
 # Lower bounds on SimConfig fields, which check_fields applies
 _BOUNDS = {"ues_per_cell": ">= 1", "num_prbs": ">= 1", "horizon": ">= 1", "seed": ">= 0",
            "num_drops": ">= 1", "edge_threshold": ">= 0", "rate_bits": ">= 0",
@@ -395,14 +398,13 @@ def _blocks(config: SimConfig, plan: _Plan, drops):
     word_buf = np.zeros((span, *frame[:2], width), dtype=np.uint64)
     for d in drops:
         rng = np.random.default_rng(plan.seeds[d])
-        scenario = build_hex7(
-            config.radius_m, config.ues_per_cell, config.edge_threshold, rng
-        )
-        # The drop's (C, M) link budget, then the (L, C, M) least power that decodes
-        # at each threshold, +inf on every link MC cannot hear: MC's cover
-        budget = link_budget(config.channel, scenario.distance_m, rng)
-        cuts = np.where(eligibility(scenario, MC), cutoffs(budget, plan.levels), np.inf)
-        own = np.repeat(pack(eligibility(scenario, SC))[None, :, None], frame[1], axis=2)
+        distance = build_hex7(config.radius_m, config.ues_per_cell, rng).distance_m
+        # The drop's (C, M) link budget and association, then the (L, C, M) least
+        # power that decodes at each threshold, +inf on every link MC cannot hear
+        budget = link_budget(config.channel, distance, rng)
+        own, mc = associate(distance, config.edge_threshold * config.radius_m)
+        cuts = np.where(mc, cutoffs(budget, plan.levels), np.inf)
+        own = np.repeat(pack(own)[None, :, None], frame[1], axis=2)
         for t0 in range(0, horizon, span):
             t1 = min(t0 + span, horizon)
             f0 = t0

@@ -1,12 +1,11 @@
-"""Seven-cell hexagonal layout, uniform UE drops, and connectivity.
+"""Seven-cell hexagonal layout, uniform UE drops, and association.
 
 build_hex7 places every UE by one draw from the generator its caller
-passes, so a seed fixes the layout.  A UE's primary cell is the nearest
-eNB.  UEs farther than edge_threshold * radius from their primary are
-"edge" UEs; under multi-connectivity those may receive from every eNB in
-the system, all others only from their primary.  Single-connectivity
-mode collapses everyone to the primary.  eligibility() derives a mode's connectivity
-from the primary cells and the edge flags as a (C, M) mask.
+passes, so a seed fixes the layout, and gives the (C, M) cell-to-UE
+distances.  associate gives a drop's association from those alone: a
+UE's own cell is its nearest eNB, which alone it hears under single
+connectivity; under multi-connectivity a UE farther than edge_m from its
+own cell, an "edge" UE, hears every eNB in the system.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NetworkScenario", "NUM_CELLS", "build_hex7", "eligibility"]
-
-MC = "mc"
-SC = "sc"
+__all__ = ["NetworkScenario", "NUM_CELLS", "associate", "build_hex7"]
 
 NUM_CELLS = 7  # the hexagonal layout: one center cell and a ring of six
 
@@ -28,16 +24,10 @@ NUM_CELLS = 7  # the hexagonal layout: one center cell and a ring of six
 class NetworkScenario:
     cell_pos: np.ndarray           # (C, 2) meters
     ue_pos: np.ndarray             # (M, 2) meters
-    primary_cell: np.ndarray       # (M,) int
-    edge_ue: np.ndarray            # (M,) bool
     distance_m: np.ndarray         # (C, M) cell-to-UE meters
 
-    @property
-    def num_cells(self) -> int:
-        return len(self.cell_pos)
 
-
-def build_hex7(radius_m: float, ues_per_cell: int, edge_threshold: float,
+def build_hex7(radius_m: float, ues_per_cell: int,
                rng: np.random.Generator) -> NetworkScenario:
     """One center cell plus six neighbors at inter-site distance
     sqrt(3) * radius; ues_per_cell UEs uniform in each cell's disc, placed
@@ -60,11 +50,15 @@ def build_hex7(radius_m: float, ues_per_cell: int, edge_threshold: float,
     ue_pos = (cell_pos[:, None, :] + offsets).reshape(-1, 2)
 
     dist = np.linalg.norm(cell_pos[:, None, :] - ue_pos[None, :, :], axis=2)  # (C, M)
-    primary = dist.argmin(axis=0).astype(int)
-    d_primary = dist[primary, np.arange(len(ue_pos))]
-    edge = d_primary > edge_threshold * radius_m
+    return NetworkScenario(*map(_frozen, (cell_pos, ue_pos, dist)))
 
-    return NetworkScenario(*map(_frozen, (cell_pos, ue_pos, primary, edge, dist)))
+
+def associate(distance_m: np.ndarray, edge_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (C, M) bool masks (own, mc) of a drop's (C, M) cell-to-UE
+    distances: own marks each UE's nearest cell, the lower one on a tie,
+    and mc adds every cell for each UE farther than edge_m from it."""
+    own = np.arange(len(distance_m))[:, None] == distance_m.argmin(axis=0)
+    return own, own | (distance_m.min(axis=0) > edge_m)
 
 
 def check_radius(radius_m: float) -> None:
@@ -80,17 +74,6 @@ def check_radius(radius_m: float) -> None:
         raise ValueError(
             f"radius_m {radius_m!r} is too large: the squared cell-to-UE "
             "distances of its layout overflow")
-
-
-def eligibility(scenario: NetworkScenario, mode: str) -> np.ndarray:
-    """(C, M) bool mask for `mode`: own cell, plus every cell for edge
-    users under multi-connectivity."""
-    if mode not in (MC, SC):
-        raise ValueError(f"mode must be 'mc' or 'sc', got {mode!r}")
-    own = np.arange(scenario.num_cells)[:, None] == scenario.primary_cell[None, :]
-    if mode == MC:
-        return own | scenario.edge_ue[None, :]
-    return own
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

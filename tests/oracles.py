@@ -4,8 +4,8 @@ kernel's choice on one instance and how many it serves, the users a
 choice on a boolean stack serves, the set-union served users of an
 allocation, the greedy's per-step history, the embedding of plain maximum
 coverage, a MILP optimum for instances at the paper's size, the SNR->rate
-step function, the SNR in dB of given fading powers, and a one-sub-frame
-SNR draw.
+step function, the SNR in dB of given fading powers, a one-sub-frame
+SNR draw, and a drop's association rebuilt from its positions.
 
 The package's kernels work on packed (B, C, N, W) word stacks; these
 helpers take boolean instances, pack them with coverage.pack, and rebuild
@@ -202,3 +202,19 @@ def snr_subframe(params, budget_db: np.ndarray, rng: np.random.Generator,
     num_cells, num_users = budget_db.shape
     powers = fading_block(params, rng, np.empty((1, num_cells, num_prbs, num_users)))
     return snr_of(budget_db, powers)[0]
+
+
+def connectivity(scenario, edge_threshold: float, radius_m: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The (C, M) bool masks (own, mc) of a drop, from its cell and UE
+    positions: a UE's own cell is its nearest eNB, the first on a tie,
+    and under multi-connectivity a UE farther than edge_threshold *
+    radius_m from it also hears every other cell."""
+    dist = np.linalg.norm(scenario.cell_pos[:, None, :] - scenario.ue_pos[None, :, :],
+                          axis=2)
+    users = np.arange(dist.shape[1])
+    primary = dist.argmin(axis=0)
+    own = np.zeros(dist.shape, dtype=bool)
+    own[primary, users] = True
+    edge = dist[primary, users] > edge_threshold * radius_m
+    return own, own | edge[None, :]

@@ -248,7 +248,7 @@ def test_c9_channel_unit_checks():
         assert path_loss(1.0, ChannelParams()) == 128.1
         assert abs(ChannelParams().noise_floor_dbm - (-116.45)) <= 0.01
 
-        scenario = build_hex7(500.0, 50, 0.8, rng=np.random.default_rng(0))
+        scenario = build_hex7(500.0, 50, rng=np.random.default_rng(0))
         params, rng = ChannelParams(), np.random.default_rng(1)
         # Each draw is the unshadowed link budget less the shadowed one
         base = snr(params, path_loss(scenario.distance_m / 1000.0, params), 0.0)

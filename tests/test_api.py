@@ -52,13 +52,15 @@ PUBLIC = {
 # in tests/oracles.py; the (B, C, N, M) kernels are the allocation API.
 # No program read the raw log back (metrics_from_log) or drew SNRs in dB
 # (snr_block); the tests parse the log and evaluate the dB expression.
-# A drop's channel is three functions of channel, not a ChannelModel.
+# A drop's channel is three functions of channel, not a ChannelModel, and
+# its association is topology.associate of its distances, not a mode's
+# eligibility mask.
 DELETED = (
     "CoverageInstance", "CoverageResult", "evaluate", "_result",
     "solve_cga", "solve_cga_trace", "solve_dga", "solve_sc", "solve_mbsfn",
     "solve_exact", "McpInstance", "reduce_mcp", "map_solution",
     "rate_from_snr", "snr_subframe", "TraceSchedule",
-    "metrics_from_log", "snr_block", "ChannelModel",
+    "metrics_from_log", "snr_block", "ChannelModel", "eligibility",
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -115,7 +117,7 @@ def test_policies_are_pinned_in_order():
 
 
 @pytest.mark.parametrize(
-    "owner", [mcmcast, coverage, channel, traffic, engine],
+    "owner", [mcmcast, coverage, channel, topology, traffic, engine],
     ids=lambda owner: owner.__name__,
 )
 def test_deleted_names_are_gone(owner):

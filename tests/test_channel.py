@@ -19,8 +19,8 @@ from mcmcast.channel import (
     path_loss,
     snr,
 )
-from mcmcast.topology import build_hex7, eligibility
-from oracles import rate_from_snr, snr_of, snr_subframe
+from mcmcast.topology import build_hex7
+from oracles import connectivity, rate_from_snr, snr_of, snr_subframe
 
 PARAMS = ChannelParams()
 SMALL_PRBS = 3  # the PRBs of small_drop's SNR draws
@@ -141,7 +141,7 @@ class TestRateTable:
 
 def small_drop(fast_fading=True, radius=500.0, ues=4, seed=0):
     """The channel parameters and the scenario of a small drop."""
-    scenario = build_hex7(radius, ues, 0.8, rng=np.random.default_rng(seed))
+    scenario = build_hex7(radius, ues, rng=np.random.default_rng(seed))
     return ChannelParams(fast_fading=fast_fading), scenario
 
 
@@ -183,7 +183,7 @@ class TestChannelModel:
         assert snr_subframe(params, budget, rng, SMALL_PRBS).shape == (7, SMALL_PRBS, 28)
         decodable = snr_subframe(params, budget, rng, SMALL_PRBS) >= min_snr_db(100.0)
         assert decodable.shape == (7, 3, 28)
-        cover = decodable & eligibility(scenario, "mc")[:, None, :]
+        cover = decodable & connectivity(scenario, 0.8, 500.0)[1][:, None, :]
         assert cover.shape == (7, 3, 28)
 
     def test_no_fading_snr_matches_link_budget(self):
@@ -301,7 +301,7 @@ def fig7_drop(**params):
     """A fig7-sized drop, 280 users at 1 km: its channel parameters and
     its link budget under drawn shadowing."""
     rng = np.random.default_rng(11)
-    scenario = build_hex7(1000.0, 40, 0.8, rng=rng)
+    scenario = build_hex7(1000.0, 40, rng=rng)
     params = ChannelParams(**params)
     return params, link_budget(params, scenario.distance_m, rng)
 

@@ -375,6 +375,14 @@ class TestConfigPrecedence:
         assert invoke("run", "--config", str(cfg),
                       "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("word", ["1", "true", "Yes", "ON"])
+    def test_true_words_turn_burst_on(self, tmp_path, word):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"burst = {word}\n")
+        config, _, _ = _build_config(
+            build_parser().parse_args(["run", "--config", str(cfg)]))
+        assert config.burst is True
+
     @pytest.mark.parametrize("word", ["0", "false", "No", "OFF"])
     def test_false_words_turn_burst_off(self, tmp_path, word):
         cfg = tmp_path / "cfg.txt"

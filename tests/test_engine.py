@@ -33,6 +33,8 @@ from mcmcast.coverage import (
     unpack,
 )
 from mcmcast.engine import (
+    MC,
+    SC,
     Metrics,
     SimConfig,
     compare_policies,
@@ -43,10 +45,10 @@ from mcmcast.engine import (
     sweep,
     sweep_to_csv,
 )
-from mcmcast.topology import MC, NUM_CELLS, SC, build_hex7, eligibility
+from mcmcast.topology import NUM_CELLS, build_hex7
 from mcmcast.traffic import (
     parse_trace, schedule_constant, schedule_from_trace, write_synthetic_trace)
-from oracles import chosen_by, served_set, served_users, snr_subframe
+from oracles import chosen_by, connectivity, served_set, served_users, snr_subframe
 
 FAST = SimConfig(horizon=20, num_drops=2, seed=3, ues_per_cell=4,
                  radius_m=600.0, num_prbs=4)
@@ -374,11 +376,10 @@ class TestPolicyOrderings:
         # Evaluate the SC allocation against the MC instance built from the
         # very same draws: extra connectivity can only widen the served set.
         rng = np.random.default_rng(12)
-        scen = build_hex7(900.0, 4, 0.8, rng=rng)
+        scen = build_hex7(900.0, 4, rng=rng)
         params = ChannelParams()
         budget = link_budget(params, scen.distance_m, rng)
-        mc_mask = eligibility(scen, "mc")[:, None, :]
-        sc_mask = eligibility(scen, "sc")[:, None, :]
+        sc_mask, mc_mask = (m[:, None, :] for m in connectivity(scen, 0.8, 900.0))
         for _ in range(25):
             decodable = snr_subframe(params, budget, rng, 4) >= min_snr_db(400.0)
             mc, sc = decodable & mc_mask, decodable & sc_mask
@@ -395,12 +396,12 @@ class TestPolicyOrderings:
         rng = np.random.default_rng(12)
         for radius, edge_threshold in itertools.product((250.0, 900.0, 2000.0),
                                                         (0.0, 0.8)):
-            scen = build_hex7(radius, 4, edge_threshold, rng=rng)
-            assert scen.edge_ue.all() == (edge_threshold == 0.0)
+            scen = build_hex7(radius, 4, rng=rng)
+            own, mc_mask = (m[:, None, :]
+                            for m in connectivity(scen, edge_threshold, radius))
+            assert mc_mask.all() == (edge_threshold == 0.0)
             params = ChannelParams()
             budget = link_budget(params, scen.distance_m, rng)
-            own = eligibility(scen, "sc")[:, None, :]
-            mc_mask = eligibility(scen, "mc")[:, None, :]
             for _ in range(25):
                 decodable = snr_subframe(params, budget, rng, 4) >= min_snr_db(400.0)
                 mc, sc = decodable & mc_mask, decodable & own
@@ -641,11 +642,10 @@ def reference_run(config, policies):
     seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
     for d, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        scen = build_hex7(config.radius_m, config.ues_per_cell,
-                          config.edge_threshold, rng)
+        scen = build_hex7(config.radius_m, config.ues_per_cell, rng)
         budget = link_budget(config.channel, scen.distance_m, rng)
-        own = eligibility(scen, "sc")[:, None, :]
-        mc_mask = eligibility(scen, "mc")[:, None, :]
+        own, mc_mask = (m[:, None, :] for m in connectivity(
+            scen, config.edge_threshold, config.radius_m))
         for t in range(config.horizon):
             snr_db = snr_subframe(config.channel, budget, rng, config.num_prbs)
             decodable = snr_db >= threshold[t]
@@ -895,10 +895,10 @@ class TestBlockLoop:
         seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
         bad = np.random.default_rng(seeds[1]).bit_generator.state
 
-        def build(radius, ues, edge, rng):
+        def build(radius, ues, rng):
             if rng.bit_generator.state == bad:
                 raise RuntimeError("drop 1 failed")
-            return build_hex7(radius, ues, edge, rng)
+            return build_hex7(radius, ues, rng)
 
         monkeypatch.setattr(engine, "build_hex7", build)
         use_workers(monkeypatch, workers)
@@ -939,11 +939,11 @@ class TestBlockLoop:
         on_worker = []
         joins = []
 
-        def build(*args):
+        def build(radius, ues, rng):
             if threading.current_thread() is not threading.main_thread():
-                on_worker.append(args)
+                on_worker.append((radius, ues))
                 assert release.wait(timeout=60)
-            return build_hex7(*args)
+            return build_hex7(radius, ues, rng)
 
         join = threading.Thread.join
 
@@ -1104,13 +1104,14 @@ class TestChannelPathLaw:
         mid = 0  # links whose chance is neither near 0 nor near 1
         for d, seed in enumerate(plan.seeds):
             rng = np.random.default_rng(seed)
-            scen = build_hex7(radius, ues, config.edge_threshold, rng)
+            scen = build_hex7(radius, ues, rng)
             shadow = rng.normal(0.0, channel.shadowing_sigma_db, size=scen.distance_m.shape)
             budget = snr(channel, path_loss(scen.distance_m / 1000.0, channel), shadow)
             with np.errstate(over="ignore"):
                 cut = 10.0 ** ((threshold - budget) / 10.0)
             p = np.where(cut <= 1e-12, 1.0, np.exp(-cut))  # powers clamp at 1e-12
-            heard = eligibility(scen, MC)
+            masks = dict(zip((SC, MC), connectivity(scen, config.edge_threshold, radius)))
+            heard = masks[MC]
             assert not decoded[d][~heard].any(), d
             # Each link's decodes over its T*N draws: twice the smaller
             # binomial tail, against ALPHA split over the drop's links
@@ -1124,7 +1125,7 @@ class TestChannelPathLaw:
             # 2 exp(-eps^2 / (2 var + 2 eps / 3))
             log_term = math.log(2 / (self.DELTA / 2))
             for got, mode in zip(outages[d], (MC, SC)):
-                out = np.prod((1 - p * eligibility(scen, mode)) ** config.num_prbs, axis=0)
+                out = np.prod((1 - p * masks[mode]) ** config.num_prbs, axis=0)
                 mean = config.horizon * out.sum()
                 var = config.horizon * (out * (1 - out)).sum()
                 eps = log_term / 3 + math.sqrt(log_term ** 2 / 9 + 2 * var * log_term)

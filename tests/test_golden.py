@@ -8,12 +8,23 @@ digests and saying why in CHANGES.md.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from mcmcast.cli import main
+from mcmcast import engine
+from mcmcast.cli import _build_config, build_parser, main
 from mcmcast.engine import POLICIES, SimConfig, compare_policies, log_to_csv
 
 SMALL = ["--seed", "5", "--ues", "6", "--subframes", "60", "--drops", "2"]
+# A trace file each run finds in its working directory: 30 frames of
+# 10 + (37 i) % 90 bytes
+FINITE_TRACE = "t.txt"
+
+
+def write_finite_trace(directory):
+    (directory / FINITE_TRACE).write_text(
+        "".join(f"{i} {10 + (37 * i) % 90}\n" for i in range(30)))
+
 
 # name -> (mcmcast run arguments, {artifact: sha256})
 CLI_RUNS = {
@@ -57,6 +68,29 @@ CLI_RUNS = {
             "log_cga.csv": "940a1c3f9f9bce8b4c3245e764567f3369349ac5700088af5fc58dd4b2f17eaa",
             "log_sc.csv": "f8195a1a887a0ec9b9dc59b92bac155fd8287cd82e08b185f16c75ee58af899a",
             "summary.json": "591cb7f32dff5deb26ca189fab1b201eefa5bebf8becf96e3f73bb17906f3eff",
+        },
+    ),
+    # Frames of 10 to 99 bytes, each in the first of its 4 sub-frames: the
+    # trace file FINITE_TRACE, whose thresholds are finite in a quarter of
+    # the sub-frames.  The relative path keeps summary.json independent of
+    # the temporary directory.
+    "fig7_burst_finite": (
+        ["--preset", "fig7_trace_mc_vs_sc", "--trace", FINITE_TRACE, "--burst",
+         "--fps", "250", *SMALL],
+        {
+            "log_cga.csv": "ae137a241127566e591be28605339d3f85fbb65f819832c60893e69d68b5a7b6",
+            "log_sc.csv": "a596a1d4e535923e0a57e61a2dee0127470f1196c03d9b362ea2f284697bda8a",
+            "summary.json": "8b4eb9b6e772ea012e4abf32304571daa3290be6fa2ba7d0d80adc73e0a7202d",
+        },
+    ),
+    # Association at an edge threshold other than the default 0.8: SC does
+    # not depend on it, so its log is the one fig7 pins
+    "fig7_edge": (
+        ["--preset", "fig7_trace_mc_vs_sc", "--edge-threshold", "0.5", *SMALL],
+        {
+            "log_cga.csv": "37aa978b1efc1e4b3a9a9fcc4ec7832383a202caeb813f141c522686c07f5e08",
+            "log_sc.csv": "755c7ea5560416b75b669e935707a4ba222ae57254a39a2ae7b89014ababb6e9",
+            "summary.json": "d04b5f47f835a5abe41a728b610a29bf9c2f2e022ae2ee9f8210a8c6cec1ab2f",
         },
     ),
     "fig8": (
@@ -137,10 +171,24 @@ def test_cli_artifacts_match_golden_digests(name, tmp_path, monkeypatch):
     # A relative --out keeps the synthesized trace path in summary.json
     # independent of the temporary directory.
     monkeypatch.chdir(tmp_path)
+    write_finite_trace(tmp_path)
     argv, golden = CLI_RUNS[name]
     assert main(["run", *argv, "--out", "out"]) == 0
     got = {f: sha256((tmp_path / "out" / f).read_bytes()) for f in golden}
     assert got == golden
+
+
+def test_finite_burst_run_has_finite_thresholds(tmp_path, monkeypatch):
+    # fig7_burst sees only the thresholds -inf and +inf; this run's frames
+    # need finite ones, 10 distinct levels in a quarter of its sub-frames
+    monkeypatch.chdir(tmp_path)
+    write_finite_trace(tmp_path)
+    args = build_parser().parse_args(["run", *CLI_RUNS["fig7_burst_finite"][0]])
+    config, _, policies = _build_config(args)
+    plan = engine._plan(config, policies)
+    finite = np.isfinite(plan.levels)
+    assert finite.sum() == 10
+    assert finite[plan.level].mean() == 0.25
 
 
 def test_served_ids_log_matches_golden_digest():

@@ -1,22 +1,24 @@
-"""Seven-cell geometry, UE placement statistics, and connectivity modes."""
+"""Seven-cell geometry, UE placement statistics, and association."""
+
+import itertools
 
 import numpy as np
 import pytest
 
-from mcmcast.topology import build_hex7, eligibility
+from mcmcast.topology import NUM_CELLS, associate, build_hex7
+from oracles import connectivity
 
 RADIUS = 400.0
 
 
-def scenario(ues=20, seed=0, edge_threshold=0.8):
-    return build_hex7(RADIUS, ues, edge_threshold,
-                      rng=np.random.default_rng(seed))
+def scenario(ues=20, seed=0):
+    return build_hex7(RADIUS, ues, rng=np.random.default_rng(seed))
 
 
 class TestLayout:
     def test_center_plus_six_ring(self):
         scen = scenario()
-        assert scen.num_cells == 7
+        assert scen.cell_pos.shape == (NUM_CELLS, 2) == (7, 2)
         assert np.allclose(scen.cell_pos[0], [0.0, 0.0])
         ring = np.linalg.norm(scen.cell_pos[1:], axis=1)
         assert np.allclose(ring, np.sqrt(3.0) * RADIUS)
@@ -39,19 +41,23 @@ class TestLayout:
         scen = scenario(ues=30, seed=3)
         dist = np.linalg.norm(
             scen.cell_pos[:, None, :] - scen.ue_pos[None, :, :], axis=2)
-        assert np.array_equal(scen.primary_cell, dist.argmin(axis=0))
         assert np.array_equal(scen.distance_m, dist)  # kept for the channel model
+        own, _ = associate(scen.distance_m, 0.8 * RADIUS)
+        assert np.array_equal(own, np.arange(7)[:, None] == dist.argmin(axis=0))
 
     def test_edge_flag_matches_threshold(self):
         scen = scenario(ues=40, seed=4)
         dist = np.linalg.norm(
             scen.cell_pos[:, None, :] - scen.ue_pos[None, :, :], axis=2)
-        d_primary = dist[scen.primary_cell, np.arange(len(scen.ue_pos))]
-        assert np.array_equal(scen.edge_ue, d_primary > 0.8 * RADIUS)
+        d_primary = dist[dist.argmin(axis=0), np.arange(len(scen.ue_pos))]
+        own, mc = associate(scen.distance_m, 0.8 * RADIUS)
+        assert np.array_equal(mc.all(axis=0), d_primary > 0.8 * RADIUS)
+        assert np.array_equal(mc[:, d_primary <= 0.8 * RADIUS],
+                              own[:, d_primary <= 0.8 * RADIUS])
 
     def test_mean_distance_of_uniform_disc(self):
         # E[distance to own eNB] = 2R/3 for a uniform disc drop.
-        scen = build_hex7(RADIUS, 3000, 0.8, rng=np.random.default_rng(8))
+        scen = build_hex7(RADIUS, 3000, rng=np.random.default_rng(8))
         own = np.repeat(np.arange(7), 3000)
         d = np.linalg.norm(
             scen.ue_pos - scen.cell_pos[own], axis=1)
@@ -60,7 +66,10 @@ class TestLayout:
     def test_deterministic_given_seed(self):
         a, b = scenario(seed=11), scenario(seed=11)
         assert np.array_equal(a.ue_pos, b.ue_pos)
-        assert np.array_equal(eligibility(a, "mc"), eligibility(b, "mc"))
+        assert np.array_equal(a.distance_m, b.distance_m)
+        for want, got in zip(associate(a.distance_m, 0.8 * RADIUS),
+                             associate(b.distance_m, 0.8 * RADIUS)):
+            assert np.array_equal(want, got)
 
     @pytest.mark.parametrize("radius, ues", [
         (RADIUS, 0), (RADIUS, 1), (250.0, 3), (1000.0, 10), (1000.0, 40), (3e153, 5)])
@@ -70,7 +79,7 @@ class TestLayout:
         # position and the generator's next draw are bit-identical
         for seed in range(20):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            scen = build_hex7(radius, ues, 0.8, got_rng)
+            scen = build_hex7(radius, ues, got_rng)
             want = []
             for center in scen.cell_pos:
                 r = radius * np.sqrt(want_rng.random(ues))
@@ -88,64 +97,83 @@ class TestLayout:
             scen.distance_m[0, 0] = 1.0
 
     def test_no_users(self):
-        scen = build_hex7(RADIUS, 0, 0.8, np.random.default_rng(0))
+        scen = build_hex7(RADIUS, 0, np.random.default_rng(0))
         assert scen.ue_pos.shape == (0, 2)
-        assert scen.primary_cell.shape == scen.edge_ue.shape == (0,)
         assert scen.distance_m.shape == (7, 0)
-        assert eligibility(scen, "mc").shape == (7, 0)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            build_hex7(0.0, 5, 0.8, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            build_hex7(100.0, -1, 0.8, np.random.default_rng(0))
+            build_hex7(0.0, 5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="ues_per_cell must be >= 0"):
+            build_hex7(100.0, -1, np.random.default_rng(0))
         for radius in (1e154, 1e308):  # the layout's distances overflow
             with pytest.raises(ValueError, match="too large"):
-                build_hex7(radius, 5, 0.8, np.random.default_rng(0))
+                build_hex7(radius, 5, np.random.default_rng(0))
 
     def test_largest_radius_builds_without_overflow(self):
         # (2 sqrt(3) + 1) * 3e153, the farthest a UE can be from an eNB,
         # still squares to a finite float, so the distances stay finite
         # (the suite turns numpy's overflow warnings into errors)
-        scen = build_hex7(3e153, 50, 0.8, rng=np.random.default_rng(1))
+        scen = build_hex7(3e153, 50, rng=np.random.default_rng(1))
         dist = np.linalg.norm(scen.cell_pos[:, None] - scen.ue_pos[None], axis=2)
         assert np.isfinite(dist).all()
         with pytest.raises(ValueError, match="too large"):
-            build_hex7(3.01e153, 50, 0.8, rng=np.random.default_rng(1))
+            build_hex7(3.01e153, 50, rng=np.random.default_rng(1))
 
 
 class TestConnectivity:
     def test_edge_ues_connect_everywhere_in_mc(self):
         scen = scenario(ues=40, seed=5)
-        mask = eligibility(scen, "mc")
+        own, mc = associate(scen.distance_m, 0.8 * RADIUS)
+        primary = scen.distance_m.argmin(axis=0)
+        edge = scen.distance_m.min(axis=0) > 0.8 * RADIUS
+        assert edge.any() and not edge.all()  # both kinds of user occur
         for k in range(len(scen.ue_pos)):
-            if scen.edge_ue[k]:
-                assert mask[:, k].all()
+            if edge[k]:
+                assert mc[:, k].all()
             else:
-                assert np.flatnonzero(mask[:, k]).tolist() == [scen.primary_cell[k]]
+                assert np.flatnonzero(mc[:, k]).tolist() == [primary[k]]
 
     def test_sc_collapses_to_primary(self):
         scen = scenario(ues=40, seed=5)
-        mask = eligibility(scen, "sc")
+        own, _ = associate(scen.distance_m, 0.8 * RADIUS)
+        primary = scen.distance_m.argmin(axis=0)
         for k in range(len(scen.ue_pos)):
-            assert np.flatnonzero(mask[:, k]).tolist() == [scen.primary_cell[k]]
-
-    def test_unknown_mode_rejected(self):
-        # exactly "mc" or "sc": no other value, case or type is read as one
-        for mode in ("mesh", None, "MC", ["mc"]):
-            with pytest.raises(ValueError, match="mode must be 'mc' or 'sc', got"):
-                eligibility(scenario(), mode)
+            assert np.flatnonzero(own[:, k]).tolist() == [primary[k]]
 
     def test_eligibility_masks_per_mode(self):
-        scen = scenario(ues=40, seed=5)
-        own = np.arange(7)[:, None] == scen.primary_cell[None, :]
-        assert np.array_equal(eligibility(scen, "sc"), own)
-        assert np.array_equal(eligibility(scen, "mc"), own | scen.edge_ue)
-        assert eligibility(scen, "mc").sum(axis=0).tolist() == [
-            7 if edge else 1 for edge in scen.edge_ue]
+        # associate's (own, mc), from the distances alone, are the
+        # reference association, rebuilt from the positions
+        for seed, edge_threshold in itertools.product(range(5), (0.0, 0.5, 0.8, 1.0)):
+            scen = scenario(ues=40, seed=seed)
+            got = associate(scen.distance_m, edge_threshold * RADIUS)
+            want = connectivity(scen, edge_threshold, RADIUS)
+            for got_mask, want_mask in zip(got, want):
+                assert got_mask.dtype == bool and got_mask.shape == (7, 280)
+                assert np.array_equal(got_mask, want_mask), (seed, edge_threshold)
+            own, mc = got
+            assert own.sum(axis=0).tolist() == [1] * 280
+            assert set(mc.sum(axis=0).tolist()) <= {1, 7}
 
     def test_zero_threshold_makes_everyone_edge(self):
-        scen = scenario(ues=10, seed=7, edge_threshold=0.0)
-        assert scen.edge_ue.all()
-        assert eligibility(scen, "mc").all()
+        scen = scenario(ues=10, seed=7)
+        own, mc = associate(scen.distance_m, 0.0)
+        assert mc.all()
+        assert own.sum() == 70
 
+    def test_hand_built_distances(self):
+        # A tie goes to the lower cell; a UE exactly edge_m from its own
+        # cell is not an edge UE, one just past it is
+        dist = np.full((7, 3), 500.0)
+        dist[[4, 2], 0] = 100.0          # tie between cells 2 and 4
+        dist[5, 1] = 300.0               # exactly edge_m away
+        dist[3, 2] = np.nextafter(300.0, np.inf)
+        own, mc = associate(dist, 300.0)
+        assert [np.flatnonzero(own[:, k]).tolist() for k in range(3)] == [[2], [5], [3]]
+        assert mc.sum(axis=0).tolist() == [1, 1, 7]
+        assert np.array_equal(mc[:, :2], own[:, :2])
+
+    def test_no_users_give_empty_masks(self):
+        own, mc = associate(scenario(ues=0).distance_m, 0.8 * RADIUS)
+        assert own.shape == mc.shape == (7, 0)
+        assert own.dtype == mc.dtype == bool
