@@ -26,12 +26,14 @@ it.
   * dga_block   -- uncoordinated per-cell argmax: the dga policy on the
                    MC instance, the sc policy on the SC instance
   * mbsfn_block -- one common PRB index for every cell
-  * exact_block -- exhaustive search over all N^C allocations (oracle),
-                   unions of head cells ORed against unions of tail
-                   cells; the unions are built for a group of instances
-                   at a time, the search runs one instance at a time, and
-                   each group and each chunk holds at most STACK_WORDS
-                   words
+  * exact_block -- exhaustive search (oracle), one instance at a time,
+                   over the allocations of each cell's live rows, those
+                   that no lower row of the cell covers: a covered row
+                   swapped for the lower row covering it loses no user
+                   and comes earlier in product order, so the first
+                   maximizer over all N^C allocations uses live rows
+                   only; unions of head cells ORed against unions of
+                   tail cells, each chunk at most STACK_WORDS words
 
 All kernels are pure functions of the stack and break argmax ties toward
 the lowest (cell, prb) index within each instance, so outputs are
@@ -63,13 +65,14 @@ EXACT_DEFAULT_CAP = 10_000_000
 
 # Upper bound on the uint64 words of one packed stack (128 KiB).  Each of
 # the engine's workers packs as many whole sub-frames at once as fit, and
-# every kernel runs on that stack.  Within exact_block it also bounds each
-# group of instances whose head and tail unions are built together, and
-# each chunk of the search, how many head unions of one instance each chunk
-# ORs against its tail unions, so that even the full cap never materializes
-# at once; at C = 7, N = 4 and up to 64 users a group holds the unions of
-# 51 instances and one chunk all 4^7 allocations.  2^17 raised the fig4
-# benchmark's peak RSS by 6% (CHANGES.md).
+# every kernel runs on that stack.  Within exact_block it also bounds the
+# tail unions of one instance and each chunk of its search, how many head
+# unions each chunk ORs against the tail unions, so that even the full cap
+# never materializes at once.  The search spans only each cell's live
+# rows, those that no lower row of the cell covers (a covered row never
+# holds the first maximizer; see exact_block): at C = 7, N = 4 and up to 64
+# users one chunk holds all of an instance's allocations.  2^17 raised the
+# fig4 benchmark's peak RSS by 6% (CHANGES.md).
 STACK_WORDS = 1 << 14
 
 # Greedy-to-optimal ratio the oracle suite checks for: 1 - 1/e.  This is
@@ -186,56 +189,66 @@ def exact_block(words: np.ndarray, cap: int = EXACT_DEFAULT_CAP) -> np.ndarray:
     serves the most users, which is the lowest-(cell, prb) tie-break.
     Refuses stacks whose instances have more than `cap` allocations.
 
-    An allocation is the OR of one packed row per cell.  The cells
-    split into leading head cells and trailing tail cells: each allocation
-    is one head union ORed with one tail union, and its index in
-    itertools.product order is head index * N^tail + tail index.  The
-    head and tail unions are built for as many consecutive instances at
-    once as fit their (N^head + N^tail) W words each in STACK_WORDS, at
-    least one.  The search then takes one instance at a time and ORs r
-    head unions against all tail unions at once, keeping every
-    (r, N^tail, W) chunk within STACK_WORDS words.  A flat argmax keeps
-    the first maximizer within a chunk, and a later chunk replaces it only
+    Only live rows are scanned: row j of a cell is live unless some lower
+    row i < j of the same cell covers every one of its users (row 0 is
+    always live; an empty or repeated row j > 0 never is).  Swapping a
+    covered row for the lower row that covers it loses no user and gives
+    an allocation earlier in product order, so no allocation with a
+    covered row is the first maximizer.  Each cell's live rows are sorted
+    first, in PRB order, so that product order over them is product order
+    over the PRBs, and the winning index is decoded in the mixed radix of
+    the cells' live counts and mapped back through that sort.
+
+    An allocation is the OR of one live row per cell.  The search takes
+    one instance at a time and splits its cells into trailing tail cells,
+    the longest run whose live-row product fits STACK_WORDS // W unions,
+    and leading head cells, the rest and at least one: each allocation is
+    one head union ORed with one tail union, and its index is head index
+    * tails + tail index.  Each chunk ORs a few head unions against all
+    tail unions at once and holds at most STACK_WORDS words, or one
+    allocation when its W words alone are more.  A flat argmax keeps the
+    first maximizer within a chunk, and a later chunk replaces it only
     when strictly larger, so the first maximizer overall wins.
     """
     num_blocks, num_cells, num_prbs, width = words.shape
     check_exact_cap(num_cells, num_prbs, cap)
     budget = STACK_WORDS // max(width, 1)  # rows of W words
-    tail_cells = -(-num_cells // 2)
-    while tail_cells and num_prbs ** tail_cells > budget:
-        tail_cells -= 1
-    head_cells = num_cells - tail_cells
-    heads, tails = num_prbs ** head_cells, num_prbs ** tail_cells
-    rows = max(1, min(heads, budget // tails))
-    group = max(1, budget // (heads + tails))  # instances per union build
+    live = np.ones(words.shape[:3], dtype=bool)
+    for j in range(1, num_prbs):
+        live[:, :, j] = (words[:, :, j, None] & ~words[:, :, :j]).any(-1).all(-1)
+    # each cell's live rows first, in PRB order
+    order = np.argsort(~live, axis=-1, kind="stable")
+    rows = np.take_along_axis(words, order[..., None], axis=2)
+    digits = np.zeros((num_blocks, num_cells), dtype=np.intp)
+    for b, sizes in enumerate(live.sum(axis=-1).tolist()):
+        head_cells, tails = num_cells, 1
+        while head_cells > 1 and tails * sizes[head_cells - 1] <= budget:
+            head_cells -= 1
+            tails *= sizes[head_cells]
+        head = _unions(rows[b, :head_cells], sizes[:head_cells])
+        tail = _unions(rows[b, head_cells:], sizes[head_cells:])
+        step = max(1, budget // tails)  # head unions per chunk
+        best_count, index = -1, 0
+        for h0 in range(0, len(head), step):
+            # one expression, so that no chunk of ORs outlives its popcount
+            counts = _popcount(head[h0: h0 + step, None] | tail).ravel()
+            i = int(counts.argmax())
+            if int(counts[i]) > best_count:
+                best_count, index = int(counts[i]), h0 * tails + i
+        # cell c's digit, in base sizes[c], the last cell least significant
+        for c in range(num_cells - 1, -1, -1):
+            index, digits[b, c] = divmod(index, sizes[c])
+    return np.take_along_axis(order, digits[..., None], axis=-1)[..., 0]
 
-    best_index = []
-    for g0 in range(0, num_blocks, group):
-        stack = words[g0: g0 + group]
-        for head, tail in zip(_unions(stack[:, :head_cells]),
-                              _unions(stack[:, head_cells:])):
-            best_count, index = -1, 0
-            for h0 in range(0, heads, rows):
-                # one expression, so that no chunk of ORs outlives its popcount
-                counts = _popcount(head[h0: h0 + rows, None] | tail).ravel()
-                i = int(counts.argmax())
-                if int(counts[i]) > best_count:
-                    best_count, index = int(counts[i]), h0 * tails + i
-            best_index.append(index)
-    # cell c's PRB is digit c of the index in base N, most significant first
-    place = num_prbs ** np.arange(num_cells - 1, -1, -1)
-    return np.array(best_index, dtype=np.intp)[:, None] // place % num_prbs
 
-
-def _unions(words: np.ndarray) -> np.ndarray:
-    """(G, K, N, W) rows of G instances -> (G, N^K, W) unions of one row
-    per cell of each instance, in itertools.product order (the last cell
-    varies fastest)."""
-    num_blocks, num_cells, num_prbs, width = words.shape
-    out = np.zeros((num_blocks, 1, width), dtype=np.uint64)
-    for c in range(num_cells):
-        out = (out[:, :, None] | words[:, c, None]).reshape(
-            num_blocks, out.shape[1] * num_prbs, width)
+def _unions(rows: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """(K, N, W) sorted rows of one instance -> the (prod(sizes), W)
+    unions of one of the first sizes[c] rows of each cell c, in
+    itertools.product order (the last cell varies fastest); one zero
+    union when K = 0.  With K = 1 they are a view of the rows."""
+    out = rows[0, :sizes[0]] if len(rows) else np.zeros((1, rows.shape[-1]), np.uint64)
+    for cell, size in zip(rows[1:], sizes[1:]):
+        out = (out[:, None] | cell[:size]).reshape(len(out) * size, rows.shape[-1])
     return out
 
 

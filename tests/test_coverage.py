@@ -298,17 +298,24 @@ class TestArraySolversMatchSetReferences:
                                       (exact_block, reference_exact)):
                 assert chosen_and_served(kernel, cover[None]) == [reference(cover)]
 
-    def test_exact_at_the_cap_stays_in_bounded_blocks(self):
-        # 10^7 allocations; only the very last one serves every user.
-        cover = np.zeros((7, 10, 70), dtype=bool)
-        cover[np.arange(7), 9, np.arange(7)] = True
+    def test_exact_at_the_cap_stays_in_bounded_blocks(self, monkeypatch):
+        # 10^7 allocations, none with a row that a lower row covers: row
+        # (c, j) holds user 10c + j and row (c, 9) also user 70 + c, so
+        # only the very last allocation serves 14 users.
+        cover = np.zeros((7, 10, 77), dtype=bool)
+        cells, prbs = np.arange(7)[:, None], np.arange(10)
+        cover[cells, prbs, 10 * cells + prbs] = True
+        cover[np.arange(7), 9, 70 + np.arange(7)] = True
+        chunks = spy_chunks(monkeypatch)
         tracemalloc.start()
         try:
             result = chosen_and_served(exact_block, cover[None])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result == [((9,) * 7, frozenset(range(7)))]
+        served = frozenset(range(9, 70, 10)) | frozenset(range(70, 77))
+        assert result == [((9,) * 7, served)]
+        assert sum(heads * tails for heads, tails, _ in chunks) == 10**7
         assert peak < 32e6  # one 10^7-row block would take >= 80 MB
 
 
@@ -444,48 +451,51 @@ def reference_stacks():
             for group in groups.values()]
 
 
-def spy_unions(monkeypatch):
-    """The (G, N^K, W) shape of every array coverage._unions returns from
-    now on, in call order: head, then tail, for each group of instances."""
+def spy_chunks(monkeypatch):
+    """The (heads, tails, W) shape of every chunk of ORs whose popcounts
+    exact_block takes from now on, in scan order."""
     shapes = []
-    unions = coverage._unions
+    popcount = coverage._popcount
 
     def spy(words):
-        out = unions(words)
-        shapes.append(out.shape)
-        return out
+        shapes.append(words.shape)
+        return popcount(words)
 
-    monkeypatch.setattr(coverage, "_unions", spy)
+    monkeypatch.setattr(coverage, "_popcount", spy)
     return shapes
 
 
+def live_rows(cover):
+    """Each cell's count of rows that no lower row of the cell covers, by
+    set inclusion."""
+    return [sum(not any(row[j] <= row[i] for i in range(j)) for j in range(len(row)))
+            for row in sets_of(cover)]
+
+
 class TestStackedExact:
-    # 40 words: the heads of the (4, 3) and two-word (3, 3) instances span
-    # several chunks, the last one short.  1 word searches one allocation
-    # per chunk.  72 words: the unions of the 7 two-word (3, 3) instances
-    # are built in groups of 3 + 3 + 1.
+    # 8, 40 and 72 words: some instances' heads span several chunks, the
+    # last one short.  1 word searches one allocation per chunk, and a
+    # two-word allocation is wider than the stack.
     @pytest.mark.parametrize("block_words", [coverage.STACK_WORDS, 1, 8, 40, 72])
     def test_each_row_is_the_reference_allocation(self, block_words, monkeypatch):
         monkeypatch.setattr(coverage, "STACK_WORDS", block_words)
-        shapes = spy_unions(monkeypatch)
-        groups = []
+        chunks = spy_chunks(monkeypatch)
         for covers, references in reference_stacks():
-            shapes.clear()
+            chunks.clear()
             assert chosen_and_served(exact_block, covers) == references
-            # every group's head unions, then its tail unions
-            assert [g for g, _, _ in shapes[::2]] == [g for g, _, _ in shapes[1::2]]
-            groups.append(tuple(g for g, _, _ in shapes[::2]))
-            assert sum(groups[-1]) == len(covers)
-        if block_words == 72:
-            assert (3, 3, 1) in groups
+            # every chunk fits the stack, or is one allocation of a wider row
+            assert all(heads * tails * width <= block_words or heads * tails == 1
+                       for heads, tails, width in chunks)
+            # each instance scans exactly the allocations of its live rows
+            assert (sum(heads * tails for heads, tails, _ in chunks)
+                    == sum(np.prod(live_rows(cover)) for cover in covers))
 
     def test_exact_n4_sized_stack_stays_small(self, monkeypatch):
         # 100 sub-frames of 7 cells, 4 PRBs and 35 users, as the exact_n4
-        # benchmark runs them; its peak RSS is gated.  Each group's head and
-        # tail unions fit STACK_WORDS together, and the stack takes at most
-        # two groups.
+        # benchmark runs them; its peak RSS is gated.  Every chunk fits
+        # STACK_WORDS.
         words = pack(np.random.default_rng(5).random((100, 7, 4, 35)) < 0.3)
-        shapes = spy_unions(monkeypatch)
+        chunks = spy_chunks(monkeypatch)
         tracemalloc.start()
         try:
             exact_block(words)
@@ -493,10 +503,40 @@ class TestStackedExact:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
-        sizes = [np.prod(shape) for shape in shapes]
-        assert all(head + tail <= coverage.STACK_WORDS
-                   for head, tail in zip(sizes[::2], sizes[1::2]))
-        assert len(shapes) <= 2 * 2
+        assert len(chunks) >= len(words)
+        assert all(np.prod(shape) <= coverage.STACK_WORDS for shape in chunks)
+
+
+class TestLiveRows:
+    """exact_block scans only the rows that no lower row of their cell
+    covers; on hand-built instances each pick is reference_exact's, the
+    first maximizer over every allocation."""
+
+    def check(self, sets, num_users, want):
+        cover = from_sets(num_users=num_users, num_cells=len(sets),
+                          num_prbs=len(sets[0]), sets=sets)
+        assert reference_exact(cover)[0] == want
+        assert chosen_and_served(exact_block, cover[None]) == [reference_exact(cover)]
+
+    def test_covered_row_that_ties_loses_to_the_lower_prb(self):
+        # (cell 0, PRB 2) is covered by PRB 1, and (2, 2) ties (1, 2) at 4;
+        # cell 1 wins on PRB 2, past its covered PRB 1
+        sets = (({0}, {1, 2}, {2}), ({1}, set(), {0, 1, 3}))
+        self.check(sets, 4, (1, 2))
+
+    def test_row_zero_covered_by_row_one_is_scanned_and_wins_the_tie(self):
+        # PRB 0 of cell 0 is inside PRB 1, yet (0, 0) ties (1, 0) first
+        sets = (({0}, {0, 1}), ({1, 2}, set()))
+        self.check(sets, 3, (0, 0))
+
+    def test_two_equal_rows(self):
+        # the lower of cell 0's equal rows wins; cell 1's PRB 1 repeats PRB 0
+        sets = (({1}, {0}, {0}), ({2}, {2}, {1, 2}))
+        self.check(sets, 3, (1, 2))
+
+    def test_cell_with_every_row_empty(self):
+        sets = ((set(), {0}, {1, 2}), (set(), set(), set()), ({1}, set(), {3}))
+        self.check(sets, 4, (2, 0, 2))
 
 
 def brute_force_mcp(mcp: McpInstance) -> int:
