@@ -7,7 +7,7 @@ demand needs, cell, UE), +inf on every link that multi-connectivity (MC)
 cannot hear, and into (C, N, W) words of each user's own cell on every
 PRB.  Within a drop the loop steps through kernel blocks of K sub-frames,
 as many as fit one packed stack of coverage.STACK_WORDS words, each drawn
-in fading blocks of at most 1 MiB of powers that also end where the
+in fading blocks of at most 512 KiB of powers that also end where the
 threshold changes: draw per-PRB fading powers → compare them, in one
 contiguous pass, with a (C, N, M) plane of the block's threshold's cutoffs
 on every PRB, filled once per run of one threshold → pack the result into
@@ -28,14 +28,14 @@ differences are policy-only.
 A run's drops are independent, each with its own seed, so compare_policies
 simulates them on up to min(drops, usable CPUs, 2) workers: the calling
 thread and a plain thread, drop d on worker d % workers, each with its own
-buffers, a whole packed stack and a 1 / workers share of the fading
-budget, and each writing only its own drops' rows.  _plan is a run's whole
-set-up, before any drop runs (and, from the CLI, before anything is
-written): the checks, the demand, with a warning when a trace shorter
-than the horizon wraps, and the sizes, its frame, its workers and each
-worker's kernel-block and fading-block lengths.  The fading draw,
-most of the work, releases the GIL.  Every result and artifact byte is the
-same on any number of CPUs.  sweep runs a grid, each distinct SimConfig
+buffers, a whole packed stack and a whole fading budget, and each writing
+only its own drops' rows.  _plan is a run's whole set-up, before any drop
+runs (and, from the CLI, before anything is written): the checks, the
+demand, with a warning when a trace shorter than the horizon wraps, and
+the sizes, its frame, its workers and the kernel-block and fading-block
+lengths, the same on every worker and for any worker count.  The fading
+draw, most of the work, releases the GIL.  Every result and artifact byte
+is the same on any number of CPUs.  sweep runs a grid, each distinct SimConfig
 once, whichever axes share it.
 """
 
@@ -47,6 +47,7 @@ import math
 import os
 import threading
 import warnings
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
@@ -79,15 +80,15 @@ __all__ = [
     "paired_one_sided_pvalue", "log_to_csv", "sweep_to_csv", "summary_dict",
 ]
 
-# Upper bound on the float64 fading powers of one fading block of sub-frames
-# (1 MiB): the loop draws and compares as many whole sub-frames at once as
-# fit, and no more than one kernel block holds.  Larger blocks were no
-# faster and cost peak memory; smaller ones pay per-call overhead more often.
-_BLOCK_WORDS = 1 << 17
+# Upper bound on the float64 fading powers of one worker's fading block of
+# sub-frames (512 KiB): the loop draws and compares as many whole sub-frames
+# at once as fit, and no more than one kernel block holds.  2^17 values ran
+# no faster on a fig4-sized drop, 2^15 about 3% slower; larger cost memory.
+_BLOCK_WORDS = 1 << 16
 
 # The most workers one run uses.  Two were measured against one, on a
-# 2-vCPU host (BENCH_20.json); more workers split the fading budget
-# finer and share the GIL for the rest of each block, and no host with
+# 2-vCPU host (BENCH_20.json); more workers each hold a whole fading
+# budget and share the GIL for the rest of each block, and no host with
 # more CPUs has shown that they pay.
 _MAX_WORKERS = 2
 
@@ -231,6 +232,8 @@ def compare_policies(
     policy's record is the (num_drops, T, W) words of the users it
     served; its counts and, under config.log_served_ids, its masks are
     read from them after the run."""
+    if isinstance(policies, str):  # tuple("cga") would be ('c', 'g', 'a')
+        raise ValueError(f"policies must be a sequence of policy names, got {policies!r}")
     policies = tuple(policies)
     plan = _plan(config, policies)
     num_users, workers = plan.frame[2], plan.workers
@@ -323,15 +326,14 @@ def _plan(config: SimConfig, policies: tuple[str, ...]) -> _Plan:
     trace shorter than the horizon wraps, and size the run, here and
     nowhere else.  frame is the (C, N, M) cells, PRBs and users of one
     sub-frame, and workers one per usable CPU, but no more than
-    _MAX_WORKERS, than drops, or than leave each worker's 1 / workers
-    share of the fading budget a whole sub-frame.  span is each worker's
-    kernel-block length, what one whole packed stack of STACK_WORDS holds
-    (a sub-frame's words are about 1/56 of its fading powers at M = 280,
-    so a stack each is cheap), capped at the horizon; block its
-    fading-block length, what its share of _BLOCK_WORDS holds, capped at
-    span.  levels are the run's distinct SNR thresholds, level each
-    sub-frame's index into them, ends the sub-frame that ends each
-    sub-frame's run of one threshold, and seeds one per drop."""
+    _MAX_WORKERS or than drops.  span is each worker's kernel-block
+    length, what one whole packed stack of STACK_WORDS holds, capped at
+    the horizon; block its fading-block length, what one whole
+    _BLOCK_WORDS budget holds, capped at span.  Every worker has both
+    buffers whole, so neither length depends on the worker count.
+    levels are the run's distinct SNR thresholds, level each sub-frame's
+    index into them, ends the sub-frame that ends each sub-frame's run of
+    one threshold, and seeds one per drop."""
     if not policies:
         raise ValueError("need at least one policy")
     if len(set(policies)) != len(policies):
@@ -365,9 +367,9 @@ def _plan(config: SimConfig, policies: tuple[str, ...]) -> _Plan:
     frame = (NUM_CELLS, config.num_prbs, NUM_CELLS * config.ues_per_cell)
     floats = math.prod(frame)  # the fading powers of one sub-frame
     words = math.prod(frame[:2]) * num_words(frame[2])  # its packed stack
-    workers = max(1, min(config.num_drops, _cpus(), _MAX_WORKERS, _BLOCK_WORDS // floats))
+    workers = max(1, min(config.num_drops, _cpus(), _MAX_WORKERS))
     span = max(1, min(horizon, STACK_WORDS // words))
-    block = max(1, min(span, _BLOCK_WORDS // workers // floats))
+    block = max(1, min(span, _BLOCK_WORDS // floats))
     seeds = np.random.SeedSequence(config.seed).spawn(config.num_drops)
     return _Plan(frame, workers, span, block, levels, level, ends, seeds)
 
@@ -380,10 +382,10 @@ def _blocks(config: SimConfig, plan: _Plan, drops):
     words, contiguous (1, C, N, W), so that mc & own is the SC stack.
     mc is the reused word buffer itself, valid only until the generator
     resumes.  Its buffers are sized by the plan's span, one whole packed
-    stack, and block, one worker's share of the fading budget, so that the
-    plan's workers of these generators at once stay within that budget.
-    The plane of cutoffs is filled at each drop's first sub-frame and
-    where the threshold changes: once per run of one threshold."""
+    stack, and block, one whole fading budget, so each of the plan's
+    workers that runs one of these generators holds one of each.  The
+    plane of cutoffs is filled at each drop's first sub-frame and where
+    the threshold changes: once per run of one threshold."""
     frame, span, block = plan.frame, plan.span, plan.block
     level, ends, horizon = plan.level, plan.ends, config.horizon
     # One (span, C, N, W) word buffer for the packed decodability of a kernel
@@ -434,6 +436,9 @@ def sweep(config: SimConfig, axes: dict,
     for axis, values in axes.items():
         if axis not in _SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {axis!r}")
+        if isinstance(values, (str, bytes)) or not (
+                isinstance(values, Sequence) or getattr(values, "ndim", None) == 1):
+            raise ValueError(f"{axis} values must be a sequence of numbers, got {values!r}")
         if len(values) == 0:
             raise ValueError("sweep needs at least one value")
         grid[axis] = []

@@ -8,6 +8,7 @@ import io
 import itertools
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -236,6 +237,14 @@ class TestRunBasics:
         with pytest.raises(ValueError, match="policy"):
             compare_policies(FAST, policies)
 
+    def test_a_str_of_policies_refused_by_value(self, no_drop):
+        # tuple("cga") is ('c', 'g', 'a'), which used to fail as an unknown
+        # policy 'c'; a sweep hands its policies to every point's run
+        with pytest.raises(ValueError, match="policy names, got 'cga'"):
+            compare_policies(FAST, "cga")
+        with pytest.raises(ValueError, match="policy names, got 'cga'"):
+            sweep(FAST, {"radius": [500.0]}, "cga")
+
     def test_trace_schedule_drives_the_run(self, tmp_path):
         path = tmp_path / "trace.txt"
         path.write_text("0 I 0.0 100\n")  # 800 bits over 33 sub-frames
@@ -249,7 +258,7 @@ class TestRunBasics:
     def test_slow_trace_builds_only_the_horizon(self, tmp_path):
         # At 0.03 fps a frame spans 33 333 sub-frames, so the whole schedule
         # of the 300-frame trace is 80 MB of float64; a run keeps only its
-        # horizon of them.  The 1 MiB fading buffer is most of what remains.
+        # horizon of them.  The 512 KiB fading buffer is most of what remains.
         trace = write_synthetic_trace(str(tmp_path / "trace.txt"), seed=1)
         cfg = SimConfig(horizon=1000, num_drops=1, seed=2, trace_path=trace,
                         fps=0.03, ues_per_cell=1)
@@ -497,6 +506,14 @@ class TestSweep:
         assert [value for value, _ in tables["radius"]] == [600.0, 800.0, 600.0]
         assert shared.config == FAST
 
+    @pytest.mark.parametrize("values", [500.0, 7, "500", None, {500.0}, np.float64(500.0)])
+    def test_values_that_are_no_sequence_refused_by_axis(self, values, no_drop):
+        # A number used to raise a bare TypeError from len(), and a str
+        # would run one point per character
+        with pytest.raises(ValueError, match=f"radius values must be a sequence of "
+                                             f"numbers, got {re.escape(repr(values))}"):
+            sweep(FAST, {"users_per_cell": [2], "radius": values}, ("cga",))
+
     def test_every_axis_checked_before_any_point_runs(self, no_drop):
         with pytest.raises(ValueError, match="radius value nan"):
             sweep(FAST, {"users_per_cell": [2, 3], "radius": [math.nan]}, ("cga",))
@@ -669,15 +686,15 @@ def reference_run(config, policies):
     return {p: (m.sum(axis=-1), m) for p, m in masks.items()}, instances
 
 
-def block_sizes(config, workers=1):
-    """Sub-frames per fading block and per kernel block of each of the
-    engine's `workers` workers for this config, before the horizon cuts
-    them: its share of the fading-power budget, capped at a kernel block,
-    and a whole packed stack of STACK_WORDS words, whatever the workers."""
+def block_sizes(config):
+    """Sub-frames per fading block and per kernel block of every worker of
+    the engine for this config, before the horizon cuts them: a whole
+    fading-power budget, capped at a kernel block, and a whole packed stack
+    of STACK_WORDS words, whatever the workers."""
     pairs = NUM_CELLS * config.num_prbs
     users = NUM_CELLS * config.ues_per_cell
     kernel = STACK_WORDS // (pairs * num_words(users))
-    return min(kernel, engine._BLOCK_WORDS // workers // (pairs * users)), kernel
+    return min(kernel, engine._BLOCK_WORDS // (pairs * users)), kernel
 
 
 def use_workers(monkeypatch, workers):
@@ -702,6 +719,13 @@ def counting_starts(monkeypatch):
 
 FOUR = ("cga", "dga", "sc", "mbsfn")
 
+# The SimConfig fields each benchmark workload sets
+BENCHMARK_SHAPES = {
+    "fig4_m70_cli": dict(ues_per_cell=10, horizon=1000, num_drops=1),
+    "fig7_m280_trace": dict(ues_per_cell=40, horizon=100, num_drops=2),
+    "exact_n4": dict(ues_per_cell=5, horizon=100, num_drops=1, num_prbs=4),
+}
+
 
 def fast_trace(path, sizes=None):
     """A trace whose demand steps every 4 sub-frames (250 fps), by default
@@ -722,8 +746,8 @@ SPECIAL_SIZES = [(0, 10, 500, 40, 99)[i % 5] for i in range(300)]
 class TestBlockLoop:
     """The block loop against the per-sub-frame reference, on one worker
     and on two (one drop each), at horizons on both sides of one and two
-    fading-block boundaries of each worker's share of the fading budget
-    and of one and two kernel-block boundaries of its whole stack.  The
+    fading-block boundaries of each worker's whole fading budget and of
+    one and two kernel-block boundaries of its whole stack.  The
     reference is causal, so one reference run at the longest horizon
     holds every shorter one as its prefix."""
 
@@ -733,7 +757,9 @@ class TestBlockLoop:
         "dga_primary": (dict(dga_count="primary"), FOUR),
         "no_fading": (dict(channel=ChannelParams(fast_fading=False)), FOUR),
         "trace": (dict(fps=250.0), FOUR),
-        "special_levels": (dict(fps=250.0), FOUR),
+        # At 500 fps a frame spans two sub-frames, so the first fading
+        # block, 6 sub-frames at 20 UEs per cell, holds three frames
+        "special_levels": (dict(fps=500.0), FOUR),
         # The settings no other case moves off their defaults: the
         # constant rate, the edge threshold, and burst delivery, each frame
         # in the first sub-frame of its period and nothing in the rest
@@ -750,9 +776,8 @@ class TestBlockLoop:
     WORKERS = (1, 2)
 
     # 10 and 20 UEs per cell: two and three words per row, several fading
-    # blocks per kernel block.  1 UE per cell: one word per row, and one
-    # worker's fading budget exceeds the kernel block, which caps it; two
-    # workers' halves of it are shorter than their whole stacks.
+    # blocks per kernel block.  1 UE per cell: one word per row, and the
+    # fading block still shorter than the kernel block.
     @pytest.mark.parametrize("ues", [1, 10, 20])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_the_per_subframe_loop(self, case, ues, tmp_path, monkeypatch):
@@ -762,25 +787,21 @@ class TestBlockLoop:
         if case in self.TRACES:
             path = fast_trace(tmp_path / "t.txt", self.TRACES[case])
             config = replace(config, trace_path=path)
-        horizons = {}
-        for workers in self.WORKERS:
-            block, kernel = block_sizes(config, workers)
-            assert 2 <= block <= kernel
-            assert (block < kernel) == (ues > 1 or workers > 1)
-            if case in self.TRACES:
-                levels = min_snr_db(demand(config)[:2 * block])
-                assert len(set(levels[:block])) > 1
-            if case == "special_levels":  # within the first fading block of each worker's drop
-                assert {-np.inf, np.inf} < set(levels[:block * workers])
-            horizons[workers] = sorted({
-                1, block - 1, block, block + 1, 2 * block + 1,
-                kernel - 1, kernel, kernel + 1, 2 * kernel + 1})
-        longest = replace(config, horizon=max(map(max, horizons.values())))
+        block, kernel = block_sizes(config)
+        assert 2 <= block < kernel
+        if case in self.TRACES:
+            levels = min_snr_db(demand(config)[:2 * block])
+            assert len(set(levels[:block])) > 1
+        if case == "special_levels":  # within the first fading block of each drop
+            assert {-np.inf, np.inf} < set(levels[:block])
+        horizons = sorted({1, block - 1, block, block + 1, 2 * block + 1,
+                           kernel - 1, kernel, kernel + 1, 2 * kernel + 1})
+        longest = replace(config, horizon=horizons[-1])
         want, instances = reference_run(longest, policies)
         users = NUM_CELLS * ues
         for workers in self.WORKERS:
             use_workers(monkeypatch, workers)
-            for horizon in horizons[workers]:
+            for horizon in horizons:
                 out = compare_policies(replace(config, horizon=horizon), policies)
                 for policy in policies:
                     counts, masks = want[policy]
@@ -791,36 +812,34 @@ class TestBlockLoop:
                         workers, horizon, policy)
 
             # Without served masks, the path the CLI and the benchmark take
-            run = replace(longest, horizon=horizons[workers][-1])
-            off = compare_policies(replace(run, log_served_ids=False), policies)
+            off = compare_policies(replace(longest, log_served_ids=False), policies)
             assert off.served_masks == {}
             for policy in policies:
                 assert np.array_equal(off.metrics[policy].served_counts,
-                                      want[policy][0][:, :run.horizon]), (workers, policy)
+                                      want[policy][0][:, :longest.horizon]), (workers, policy)
 
             # The simulation loop alone: each worker's MC stacks, unpacked,
             # are the reference's MC instances, and ANDed with the own-cell
             # words its SC instances, whatever the run's policies, so a fault
             # in the draw, compare or pack step fails here even where every
             # kernel's pick would hide it
-            kernel = block_sizes(config, workers)[1]
-            plan = engine._plan(run, policies)
+            plan = engine._plan(longest, policies)
             assert plan.workers == workers
             width = num_words(users)
             for w in range(workers):
                 tiles = []
-                drops = range(w, run.num_drops, workers)
-                for d, t0, t1, mc, own in engine._blocks(run, plan, drops):
+                drops = range(w, longest.num_drops, workers)
+                for d, t0, t1, mc, own in engine._blocks(longest, plan, drops):
                     tiles.append((d, t0, t1))
-                    assert mc.shape == (t1 - t0, NUM_CELLS, run.num_prbs, width)
-                    assert own.shape == (1, NUM_CELLS, run.num_prbs, width)
+                    assert mc.shape == (t1 - t0, NUM_CELLS, longest.num_prbs, width)
+                    assert own.shape == (1, NUM_CELLS, longest.num_prbs, width)
                     assert own.flags.c_contiguous
                     for mode, words in ((MC, mc), (SC, mc & own)):
                         assert np.array_equal(unpack(words, users),
                                               instances[mode][d, t0:t1]), (workers, mode)
-                assert tiles == [(d, t0, min(t0 + kernel, run.horizon))
+                assert tiles == [(d, t0, min(t0 + kernel, longest.horizon))
                                  for d in drops
-                                 for t0 in range(0, run.horizon, kernel)]
+                                 for t0 in range(0, longest.horizon, kernel)]
 
     @pytest.mark.parametrize("trace", [False, True])
     def test_one_draw_per_fading_block_of_one_threshold(self, trace, tmp_path, monkeypatch):
@@ -867,7 +886,7 @@ class TestBlockLoop:
                            num_drops=3, seed=11, log_served_ids=True)
         if trace:
             config = replace(config, trace_path=fast_trace(tmp_path / "t.txt"))
-        assert 2 * block_sizes(config, 3)[1] < config.horizon
+        assert 2 * block_sizes(config)[1] < config.horizon
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads interleave as often as they can
@@ -982,36 +1001,16 @@ class TestBlockLoop:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert engine._cpus() == 1
 
-    @pytest.mark.parametrize("budget", ["_BLOCK_WORDS"])
-    def test_no_more_workers_than_shares_that_hold_a_subframe(self, budget, monkeypatch):
-        # Each worker's share of the fading budget must hold one whole
-        # sub-frame, or its one-sub-frame buffers would take the run past
-        # the budget: three CPUs and three drops get one worker per whole
-        # share.  The packed stack is no share: each worker has a whole one.
-        use_workers(monkeypatch, 3)
-        config = replace(FAST, num_drops=3)
-        want = compare_policies(config, ("cga",)).metrics["cga"].served_counts
-        words = NUM_CELLS * config.num_prbs * NUM_CELLS * config.ues_per_cell
-        for size, workers in [(3 * words, 3), (3 * words - 1, 2),
-                              (2 * words - 1, 1), (words - 1, 1)]:
-            monkeypatch.setattr(engine, budget, size)
-            assert engine._plan(config, ("cga",)).workers == workers, size
-        started = counting_starts(monkeypatch)
-        got = compare_policies(config, ("cga",)).metrics["cga"].served_counts
-        assert started == [] and np.array_equal(got, want)
-
     # Each benchmark workload's shape on the benchmark's 2 usable CPUs,
     # and fig7's on one, as under `taskset -c 0`: the frame, the
     # workers, and each worker's kernel-block and fading-block lengths
     @pytest.mark.parametrize("shape, cpus, sizes", [
-        pytest.param(dict(ues_per_cell=10, horizon=1000, num_drops=1), 2,
-                     (1, 117, 26), id="fig4_m70_cli"),
-        pytest.param(dict(ues_per_cell=40, horizon=100, num_drops=2), 2,
-                     (2, 46, 3), id="fig7_m280_trace"),
-        pytest.param(dict(ues_per_cell=40, horizon=100, num_drops=2), 1,
-                     (1, 46, 6), id="fig7_m280_trace_one_cpu"),
-        pytest.param(dict(ues_per_cell=5, horizon=100, num_drops=1, num_prbs=4), 2,
-                     (1, 100, 100), id="exact_n4"),
+        pytest.param(BENCHMARK_SHAPES["fig4_m70_cli"], 2, (1, 117, 13), id="fig4_m70_cli"),
+        pytest.param(BENCHMARK_SHAPES["fig7_m280_trace"], 2, (2, 46, 3),
+                     id="fig7_m280_trace"),
+        pytest.param(BENCHMARK_SHAPES["fig7_m280_trace"], 1, (1, 46, 3),
+                     id="fig7_m280_trace_one_cpu"),
+        pytest.param(BENCHMARK_SHAPES["exact_n4"], 2, (1, 100, 66), id="exact_n4"),
     ])
     def test_benchmark_shapes_are_sized_once_in_the_plan(
             self, shape, cpus, sizes, monkeypatch):
@@ -1021,11 +1020,11 @@ class TestBlockLoop:
         assert plan.frame == (NUM_CELLS, config.num_prbs, NUM_CELLS * config.ues_per_cell)
         assert (plan.workers, plan.span, plan.block) == sizes
 
-    def test_each_worker_has_a_whole_stack_and_a_share_of_the_fading_budget(
+    def test_each_worker_has_a_whole_stack_and_a_whole_fading_budget(
             self, monkeypatch):
         # fig7's frame on 1, 2 and 3 workers: every worker's kernel block is
         # the 46 sub-frames of one whole packed stack, and its fading block
-        # its 1 / workers share of the fading budget
+        # the 3 sub-frames of one whole fading budget
         config = SimConfig(ues_per_cell=40, horizon=100, num_drops=3)
         plans = []
         for workers in (1, 2, 3):
@@ -1033,11 +1032,35 @@ class TestBlockLoop:
             plans.append(engine._plan(config, ("cga",)))
         assert [plan.workers for plan in plans] == [1, 2, 3]
         assert [plan.span for plan in plans] == [46] * 3
-        assert [plan.block for plan in plans] == [6, 3, 2]
+        assert [plan.block for plan in plans] == [3] * 3
+
+    # Each benchmark workload's shape, and one whose sub-frame alone is
+    # past the fading budget (M = 7000), which gets one-sub-frame blocks
+    @pytest.mark.parametrize("shape", [
+        *(pytest.param(shape, id=name) for name, shape in BENCHMARK_SHAPES.items()),
+        pytest.param(dict(ues_per_cell=1000), id="subframe_past_the_budget"),
+    ])
+    def test_worker_count_sizes_no_block(self, shape, monkeypatch):
+        # Three drops on 1, 2 and 3 workers: each plan's kernel-block and
+        # fading-block lengths are the one-worker plan's, and its fading
+        # block stays within the budget whenever one sub-frame fits it
+        config = replace(SimConfig(**shape), num_drops=3)
+        plans = []
+        for workers in (1, 2, 3):
+            use_workers(monkeypatch, workers)
+            plans.append(engine._plan(config, ("cga",)))
+        assert [plan.workers for plan in plans] == [1, 2, 3]
+        floats = math.prod(plans[0].frame)
+        for plan in plans:
+            assert (plan.span, plan.block) == (plans[0].span, plans[0].block)
+            if floats <= engine._BLOCK_WORDS:
+                assert plan.block * floats <= engine._BLOCK_WORDS
+            else:
+                assert plan.block == 1
 
     def test_fig7_sized_run_peaks_below_4_mb(self, tmp_path):
         # M = 280 and three policies on a trace: the fading-power buffer is
-        # bounded by _BLOCK_WORDS (1 MiB), each packed stack by STACK_WORDS
+        # bounded by _BLOCK_WORDS (512 KiB), each packed stack by STACK_WORDS
         # (128 KiB), and the per-drop cutoff table by the run's distinct
         # thresholds (at most 17 x C x M float64); a grown budget shows up
         # here.
@@ -1053,7 +1076,7 @@ class TestBlockLoop:
         assert peak < 4e6
 
     def test_two_worker_fig7_sized_run_peaks_below_4_mb(self, tmp_path, monkeypatch):
-        # The same run with two drops on two workers, each with half of the
+        # The same run with two drops on two workers, each with a whole
         # fading budget and a whole packed stack; tracemalloc sees every
         # thread's allocations
         trace = write_synthetic_trace(str(tmp_path / "trace.txt"), seed=1)
