@@ -106,14 +106,12 @@ def num_words(num_users: int) -> int:
     return -(-num_users // 64)
 
 
-def pack(cover: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def pack(cover: np.ndarray) -> np.ndarray:
     """(..., M) bool -> (..., W) uint64 words holding the user bits,
     W = num_words(M), the padding bits zero; popcounts of ORs of these
-    rows are union sizes.  With `out`, a C-contiguous (..., W) uint64
-    array whose padding bytes are zero, the bits are written into it."""
+    rows are union sizes."""
     num_users = cover.shape[-1]
-    if out is None:
-        out = np.zeros(cover.shape[:-1] + (num_words(num_users),), dtype=np.uint64)
+    out = np.zeros(cover.shape[:-1] + (num_words(num_users),), dtype=np.uint64)
     out.view(np.uint8)[..., : -(-num_users // 8)] = np.packbits(cover, axis=-1)
     return out
 

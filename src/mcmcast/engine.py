@@ -177,7 +177,6 @@ class Metrics:
     policy: str
     served_counts: np.ndarray     # (num_drops, T) int64
     num_users: int
-    num_cells: int
 
     @property
     def avg_packets_delivered(self) -> float:
@@ -189,7 +188,7 @@ class Metrics:
 
     @property
     def avg_unserved_per_cell(self) -> float:
-        return (self.num_users - self.avg_packets_delivered) / self.num_cells
+        return (self.num_users - self.avg_packets_delivered) / NUM_CELLS
 
     @property
     def drop_means(self) -> np.ndarray:
@@ -209,7 +208,7 @@ class Metrics:
         return {
             "policy": self.policy,
             "num_users": self.num_users,
-            "num_cells": self.num_cells,
+            "num_cells": NUM_CELLS,
             **{name: round(getattr(self, name), 6) for name in _AGGREGATES},
             "num_drops": int(self.served_counts.shape[0]),
             "horizon": int(self.served_counts.shape[1]),
@@ -257,7 +256,7 @@ def compare_policies(
     _run_workers(work, workers)
     metrics = {  # _popcount gives uint8 counts when W = 1
         p: Metrics(policy=p, served_counts=_frozen(_popcount(words[p]).astype(np.int64)),
-                   num_users=num_users, num_cells=NUM_CELLS)
+                   num_users=num_users)
         for p in policies
     }
     served_masks = {p: _frozen(unpack(words[p], num_users))
@@ -389,15 +388,15 @@ def _blocks(config: SimConfig, plan: _Plan, drops):
     frame, span, block = plan.frame, plan.span, plan.block
     level, ends, horizon = plan.level, plan.ends, config.horizon
     # One (span, C, N, W) word buffer for the packed decodability of a kernel
-    # block, whose padding bits stay zero, one (block, C, N, M) fading buffer
-    # and one bool buffer of the same shape for the fading blocks within it,
-    # and one (C, N, M) plane of one threshold's cutoffs on every PRB, all
-    # reused by every block of every drop
+    # block, one (block, C, N, M) fading buffer and one bool buffer of the
+    # same shape for the fading blocks within it, and one (C, N, M) plane of
+    # one threshold's cutoffs on every PRB, all reused by every block of
+    # every drop
     width = num_words(frame[2])
     power_buf = np.empty((block, *frame))
     decodes = np.empty((block, *frame), dtype=bool)
     plane = np.empty(frame)
-    word_buf = np.zeros((span, *frame[:2], width), dtype=np.uint64)
+    word_buf = np.empty((span, *frame[:2], width), dtype=np.uint64)
     for d in drops:
         rng = np.random.default_rng(plan.seeds[d])
         distance = build_hex7(config.radius_m, config.ues_per_cell, rng).distance_m
@@ -416,7 +415,7 @@ def _blocks(config: SimConfig, plan: _Plan, drops):
                     plane[...] = cuts[level[f0]][:, None, :]
                 power = fading_block(config.channel, rng, power_buf[: f1 - f0])
                 np.greater_equal(power, plane, out=decodes[: f1 - f0])
-                pack(decodes[: f1 - f0], out=word_buf[f0 - t0: f1 - t0])
+                word_buf[f0 - t0: f1 - t0] = pack(decodes[: f1 - f0])
                 f0 = f1
             yield d, t0, t1, word_buf[: t1 - t0], own
 

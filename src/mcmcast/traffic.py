@@ -2,10 +2,11 @@
 
 Trace lines follow the common frame-size listing used by public video
 trace archives: ``index frame_type time size_bytes`` with ``#`` comment
-lines, and a UTF-8 byte-order mark is skipped.  Only the first and last
-columns are consumed — sizes become bits and the frame stream is spread
-over the sub-frames of each frame period.  The sub-frame length is the
-caller's (ChannelParams.subframe_s): nothing here assumes one.
+lines, and a UTF-8 byte-order mark is skipped.  The first column must be
+an integer and only the last is kept: sizes become bits, in file order,
+and the frame stream is spread over the sub-frames of each frame period.
+The sub-frame length is the caller's (ChannelParams.subframe_s): nothing
+here assumes one.
 read_lines reads the package's text inputs, a trace and a --config file.
 """
 
@@ -45,10 +46,11 @@ def read_lines(path: str, error: type[ValueError]) -> list[str]:
     return io.StringIO(text, newline=None).readlines()
 
 
-def parse_trace(path: str) -> list[tuple[int, float]]:
-    """Read (frame_index, size_bits) pairs from a trace file of UTF-8 text,
-    with or without a byte-order mark."""
-    frames: list[tuple[int, float]] = []
+def parse_trace(path: str) -> np.ndarray:
+    """The (F,) float64 frame sizes in bits of a trace file of UTF-8 text,
+    with or without a byte-order mark, in file order.  The first column
+    must be an integer frame index; nothing else reads it."""
+    sizes: list[float] = []
     for lineno, raw in enumerate(read_lines(path, TraceParseError), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -58,7 +60,7 @@ def parse_trace(path: str) -> list[tuple[int, float]]:
             raise TraceParseError(
                 f"{path}:{lineno}: expected 'index ... size_bytes', got {line!r}")
         try:
-            index = int(tokens[0])
+            int(tokens[0])
             size_bytes = float(tokens[-1])
         except ValueError as exc:
             raise TraceParseError(f"{path}:{lineno}: {exc}") from exc
@@ -68,10 +70,10 @@ def parse_trace(path: str) -> list[tuple[int, float]]:
                                   "is not a finite number of bits")
         if bits < 0:
             raise TraceParseError(f"{path}:{lineno}: negative frame size")
-        frames.append((index, round(bits)))
-    if not frames:
+        sizes.append(float(round(bits)))
+    if not sizes:
         raise TraceParseError(f"{path}: no frames found")
-    return frames
+    return np.array(sizes)
 
 
 def frame_period(fps: float, subframe_s: float) -> int:
@@ -88,14 +90,14 @@ def frame_period(fps: float, subframe_s: float) -> int:
 
 
 def schedule_from_trace(
-    frames: list[tuple[int, float]],
+    sizes: np.ndarray,
     fps: float,
     subframe_s: float,
     burst: bool,
     length: int | None = None,
 ) -> np.ndarray:
-    """(T,) bits demanded in each sub-frame: each frame's bits spread over
-    the sub-frames of its frame period.
+    """(T,) bits demanded in each sub-frame: each of the frame sizes
+    `sizes`, in bits, spread over the sub-frames of its frame period.
 
     With ``burst`` the whole frame lands on the first sub-frame of the
     period; otherwise bits are split evenly with the remainder on the
@@ -107,11 +109,11 @@ def schedule_from_trace(
     n_sub = frame_period(fps, subframe_s)
     if length is not None and length <= 0:
         raise ValueError("length must be > 0")
-    total = len(frames) * n_sub
+    total = len(sizes) * n_sub
     kept = total if length is None else min(length, total)
     # (frame, sub-frame within its period) of each sub-frame kept
     frame, phase = np.divmod(np.arange(kept), n_sub)
-    bits = np.array([float(b) for _, b in frames])[frame]
+    bits = np.asarray(sizes, float)[frame]
     if burst:
         return np.where(phase == 0, bits, 0.0)
     share = bits / n_sub

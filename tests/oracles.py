@@ -5,7 +5,8 @@ choice on a boolean stack serves, the set-union served users of an
 allocation, the greedy's per-step history, the embedding of plain maximum
 coverage, a MILP optimum for instances at the paper's size, the SNR->rate
 step function, the SNR in dB of given fading powers, a one-sub-frame
-SNR draw, and a drop's association rebuilt from its positions.
+SNR draw, a drop's association rebuilt from its positions, and the exact
+per-drop laws of SC's and MBSFN's served counts at a constant rate.
 
 The package's kernels work on packed (B, C, N, W) word stacks; these
 helpers take boolean instances, pack them with coverage.pack, and rebuild
@@ -26,8 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from mcmcast.channel import DEFAULT_RATE_TABLE, fading_block
+from mcmcast.channel import (
+    DEFAULT_RATE_TABLE, cutoffs, fading_block, link_budget, min_snr_db)
 from mcmcast.coverage import pack, served_block, unpack
+from mcmcast.topology import associate, build_hex7
 
 
 def from_sets(
@@ -218,3 +221,53 @@ def connectivity(scenario, edge_threshold: float, radius_m: float
     own[primary, users] = True
     edge = dist[primary, users] > edge_threshold * radius_m
     return own, own | edge[None, :]
+
+
+def _max_moments(pmfs: np.ndarray, num_prbs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of the max of num_prbs independent draws of each
+    row's law, the (R, M + 1) pmfs over 0..M: its CDF is the row's CDF to
+    the power num_prbs."""
+    cdf = np.minimum(np.cumsum(pmfs, axis=-1), 1.0) ** num_prbs
+    pmf = np.diff(cdf, axis=-1, prepend=0.0)
+    x = np.arange(pmfs.shape[-1])
+    mean = pmf @ x
+    return mean, pmf @ (x * x) - mean * mean
+
+
+def _poisson_binomial(p: np.ndarray) -> np.ndarray:
+    """(R, M + 1) pmfs of the R sums of independent Bernoulli(p[r, k])
+    over k, for the (R, M) chances p."""
+    pmf = np.zeros((p.shape[0], p.shape[1] + 1))
+    pmf[:, 0] = 1.0
+    for q in p.T[:, :, None]:  # one user at a time, every row at once
+        pmf[:, 1:] = pmf[:, 1:] * (1 - q) + pmf[:, :-1] * q
+        pmf[:, :1] *= 1 - q
+    return pmf
+
+
+def drop_laws(config, seed) -> dict[str, tuple[float, float]]:
+    """Exact mean and variance of one sub-frame's SC and MBSFN served
+    counts in the drop of `seed`, at config's constant rate.  The drop's
+    set-up is replayed from its seed as the engine's _blocks does it:
+    build_hex7, link_budget, associate, cutoffs.  Each link (c, k) that
+    MC can hear decodes a PRB with chance p_ck = exp(-cutoff), 1 at a
+    cutoff of -inf and 0 at +inf, independently over PRBs and
+    sub-frames.  SC serves, in each cell, the best PRB's count of the
+    cell's own users, a Poisson-binomial count, so its law is a sum over
+    cells of maxima over the N PRBs.  MBSFN serves the best PRB's count
+    of the users any eligible cell reaches, Poisson-binomial in
+    q_k = 1 - prod_c (1 - p_ck), maximized over the N PRBs."""
+    if config.trace_path is not None:
+        raise ValueError("the laws are those of a constant rate")
+    rng = np.random.default_rng(seed)
+    distance = build_hex7(config.radius_m, config.ues_per_cell, rng).distance_m
+    budget = link_budget(config.channel, distance, rng)
+    own, mc = associate(distance, config.edge_threshold * config.radius_m)
+    cut = cutoffs(budget, min_snr_db([config.rate_bits]))[0]
+    with np.errstate(over="ignore"):
+        p = np.where(cut == -np.inf, 1.0, np.exp(-cut))
+    sc_mean, sc_var = _max_moments(_poisson_binomial(p * own), config.num_prbs)
+    q = 1 - np.prod(1 - p * mc, axis=0)
+    mbsfn_mean, mbsfn_var = _max_moments(_poisson_binomial(q[None]), config.num_prbs)
+    return {"sc": (float(sc_mean.sum()), float(sc_var.sum())),
+            "mbsfn": (float(mbsfn_mean[0]), float(mbsfn_var[0]))}

@@ -294,7 +294,6 @@ DEFAULTS = {
     ("cli.py", "main", "argv"): "the console script calls main()",
     ("coverage.py", "check_exact_cap", "cap"): "oracle-check relies on it",
     ("coverage.py", "exact_block", "cap"): "oracle-check relies on it",
-    ("coverage.py", "pack", "out"): "the CLI and the engine's own-cell words use it",
     ("traffic.py", "schedule_from_trace", "length"):
         "perfbench/setup_probe.py omits it until ROADMAP item 1",
 }

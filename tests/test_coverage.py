@@ -378,11 +378,6 @@ class TestPackedForm:
             # no padding bit is set, so popcounts are user counts
             assert np.array_equal(np.bitwise_count(words).sum(axis=-1),
                                   cover.sum(axis=-1))
-            # into a slice of a larger zeroed buffer, leaving the rest alone
-            buffer = np.zeros((5, 2, 4, width), dtype=np.uint64)
-            assert np.shares_memory(pack(cover, out=buffer[1:4]), buffer)
-            assert np.array_equal(buffer[1:4], words)
-            assert not buffer[[0, 4]].any()
 
     @pytest.mark.parametrize("num_users", [0, *USERS, 64 * 101 + 1])
     def test_popcount_is_the_user_count(self, num_users):

@@ -49,7 +49,8 @@ from mcmcast.engine import (
 from mcmcast.topology import NUM_CELLS, build_hex7
 from mcmcast.traffic import (
     parse_trace, schedule_constant, schedule_from_trace, write_synthetic_trace)
-from oracles import chosen_by, connectivity, served_set, served_users, snr_subframe
+from oracles import (
+    chosen_by, connectivity, drop_laws, served_set, served_users, snr_subframe)
 
 FAST = SimConfig(horizon=20, num_drops=2, seed=3, ues_per_cell=4,
                  radius_m=600.0, num_prbs=4)
@@ -298,16 +299,14 @@ class TestRunBasics:
 class TestMetrics:
     def test_aggregates_follow_definitions(self):
         counts = np.array([[10, 20], [30, 40]])
-        m = Metrics(policy="cga", served_counts=counts, num_users=70,
-                    num_cells=7)
+        m = Metrics(policy="cga", served_counts=counts, num_users=70)
         assert m.avg_packets_delivered == 25.0
         assert m.per_ue_service_ratio == 25.0 / 70
         assert m.avg_unserved_per_cell == (70 - 25.0) / 7
         assert list(m.drop_means) == [15.0, 35.0]
 
     def test_ci_zero_for_single_drop(self):
-        m = Metrics(policy="cga", served_counts=np.array([[1, 2, 3]]),
-                    num_users=70, num_cells=7)
+        m = Metrics(policy="cga", served_counts=np.array([[1, 2, 3]]), num_users=70)
         assert m.ci95_halfwidth == 0.0
 
     def test_recomputable_from_raw_log(self):
@@ -547,16 +546,16 @@ class TestSummary:
     def test_constant_difference_is_decided_without_a_warning(self):
         # No spread in the differences: t is infinite and the p-value 0 for
         # the policy ahead, 1 for the one behind.  Warnings fail tier-1.
-        ahead = Metrics("a", np.full((2, 5), 9), 70, 7)
-        behind = Metrics("b", np.full((2, 5), 4), 70, 7)
+        ahead = Metrics("a", np.full((2, 5), 9), 70)
+        behind = Metrics("b", np.full((2, 5), 4), 70)
         assert paired_one_sided_pvalue(ahead, behind) == 0.0
         assert paired_one_sided_pvalue(behind, ahead) == 1.0
 
     def test_large_counts_one_apart_are_not_equal(self):
         # np.allclose's relative tolerance would call these equal (p = 1
         # both ways); the counts are integers, so only equal is equal.
-        ahead = Metrics("a", np.array([[100001, 100002, 100001]]), 10**6, 7)
-        behind = Metrics("b", np.array([[100000, 100001, 100000]]), 10**6, 7)
+        ahead = Metrics("a", np.array([[100001, 100002, 100001]]), 10**6)
+        behind = Metrics("b", np.array([[100000, 100001, 100000]]), 10**6)
         assert paired_one_sided_pvalue(ahead, behind) == 0.0
         assert paired_one_sided_pvalue(behind, ahead) == 1.0
 
@@ -1154,3 +1153,29 @@ class TestChannelPathLaw:
                 eps = log_term / 3 + math.sqrt(log_term ** 2 / 9 + 2 * var * log_term)
                 assert abs(got - mean) <= eps, (d, mode, got, mean, eps)
         assert mid >= 100 * config.num_drops  # the check has teeth
+
+
+class TestExactDropLaws:
+    """SC's and MBSFN's served counts against their exact per-drop laws,
+    which oracles.drop_laws computes from each drop's set-up replayed from
+    its seed: the whole pipeline, draw, compare, pack, kernel and credit,
+    with no reference to the random stream.  Each drop's mean over its T
+    sub-frames, independent given the drop, must lie within Z_BOUND
+    standard errors of its exact mean, the standard error taken from the
+    exact variance."""
+
+    # Fixed before any run: a mean that follows its law strays this far
+    # with chance about 6e-7, so 7e-6 over the test's 12 checks
+    Z_BOUND = 5.0
+
+    @pytest.mark.parametrize("ues", [10, 40], ids=["M70", "M280"])
+    def test_drop_means_follow_the_exact_laws(self, ues):
+        config = SimConfig(ues_per_cell=ues, radius_m=1000.0, rate_bits=400.0,
+                           horizon=1000, num_drops=3, seed=1)
+        out = compare_policies(config, ("sc", "mbsfn"))
+        for d, seed in enumerate(engine._plan(config, ("sc",)).seeds):
+            laws = drop_laws(config, seed)
+            for policy, (mean, var) in laws.items():
+                got = out.metrics[policy].served_counts[d].mean()
+                z = (got - mean) / math.sqrt(var / config.horizon)
+                assert abs(z) < self.Z_BOUND, (d, policy, got, mean, z)

@@ -34,13 +34,30 @@ def trace_file(tmp_path):
 
 class TestParseTrace:
     def test_sizes_become_bits(self, trace_file):
-        frames = parse_trace(trace_file)
-        assert frames == [(0, 36000), (1, 7200), (2, 8800)]
+        sizes = parse_trace(trace_file)
+        assert sizes.dtype == np.float64
+        assert sizes.tolist() == [36000.0, 7200.0, 8800.0]
+
+    def test_sizes_keep_file_order_whatever_the_index(self, tmp_path):
+        # A trace listed in decode order: the index column is checked,
+        # never used, so the schedule plays the sizes as the file lists them
+        path = tmp_path / "t.txt"
+        path.write_text("0 I 0.0 100\n3 P 0.1 200\n1 B 0.03 300\n2 B 0.07 400\n")
+        sizes = parse_trace(str(path))
+        assert sizes.tolist() == [800.0, 1600.0, 2400.0, 3200.0]
+        sched = schedule_from_trace(sizes, fps=1000.0, subframe_s=1e-3, burst=False)
+        assert sched.tolist() == [800.0, 1600.0, 2400.0, 3200.0]
+
+    def test_non_integer_index_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("0 I 0.0 100\n# comment\nx I 0.0 100\n")
+        with pytest.raises(TraceParseError, match="^" + re.escape(f"{path}:3: ")):
+            parse_trace(str(path))
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("# a comment\n\n0 I 0.0 125\n\n# tail\n")
-        assert parse_trace(str(path)) == [(0, 1000)]
+        assert parse_trace(str(path)).tolist() == [1000.0]
 
     def test_error_reports_line_number(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -84,7 +101,7 @@ class TestParseTrace:
     def test_byte_order_mark_is_skipped(self, tmp_path, trace_file):
         path = tmp_path / "bom.txt"
         path.write_bytes(codecs.BOM_UTF8 + b"# comment\n" + THREE_FRAMES.encode())
-        assert parse_trace(str(path)) == parse_trace(trace_file)
+        assert np.array_equal(parse_trace(str(path)), parse_trace(trace_file))
 
     def test_bad_byte_after_byte_order_mark_names_its_line_and_byte(self, tmp_path):
         # The byte is counted in the file, the mark's three bytes included
@@ -97,7 +114,7 @@ class TestParseTrace:
     def test_universal_newlines_split_lines(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_bytes(b"0 I 0.0 100\r1 P 0.03 200\r\n2 P 0.07 300")
-        assert parse_trace(str(path)) == [(0, 800), (1, 1600), (2, 2400)]
+        assert parse_trace(str(path)).tolist() == [800.0, 1600.0, 2400.0]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -117,11 +134,10 @@ class TestScheduleFromTrace:
         assert sum(first) == pytest.approx(36000)
 
     def test_total_bits_conserved_exactly(self, trace_file):
-        frames = parse_trace(trace_file)
+        sizes = parse_trace(trace_file)
         for fps in (24.0, 30.0, 60.0):
-            sched = schedule_from_trace(frames, fps=fps, subframe_s=1e-3, burst=False)
-            assert sched.sum() == pytest.approx(
-                sum(bits for _, bits in frames), abs=1e-6)
+            sched = schedule_from_trace(sizes, fps=fps, subframe_s=1e-3, burst=False)
+            assert sched.sum() == pytest.approx(sizes.sum(), abs=1e-6)
 
     def test_burst_puts_whole_frame_first(self, trace_file):
         sched = schedule_from_trace(parse_trace(trace_file), fps=30.0,
@@ -157,11 +173,11 @@ class TestScheduleFromTrace:
                                 length=length)
 
     @staticmethod
-    def per_frame_schedule(frames, fps, subframe_s, burst):
+    def per_frame_schedule(sizes, fps, subframe_s, burst):
         """The schedule built one frame at a time, as a list of floats."""
         n_sub = max(1, round(1.0 / (fps * subframe_s)))
         rates = []
-        for _, bits in frames:
+        for bits in sizes:
             if burst:
                 rates.append(float(bits))
                 rates.extend([0.0] * (n_sub - 1))
@@ -181,9 +197,8 @@ class TestScheduleFromTrace:
             for _ in range(4):
                 sizes = rng.integers(0, 20_000, size=rng.integers(1, 40)) * 8
                 sizes[rng.random(len(sizes)) < 0.2] = 0
-                frames = [(i, int(b)) for i, b in enumerate(sizes)]
-                got = schedule_from_trace(frames, fps, 1e-3, burst)
-                want = self.per_frame_schedule(frames, fps, 1e-3, burst)
+                got = schedule_from_trace(sizes, fps, 1e-3, burst)
+                want = self.per_frame_schedule(sizes.tolist(), fps, 1e-3, burst)
                 assert got.dtype == want.dtype == np.float64
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -194,12 +209,11 @@ class TestScheduleFromTrace:
         rng = np.random.default_rng(17)
         for fps in (1000.0, 30.0, 7.0):
             sizes = rng.integers(0, 20_000, size=9) * 8
-            frames = [(i, int(b)) for i, b in enumerate(sizes)]
-            want = self.per_frame_schedule(frames, fps, 1e-3, burst)
-            n_sub = len(want) // len(frames)
+            want = self.per_frame_schedule(sizes.tolist(), fps, 1e-3, burst)
+            n_sub = len(want) // len(sizes)
             for length in {1, n_sub - 1 or 1, n_sub, n_sub + 1, len(want) - 1,
                            len(want), len(want) + 5}:
-                got = schedule_from_trace(frames, fps, 1e-3, burst, length=length)
+                got = schedule_from_trace(sizes, fps, 1e-3, burst, length=length)
                 assert np.array_equal(got.view(np.int64),
                                       want[:length].view(np.int64)), (fps, length)
 
@@ -224,21 +238,19 @@ class TestSyntheticTrace:
         b = write_synthetic_trace(str(tmp_path / "b.txt"), seed=3)
         assert (tmp_path / "a.txt").read_text() == \
             (tmp_path / "b.txt").read_text()
-        frames = parse_trace(a)
-        assert len(frames) == SYNTHETIC_FRAMES == 300
-        assert all(bits > 0 for _, bits in frames)
+        sizes = parse_trace(a)
+        assert len(sizes) == SYNTHETIC_FRAMES == 300
+        assert (sizes > 0).all()
 
     def test_i_frames_dominate_p_frames(self, tmp_path):
         path = write_synthetic_trace(str(tmp_path / "t.txt"), seed=1)
-        frames = parse_trace(path)
+        sizes = parse_trace(path)
         assert SYNTHETIC_GOP == 12
-        i_bits = [bits for idx, bits in frames if idx % 12 == 0]
-        p_bits = [bits for idx, bits in frames if idx % 12 != 0]
-        assert np.mean(i_bits) > 2.0 * np.mean(p_bits)
+        is_i = np.arange(len(sizes)) % 12 == 0  # the file lists frames 0, 1, ...
+        assert sizes[is_i].mean() > 2.0 * sizes[~is_i].mean()
 
     def test_mean_frame_size_close_to_target(self, tmp_path):
         path = write_synthetic_trace(str(tmp_path / "t.txt"), seed=2)
-        frames = parse_trace(path)
-        mean_bytes = np.mean([bits / 8 for _, bits in frames])
+        mean_bytes = parse_trace(path).mean() / 8
         assert mean_bytes == pytest.approx(SYNTHETIC_FRAME_BYTES, rel=0.15)
         assert SYNTHETIC_FRAME_BYTES == 1200.0
