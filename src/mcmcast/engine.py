@@ -10,27 +10,27 @@ as many as fit one packed stack of coverage.STACK_WORDS words, each drawn
 in fading blocks of at most 512 KiB of powers that also end where the
 threshold changes: draw per-PRB fading powers → compare them, in one
 contiguous pass, with a (C, N, M) plane of the block's threshold's cutoffs
-on every PRB, filled once per run of one threshold → pack the result into
-(K, C, N, W) words, MC's stack of instances, and yield it with the
-own-cell words.  Single connectivity (SC) is MC cut to the own cell, so its
-stack is MC's AND the own-cell words.  compare_policies only evaluates and
-records: on each block it forms SC's stack if some policy uses it, runs
-each policy's kernel on the stack it picks on, credits its picks on the
-stack it is credited on (the _runs table) and stores the served words
-in the policy's one record, (drops, T, W) words.  After the run the
-served counts are the record's popcounts, and the served masks, when
-the run keeps them, its unpacked bits.  The block
-sizes only group the work: the RNG stream and every result are those of
-one sub-frame at a time.  Policies compared in one run see the *same* draws
-and share their mode's instances (common random numbers), so observed
-differences are policy-only.
+on every PRB, filled once per run of one threshold → pack the result;
+the kernel block's words, concatenated, are its (K, C, N, W) stack of
+MC instances, yielded with the own-cell words.  Single connectivity (SC)
+is MC cut to the own cell, so its stack is MC's AND the own-cell words.
+compare_policies only evaluates and records: on each block it forms SC's
+stack if some policy uses it, runs each policy's kernel on the stack it
+picks on, credits its picks on the stack it is credited on (the _runs
+table) and stores the served words in the policy's one record,
+(drops, T, W) words.  After the run the served counts are the record's
+popcounts, and the served masks, when the run keeps them, its unpacked
+bits.  The block sizes only group the work: the RNG stream and every
+result are those of one sub-frame at a time.  Policies compared in one
+run see the *same* draws and share their mode's instances (common random
+numbers), so observed differences are policy-only.
 
 A run's drops are independent, each with its own seed, so compare_policies
 simulates them on up to min(drops, usable CPUs, 2) workers: the calling
 thread and a plain thread, drop d on worker d % workers, each with its own
-buffers, a whole packed stack and a whole fading budget, and each writing
-only its own drops' rows.  _plan is a run's whole set-up, before any drop
-runs (and, from the CLI, before anything is written): the checks, the
+two buffers, a whole fading budget and a plane, and each writing only its
+own drops' rows.  _plan is a run's whole set-up, before any drop runs
+(and, from the CLI, before anything is written): the checks, the
 demand, with a warning when a trace shorter than the horizon wraps, and
 the sizes, its frame, its workers and the kernel-block and fading-block
 lengths, the same on every worker and for any worker count.  The fading
@@ -328,8 +328,9 @@ def _plan(config: SimConfig, policies: tuple[str, ...]) -> _Plan:
     _MAX_WORKERS or than drops.  span is each worker's kernel-block
     length, what one whole packed stack of STACK_WORDS holds, capped at
     the horizon; block its fading-block length, what one whole
-    _BLOCK_WORDS budget holds, capped at span.  Every worker has both
-    buffers whole, so neither length depends on the worker count.
+    _BLOCK_WORDS budget holds, capped at span.  Each worker's stacks and
+    fading buffer are that whole, so neither length depends on the
+    worker count.
     levels are the run's distinct SNR thresholds, level each sub-frame's
     index into them, ends the sub-frame that ends each sub-frame's run of
     one threshold, and seeds one per drop."""
@@ -379,24 +380,18 @@ def _blocks(config: SimConfig, plan: _Plan, drops):
     mc, own), mc the (t1 - t0, C, N, W) packed stack of MC instances of
     sub-frames t0 to t1 - 1 of the drop, and own the drop's own-cell
     words, contiguous (1, C, N, W), so that mc & own is the SC stack.
-    mc is the reused word buffer itself, valid only until the generator
-    resumes.  Its buffers are sized by the plan's span, one whole packed
-    stack, and block, one whole fading budget, so each of the plan's
-    workers that runs one of these generators holds one of each.  The
-    plane of cutoffs is filled at each drop's first sub-frame and where
-    the threshold changes: once per run of one threshold."""
+    mc is a fresh array the caller owns; own is made once per drop.  Two
+    buffers serve every block of every drop, the two whose reuse pays:
+    the (block, C, N, M) float64 fading powers, one whole fading budget
+    (a fresh one per fading block ran 4-7% slower), and a (C, N, M) plane
+    of one threshold's cutoffs on every PRB (a compare broadcast from the
+    cutoffs is 2-3 times as slow), filled at each drop's first sub-frame
+    and where the threshold changes.  Each fading block's compare is
+    packed on its own, and mc is their concatenation."""
     frame, span, block = plan.frame, plan.span, plan.block
     level, ends, horizon = plan.level, plan.ends, config.horizon
-    # One (span, C, N, W) word buffer for the packed decodability of a kernel
-    # block, one (block, C, N, M) fading buffer and one bool buffer of the
-    # same shape for the fading blocks within it, and one (C, N, M) plane of
-    # one threshold's cutoffs on every PRB, all reused by every block of
-    # every drop
-    width = num_words(frame[2])
     power_buf = np.empty((block, *frame))
-    decodes = np.empty((block, *frame), dtype=bool)
     plane = np.empty(frame)
-    word_buf = np.empty((span, *frame[:2], width), dtype=np.uint64)
     for d in drops:
         rng = np.random.default_rng(plan.seeds[d])
         distance = build_hex7(config.radius_m, config.ues_per_cell, rng).distance_m
@@ -408,16 +403,16 @@ def _blocks(config: SimConfig, plan: _Plan, drops):
         own = np.repeat(pack(own)[None, :, None], frame[1], axis=2)
         for t0 in range(0, horizon, span):
             t1 = min(t0 + span, horizon)
+            stacks = []
             f0 = t0
             while f0 < t1:  # fading blocks of one threshold each
                 f1 = min(f0 + block, t1, int(ends[f0]))
                 if f0 == 0 or level[f0] != level[f0 - 1]:  # a new drop or threshold
                     plane[...] = cuts[level[f0]][:, None, :]
                 power = fading_block(config.channel, rng, power_buf[: f1 - f0])
-                np.greater_equal(power, plane, out=decodes[: f1 - f0])
-                word_buf[f0 - t0: f1 - t0] = pack(decodes[: f1 - f0])
+                stacks.append(pack(power >= plane))
                 f0 = f1
-            yield d, t0, t1, word_buf[: t1 - t0], own
+            yield d, t0, t1, np.concatenate(stacks), own
 
 
 def sweep(config: SimConfig, axes: dict,
@@ -565,28 +560,19 @@ def log_to_csv(output: RunOutput, policy: str) -> str:
     """Raw log of one policy of the run, one row per (drop, t) in that
     order.  served_ids lists the served users when the run kept its
     served masks, and is empty otherwise.  The rows are the bytes
-    csv.writer writes: no field needs quoting.
-
-    One % format renders every row, from one flat tuple of their fields:
-    field f of row s sits at s·F + f, F the columns, so each column is one
-    strided slice assignment."""
+    csv.writer writes: no field needs quoting."""
     num_drops, horizon = output.config.num_drops, output.config.horizon
-    subframes, width = num_drops * horizon, len(_LOG_HEADER)
+    counts = output.metrics[policy].served_counts.tolist()
     mask = output.served_masks.get(policy)
     if mask is None:
-        served = [""] * subframes
+        served = [[""] * horizon] * num_drops
     else:  # each row joined from one table of the user-id strings
         ids = [str(k) for k in range(mask.shape[-1])]
-        served = [";".join(itertools.compress(ids, row))
-                  for row in mask.reshape(subframes, -1).tolist()]
-    columns = (np.repeat(np.arange(num_drops), horizon).tolist(),
-               np.tile(np.arange(horizon), num_drops).tolist(), [policy] * subframes,
-               output.metrics[policy].served_counts.ravel().tolist(), served)
-    fields = [None] * (subframes * width)
-    for f, column in enumerate(columns):
-        fields[f::width] = column
-    row = ",".join(["%s"] * width) + "\n"
-    return ",".join(_LOG_HEADER) + "\n" + row * subframes % tuple(fields)
+        served = [[";".join(itertools.compress(ids, row)) for row in drop]
+                  for drop in mask.tolist()]
+    rows = [f"{d},{t},{policy},{counts[d][t]},{served[d][t]}\n"
+            for d in range(num_drops) for t in range(horizon)]
+    return ",".join(_LOG_HEADER) + "\n" + "".join(rows)
 
 
 def sweep_to_csv(axis: str, table: list[tuple[float, RunOutput]]) -> str:

@@ -6,7 +6,7 @@ allocation, the greedy's per-step history, the embedding of plain maximum
 coverage, a MILP optimum for instances at the paper's size, the SNR->rate
 step function, the SNR in dB of given fading powers, a one-sub-frame
 SNR draw, a drop's association rebuilt from its positions, and the exact
-per-drop laws of SC's and MBSFN's served counts at a constant rate.
+per-drop laws of SC's and MBSFN's served counts.
 
 The package's kernels work on packed (B, C, N, W) word stacks; these
 helpers take boolean instances, pack them with coverage.pack, and rebuild
@@ -27,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from mcmcast.channel import (
-    DEFAULT_RATE_TABLE, cutoffs, fading_block, link_budget, min_snr_db)
+from mcmcast import engine
+from mcmcast.channel import DEFAULT_RATE_TABLE, cutoffs, fading_block, link_budget
 from mcmcast.coverage import pack, served_block, unpack
 from mcmcast.topology import associate, build_hex7
 
@@ -246,28 +246,35 @@ def _poisson_binomial(p: np.ndarray) -> np.ndarray:
 
 
 def drop_laws(config, seed) -> dict[str, tuple[float, float]]:
-    """Exact mean and variance of one sub-frame's SC and MBSFN served
-    counts in the drop of `seed`, at config's constant rate.  The drop's
+    """Exact mean and variance of the mean of SC's and MBSFN's served
+    counts over config's horizon in the drop of `seed`.  The drop's
     set-up is replayed from its seed as the engine's _blocks does it:
-    build_hex7, link_budget, associate, cutoffs.  Each link (c, k) that
-    MC can hear decodes a PRB with chance p_ck = exp(-cutoff), 1 at a
-    cutoff of -inf and 0 at +inf, independently over PRBs and
-    sub-frames.  SC serves, in each cell, the best PRB's count of the
-    cell's own users, a Poisson-binomial count, so its law is a sum over
-    cells of maxima over the N PRBs.  MBSFN serves the best PRB's count
-    of the users any eligible cell reaches, Poisson-binomial in
-    q_k = 1 - prod_c (1 - p_ck), maximized over the N PRBs."""
-    if config.trace_path is not None:
-        raise ValueError("the laws are those of a constant rate")
+    build_hex7, link_budget, associate, cutoffs at each distinct
+    threshold engine._plan gives the run.  Each link (c, k) that MC can
+    hear decodes a PRB with chance p_ck = exp(-cutoff), 1 at a cutoff of
+    -inf and 0 at +inf, independently over PRBs and sub-frames.  SC
+    serves, in each cell, the best PRB's count of the cell's own users,
+    a Poisson-binomial count, so one sub-frame's law is a sum over cells
+    of maxima over the N PRBs.  MBSFN serves the best PRB's count of the
+    users any eligible cell reaches, Poisson-binomial in
+    q_k = 1 - prod_c (1 - p_ck), maximized over the N PRBs.  Sub-frames
+    are independent given the drop, so with mean mu_t and variance
+    var_t at sub-frame t's threshold, the mean over T sub-frames has
+    mean sum_t mu_t / T and variance sum_t var_t / T^2."""
+    plan = engine._plan(config, ("sc",))
     rng = np.random.default_rng(seed)
     distance = build_hex7(config.radius_m, config.ues_per_cell, rng).distance_m
     budget = link_budget(config.channel, distance, rng)
     own, mc = associate(distance, config.edge_threshold * config.radius_m)
-    cut = cutoffs(budget, min_snr_db([config.rate_bits]))[0]
+    cut = cutoffs(budget, plan.levels)  # (L, C, M)
     with np.errstate(over="ignore"):
         p = np.where(cut == -np.inf, 1.0, np.exp(-cut))
-    sc_mean, sc_var = _max_moments(_poisson_binomial(p * own), config.num_prbs)
-    q = 1 - np.prod(1 - p * mc, axis=0)
-    mbsfn_mean, mbsfn_var = _max_moments(_poisson_binomial(q[None]), config.num_prbs)
-    return {"sc": (float(sc_mean.sum()), float(sc_var.sum())),
-            "mbsfn": (float(mbsfn_mean[0]), float(mbsfn_var[0]))}
+    levels, cells, users = p.shape
+    sc = _max_moments(_poisson_binomial((p * own).reshape(-1, users)), config.num_prbs)
+    sc = tuple(m.reshape(levels, cells).sum(axis=1) for m in sc)
+    q = 1 - np.prod(1 - p * mc, axis=1)
+    mbsfn = _max_moments(_poisson_binomial(q), config.num_prbs)
+    # How many of the horizon's sub-frames have each threshold
+    weights = np.bincount(plan.level, minlength=levels) / config.horizon
+    return {policy: (float(weights @ mean), float(weights @ var) / config.horizon)
+            for policy, (mean, var) in (("sc", sc), ("mbsfn", mbsfn))}

@@ -821,14 +821,16 @@ class TestBlockLoop:
             # are the reference's MC instances, and ANDed with the own-cell
             # words its SC instances, whatever the run's policies, so a fault
             # in the draw, compare or pack step fails here even where every
-            # kernel's pick would hide it
+            # kernel's pick would hide it.  Each worker's blocks are all kept
+            # before any is compared: a stack is the caller's to keep
             plan = engine._plan(longest, policies)
             assert plan.workers == workers
             width = num_words(users)
             for w in range(workers):
-                tiles = []
                 drops = range(w, longest.num_drops, workers)
-                for d, t0, t1, mc, own in engine._blocks(longest, plan, drops):
+                blocks = list(engine._blocks(longest, plan, drops))
+                tiles = []
+                for d, t0, t1, mc, own in blocks:
                     tiles.append((d, t0, t1))
                     assert mc.shape == (t1 - t0, NUM_CELLS, longest.num_prbs, width)
                     assert own.shape == (1, NUM_CELLS, longest.num_prbs, width)
@@ -1162,20 +1164,27 @@ class TestExactDropLaws:
     with no reference to the random stream.  Each drop's mean over its T
     sub-frames, independent given the drop, must lie within Z_BOUND
     standard errors of its exact mean, the standard error taken from the
-    exact variance."""
+    exact variance, at a constant rate and on a synthetic trace, whose
+    sub-frames' thresholds differ."""
 
     # Fixed before any run: a mean that follows its law strays this far
-    # with chance about 6e-7, so 7e-6 over the test's 12 checks
+    # with chance about 6e-7, so 1e-5 over the test's 18 checks
     Z_BOUND = 5.0
 
-    @pytest.mark.parametrize("ues", [10, 40], ids=["M70", "M280"])
-    def test_drop_means_follow_the_exact_laws(self, ues):
+    @pytest.mark.parametrize("ues, trace", [(10, False), (40, False), (40, True)],
+                             ids=["M70", "M280", "M280_trace"])
+    def test_drop_means_follow_the_exact_laws(self, ues, trace, tmp_path):
         config = SimConfig(ues_per_cell=ues, radius_m=1000.0, rate_bits=400.0,
                            horizon=1000, num_drops=3, seed=1)
+        if trace:
+            path = write_synthetic_trace(str(tmp_path / "trace.txt"), seed=1)
+            config = replace(config, trace_path=path)
+        plan = engine._plan(config, ("sc",))
+        assert len(plan.levels) == (8 if trace else 1)
         out = compare_policies(config, ("sc", "mbsfn"))
-        for d, seed in enumerate(engine._plan(config, ("sc",)).seeds):
+        for d, seed in enumerate(plan.seeds):
             laws = drop_laws(config, seed)
             for policy, (mean, var) in laws.items():
                 got = out.metrics[policy].served_counts[d].mean()
-                z = (got - mean) / math.sqrt(var / config.horizon)
+                z = (got - mean) / math.sqrt(var)
                 assert abs(z) < self.Z_BOUND, (d, policy, got, mean, z)
